@@ -17,6 +17,10 @@
 //! noc-cli cache gc [DIR] --max-bytes B
 //!                                    shrink the store, oldest first
 //! noc-cli cache verify [DIR] [--fix] validate records, delete bad ones
+//! noc-cli figures [ID...]            regenerate paper figures: ASCII
+//!                                    table + plot on stdout, CSV/JSON
+//!                                    under results/ (no ID: every
+//!                                    paper figure and table)
 //! noc-cli example                    print an example spec
 //! noc-cli metrics <N>                analytical metrics at N nodes
 //! ```
@@ -31,15 +35,23 @@
 //! variable. Cached results are bit-identical to fresh simulation; a
 //! hit/miss summary is printed when caching is active.
 //!
+//! `figures` takes the IDs `fig2`, `fig3`, `fig_tables`, `fig5`,
+//! `fig6_7`, `fig8_9`, `fig10_11` and `ext` (the extension figures).
+//! `NOC_FIGURE_MODE` selects `full` (the default, paper quality) or
+//! `quick` (a smoke run); `NOC_THREADS` and `NOC_CACHE` apply as for
+//! `run`.
+//!
 //! A spec is the JSON form of [`noc_core::Experiment`]; get a template
 //! with `noc-cli example`.
 
-use noc_core::report::RunMetadata;
+use noc_core::figures;
+use noc_core::report::{FigureData, RunMetadata};
 use noc_core::{
-    matched_size_cases, run_conformance, run_indexed, Aggregate, Experiment, Parallelism,
-    TopologySpec, TrafficSpec,
+    matched_size_cases, run_conformance, run_indexed, Aggregate, CoreError, Experiment,
+    FigureOptions, Parallelism, TopologySpec, TrafficSpec,
 };
 use noc_sim::{AuditReport, SimConfig};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Parses a `--threads` value into a parallelism policy.
@@ -80,11 +92,12 @@ fn main() -> ExitCode {
         Some("trace") => cmd_trace(&args[1..]),
         Some("conformance") => cmd_conformance(&args[1..]),
         Some("cache") => cmd_cache(&args[1..]),
+        Some("figures") => cmd_figures(&args[1..]),
         Some("example") => cmd_example(),
         Some("metrics") => cmd_metrics(&args[1..]),
         _ => {
             eprintln!(
-                "usage: noc-cli run <spec.json> [--reps N] [--threads N] [--audit] [--cache|--no-cache] | sweep <spec.json> [--max R] [--steps K] [--reps N] [--threads N] [--cache|--no-cache] | trace <spec.json> [--out DIR] [--window N] | conformance [--nodes N] [--reps N] [--threads N] | cache stats|gc|verify [DIR] [--max-bytes B] [--fix] | example | metrics <N>"
+                "usage: noc-cli run <spec.json> [--reps N] [--threads N] [--audit] [--cache|--no-cache] | sweep <spec.json> [--max R] [--steps K] [--reps N] [--threads N] [--cache|--no-cache] | trace <spec.json> [--out DIR] [--window N] | conformance [--nodes N] [--reps N] [--threads N] | cache stats|gc|verify [DIR] [--max-bytes B] [--fix] | figures [ID...] | example | metrics <N>"
             );
             return ExitCode::from(2);
         }
@@ -463,6 +476,137 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Computes the figures behind one `figures` ID.
+type FigureSet = fn(&FigureOptions) -> Result<Vec<FigureData>, CoreError>;
+
+/// Every `figures` ID. All but `ext` make up the paper's figure set, in
+/// this order: Figures 2-3 and the link-count table (analytical), then
+/// the simulated Figures 5-11.
+const FIGURE_SETS: [(&str, FigureSet); 8] = [
+    ("fig2", |_| Ok(vec![figures::fig2(64)])),
+    ("fig3", |_| Ok(vec![figures::fig3(64)])),
+    ("fig_tables", |_| {
+        Ok(vec![figures::table_links(&[8, 12, 16, 24, 32, 48, 64])])
+    }),
+    ("fig5", |opts| Ok(vec![figures::fig5(opts)?])),
+    ("fig6_7", |opts| {
+        figures::fig6_7(opts).map(|(a, b)| vec![a, b])
+    }),
+    ("fig8_9", |opts| {
+        figures::fig8_9(opts).map(|(a, b)| vec![a, b])
+    }),
+    ("fig10_11", |opts| {
+        figures::fig10_11(opts).map(|(a, b)| vec![a, b])
+    }),
+    ("ext", |opts| {
+        let (torus_tp, torus_lat) = figures::ext_torus(opts)?;
+        let (adaptive_tp, adaptive_lat) = figures::ext_adaptive(opts)?;
+        Ok(vec![
+            torus_tp,
+            torus_lat,
+            adaptive_tp,
+            adaptive_lat,
+            figures::ext_spidergon_routing(opts)?,
+            figures::ext_mixed_hotspot(opts)?,
+            figures::ext_link_heatmap(opts)?,
+        ])
+    }),
+];
+
+/// Directory `figures` writes its CSV/JSON dumps into (relative to the
+/// working directory).
+const RESULTS_DIR: &str = "results";
+
+/// Figure quality for a `NOC_FIGURE_MODE` value: unset or `full` is
+/// paper quality, `quick` a smoke run; anything else is an error, so a
+/// typo never silently starts the minutes-long full run.
+fn figure_options(mode: Option<&str>) -> Result<FigureOptions, String> {
+    match mode {
+        None | Some("full") => Ok(FigureOptions::full()),
+        Some("quick") => Ok(FigureOptions::quick()),
+        Some(other) => Err(format!(
+            "NOC_FIGURE_MODE must be `quick` or `full`, not `{other}`"
+        )),
+    }
+}
+
+/// [`figure_options`] for the `NOC_FIGURE_MODE` environment variable.
+fn figure_options_from_env() -> Result<FigureOptions, String> {
+    let mode = std::env::var_os("NOC_FIGURE_MODE");
+    figure_options(mode.as_ref().map(|m| m.to_string_lossy()).as_deref())
+}
+
+/// Looks up a `figures` ID; an unknown one yields the usage line.
+fn figure_set(id: &str) -> Result<FigureSet, String> {
+    FIGURE_SETS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .map(|&(_, set)| set)
+        .ok_or_else(|| {
+            let names: Vec<_> = FIGURE_SETS.iter().map(|(name, _)| *name).collect();
+            format!(
+                "unknown figure `{id}`\nusage: noc-cli figures [{}]...",
+                names.join("|")
+            )
+        })
+}
+
+/// `figures`: regenerates the figures named by `ids` (the paper's
+/// figure set when empty). Every ID and the mode are checked before
+/// anything is computed or written.
+fn cmd_figures(ids: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    let sets: Vec<FigureSet> = if ids.is_empty() {
+        FIGURE_SETS
+            .iter()
+            .filter(|(name, _)| *name != "ext")
+            .map(|&(_, set)| set)
+            .collect()
+    } else {
+        ids.iter()
+            .map(|id| figure_set(id))
+            .collect::<Result<_, _>>()?
+    };
+    let opts = figure_options_from_env()?;
+    let counters_before = noc_core::cache::counters();
+    for set in sets {
+        for figure in set(&opts)? {
+            emit(&figure)?;
+        }
+    }
+    print_cache_summary(counters_before);
+    Ok(())
+}
+
+/// Prints a figure as an ASCII table plus a terminal line plot, and
+/// writes `<id>.csv` and `<id>.json` under [`RESULTS_DIR`].
+///
+/// Latency figures (y axis in cycles) are plotted on a log scale so
+/// the saturation knees stay visible next to the zero-load values.
+fn emit(figure: &FigureData) -> std::io::Result<()> {
+    print!("{}", figure.to_ascii_table());
+    println!();
+    let plot_opts = if figure.y_label.contains("latency") || figure.y_label.contains("cycles") {
+        noc_core::plot::PlotOptions::log()
+    } else {
+        noc_core::plot::PlotOptions::default()
+    };
+    println!("{}", noc_core::plot::render(figure, plot_opts));
+    std::fs::create_dir_all(RESULTS_DIR)?;
+    write_dumps(figure, Path::new(RESULTS_DIR))?;
+    println!(
+        "wrote {}/{}.csv and {}/{}.json",
+        RESULTS_DIR, figure.id, RESULTS_DIR, figure.id
+    );
+    Ok(())
+}
+
+/// Writes the CSV and JSON dumps of a figure into `dir`.
+fn write_dumps(figure: &FigureData, dir: &Path) -> std::io::Result<()> {
+    std::fs::write(dir.join(format!("{}.csv", figure.id)), figure.to_csv())?;
+    std::fs::write(dir.join(format!("{}.json", figure.id)), figure.to_json())?;
+    Ok(())
+}
+
 fn cmd_example() -> Result<(), Box<dyn std::error::Error>> {
     let example = Experiment {
         topology: TopologySpec::Spidergon { nodes: 16 },
@@ -503,4 +647,46 @@ fn cmd_metrics(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_core::report::Series;
+
+    #[test]
+    fn dumps_are_written() {
+        let fig = FigureData::new("unit-test-fig", "t", "x", "y")
+            .with_series(Series::from_xy("s", [(1.0, 2.0)]));
+        let dir = noc_core::cache::unique_temp_dir("noc-cli-dumps");
+        std::fs::create_dir_all(&dir).unwrap();
+        write_dumps(&fig, &dir).unwrap();
+        let csv = std::fs::read_to_string(dir.join("unit-test-fig.csv")).unwrap();
+        assert!(csv.starts_with("x,s"));
+        let json = std::fs::read_to_string(dir.join("unit-test-fig.json")).unwrap();
+        assert!(json.contains("unit-test-fig"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn env_mode_defaults_to_full() {
+        assert_eq!(figure_options(None).unwrap(), FigureOptions::full());
+    }
+
+    #[test]
+    fn named_modes_are_accepted() {
+        assert_eq!(figure_options(Some("full")).unwrap(), FigureOptions::full());
+        assert_eq!(
+            figure_options(Some("quick")).unwrap(),
+            FigureOptions::quick()
+        );
+    }
+
+    #[test]
+    fn unknown_mode_is_rejected() {
+        for typo in ["Quick", "QUICK", "fast", ""] {
+            let err = figure_options(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("`{typo}`")), "{err}");
+        }
+    }
 }
