@@ -49,7 +49,7 @@
 //! switch allocator uses — the two are required to agree, so a
 //! miscompiled or hand-"optimized" fast path is caught by the slow one.
 
-use crate::network::{NodeState, Simulation, EJECT};
+use crate::network::{NodeState, Simulation};
 use crate::probe::Probe;
 use crate::{Flit, PacketId, SimConfig};
 use core::fmt;
@@ -676,7 +676,8 @@ impl Auditor {
         let id = NodeId::new(v);
         for d in 0..node.dirs.len() {
             let dir = node.dirs[d];
-            for (c, buf) in node.input[d].iter().enumerate() {
+            for c in 0..sim.vcs {
+                let s = sim.link_slot(v, d, c);
                 let r = BufferRef {
                     node: id,
                     class: BufferClass::Input,
@@ -684,53 +685,51 @@ impl Auditor {
                     vc: c,
                 };
                 self.report.checks += 1;
-                if buf.len() > buf.capacity() {
-                    self.push_overflow(cycle, r, buf.len(), buf.capacity());
+                let (len, cap) = (sim.inputs.len(s), sim.inputs.capacity());
+                if len > cap {
+                    self.push_overflow(cycle, r, len, cap);
                 }
                 self.check_queue_structure(
                     cycle,
                     r,
-                    buf.iter().map(|&f| sim.arena.materialize(f)),
+                    sim.inputs.iter(s).map(|&f| sim.arena.materialize(f)),
                     None,
                 );
             }
-            for (c, q) in node.out[d].iter().enumerate() {
+            for c in 0..sim.vcs {
                 let r = BufferRef {
                     node: id,
                     class: BufferClass::Output,
                     direction: Some(dir),
                     vc: c,
                 };
-                self.report.checks += 1;
-                if q.len() > q.capacity() {
-                    self.push_overflow(cycle, r, q.len(), q.capacity());
-                }
-                self.check_queue_structure(
-                    cycle,
-                    r,
-                    q.iter().map(|&f| sim.arena.materialize(f)),
-                    Some(q.owner().map(|p| sim.arena.packet_id(p))),
-                );
+                self.check_output(sim, cycle, r, sim.link_slot(v, d, c));
             }
         }
-        for (c, q) in node.eject.iter().enumerate() {
+        for (c, s) in sim.eject_slots(v).enumerate() {
             let r = BufferRef {
                 node: id,
                 class: BufferClass::Ejection,
                 direction: None,
                 vc: c,
             };
-            self.report.checks += 1;
-            if q.len() > q.capacity() {
-                self.push_overflow(cycle, r, q.len(), q.capacity());
-            }
-            self.check_queue_structure(
-                cycle,
-                r,
-                q.iter().map(|&f| sim.arena.materialize(f)),
-                Some(q.owner().map(|p| sim.arena.packet_id(p))),
-            );
+            self.check_output(sim, cycle, r, s);
         }
+    }
+
+    /// Capacity and wormhole-structure checks for output slot `s`.
+    fn check_output<Q: Probe>(&mut self, sim: &Simulation<Q>, cycle: u64, r: BufferRef, s: usize) {
+        self.report.checks += 1;
+        let (len, cap) = (sim.outputs.len(s), sim.outputs.capacity());
+        if len > cap {
+            self.push_overflow(cycle, r, len, cap);
+        }
+        self.check_queue_structure(
+            cycle,
+            r,
+            sim.outputs.iter(s).map(|&f| sim.arena.materialize(f)),
+            Some(sim.outputs.owner(s).map(|p| sim.arena.packet_id(p))),
+        );
     }
 
     fn push_overflow(&mut self, cycle: u64, buffer: BufferRef, len: usize, capacity: usize) {
@@ -876,15 +875,16 @@ fn find_circular_wait<Q: Probe>(sim: &Simulation<Q>) -> Option<Vec<BufferRef>> {
                     direction: Some(dir),
                     vc: c,
                 });
+                let s = sim.link_slot(v, d, c);
                 // Output queue -> downstream input buffer.
-                if node.out[d][c].front().is_some() {
+                if !sim.outputs.is_empty(s) {
                     let (u, up) = node.peer[d];
-                    if !sim.nodes[u].input[up][c].has_space() {
+                    if !sim.inputs.has_space(sim.link_slot(u, up, c)) {
                         adj[output_id(v, d, c)].push(input_id(u, up, c));
                     }
                 }
                 // Input buffer -> blocked output queue(s) at this node.
-                let Some(&flit) = node.input[d][c].iter().next() else {
+                let Some(&flit) = sim.inputs.iter(s).next() else {
                     continue;
                 };
                 if flit.kind.is_head() {
@@ -897,15 +897,20 @@ fn find_circular_wait<Q: Probe>(sim: &Simulation<Q>) -> Option<Vec<BufferRef>> {
                             continue; // illegal hop, flagged elsewhere
                         };
                         let out_vc = sim.routing.vc_for_hop(NodeId::new(v), dst, cand, c);
-                        if out_vc < vcs && !node.out[p][out_vc].can_accept(&flit) {
+                        if out_vc < vcs
+                            && !sim.outputs.can_accept(sim.link_slot(v, p, out_vc), &flit)
+                        {
                             adj[input_id(v, d, c)].push(output_id(v, p, out_vc));
                         }
                     }
-                } else if let Some(route) = node.input[d][c].route {
-                    if route.out_port != EJECT
-                        && !node.out[route.out_port][route.out_vc].can_accept(&flit)
+                } else if let Some(route) = sim.inputs.route(s) {
+                    // Ejection channels (the slots after the link slots)
+                    // always drain; a link slot's offset from the node's
+                    // base is its `port * vcs + vc`.
+                    let local = route.out - node.base;
+                    if route.out < sim.eject_slot(v, 0) && !sim.outputs.can_accept(route.out, &flit)
                     {
-                        adj[input_id(v, d, c)].push(output_id(v, route.out_port, route.out_vc));
+                        adj[input_id(v, d, c)].push(output_id(v, local / vcs, local % vcs));
                     }
                 }
             }

@@ -1,5 +1,5 @@
-//! Router buffers: per-VC output queues with wormhole ownership, and
-//! one-flit input slots.
+//! Router buffers as network-wide flat rings: per-VC output queues with
+//! wormhole ownership, and input buffers with their wormhole routes.
 //!
 //! The paper's node model (Figure 4): "Incoming links have a one-flit
 //! buffer, while outgoing links have a pair of output buffers (used both
@@ -7,231 +7,336 @@
 //! Spidergon topologies, and one single buffer in Mesh topologies. All
 //! output buffers may contain up to three flits."
 //!
+//! Capacities are fixed for a run, so every buffer of one class lives
+//! in a single contiguous array of fixed-stride rings addressed by a
+//! dense *slot id* (laid out by the simulation: router `v`'s link slot
+//! `(port, vc)` is `base[v] + port * vcs + vc`, its ejection channels
+//! follow its link slots). A buffer access is one index computation
+//! instead of two or three pointer hops through nested vectors.
+//!
 //! Buffers store the compact [`ArenaFlit`] handle; per-packet constants
 //! (source, destination, id, creation cycle) live in the simulation's
 //! [`crate::PacketArena`] and are materialized only at the
 //! observability seams.
 
 use crate::flit::{ArenaFlit, PacketRef};
-use std::collections::VecDeque;
 
-/// A bounded output queue for one virtual channel of one output port.
-///
-/// Wormhole switching forbids interleaving flits of different packets
-/// within a VC: the queue is *owned* by a packet from the moment its
-/// head flit enters until its tail flit enters. While owned, only flits
-/// of the owning packet may be pushed.
-///
-/// # Examples
-///
-/// ```
-/// use noc_sim::{FlitKind, OutputQueue, PacketArena, PacketId};
-/// use noc_topology::NodeId;
-///
-/// let mut arena = PacketArena::new();
-/// let pkt = arena.alloc(PacketId::new(0), NodeId::new(0), NodeId::new(1), 0);
-/// let mut q = OutputQueue::new(3);
-/// let head = arena.flit(pkt, FlitKind::Head);
-/// assert!(q.can_accept(&head));
-/// q.push(head);
-/// // Mid-packet, another packet's head is rejected.
-/// let other = arena.alloc(PacketId::new(1), NodeId::new(2), NodeId::new(1), 0);
-/// assert!(!q.can_accept(&arena.flit(other, FlitKind::Head)));
-/// ```
-#[derive(Clone, Debug)]
-pub struct OutputQueue {
-    flits: VecDeque<ArenaFlit>,
-    capacity: usize,
-    owner: Option<PacketRef>,
+/// Largest capacity a ring slot supports: head and length are kept in
+/// one byte each.
+pub(crate) const MAX_RING_CAPACITY: usize = u8::MAX as usize;
+
+/// Read and length cursor of one ring slot.
+#[derive(Clone, Copy, Default, Debug)]
+struct Cursor {
+    head: u8,
+    len: u8,
 }
 
-impl OutputQueue {
-    /// Creates an empty queue holding at most `capacity` flits.
+/// Fixed-capacity FIFO rings, one per slot id, stored back to back.
+///
+/// Generic so its accessors are monomorphized (and inlinable) in the
+/// crate that instantiates the simulation.
+#[derive(Clone, Debug)]
+pub(crate) struct Rings<T> {
+    /// Slot `s` owns `items[s * cap .. (s + 1) * cap]`.
+    items: Vec<T>,
+    cursor: Vec<Cursor>,
+    cap: usize,
+}
+
+impl<T: Copy> Rings<T> {
+    /// Creates `slots` empty rings of `capacity` items each; `fill`
+    /// only initializes the storage and is never read back.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "output buffers must hold at least one flit");
-        OutputQueue {
-            flits: VecDeque::with_capacity(capacity),
-            capacity,
-            owner: None,
+    /// Panics if `capacity` is zero or above [`MAX_RING_CAPACITY`].
+    pub(crate) fn new(slots: usize, capacity: usize, fill: T) -> Self {
+        assert!(capacity > 0, "buffers must hold at least one flit");
+        assert!(
+            capacity <= MAX_RING_CAPACITY,
+            "buffers hold at most {MAX_RING_CAPACITY} flits, not {capacity}"
+        );
+        Rings {
+            items: vec![fill; slots * capacity],
+            cursor: vec![Cursor::default(); slots],
+            cap: capacity,
         }
     }
 
-    /// Maximum number of flits the queue can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Items each ring can hold.
+    #[inline]
+    pub(crate) fn capacity(&self) -> usize {
+        self.cap
     }
 
-    /// Number of flits currently queued.
-    pub fn len(&self) -> usize {
-        self.flits.len()
+    /// Items queued in ring `s`.
+    #[inline]
+    pub(crate) fn len(&self, s: usize) -> usize {
+        usize::from(self.cursor[s].len)
     }
 
-    /// Returns `true` if no flits are queued.
-    pub fn is_empty(&self) -> bool {
-        self.flits.is_empty()
+    /// The oldest item of ring `s`, if any.
+    #[inline]
+    pub(crate) fn front(&self, s: usize) -> Option<&T> {
+        let c = self.cursor[s];
+        (c.len > 0).then(|| &self.items[s * self.cap + usize::from(c.head)])
     }
 
-    /// The packet currently owning the queue tail for enqueueing, if
-    /// any.
-    pub fn owner(&self) -> Option<PacketRef> {
-        self.owner
+    /// Appends `item` to ring `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring is full.
+    #[inline]
+    pub(crate) fn push_back(&mut self, s: usize, item: T) {
+        let c = &mut self.cursor[s];
+        let len = usize::from(c.len);
+        assert!(len < self.cap, "ring slot {s} overrun");
+        let mut at = usize::from(c.head) + len;
+        if at >= self.cap {
+            at -= self.cap;
+        }
+        c.len += 1;
+        self.items[s * self.cap + at] = item;
     }
 
-    /// Returns `true` if `flit` may be pushed now: there is space, and
-    /// either the queue is unowned and `flit` is a head, or it is owned
-    /// by `flit`'s packet.
-    pub fn can_accept(&self, flit: &ArenaFlit) -> bool {
-        if self.flits.len() >= self.capacity {
+    /// Removes and returns the oldest item of ring `s`.
+    #[inline]
+    pub(crate) fn pop_front(&mut self, s: usize) -> Option<T> {
+        let c = &mut self.cursor[s];
+        if c.len == 0 {
+            return None;
+        }
+        let head = usize::from(c.head);
+        // `head + 1 <= cap <= u8::MAX`, so the narrowing is lossless.
+        c.head = if head + 1 == self.cap {
+            0
+        } else {
+            (head + 1) as u8
+        };
+        c.len -= 1;
+        Some(self.items[s * self.cap + head])
+    }
+
+    /// Items of ring `s`, oldest first.
+    pub(crate) fn iter(&self, s: usize) -> impl Iterator<Item = &T> + '_ {
+        let c = self.cursor[s];
+        let head = usize::from(c.head);
+        (0..usize::from(c.len)).map(move |k| {
+            let mut at = head + k;
+            if at >= self.cap {
+                at -= self.cap;
+            }
+            &self.items[s * self.cap + at]
+        })
+    }
+}
+
+/// Every output VC queue and ejection channel of the network, with the
+/// wormhole owner of each.
+///
+/// Wormhole switching forbids interleaving flits of different packets
+/// within a VC: a queue is *owned* by a packet from the moment its head
+/// flit enters until its tail flit enters. While owned, only flits of
+/// the owning packet may be pushed.
+#[derive(Clone, Debug)]
+pub(crate) struct OutputRings {
+    flits: Rings<ArenaFlit>,
+    owner: Vec<Option<PacketRef>>,
+}
+
+impl OutputRings {
+    /// Creates `slots` empty queues of `capacity` flits each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or above [`MAX_RING_CAPACITY`].
+    pub(crate) fn new(slots: usize, capacity: usize) -> Self {
+        OutputRings {
+            flits: Rings::new(slots, capacity, ArenaFlit::VACANT),
+            owner: vec![None; slots],
+        }
+    }
+
+    /// Flits each queue can hold.
+    #[inline]
+    pub(crate) fn capacity(&self) -> usize {
+        self.flits.capacity()
+    }
+
+    /// Flits queued in queue `s`.
+    #[inline]
+    pub(crate) fn len(&self, s: usize) -> usize {
+        self.flits.len(s)
+    }
+
+    /// Returns `true` if queue `s` holds no flit.
+    #[inline]
+    pub(crate) fn is_empty(&self, s: usize) -> bool {
+        self.flits.len(s) == 0
+    }
+
+    /// The packet currently owning queue `s` for enqueueing, if any.
+    #[inline]
+    pub(crate) fn owner(&self, s: usize) -> Option<PacketRef> {
+        self.owner[s]
+    }
+
+    /// Returns `true` if `flit` may be pushed into queue `s` now: there
+    /// is space, and either the queue is unowned and `flit` is a head,
+    /// or it is owned by `flit`'s packet.
+    #[inline]
+    pub(crate) fn can_accept(&self, s: usize, flit: &ArenaFlit) -> bool {
+        if self.flits.len(s) >= self.flits.capacity() {
             return false;
         }
-        match self.owner {
+        match self.owner[s] {
             None => flit.kind.is_head(),
             Some(owner) => owner == flit.pkt && !flit.kind.is_head(),
         }
     }
 
-    /// Pushes a flit, updating ownership (head claims, tail releases).
+    /// Pushes a flit into queue `s`, updating ownership (head claims,
+    /// tail releases).
     ///
     /// # Panics
     ///
-    /// Panics if [`can_accept`](Self::can_accept) is false for `flit` —
-    /// callers must check first; pushing blindly indicates a switch
-    /// allocation bug.
-    pub fn push(&mut self, flit: ArenaFlit) {
+    /// Panics if [`can_accept`](Self::can_accept) is false — callers
+    /// must check first; pushing blindly indicates a switch allocation
+    /// bug.
+    #[inline]
+    pub(crate) fn push(&mut self, s: usize, flit: ArenaFlit) {
         assert!(
-            self.can_accept(&flit),
-            "queue cannot accept {flit:?} (owner {:?}, len {})",
-            self.owner,
-            self.flits.len()
+            self.can_accept(s, &flit),
+            "queue {s} cannot accept {flit:?} (owner {:?}, len {})",
+            self.owner[s],
+            self.flits.len(s)
         );
         if flit.kind.is_head() {
-            self.owner = Some(flit.pkt);
+            self.owner[s] = Some(flit.pkt);
         }
         if flit.kind.is_tail() {
-            self.owner = None;
+            self.owner[s] = None;
         }
-        self.flits.push_back(flit);
+        self.flits.push_back(s, flit);
     }
 
-    /// The flit at the queue head (next to traverse the link), if any.
-    pub fn front(&self) -> Option<&ArenaFlit> {
-        self.flits.front()
+    /// Removes and returns the head flit of queue `s`.
+    #[inline]
+    pub(crate) fn pop(&mut self, s: usize) -> Option<ArenaFlit> {
+        self.flits.pop_front(s)
     }
 
-    /// Removes and returns the queue-head flit.
-    pub fn pop(&mut self) -> Option<ArenaFlit> {
-        self.flits.pop_front()
-    }
-
-    /// Iterator over queued flits, head first.
-    pub fn iter(&self) -> impl Iterator<Item = &ArenaFlit> {
-        self.flits.iter()
+    /// Flits of queue `s`, head first.
+    pub(crate) fn iter(&self, s: usize) -> impl Iterator<Item = &ArenaFlit> + '_ {
+        self.flits.iter(s)
     }
 }
 
-/// The input buffer of one virtual channel of one input port (one flit
-/// deep in the paper's node model, deeper for buffer-sizing ablations),
-/// together with the wormhole switching state for the packet currently
-/// traversing it.
+/// Allocation held by an input buffer (or a source queue) for the
+/// packet currently in flight.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct SlotRoute {
+    /// Output slot id the packet's head claimed: a link VC queue or an
+    /// ejection channel of the same router.
+    pub(crate) out: usize,
+    /// Packet the allocation belongs to (guards against stale state).
+    pub(crate) packet: PacketRef,
+}
+
+/// Every input buffer of the network (one flit deep per VC in the
+/// paper's node model, deeper for buffer-sizing ablations), with the
+/// wormhole route of the packet currently traversing each.
 #[derive(Clone, Debug)]
-pub struct InputBuffer {
+pub(crate) struct InputRings {
     /// Buffered flits with the cycle from which each may leave (the
     /// router pipeline delay counted from arrival).
-    flits: VecDeque<(ArenaFlit, u64)>,
-    capacity: usize,
-    /// Wormhole allocation for the in-flight packet: output port index
-    /// and VC selected by the head flit, followed by body/tail flits.
-    pub route: Option<SlotRoute>,
+    flits: Rings<(ArenaFlit, u64)>,
+    /// Wormhole allocation per slot: set by the head flit, followed by
+    /// body and tail flits, cleared when the tail leaves.
+    route: Vec<Option<SlotRoute>>,
 }
 
-/// Allocation held by an input buffer for the packet currently in
-/// flight.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SlotRoute {
-    /// Index into the node's output-port table (the ejection port uses
-    /// a sentinel index chosen by the router).
-    pub out_port: usize,
-    /// Virtual channel on the output port.
-    pub out_vc: usize,
-    /// Packet the allocation belongs to (guards against stale state).
-    pub packet: PacketRef,
-}
-
-impl InputBuffer {
-    /// Creates an empty input buffer holding at most `capacity` flits.
+impl InputRings {
+    /// Creates `slots` empty input buffers of `capacity` flits each.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "input buffers must hold at least one flit");
-        InputBuffer {
-            flits: VecDeque::with_capacity(capacity),
-            capacity,
-            route: None,
+    /// Panics if `capacity` is zero or above [`MAX_RING_CAPACITY`].
+    pub(crate) fn new(slots: usize, capacity: usize) -> Self {
+        InputRings {
+            flits: Rings::new(slots, capacity, (ArenaFlit::VACANT, 0)),
+            route: vec![None; slots],
         }
     }
 
-    /// Returns `true` if the buffer can receive a flit from the link —
+    /// Flits each buffer can hold.
+    #[inline]
+    pub(crate) fn capacity(&self) -> usize {
+        self.flits.capacity()
+    }
+
+    /// Flits buffered in slot `s`, ready or not.
+    #[inline]
+    pub(crate) fn len(&self, s: usize) -> usize {
+        self.flits.len(s)
+    }
+
+    /// Returns `true` if slot `s` can receive a flit from the link —
     /// the paper's signal-based flow control.
-    pub fn has_space(&self) -> bool {
-        self.flits.len() < self.capacity
+    #[inline]
+    pub(crate) fn has_space(&self, s: usize) -> bool {
+        self.flits.len(s) < self.flits.capacity()
     }
 
-    /// Maximum number of flits the buffer can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Iterator over buffered flits, oldest first, regardless of
-    /// whether they have cleared the router pipeline yet.
-    pub fn iter(&self) -> impl Iterator<Item = &ArenaFlit> {
-        self.flits.iter().map(|(flit, _)| flit)
-    }
-
-    /// Number of buffered flits.
-    pub fn len(&self) -> usize {
-        self.flits.len()
-    }
-
-    /// Returns `true` if no flit is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.flits.is_empty()
-    }
-
-    /// Stores an arriving flit that becomes eligible for switch
-    /// allocation at cycle `eligible_at` (arrival cycle plus the router
-    /// pipeline delay).
+    /// Stores an arriving flit in slot `s` that becomes eligible for
+    /// switch allocation at cycle `eligible_at` (arrival cycle plus the
+    /// router pipeline delay).
     ///
     /// # Panics
     ///
     /// Panics if the buffer is full — the sender must check
     /// [`has_space`](Self::has_space) first.
-    pub fn receive(&mut self, flit: ArenaFlit, eligible_at: u64) {
-        assert!(self.has_space(), "input buffer overrun by {flit:?}");
-        self.flits.push_back((flit, eligible_at));
+    #[inline]
+    pub(crate) fn receive(&mut self, s: usize, flit: ArenaFlit, eligible_at: u64) {
+        assert!(self.has_space(s), "input buffer {s} overrun by {flit:?}");
+        self.flits.push_back(s, (flit, eligible_at));
     }
 
-    /// The oldest buffered flit if it has cleared the router pipeline
-    /// by cycle `now`.
-    pub fn front_ready(&self, now: u64) -> Option<&ArenaFlit> {
-        self.flits
-            .front()
-            .filter(|&&(_, at)| at <= now)
-            .map(|(f, _)| f)
-    }
-
-    /// Removes and returns the oldest buffered flit if ready at `now`.
-    pub fn take_ready(&mut self, now: u64) -> Option<ArenaFlit> {
-        if self.front_ready(now).is_some() {
-            self.flits.pop_front().map(|(f, _)| f)
-        } else {
-            None
+    /// The oldest flit of slot `s` if it has cleared the router
+    /// pipeline by cycle `now`.
+    #[inline]
+    pub(crate) fn front_ready(&self, s: usize, now: u64) -> Option<ArenaFlit> {
+        match self.flits.front(s) {
+            Some(&(flit, at)) if at <= now => Some(flit),
+            _ => None,
         }
+    }
+
+    /// Removes and returns the oldest flit of slot `s`, ready or not
+    /// (the allocator checks [`front_ready`](Self::front_ready) first).
+    #[inline]
+    pub(crate) fn pop(&mut self, s: usize) -> Option<ArenaFlit> {
+        self.flits.pop_front(s).map(|(flit, _)| flit)
+    }
+
+    /// Flits of slot `s`, oldest first, whether or not they have
+    /// cleared the router pipeline yet.
+    pub(crate) fn iter(&self, s: usize) -> impl Iterator<Item = &ArenaFlit> + '_ {
+        self.flits.iter(s).map(|(flit, _)| flit)
+    }
+
+    /// Wormhole allocation of the packet crossing slot `s`, if any.
+    #[inline]
+    pub(crate) fn route(&self, s: usize) -> Option<SlotRoute> {
+        self.route[s]
+    }
+
+    /// Sets (or, with `None`, clears) slot `s`'s wormhole allocation.
+    #[inline]
+    pub(crate) fn set_route(&mut self, s: usize, route: Option<SlotRoute>) {
+        self.route[s] = route;
     }
 }
 
@@ -260,116 +365,120 @@ mod tests {
     #[test]
     fn capacity_is_enforced() {
         let mut arena = PacketArena::new();
-        let mut q = OutputQueue::new(3);
+        let mut q = OutputRings::new(2, 3);
         let flits = packet(&mut arena, 0, 6);
-        q.push(flits[0]);
-        q.push(flits[1]);
-        q.push(flits[2]);
-        assert!(!q.can_accept(&flits[3]));
-        assert_eq!(q.len(), 3);
-        q.pop();
-        assert!(q.can_accept(&flits[3]));
+        q.push(1, flits[0]);
+        q.push(1, flits[1]);
+        q.push(1, flits[2]);
+        assert!(!q.can_accept(1, &flits[3]));
+        assert_eq!(q.len(1), 3);
+        assert!(q.is_empty(0), "slots are independent");
+        q.pop(1);
+        assert!(q.can_accept(1, &flits[3]));
     }
 
     #[test]
     fn ownership_lifecycle() {
         let mut arena = PacketArena::new();
-        let mut q = OutputQueue::new(8);
+        let mut q = OutputRings::new(1, 8);
         let a = packet(&mut arena, 0, 3);
         let b = packet(&mut arena, 1, 3);
-        q.push(a[0]);
-        assert_eq!(q.owner(), Some(a[0].pkt));
-        assert!(!q.can_accept(&b[0]), "foreign head rejected mid-packet");
-        q.push(a[1]);
-        q.push(a[2]); // tail releases
-        assert_eq!(q.owner(), None);
-        assert!(q.can_accept(&b[0]), "new head accepted after tail");
-        q.push(b[0]);
-        assert_eq!(q.owner(), Some(b[0].pkt));
+        q.push(0, a[0]);
+        assert_eq!(q.owner(0), Some(a[0].pkt));
+        assert!(!q.can_accept(0, &b[0]), "foreign head rejected mid-packet");
+        q.push(0, a[1]);
+        q.push(0, a[2]); // tail releases
+        assert_eq!(q.owner(0), None);
+        assert!(q.can_accept(0, &b[0]), "new head accepted after tail");
+        q.push(0, b[0]);
+        assert_eq!(q.owner(0), Some(b[0].pkt));
     }
 
     #[test]
     fn body_without_head_rejected() {
         let mut arena = PacketArena::new();
-        let q = OutputQueue::new(3);
+        let q = OutputRings::new(1, 3);
         let a = packet(&mut arena, 0, 3);
-        assert!(!q.can_accept(&a[1]), "body flit needs an owning head");
+        assert!(!q.can_accept(0, &a[1]), "body flit needs an owning head");
     }
 
     #[test]
     fn single_flit_packet_claims_and_releases_at_once() {
         let mut arena = PacketArena::new();
-        let mut q = OutputQueue::new(3);
+        let mut q = OutputRings::new(1, 3);
         let a = packet(&mut arena, 0, 1);
-        q.push(a[0]);
-        assert_eq!(q.owner(), None);
+        q.push(0, a[0]);
+        assert_eq!(q.owner(0), None);
         let b = packet(&mut arena, 1, 1);
-        assert!(q.can_accept(&b[0]));
+        assert!(q.can_accept(0, &b[0]));
     }
 
     #[test]
     fn fifo_order_preserved() {
         let mut arena = PacketArena::new();
-        let mut q = OutputQueue::new(6);
+        let mut q = OutputRings::new(1, 6);
         let a = packet(&mut arena, 0, 3);
         for f in &a {
-            q.push(*f);
+            q.push(0, *f);
         }
-        assert_eq!(q.front().unwrap().kind, a[0].kind);
-        let drained: Vec<ArenaFlit> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(q.iter(0).next().unwrap().kind, a[0].kind);
+        let kinds: Vec<_> = q.iter(0).map(|f| f.kind).collect();
+        assert_eq!(kinds, a.iter().map(|f| f.kind).collect::<Vec<_>>());
+        let drained: Vec<ArenaFlit> = std::iter::from_fn(|| q.pop(0)).collect();
         assert_eq!(drained, a);
-        assert!(q.is_empty());
+        assert!(q.is_empty(0));
     }
 
     #[test]
     #[should_panic(expected = "cannot accept")]
     fn blind_push_panics() {
         let mut arena = PacketArena::new();
-        let mut q = OutputQueue::new(1);
+        let mut q = OutputRings::new(1, 1);
         let a = packet(&mut arena, 0, 3);
-        q.push(a[0]);
-        q.push(a[1]); // full
+        q.push(0, a[0]);
+        q.push(0, a[1]); // full
     }
 
     #[test]
     fn input_buffer_flow_control() {
         let mut arena = PacketArena::new();
-        let mut buf = InputBuffer::new(1);
-        assert!(buf.has_space());
-        assert!(buf.is_empty());
+        let mut buf = InputRings::new(2, 1);
+        assert!(buf.has_space(0));
+        assert_eq!(buf.len(0), 0);
         let a = packet(&mut arena, 0, 2);
-        buf.receive(a[0], 0);
-        assert!(!buf.has_space());
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf.front_ready(0), Some(&a[0]));
-        assert_eq!(buf.take_ready(0), Some(a[0]));
-        assert!(buf.has_space());
-        assert_eq!(buf.take_ready(0), None);
+        buf.receive(0, a[0], 0);
+        assert!(!buf.has_space(0));
+        assert!(buf.has_space(1), "slots are independent");
+        assert_eq!(buf.len(0), 1);
+        assert_eq!(buf.front_ready(0, 0), Some(a[0]));
+        assert_eq!(buf.pop(0), Some(a[0]));
+        assert!(buf.has_space(0));
+        assert_eq!(buf.front_ready(0, 0), None);
+        assert_eq!(buf.pop(0), None);
     }
 
     #[test]
     fn pipeline_delay_gates_eligibility() {
         let mut arena = PacketArena::new();
-        let mut buf = InputBuffer::new(1);
+        let mut buf = InputRings::new(1, 1);
         let a = packet(&mut arena, 0, 2);
-        buf.receive(a[0], 5);
-        assert_eq!(buf.front_ready(4), None, "not yet through the pipeline");
-        assert_eq!(buf.take_ready(4), None);
-        assert_eq!(buf.len(), 1, "flit still occupies the buffer");
-        assert_eq!(buf.front_ready(5), Some(&a[0]));
-        assert_eq!(buf.take_ready(5), Some(a[0]));
+        buf.receive(0, a[0], 5);
+        assert_eq!(buf.front_ready(0, 4), None, "not yet through the pipeline");
+        assert_eq!(buf.len(0), 1, "flit still occupies the buffer");
+        assert_eq!(buf.front_ready(0, 5), Some(a[0]));
     }
 
     #[test]
     fn deep_input_buffer_is_fifo() {
         let mut arena = PacketArena::new();
-        let mut buf = InputBuffer::new(3);
+        let mut buf = InputRings::new(1, 3);
         let a = packet(&mut arena, 0, 3);
         for f in &a {
-            buf.receive(*f, 0);
+            buf.receive(0, *f, 0);
         }
-        assert!(!buf.has_space());
-        let drained: Vec<ArenaFlit> = std::iter::from_fn(|| buf.take_ready(0)).collect();
+        assert!(!buf.has_space(0));
+        assert_eq!(buf.iter(0).copied().collect::<Vec<_>>(), a);
+        let drained: Vec<ArenaFlit> = std::iter::from_fn(|| buf.pop(0)).collect();
         assert_eq!(drained, a);
     }
 
@@ -377,33 +486,70 @@ mod tests {
     #[should_panic(expected = "overrun")]
     fn input_buffer_overrun_panics() {
         let mut arena = PacketArena::new();
-        let mut buf = InputBuffer::new(1);
+        let mut buf = InputRings::new(1, 1);
         let a = packet(&mut arena, 0, 2);
-        buf.receive(a[0], 0);
-        buf.receive(a[1], 0);
+        buf.receive(0, a[0], 0);
+        buf.receive(0, a[1], 0);
+    }
+
+    #[test]
+    fn input_route_is_per_slot() {
+        let mut arena = PacketArena::new();
+        let mut buf = InputRings::new(2, 1);
+        let a = packet(&mut arena, 0, 2);
+        let route = SlotRoute {
+            out: 7,
+            packet: a[0].pkt,
+        };
+        buf.set_route(1, Some(route));
+        assert_eq!(buf.route(0), None);
+        assert_eq!(buf.route(1), Some(route));
+        buf.set_route(1, None);
+        assert_eq!(buf.route(1), None);
+    }
+
+    #[test]
+    fn rings_wrap_around() {
+        // Push and pop past the end of the storage stride many times:
+        // order, length and the neighbouring slot must stay intact.
+        let mut rings = Rings::new(3, 3, 0u32);
+        rings.push_back(2, 99);
+        let mut next = 0u32;
+        let mut expect = std::collections::VecDeque::new();
+        for round in 0..10u32 {
+            while rings.len(1) < 3 {
+                rings.push_back(1, next);
+                expect.push_back(next);
+                next += 1;
+            }
+            for _ in 0..=(round % 3) {
+                assert_eq!(rings.pop_front(1), expect.pop_front());
+            }
+            assert_eq!(
+                rings.iter(1).copied().collect::<Vec<_>>(),
+                expect.iter().copied().collect::<Vec<_>>()
+            );
+            assert_eq!(rings.front(1), expect.front());
+        }
+        assert_eq!(rings.len(0), 0);
+        assert_eq!(rings.iter(2).copied().collect::<Vec<_>>(), [99]);
     }
 
     #[test]
     #[should_panic(expected = "at least one flit")]
     fn zero_capacity_input_buffer_rejected() {
-        let _ = InputBuffer::new(0);
+        let _ = InputRings::new(1, 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one flit")]
     fn zero_capacity_rejected() {
-        let _ = OutputQueue::new(0);
+        let _ = OutputRings::new(1, 0);
     }
 
     #[test]
-    fn iter_matches_order() {
-        let mut arena = PacketArena::new();
-        let mut q = OutputQueue::new(4);
-        let a = packet(&mut arena, 0, 3);
-        for f in &a {
-            q.push(*f);
-        }
-        let kinds: Vec<_> = q.iter().map(|f| f.kind).collect();
-        assert_eq!(kinds, a.iter().map(|f| f.kind).collect::<Vec<_>>());
+    #[should_panic(expected = "at most")]
+    fn oversized_capacity_rejected() {
+        let _ = OutputRings::new(1, MAX_RING_CAPACITY + 1);
     }
 }

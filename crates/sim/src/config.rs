@@ -3,6 +3,14 @@
 use crate::SimError;
 use noc_traffic::InjectionProcess;
 
+/// Largest input or output buffer capacity, in flits: every buffer is a
+/// ring whose read position and length are single bytes.
+pub const MAX_BUFFER_CAPACITY: usize = crate::buffer::MAX_RING_CAPACITY;
+
+/// Largest sink rate, in flits per cycle: each flit of sink bandwidth
+/// is an ejection channel, numbered by a single byte within its router.
+pub const MAX_SINK_RATE: usize = u8::MAX as usize;
+
 /// Configuration of one simulation run.
 ///
 /// Defaults mirror the paper's setup: 6-flit packets, 1-flit input
@@ -116,6 +124,46 @@ impl SimConfig {
     /// Total simulated cycles (warmup plus measurement).
     pub fn total_cycles(&self) -> u64 {
         self.warmup_cycles + self.measure_cycles
+    }
+
+    /// Checks every field's range. [`SimConfigBuilder::build`] and every
+    /// simulation constructor call this, so a configuration that skipped
+    /// the builder (a deserialized spec, a struct update) is checked too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for a zero packet length,
+    /// sink rate, measurement window, stall threshold or audit interval;
+    /// a negative or non-finite injection rate; buffer capacities outside
+    /// `1..=`[`MAX_BUFFER_CAPACITY`]; or a sink rate above
+    /// [`MAX_SINK_RATE`].
+    pub fn validate(&self) -> Result<(), SimError> {
+        let reason = if self.packet_len == 0 {
+            "packet_len must be positive".to_owned()
+        } else if !self.injection_rate.is_finite() || self.injection_rate < 0.0 {
+            "injection_rate must be finite and non-negative".to_owned()
+        } else if self.input_buffer_capacity == 0 {
+            "input_buffer_capacity must be positive".to_owned()
+        } else if self.input_buffer_capacity > MAX_BUFFER_CAPACITY {
+            format!("input_buffer_capacity must be at most {MAX_BUFFER_CAPACITY}")
+        } else if self.output_buffer_capacity == 0 {
+            "output_buffer_capacity must be positive".to_owned()
+        } else if self.output_buffer_capacity > MAX_BUFFER_CAPACITY {
+            format!("output_buffer_capacity must be at most {MAX_BUFFER_CAPACITY}")
+        } else if self.sink_rate == 0 {
+            "sink_rate must be positive".to_owned()
+        } else if self.sink_rate > MAX_SINK_RATE {
+            format!("sink_rate must be at most {MAX_SINK_RATE}")
+        } else if self.measure_cycles == 0 {
+            "measure_cycles must be positive".to_owned()
+        } else if self.stall_threshold == 0 {
+            "stall_threshold must be positive".to_owned()
+        } else if self.audit_interval == 0 {
+            "audit_interval must be positive".to_owned()
+        } else {
+            return Ok(());
+        };
+        Err(SimError::InvalidConfig { reason })
     }
 }
 
@@ -267,35 +315,10 @@ impl SimConfigBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if any field is out of range
-    /// (zero packet length or buffer capacities, negative or non-finite
-    /// injection rate, empty measurement window, zero stall threshold).
+    /// (see [`SimConfig::validate`]).
     pub fn build(&self) -> Result<SimConfig, SimError> {
-        let c = &self.config;
-        let reason = if c.packet_len == 0 {
-            Some("packet_len must be positive")
-        } else if !c.injection_rate.is_finite() || c.injection_rate < 0.0 {
-            Some("injection_rate must be finite and non-negative")
-        } else if c.input_buffer_capacity == 0 {
-            Some("input_buffer_capacity must be positive")
-        } else if c.output_buffer_capacity == 0 {
-            Some("output_buffer_capacity must be positive")
-        } else if c.sink_rate == 0 {
-            Some("sink_rate must be positive")
-        } else if c.measure_cycles == 0 {
-            Some("measure_cycles must be positive")
-        } else if c.stall_threshold == 0 {
-            Some("stall_threshold must be positive")
-        } else if c.audit_interval == 0 {
-            Some("audit_interval must be positive")
-        } else {
-            None
-        };
-        match reason {
-            Some(reason) => Err(SimError::InvalidConfig {
-                reason: reason.to_owned(),
-            }),
-            None => Ok(self.config.clone()),
-        }
+        self.config.validate()?;
+        Ok(self.config.clone())
     }
 }
 
@@ -336,26 +359,83 @@ mod tests {
         assert!((cfg.packets_per_cycle() - 0.125).abs() < 1e-12);
     }
 
+    /// The `InvalidConfig` reason for a default config with one field
+    /// changed, checked through both `validate` and the builder.
+    fn rejection(edit: impl Fn(&mut SimConfig)) -> String {
+        let mut cfg = SimConfig::default();
+        edit(&mut cfg);
+        let err = cfg.validate().unwrap_err();
+        let mut builder = SimConfig::builder();
+        builder.config = cfg;
+        assert_eq!(builder.build().unwrap_err(), err);
+        match err {
+            SimError::InvalidConfig { reason } => reason,
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
     #[test]
-    fn validation_rejects_bad_fields() {
-        assert!(SimConfig::builder().packet_len(0).build().is_err());
-        assert!(SimConfig::builder().injection_rate(-0.1).build().is_err());
-        assert!(SimConfig::builder()
-            .injection_rate(f64::NAN)
-            .build()
-            .is_err());
-        assert!(SimConfig::builder()
-            .input_buffer_capacity(0)
-            .build()
-            .is_err());
-        assert!(SimConfig::builder()
-            .output_buffer_capacity(0)
-            .build()
-            .is_err());
-        assert!(SimConfig::builder().sink_rate(0).build().is_err());
-        assert!(SimConfig::builder().measure_cycles(0).build().is_err());
-        assert!(SimConfig::builder().stall_threshold(0).build().is_err());
-        assert!(SimConfig::builder().audit_interval(0).build().is_err());
+    fn validation_rejects_zero_packet_len() {
+        assert!(rejection(|c| c.packet_len = 0).contains("packet_len"));
+    }
+
+    #[test]
+    fn validation_rejects_bad_injection_rate() {
+        assert!(rejection(|c| c.injection_rate = -0.1).contains("injection_rate"));
+        assert!(rejection(|c| c.injection_rate = f64::NAN).contains("injection_rate"));
+        assert!(rejection(|c| c.injection_rate = f64::INFINITY).contains("injection_rate"));
+    }
+
+    #[test]
+    fn validation_bounds_input_buffer_capacity() {
+        assert!(rejection(|c| c.input_buffer_capacity = 0).contains("input_buffer_capacity"));
+        let too_big = rejection(|c| c.input_buffer_capacity = MAX_BUFFER_CAPACITY + 1);
+        assert!(too_big.contains("input_buffer_capacity must be at most"));
+        let cfg = SimConfig {
+            input_buffer_capacity: MAX_BUFFER_CAPACITY,
+            ..SimConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validation_bounds_output_buffer_capacity() {
+        assert!(rejection(|c| c.output_buffer_capacity = 0).contains("output_buffer_capacity"));
+        let too_big = rejection(|c| c.output_buffer_capacity = 100_000_000_000);
+        assert!(too_big.contains("output_buffer_capacity must be at most"));
+        let cfg = SimConfig {
+            output_buffer_capacity: MAX_BUFFER_CAPACITY,
+            ..SimConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validation_bounds_sink_rate() {
+        assert!(rejection(|c| c.sink_rate = 0).contains("sink_rate"));
+        assert!(
+            rejection(|c| c.sink_rate = MAX_SINK_RATE + 1).contains("sink_rate must be at most")
+        );
+        let cfg = SimConfig {
+            sink_rate: MAX_SINK_RATE,
+            ..SimConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validation_rejects_zero_measure_cycles() {
+        assert!(rejection(|c| c.measure_cycles = 0).contains("measure_cycles"));
+    }
+
+    #[test]
+    fn validation_rejects_zero_stall_threshold() {
+        assert!(rejection(|c| c.stall_threshold = 0).contains("stall_threshold"));
+    }
+
+    #[test]
+    fn validation_rejects_zero_audit_interval() {
+        assert!(rejection(|c| c.audit_interval = 0).contains("audit_interval"));
     }
 
     #[test]

@@ -171,6 +171,19 @@ pub struct ArenaFlit {
     pub hops: u32,
 }
 
+impl ArenaFlit {
+    /// Filler for unoccupied ring cells; never read as a live flit (its
+    /// handle resolves to no arena slot).
+    pub(crate) const VACANT: ArenaFlit = ArenaFlit {
+        pkt: PacketRef {
+            index: u32::MAX,
+            generation: u32::MAX,
+        },
+        kind: FlitKind::Body,
+        hops: 0,
+    };
+}
+
 /// Slab allocator for in-flight packet descriptors, SoA layout.
 ///
 /// One slot per live packet; slots are recycled through a free list when
@@ -237,6 +250,7 @@ impl PacketArena {
     ///
     /// Panics if `src == dst` (the simulator never self-addresses) or if
     /// the arena exceeds `u32::MAX` slots.
+    #[inline]
     pub fn alloc(&mut self, id: PacketId, src: NodeId, dst: NodeId, created: u64) -> PacketRef {
         assert_ne!(src, dst, "packet source must differ from destination");
         self.live += 1;
@@ -270,6 +284,7 @@ impl PacketArena {
     /// # Panics
     ///
     /// Panics if `pkt` is stale (already freed).
+    #[inline]
     pub fn free(&mut self, pkt: PacketRef) {
         let i = self.check(pkt);
         self.generation[i] = self.generation[i].wrapping_add(1);

@@ -59,8 +59,7 @@ pub mod probe;
 mod stats;
 
 pub use audit::{AuditReport, AuditViolation, BufferClass, BufferRef, Invariant, StallDiagnosis};
-pub use buffer::{InputBuffer, OutputQueue, SlotRoute};
-pub use config::{SimConfig, SimConfigBuilder};
+pub use config::{SimConfig, SimConfigBuilder, MAX_BUFFER_CAPACITY, MAX_SINK_RATE};
 pub use error::SimError;
 pub use flit::{ArenaFlit, Flit, FlitKind, PacketArena, PacketId, PacketRef};
 pub use network::{Delivery, Occupancy, Simulation};

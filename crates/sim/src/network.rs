@@ -32,6 +32,18 @@
 //!    and tail flits follow the wormhole allocation; one write per
 //!    output port per cycle, inputs served round-robin.
 //!
+//! # Buffer storage
+//!
+//! Every buffer lives in one of two network-wide arrays of fixed-stride
+//! rings ([`crate::buffer`]), addressed by a dense **slot id**: router
+//! `v`'s link `(port, vc)` is slot `base[v] + port * vcs + vc`, and its
+//! `sink_rate` ejection channels follow as `base[v] + ports * vcs + k`.
+//! Output queues and ejection channels share the output array (with
+//! their wormhole owners beside them); input buffers use the same ids in
+//! the input array (with the wormhole route of each). Precomputed tables
+//! map a slot id to its `(port, vc)`, a link slot to the input slot it
+//! feeds, and an input slot to its one feeding link VC.
+//!
 //! # Sparse active-set core
 //!
 //! Phases 2–4 iterate an **active-router worklist** instead of all
@@ -48,11 +60,41 @@
 //! instead of stored, so an idle router needs no per-cycle pointer
 //! maintenance either. When the network holds no flits at all,
 //! [`Simulation::run`] fast-forwards the clock to the next scheduled
-//! arrival. `SimConfig::sparse` disables all of this (dense scan) for
-//! differential conformance; both modes produce bit-identical results.
+//! arrival.
+//!
+//! Within an active router the core is **wake-on-change**. Past
+//! saturation most attempts fail on a full or foreign-owned queue and
+//! would fail again, unchanged, every cycle until that queue changes; a
+//! failed attempt changes no state, so skipping the repeats is
+//! bit-exact:
+//!
+//! * an allocation slot (bit 0 the source queue, bit `1 + d * vcs + vc`
+//!   an input buffer) whose attempt failed on output-queue state is set
+//!   in the router's `blocked` mask, and its bit is added to the
+//!   `waiters` mask of every queue the attempt could have used — all
+//!   candidates of an adaptive head, every ejection channel for a head
+//!   bound for the sink (it takes the first that accepts it). Any push
+//!   or pop of such a queue clears its waiters from `blocked`;
+//! * a link VC whose downstream input buffer was full is set in the
+//!   router's `link_blocked` mask until that buffer pops. Each input
+//!   buffer has exactly one feeding VC, so the precomputed upstream map
+//!   stands in for a waiter list.
+//!
+//! Two failures pass within the cycle and never park: a crossbar port
+//! already written this cycle, and an input flit still in the router
+//! pipeline (`router_delay`). `blocked` is read live at each slot, since
+//! a push earlier in the same turn (a tail releasing an ejection
+//! channel, with `sink_rate > 1`) can wake a slot the dense scan still
+//! tries this cycle. A spurious wake costs one more failing attempt; a
+//! missed one would change the results.
+//!
+//! `SimConfig::sparse` disables all of this: the dense scan visits every
+//! router and retries every slot every cycle, parks nothing and keeps no
+//! skip, so it stays an independent oracle for the differential
+//! conformance checks; both modes produce bit-identical results.
 
 use crate::audit::{AuditReport, Auditor};
-use crate::buffer::{InputBuffer, OutputQueue, SlotRoute};
+use crate::buffer::{InputRings, OutputRings, SlotRoute};
 use crate::des::{EventQueue, SimTime};
 use crate::flit::{ArenaFlit, FlitKind, PacketArena};
 use crate::probe::{NetworkShape, NullProbe, Probe};
@@ -68,23 +110,21 @@ use std::collections::VecDeque;
 /// no link in.
 const NO_PORT: u8 = u8::MAX;
 
-/// Per-node router and network-interface state.
+/// Per-node router and network-interface state (the buffers
+/// themselves live in the simulation's network-wide rings).
 ///
-/// Crate-visible so the [`Auditor`] can read (never write) buffer
-/// contents when re-deriving occupancy and wormhole structure.
+/// Crate-visible so the [`Auditor`] can read (never write) the node's
+/// layout when re-deriving occupancy and wormhole structure.
 #[derive(Debug)]
 pub(crate) struct NodeState {
     /// Link directions at this node (canonical order).
     pub(crate) dirs: Vec<Direction>,
     /// Per link direction: (peer node index, peer's input-port index).
     pub(crate) peer: Vec<(usize, usize)>,
-    /// Output VC queues, indexed `[dir][vc]`.
-    pub(crate) out: Vec<Vec<OutputQueue>>,
-    /// Local ejection queues towards the IP sink (one per ejection
-    /// channel; the IP consumes up to `sink_rate` flits per cycle).
-    pub(crate) eject: Vec<OutputQueue>,
-    /// Input buffers, indexed `[dir][vc]`.
-    pub(crate) input: Vec<Vec<InputBuffer>>,
+    /// First slot id of this router: link `(port, vc)` is slot
+    /// `base + port * vcs + vc`, ejection channel `k` (one per flit of
+    /// sink bandwidth) is slot `base + dirs.len() * vcs + k`.
+    pub(crate) base: usize,
     /// Per link direction: VC round-robin pointer for link arbitration.
     /// Stored (not cycle-derived) because it only advances on actual
     /// transfers.
@@ -99,10 +139,6 @@ pub(crate) struct NodeState {
     /// lets the compiled-route fast path turn a direction into a port
     /// without scanning `dirs`.
     port_of: [u8; Direction::ALL.len()],
-    /// Forward-slot index → `(port, vc)`, precomputed so the switch
-    /// allocation loop never divides by the VC count (a real `div`
-    /// instruction, since `vcs` is a runtime value).
-    slot_map: Vec<(u8, u8)>,
 }
 
 /// A complete wormhole NoC simulation: topology + routing + traffic +
@@ -150,6 +186,21 @@ pub struct Simulation<P: Probe = NullProbe> {
     num_sources: usize,
     rng: SmallRng,
     pub(crate) nodes: Vec<NodeState>,
+    /// Every output VC queue and ejection channel, by slot id.
+    pub(crate) outputs: OutputRings,
+    /// Every input buffer, by slot id (ejection slot ids stay unused).
+    pub(crate) inputs: InputRings,
+    /// Slot id → `(port, vc)` within its router, the port being
+    /// `dirs.len()` for ejection channels — precomputed so the hot
+    /// loops never divide by the VC count (a real `div` instruction,
+    /// since `vcs` is a runtime value).
+    slot_port: Vec<(u8, u8)>,
+    /// Link slot id → slot id of the input buffer the link feeds.
+    link_peer: Vec<u32>,
+    /// Input slot id → `(node, out_slots bit)` of the one link VC
+    /// feeding it, whose [`link_blocked`](Self::link_blocked) bit a pop
+    /// clears.
+    upstream: Vec<(u32, u32)>,
     /// Per-packet descriptor storage; buffers hold 12-byte
     /// [`ArenaFlit`] handles into it.
     pub(crate) arena: PacketArena,
@@ -206,10 +257,22 @@ pub struct Simulation<P: Probe = NullProbe> {
     /// loops consult it (skipping an empty queue is dense-identical).
     out_slots: Vec<u32>,
     /// Bit `d * vcs + vc` set ⟺ the input buffer of `(v, d, vc)` is
-    /// non-empty (ready or not) — same bit layout as the forward slots
-    /// of [`NodeState::slot_map`], so switch allocation tests a slot
-    /// with one shift. Same maintenance contract as `out_dirs`.
+    /// non-empty (ready or not) — forward allocation slot `k` is bit
+    /// `k - 1`, so switch allocation tests a slot with one shift. Same
+    /// maintenance contract as `out_slots`.
     in_slots: Vec<u32>,
+    /// Bit `k` set ⟺ allocation slot `k` of the router (0 = source
+    /// queue, `1 + d * vcs + vc` = input buffer) is parked: its last
+    /// attempt failed on the state of output queues, and none of them
+    /// has been pushed or popped since. Sparse mode only.
+    blocked: Vec<u64>,
+    /// Per output slot id: the allocation slots of its router parked
+    /// on it (bit layout of `blocked`), woken by its next push or pop.
+    waiters: Vec<u64>,
+    /// Bit `d * vcs + vc` set ⟺ the link VC `(v, d, vc)` found its
+    /// downstream input buffer full and that buffer has not popped
+    /// since. Sparse mode only.
+    link_blocked: Vec<u32>,
     /// Runtime invariant auditor, attached when
     /// [`SimConfig::audit`] is set. Boxed: the common unaudited path
     /// pays one pointer; hooks take/restore it around calls so the
@@ -241,9 +304,6 @@ impl NodeFlits {
         self.source + self.input + self.output + self.eject
     }
 }
-
-/// Sentinel output-port index for the local ejection queue.
-pub(crate) const EJECT: usize = usize::MAX;
 
 /// Upper bound on ports per router: every non-local [`Direction`] plus
 /// the ejection port — lets switch allocation keep its per-port write
@@ -415,9 +475,11 @@ impl<P: Probe> Simulation<P> {
         is_source: &dyn Fn(NodeId) -> bool,
         mut probe: P,
     ) -> Result<Simulation<P>, SimError> {
+        config.validate()?;
         let vcs = routing.num_vcs_required().max(1);
         let n = topology.num_nodes();
         let mut nodes = Vec::with_capacity(n);
+        let mut slots = 0;
         for v in topology.node_ids() {
             let dirs = topology.directions(v);
             assert!(
@@ -445,44 +507,41 @@ impl<P: Probe> Simulation<P> {
                     (u.index(), idx)
                 })
                 .collect();
-            let out = dirs
-                .iter()
-                .map(|_| {
-                    (0..vcs)
-                        .map(|_| OutputQueue::new(config.output_buffer_capacity))
-                        .collect()
-                })
-                .collect();
-            let input = dirs
-                .iter()
-                .map(|_| {
-                    (0..vcs)
-                        .map(|_| InputBuffer::new(config.input_buffer_capacity))
-                        .collect()
-                })
-                .collect();
             let mut port_of = [NO_PORT; Direction::ALL.len()];
             for (p, &d) in dirs.iter().enumerate() {
                 port_of[d.index()] = p as u8;
             }
-            let slot_map = (0..dirs.len() * vcs)
-                .map(|idx| ((idx / vcs) as u8, (idx % vcs) as u8))
-                .collect();
+            let base = slots;
+            slots += dirs.len() * vcs + config.sink_rate;
             nodes.push(NodeState {
-                slot_map,
                 link_rr: vec![0; dirs.len()],
                 peer,
-                out,
-                eject: (0..config.sink_rate)
-                    .map(|_| OutputQueue::new(config.output_buffer_capacity))
-                    .collect(),
-                input,
+                base,
                 source_queue: VecDeque::new(),
                 source_route: None,
                 is_source: is_source(v),
                 port_of,
                 dirs,
             });
+        }
+        // Slot tables: `(port, vc)` per slot, and for link slots the
+        // input buffer they feed and, inversely, its single feeder.
+        let mut slot_port = Vec::with_capacity(slots);
+        let mut link_peer = vec![u32::MAX; slots];
+        let mut upstream = vec![(u32::MAX, 0); slots];
+        let slot_id = |id: usize| u32::try_from(id).expect("slot ids fit in u32");
+        for (v, node) in nodes.iter().enumerate() {
+            for (d, &(u, up)) in node.peer.iter().enumerate() {
+                for vc in 0..vcs {
+                    slot_port.push((d as u8, vc as u8));
+                    let s = node.base + d * vcs + vc;
+                    let t = nodes[u].base + up * vcs + vc;
+                    link_peer[s] = slot_id(t);
+                    upstream[t] = (slot_id(v), 1 << (d * vcs + vc));
+                }
+            }
+            // `sink_rate <= MAX_SINK_RATE` (validated) fits the byte.
+            slot_port.extend((0..config.sink_rate).map(|k| (node.dirs.len() as u8, k as u8)));
         }
 
         let auditor = if config.audit {
@@ -530,6 +589,11 @@ impl<P: Probe> Simulation<P> {
             num_sources: 0,
             rng: SmallRng::seed_from_u64(config.seed),
             nodes,
+            outputs: OutputRings::new(slots, config.output_buffer_capacity),
+            inputs: InputRings::new(slots, config.input_buffer_capacity),
+            slot_port,
+            link_peer,
+            upstream,
             arena: PacketArena::new(),
             arrivals: EventQueue::new(),
             cycle: 0,
@@ -553,6 +617,9 @@ impl<P: Probe> Simulation<P> {
             active_node_cycles: 0,
             out_slots: vec![0; n],
             in_slots: vec![0; n],
+            blocked: vec![0; n],
+            waiters: vec![0; slots],
+            link_blocked: vec![0; n],
             auditor,
             probe,
             config,
@@ -595,17 +662,37 @@ impl<P: Probe> Simulation<P> {
     /// A summary of where flits currently sit inside the network.
     pub fn occupancy(&self) -> Occupancy {
         let mut occ = Occupancy::default();
-        for node in &self.nodes {
+        for (v, node) in self.nodes.iter().enumerate() {
             occ.source_flits += node.source_queue.len() as u64;
-            occ.eject_flits += node.eject.iter().map(|q| q.len() as u64).sum::<u64>();
-            for port in &node.input {
-                occ.input_flits += port.iter().map(|b| b.len() as u64).sum::<u64>();
+            let (links, ejects) = (node.base..self.eject_slot(v, 0), self.eject_slots(v));
+            for s in links {
+                occ.input_flits += self.inputs.len(s) as u64;
+                occ.output_flits += self.outputs.len(s) as u64;
             }
-            for port in &node.out {
-                occ.output_flits += port.iter().map(|q| q.len() as u64).sum::<u64>();
+            for s in ejects {
+                occ.eject_flits += self.outputs.len(s) as u64;
             }
         }
         occ
+    }
+
+    /// Slot id of link `(port, vc)` at router `v`.
+    #[inline]
+    pub(crate) fn link_slot(&self, v: usize, port: usize, vc: usize) -> usize {
+        self.nodes[v].base + port * self.vcs + vc
+    }
+
+    /// Slot id of ejection channel `k` at router `v`.
+    #[inline]
+    pub(crate) fn eject_slot(&self, v: usize, k: usize) -> usize {
+        self.nodes[v].base + self.nodes[v].dirs.len() * self.vcs + k
+    }
+
+    /// Slot ids of router `v`'s ejection channels.
+    #[inline]
+    pub(crate) fn eject_slots(&self, v: usize) -> std::ops::Range<usize> {
+        let first = self.eject_slot(v, 0);
+        first..first + self.config.sink_rate
     }
 
     /// Per-packet delivery log (empty unless
@@ -950,6 +1037,7 @@ impl<P: Probe> Simulation<P> {
             if sparse && self.node_flits[v].eject == 0 {
                 continue;
             }
+            let first = self.eject_slot(v, 0);
             let mut budget = self.config.sink_rate;
             'outer: for k in 0..channels {
                 let mut q = start + k;
@@ -957,9 +1045,10 @@ impl<P: Probe> Simulation<P> {
                     q -= channels;
                 }
                 while budget > 0 {
-                    let Some(flit) = self.nodes[v].eject[q].pop() else {
+                    let Some(flit) = self.outputs.pop(first + q) else {
                         break;
                     };
+                    self.wake(v, first + q);
                     budget -= 1;
                     moved = true;
                     self.in_network -= 1;
@@ -1017,71 +1106,86 @@ impl<P: Probe> Simulation<P> {
     ///
     /// Runs in a single pass with no intermediate move list: per-link
     /// decisions are independent within the phase, because a link
-    /// `(v, d)` is the only writer of its downstream input buffer and
+    /// `(v, d)` is the only writer of its downstream input buffers and
     /// the only reader of its upstream output queues — no transfer on
     /// another link can change this link's decision, and links have no
     /// self-loops (`v != peer`). The same independence makes the
     /// active-set scan equivalent to the dense scan: links out of a
-    /// skipped router have empty output queues and transfer nothing.
+    /// skipped router have empty output queues and transfer nothing,
+    /// and a link VC parked on a full downstream buffer would find it
+    /// still full (only the allocation phase pops input buffers, and
+    /// each pop un-parks the buffer's one feeder).
     fn transfer_links(&mut self) -> bool {
         let mut moved = false;
         let eligible = self.cycle + self.config.router_delay;
         let sparse = self.config.sparse;
+        let vcs = self.vcs;
+        let vc_mask = ((1u64 << vcs) - 1) as u32;
         let active = std::mem::take(&mut self.active_nodes);
         for &v in &active {
-            // Dense-identical skip: every output queue of this node is
-            // empty, so none of its links transfers anything.
-            if sparse && self.node_flits[v].output == 0 {
-                continue;
-            }
             // Snapshot: bits only clear during this node's turn (pushes
             // happen in the allocation phase), so a stale set bit just
-            // re-checks an emptied queue.
-            let slot_mask = self.out_slots[v];
-            let vc_mask = ((1u64 << self.vcs) - 1) as u32;
+            // re-checks an emptied queue. `link_blocked` is all zero in
+            // dense mode.
+            let slot_mask = self.out_slots[v] & !self.link_blocked[v];
+            // Dense-identical skip: every output queue of this node is
+            // empty or parked, so none of its links transfers anything.
+            if sparse && slot_mask == 0 {
+                continue;
+            }
+            let base = self.nodes[v].base;
             for d in 0..self.nodes[v].dirs.len() {
-                if sparse && slot_mask & (vc_mask << (d * self.vcs)) == 0 {
+                if sparse && slot_mask & (vc_mask << (d * vcs)) == 0 {
                     continue;
                 }
-                let (peer, peer_port) = self.nodes[v].peer[d];
                 let start = self.nodes[v].link_rr[d];
-                for k in 0..self.vcs {
+                for k in 0..vcs {
                     let mut vc = start + k;
-                    if vc >= self.vcs {
-                        vc -= self.vcs;
+                    if vc >= vcs {
+                        vc -= vcs;
                     }
-                    if sparse && slot_mask & (1 << (d * self.vcs + vc)) == 0 {
+                    let bit = 1 << (d * vcs + vc);
+                    if sparse && slot_mask & bit == 0 {
                         continue;
                     }
-                    if self.nodes[v].out[d][vc].front().is_some()
-                        && self.nodes[peer].input[peer_port][vc].has_space()
-                    {
-                        let mut flit = self.nodes[v].out[d][vc].pop().expect("checked above");
-                        self.nodes[v].link_rr[d] = if vc + 1 == self.vcs { 0 } else { vc + 1 };
-                        flit.hops += 1;
-                        if self.auditor.is_some() || P::ACTIVE {
-                            let full = self.arena.materialize(flit);
-                            if let Some(mut auditor) = self.auditor.take() {
-                                auditor.on_link_transfer(&*self, v, d, vc, &full);
-                                self.auditor = Some(auditor);
-                            }
-                            self.probe.on_link_traverse(self.cycle, v, d, vc, &full);
-                        }
-                        self.nodes[peer].input[peer_port][vc].receive(flit, eligible);
-                        self.in_slots[peer] |= 1 << (peer_port * self.vcs + vc);
-                        if self.nodes[v].out[d][vc].is_empty() {
-                            self.out_slots[v] &= !(1 << (d * self.vcs + vc));
-                        }
-                        self.node_flits[v].output -= 1;
-                        self.node_flits[peer].input += 1;
-                        self.activate(peer);
-                        if self.measuring {
-                            self.stats.link_traversals += 1;
-                            self.link_counters[v][d] += 1;
-                        }
-                        moved = true;
-                        break;
+                    let s = base + d * vcs + vc;
+                    if self.outputs.is_empty(s) {
+                        continue;
                     }
+                    let t = self.link_peer[s] as usize;
+                    if !self.inputs.has_space(t) {
+                        if sparse {
+                            self.link_blocked[v] |= bit;
+                        }
+                        continue;
+                    }
+                    let mut flit = self.outputs.pop(s).expect("checked above");
+                    self.wake(v, s);
+                    self.nodes[v].link_rr[d] = if vc + 1 == vcs { 0 } else { vc + 1 };
+                    flit.hops += 1;
+                    if self.auditor.is_some() || P::ACTIVE {
+                        let full = self.arena.materialize(flit);
+                        if let Some(mut auditor) = self.auditor.take() {
+                            auditor.on_link_transfer(&*self, v, d, vc, &full);
+                            self.auditor = Some(auditor);
+                        }
+                        self.probe.on_link_traverse(self.cycle, v, d, vc, &full);
+                    }
+                    self.inputs.receive(t, flit, eligible);
+                    let (peer, peer_port) = self.nodes[v].peer[d];
+                    self.in_slots[peer] |= 1 << (peer_port * vcs + vc);
+                    if self.outputs.is_empty(s) {
+                        self.out_slots[v] &= !bit;
+                    }
+                    self.node_flits[v].output -= 1;
+                    self.node_flits[peer].input += 1;
+                    self.activate(peer);
+                    if self.measuring {
+                        self.stats.link_traversals += 1;
+                        self.link_counters[v][d] += 1;
+                    }
+                    moved = true;
+                    break;
                 }
             }
         }
@@ -1095,17 +1199,23 @@ impl<P: Probe> Simulation<P> {
         let sparse = self.config.sparse;
         let active = std::mem::take(&mut self.active_nodes);
         for &v in &active {
-            // Dense-identical skip: with nothing in the source queue
-            // and nothing in any input buffer, every slot's inject /
-            // forward attempt returns without touching state.
-            let flits = self.node_flits[v];
-            if sparse && flits.source == 0 && flits.input == 0 {
+            // Dense-identical skip: every occupied slot (source queue,
+            // input buffer) is parked, or there is none, so every
+            // attempt would return without touching state.
+            if sparse && self.occupied_slots(v) & !self.blocked[v] == 0 {
                 continue;
             }
             moved |= self.allocate_node(v);
         }
         self.active_nodes = active;
         moved
+    }
+
+    /// Allocation slots of router `v` holding a flit: bit 0 for the
+    /// source queue, bit `1 + d * vcs + vc` for input buffer `(d, vc)`.
+    #[inline]
+    fn occupied_slots(&self, v: usize) -> u64 {
+        (u64::from(self.in_slots[v]) << 1) | u64::from(self.node_flits[v].source > 0)
     }
 
     /// Runs switch allocation for one router: rotating priority over
@@ -1126,41 +1236,43 @@ impl<P: Probe> Simulation<P> {
         let mut used = [1usize; MAX_PORTS];
         used[num_dirs] = self.config.sink_rate;
         let mut moved = false;
-        // Dense-identical slot skips: an empty source queue makes the
-        // inject slot a no-op, an empty input buffer makes its forward
-        // slot a no-op. Snapshots are safe — bits only clear during
-        // this node's allocation, and a stale set bit just re-runs the
-        // cheap empty check.
-        let sparse = self.config.sparse;
-        let has_source = self.node_flits[v].source > 0;
-        let slot_mask = self.in_slots[v];
+        // Dense-identical slot skips: an empty source queue or input
+        // buffer makes its slot a no-op. The snapshot is safe — bits
+        // only clear during this node's allocation, and a stale set bit
+        // just re-runs the cheap empty check. Dense mode tries every
+        // slot.
+        let occupied = if self.config.sparse {
+            self.occupied_slots(v)
+        } else {
+            u64::MAX
+        };
         for k in 0..nslots {
             let mut slot = start + k;
             if slot >= nslots {
                 slot -= nslots;
             }
-            if slot == 0 {
-                if !sparse || has_source {
-                    moved |= self.try_inject(v, &mut used);
-                }
-            } else {
-                if sparse && slot_mask & (1 << (slot - 1)) == 0 {
-                    continue;
-                }
-                let (d, vc) = self.nodes[v].slot_map[slot - 1];
-                moved |= self.try_forward(v, usize::from(d), usize::from(vc), &mut used);
+            // Parked slots are skipped too, reading `blocked` live: a
+            // push earlier in this turn (a tail releasing an ejection
+            // channel, with `sink_rate > 1`) can wake a slot the dense
+            // scan still tries this cycle.
+            if (occupied & !self.blocked[v]) & (1 << slot) == 0 {
+                continue;
             }
+            moved |= if slot == 0 {
+                self.try_inject(v, &mut used)
+            } else {
+                self.try_forward(v, slot, &mut used)
+            };
         }
         moved
     }
 
-    /// Computes the candidate (output port, VC) allocations for a head
-    /// flit at node `v` arriving on virtual channel `in_vc`, in the
-    /// routing algorithm's preference order, appending them to `out`.
-    /// Deterministic algorithms yield exactly one candidate — served
-    /// from the precompiled table when available; adaptive ones
-    /// several, and the switch takes the first whose queue can accept
-    /// the flit.
+    /// Computes the candidate output slots for a head flit at node `v`
+    /// arriving on virtual channel `in_vc`, in the routing algorithm's
+    /// preference order, appending them to `out`. Deterministic
+    /// algorithms yield exactly one candidate — served from the
+    /// precompiled table when available; adaptive ones several, and the
+    /// switch takes the first whose queue can accept the flit.
     fn head_routes_into(
         &mut self,
         v: usize,
@@ -1172,93 +1284,145 @@ impl<P: Probe> Simulation<P> {
         let dst = self.arena.dst(flit.pkt);
         if let Some(table) = &self.compiled {
             let hop = table.hop(here, dst);
-            if hop.dir == Direction::Local {
-                // Pick the first ejection channel that can accept the
-                // head (wormhole ownership: one packet per channel).
-                let vc = self.nodes[v]
-                    .eject
-                    .iter()
-                    .position(|q| q.can_accept(flit))
-                    .unwrap_or(0);
-                out.push(SlotRoute {
-                    out_port: EJECT,
-                    out_vc: vc,
-                    packet: flit.pkt,
-                });
+            let slot = if hop.dir == Direction::Local {
+                self.eject_route(v, flit)
             } else {
                 let port = usize::from(self.nodes[v].port_of[hop.dir.index()]);
                 debug_assert!(port < self.nodes[v].dirs.len(), "compiled absent port");
-                out.push(SlotRoute {
-                    out_port: port,
-                    out_vc: usize::from(hop.out_vc[in_vc]),
-                    packet: flit.pkt,
-                });
-            }
+                self.link_slot(v, port, usize::from(hop.out_vc[in_vc]))
+            };
+            out.push(SlotRoute {
+                out: slot,
+                packet: flit.pkt,
+            });
             return;
         }
         // Reuse the direction scratch buffer (taken so the routing call
-        // can borrow `self`); blocked head flits retry every cycle, so
-        // this runs far too often to allocate each time.
+        // can borrow `self`); head flits retry until they are placed (or
+        // parked), so this runs far too often to allocate each time.
         let mut dirs = std::mem::take(&mut self.dir_scratch);
         dirs.clear();
         self.routing.candidates_into(here, dst, &mut dirs);
         for &dir in &dirs {
-            if dir == Direction::Local {
-                let vc = self.nodes[v]
-                    .eject
+            let slot = if dir == Direction::Local {
+                self.eject_route(v, flit)
+            } else {
+                let port = self.nodes[v]
+                    .dirs
                     .iter()
-                    .position(|q| q.can_accept(flit))
-                    .unwrap_or(0);
-                out.push(SlotRoute {
-                    out_port: EJECT,
-                    out_vc: vc,
-                    packet: flit.pkt,
-                });
-                continue;
-            }
-            let port = self.nodes[v]
-                .dirs
-                .iter()
-                .position(|&d| d == dir)
-                .unwrap_or_else(|| panic!("routing chose absent direction {dir} at {here}"));
-            let vc = self.routing.vc_for_hop(here, dst, dir, in_vc);
-            assert!(vc < self.vcs, "routing chose VC {vc} of {}", self.vcs);
+                    .position(|&d| d == dir)
+                    .unwrap_or_else(|| panic!("routing chose absent direction {dir} at {here}"));
+                let vc = self.routing.vc_for_hop(here, dst, dir, in_vc);
+                assert!(vc < self.vcs, "routing chose VC {vc} of {}", self.vcs);
+                self.link_slot(v, port, vc)
+            };
             out.push(SlotRoute {
-                out_port: port,
-                out_vc: vc,
+                out: slot,
                 packet: flit.pkt,
             });
         }
         self.dir_scratch = dirs;
     }
 
-    /// Tries each candidate allocation in order; returns the one that
-    /// was placed, if any.
+    /// The ejection channel a head flit bound for router `v`'s sink
+    /// claims: the first that can accept it (wormhole ownership: one
+    /// packet per channel), or channel 0 to fail on if none can.
+    fn eject_route(&self, v: usize, flit: &ArenaFlit) -> usize {
+        let mut channels = self.eject_slots(v);
+        let first = channels.start;
+        channels
+            .find(|&s| self.outputs.can_accept(s, flit))
+            .unwrap_or(first)
+    }
+
+    /// Tries each candidate allocation in order and performs the first
+    /// enqueue the crossbar and the queue allow; returns the route
+    /// taken, if any.
+    ///
+    /// In sparse mode a failure is remembered when it can only repeat:
+    /// if every candidate queue refused the flit on its own state (full,
+    /// or owned by another packet), allocation slot `slot` is parked
+    /// until one of those queues is pushed or popped. A candidate whose
+    /// crossbar port was already used this cycle is a transient failure
+    /// and parks nothing.
     fn try_place(
         &mut self,
         v: usize,
+        slot: usize,
         flit: &ArenaFlit,
         routes: &[SlotRoute],
         used: &mut [usize],
     ) -> Option<SlotRoute> {
-        routes
-            .iter()
-            .copied()
-            .find(|&route| self.enqueue_output(v, flit, route, used))
+        let mut transient = false;
+        for &route in routes {
+            let port = usize::from(self.slot_port[route.out].0);
+            if used[port] == 0 {
+                transient = true;
+                continue;
+            }
+            if !self.outputs.can_accept(route.out, flit) {
+                continue;
+            }
+            self.outputs.push(route.out, *flit);
+            self.wake(v, route.out);
+            if port == self.nodes[v].dirs.len() {
+                self.node_flits[v].eject += 1;
+            } else {
+                self.node_flits[v].output += 1;
+                self.out_slots[v] |= 1 << (route.out - self.nodes[v].base);
+            }
+            used[port] -= 1;
+            return Some(route);
+        }
+        if self.config.sparse && !transient {
+            self.park(v, slot, flit, routes);
+        }
+        None
     }
 
-    /// Tries to move the head-of-line flit of input `(d, vc)` at node
-    /// `v` into its output queue.
-    fn try_forward(&mut self, v: usize, d: usize, vc: usize, used: &mut [usize]) -> bool {
-        let now = self.cycle;
-        let Some(&flit) = self.nodes[v].input[d][vc].front_ready(now) else {
+    /// Parks allocation slot `slot` of router `v` on every queue its
+    /// failed attempt could have used. A head bound for the sink waits
+    /// on all ejection channels, since it takes whichever accepts it
+    /// first. Waking too often only costs one more failing attempt;
+    /// missing a wake would change the results.
+    fn park(&mut self, v: usize, slot: usize, flit: &ArenaFlit, routes: &[SlotRoute]) {
+        let bit = 1 << slot;
+        self.blocked[v] |= bit;
+        for route in routes {
+            if flit.kind.is_head() && route.out >= self.eject_slot(v, 0) {
+                for s in self.eject_slots(v) {
+                    self.waiters[s] |= bit;
+                }
+            } else {
+                self.waiters[route.out] |= bit;
+            }
+        }
+    }
+
+    /// Un-parks every allocation slot of router `v` waiting on output
+    /// slot `s`, which was just pushed or popped.
+    #[inline]
+    fn wake(&mut self, v: usize, s: usize) {
+        let waiting = std::mem::take(&mut self.waiters[s]);
+        self.blocked[v] &= !waiting;
+    }
+
+    /// Tries to move the head-of-line flit of the input buffer behind
+    /// allocation slot `slot` (`1 + d * vcs + vc`) at node `v` into its
+    /// output queue.
+    fn try_forward(&mut self, v: usize, slot: usize, used: &mut [usize]) -> bool {
+        let s = self.nodes[v].base + slot - 1;
+        // A flit still in the router pipeline is a transient failure:
+        // nothing is parked.
+        let Some(flit) = self.inputs.front_ready(s, self.cycle) else {
             return false;
         };
+        let (d, vc) = self.slot_port[s];
         let route = if flit.kind.is_head() {
             let mut routes = std::mem::take(&mut self.route_scratch);
             routes.clear();
-            self.head_routes_into(v, &flit, vc, &mut routes);
-            let placed = self.try_place(v, &flit, &routes, used);
+            self.head_routes_into(v, &flit, usize::from(vc), &mut routes);
+            let placed = self.try_place(v, slot, &flit, &routes, used);
             self.route_scratch = routes;
             let Some(route) = placed else {
                 return false;
@@ -1267,39 +1431,47 @@ impl<P: Probe> Simulation<P> {
         } else {
             // Body and tail flits reuse the packet's wormhole
             // allocation: the candidate list is one known route, so
-            // enqueue it directly instead of round-tripping the
-            // scratch vector (5/6 of all forwards at the paper's
-            // 6-flit packets).
-            let r = self.nodes[v].input[d][vc]
-                .route
+            // no scratch vector round trip (5/6 of all forwards at the
+            // paper's 6-flit packets).
+            let r = self
+                .inputs
+                .route(s)
                 .expect("body/tail flit with no wormhole allocation");
             assert_eq!(r.packet, flit.pkt, "stale wormhole allocation");
-            if !self.enqueue_output(v, &flit, r, used) {
+            let Some(route) = self.try_place(v, slot, &flit, std::slice::from_ref(&r), used) else {
                 return false;
-            }
-            r
+            };
+            route
         };
         if P::ACTIVE {
-            let out_port = (route.out_port != EJECT).then_some(route.out_port);
+            let (port, out_vc) = self.slot_port[route.out];
+            let out_port = (usize::from(port) != self.nodes[v].dirs.len()).then_some(port.into());
             let full = self.arena.materialize(flit);
-            self.probe
-                .on_buffer_exit(self.cycle, v, d, vc, out_port, route.out_vc, &full);
+            self.probe.on_buffer_exit(
+                self.cycle,
+                v,
+                d.into(),
+                vc.into(),
+                out_port,
+                out_vc.into(),
+                &full,
+            );
         }
-        let node = &mut self.nodes[v];
-        node.input[d][vc].take_ready(now);
-        node.input[d][vc].route = if flit.kind.is_tail() {
-            None
-        } else {
-            Some(route)
-        };
-        if node.input[d][vc].is_empty() {
-            self.in_slots[v] &= !(1 << (d * self.vcs + vc));
+        self.inputs.pop(s);
+        self.inputs
+            .set_route(s, (!flit.kind.is_tail()).then_some(route));
+        if self.inputs.len(s) == 0 {
+            self.in_slots[v] &= !(1 << (slot - 1));
         }
         self.node_flits[v].input -= 1;
+        // The buffer has space again: un-park its one feeding link VC.
+        let (u, bit) = self.upstream[s];
+        self.link_blocked[u as usize] &= !bit;
         true
     }
 
-    /// Tries to inject the head-of-line flit of the source queue.
+    /// Tries to inject the head-of-line flit of the source queue
+    /// (allocation slot 0).
     fn try_inject(&mut self, v: usize, used: &mut [usize]) -> bool {
         let Some(&flit) = self.nodes[v].source_queue.front() else {
             return false;
@@ -1308,11 +1480,12 @@ impl<P: Probe> Simulation<P> {
             let mut routes = std::mem::take(&mut self.route_scratch);
             routes.clear();
             self.head_routes_into(v, &flit, 0, &mut routes);
+            let first_eject = self.eject_slot(v, 0);
             assert!(
-                routes.iter().all(|r| r.out_port != EJECT),
+                routes.iter().all(|r| r.out < first_eject),
                 "packet addressed to its own source"
             );
-            let placed = self.try_place(v, &flit, &routes, used);
+            let placed = self.try_place(v, 0, &flit, &routes, used);
             self.route_scratch = routes;
             let Some(route) = placed else {
                 return false;
@@ -1320,72 +1493,31 @@ impl<P: Probe> Simulation<P> {
             route
         } else {
             // Single known route (the packet's injection allocation) —
-            // same direct-enqueue shortcut as the forward path.
+            // same shortcut as the forward path.
             let r = self.nodes[v]
                 .source_route
                 .expect("injecting body/tail with no allocation");
             assert_eq!(r.packet, flit.pkt, "stale injection allocation");
-            if !self.enqueue_output(v, &flit, r, used) {
+            let Some(route) = self.try_place(v, 0, &flit, std::slice::from_ref(&r), used) else {
                 return false;
-            }
-            r
+            };
+            route
         };
         if P::ACTIVE {
+            let (port, out_vc) = self.slot_port[route.out];
             let full = self.arena.materialize(flit);
             self.probe
-                .on_inject(self.cycle, v, route.out_port, route.out_vc, &full);
+                .on_inject(self.cycle, v, port.into(), out_vc.into(), &full);
         }
         let node = &mut self.nodes[v];
         node.source_queue.pop_front();
-        node.source_route = if flit.kind.is_tail() {
-            None
-        } else {
-            Some(route)
-        };
+        node.source_route = (!flit.kind.is_tail()).then_some(route);
         self.node_flits[v].source -= 1;
         self.in_network += 1;
         self.source_flits -= 1;
         if self.measuring {
             self.stats.flits_injected += 1;
         }
-        true
-    }
-
-    /// Shared tail of [`try_forward`](Self::try_forward) /
-    /// [`try_inject`](Self::try_inject): checks the crossbar and buffer
-    /// constraints and performs the enqueue.
-    fn enqueue_output(
-        &mut self,
-        v: usize,
-        flit: &ArenaFlit,
-        route: SlotRoute,
-        used: &mut [usize],
-    ) -> bool {
-        let num_dirs = self.nodes[v].dirs.len();
-        let used_idx = if route.out_port == EJECT {
-            num_dirs
-        } else {
-            route.out_port
-        };
-        if used[used_idx] == 0 {
-            return false;
-        }
-        let queue = if route.out_port == EJECT {
-            &mut self.nodes[v].eject[route.out_vc]
-        } else {
-            &mut self.nodes[v].out[route.out_port][route.out_vc]
-        };
-        if !queue.can_accept(flit) {
-            return false;
-        }
-        queue.push(*flit);
-        if route.out_port == EJECT {
-            self.node_flits[v].eject += 1;
-        } else {
-            self.node_flits[v].output += 1;
-            self.out_slots[v] |= 1 << (route.out_port * self.vcs + route.out_vc);
-        }
-        used[used_idx] -= 1;
         true
     }
 
@@ -1673,6 +1805,52 @@ mod tests {
             (dense_ratio - 1.0).abs() < 1e-12,
             "dense ratio {dense_ratio}"
         );
+    }
+
+    #[test]
+    fn stalled_slots_park_only_in_sparse_mode() {
+        // Past saturation most allocation attempts and link transfers
+        // fail on a full or foreign-owned queue: the sparse core parks
+        // them, the dense oracle retries them every cycle.
+        for sparse in [true, false] {
+            let mut sim = spidergon_sim_with(8, variant_config(1.0, sparse, true));
+            let (mut slots, mut links) = (0, 0);
+            for _ in 0..500 {
+                sim.step().unwrap();
+                slots += sim.blocked.iter().filter(|&&b| b != 0).count();
+                links += sim.link_blocked.iter().filter(|&&b| b != 0).count();
+            }
+            if sparse {
+                assert!(
+                    slots > 0 && links > 0,
+                    "parked {slots} slots, {links} links"
+                );
+            } else {
+                assert_eq!((slots, links), (0, 0), "the dense scan never parks");
+                assert!(sim.waiters.iter().all(|&w| w == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_at_assembly() {
+        // A config that skipped the builder is still validated.
+        let mut config = quick_config(0.1);
+        config.sink_rate = 0;
+        let topo = Ring::new(8).unwrap();
+        let routing = RingShortestPath::new(&topo);
+        let pattern = UniformRandom::new(8).unwrap();
+        let err = Simulation::new(Box::new(topo), Box::new(routing), Box::new(pattern), config)
+            .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        let mut config = quick_config(0.1);
+        config.output_buffer_capacity = 0;
+        let topo = Ring::new(8).unwrap();
+        let routing = RingShortestPath::new(&topo);
+        let trace = Trace::new(8, Vec::new()).unwrap();
+        let err =
+            Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, config).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]

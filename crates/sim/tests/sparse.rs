@@ -1,20 +1,25 @@
 //! Property-based differential of the sparse active-set core against
 //! the dense reference: for random short schedules (any topology
-//! family, injection rate, warmup/measure split and seed), idle-router
-//! skipping, clock fast-forward and compiled route tables must never
-//! change `SimStats` or any recorded per-packet delivery (latency,
-//! hops, arrival cycle).
+//! family, adaptive routing included; uniform, single or double
+//! hot-spot traffic up to full saturation; any buffer depth, sink rate
+//! and router delay), idle-router skipping, wake-on-change parking of
+//! stalled slots, clock fast-forward and compiled route tables must
+//! never change `SimStats` or any recorded per-packet delivery
+//! (latency, hops, arrival cycle).
 
-use noc_routing::{MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst, TorusXY};
-use noc_sim::{SimConfig, Simulation};
-use noc_topology::{RectMesh, Ring, Spidergon, Topology, Torus};
-use noc_traffic::{SingleHotspot, TrafficPattern, UniformRandom};
+use noc_routing::{
+    MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst, TorusXY, WestFirst,
+};
+use noc_sim::{Delivery, SimConfig, SimStats, Simulation};
+use noc_topology::{NodeId, RectMesh, Ring, Spidergon, Topology, Torus};
+use noc_traffic::{DoubleHotspot, SingleHotspot, TrafficPattern, UniformRandom};
 use proptest::prelude::*;
 
 /// Builds a (topology, routing) pair from a family selector and a size
-/// knob, both arbitrary.
+/// knob, both arbitrary. Family 4 is the West-First adaptive mesh, the
+/// only one with several candidate routes per head flit.
 fn build_pair(pick: u8, size: usize) -> (Box<dyn Topology>, Box<dyn RoutingAlgorithm>) {
-    match pick % 4 {
+    match pick % 5 {
         0 => {
             let n = size.clamp(3, 24);
             let t = Ring::new(n).unwrap();
@@ -34,86 +39,191 @@ fn build_pair(pick: u8, size: usize) -> (Box<dyn Topology>, Box<dyn RoutingAlgor
             let r = MeshXY::new(&t);
             (Box::new(t), Box::new(r))
         }
-        _ => {
+        3 => {
             let m = (size % 3) + 3;
             let n = (size % 2) + 3;
             let t = Torus::new(m, n).unwrap();
             let r = TorusXY::new(&t);
             (Box::new(t), Box::new(r))
         }
+        _ => {
+            let m = (size % 3) + 2;
+            let n = (size % 4) + 2;
+            let t = RectMesh::new(m, n).unwrap();
+            let r = WestFirst::new(&t);
+            (Box::new(t), Box::new(r))
+        }
     }
 }
 
-fn build_pattern(hotspot: bool, n: usize) -> Box<dyn TrafficPattern> {
-    if hotspot {
-        Box::new(SingleHotspot::new(n, noc_topology::NodeId::new(0)).unwrap())
-    } else {
-        Box::new(UniformRandom::new(n).unwrap())
+/// Uniform (0), single hot-spot at node 0 (1) or double hot-spot at
+/// nodes 0 and `n / 2` (2).
+fn build_pattern(traffic: u8, n: usize) -> Box<dyn TrafficPattern> {
+    match traffic % 3 {
+        0 => Box::new(UniformRandom::new(n).unwrap()),
+        1 => Box::new(SingleHotspot::new(n, NodeId::new(0)).unwrap()),
+        _ => Box::new(DoubleHotspot::new(n, [NodeId::new(0), NodeId::new(n / 2)]).unwrap()),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_variant(
+/// One schedule of the differential.
+#[derive(Clone, Copy, Debug)]
+struct Case {
     pick: u8,
     size: usize,
-    hotspot: bool,
+    traffic: u8,
     lambda: f64,
     warmup: u64,
     measure: u64,
     sample_interval: u64,
     packet_len: usize,
     seed: u64,
-    sparse: bool,
-    compiled: bool,
-) -> (noc_sim::SimStats, Vec<noc_sim::Delivery>) {
-    let (topo, routing) = build_pair(pick, size);
-    let n = topo.num_nodes();
-    let cfg = SimConfig::builder()
-        .injection_rate(lambda)
-        .packet_len(packet_len)
-        .warmup_cycles(warmup)
-        .measure_cycles(measure)
-        .sample_interval(sample_interval)
-        .seed(seed)
-        .record_deliveries(true)
-        .sparse(sparse)
-        .compiled_routes(compiled)
-        .build()
-        .unwrap();
-    let mut sim = Simulation::new(topo, routing, build_pattern(hotspot, n), cfg).unwrap();
-    let stats = sim.run().unwrap();
-    let deliveries = sim.deliveries().to_vec();
-    (stats, deliveries)
+    sink_rate: usize,
+    router_delay: u64,
+    input_capacity: usize,
+    output_capacity: usize,
+}
+
+impl Case {
+    /// A schedule with the paper's node model (1-flit inputs, 3-flit
+    /// outputs, unit sink rate, single-stage routers).
+    #[allow(clippy::too_many_arguments)]
+    fn paper(
+        pick: u8,
+        size: usize,
+        traffic: u8,
+        lambda: f64,
+        warmup: u64,
+        measure: u64,
+        sample_interval: u64,
+        packet_len: usize,
+        seed: u64,
+    ) -> Self {
+        Case {
+            pick,
+            size,
+            traffic,
+            lambda,
+            warmup,
+            measure,
+            sample_interval,
+            packet_len,
+            seed,
+            sink_rate: 1,
+            router_delay: 0,
+            input_capacity: 1,
+            output_capacity: 3,
+        }
+    }
+
+    fn run(&self, sparse: bool, compiled: bool) -> (SimStats, Vec<Delivery>) {
+        let (topo, routing) = build_pair(self.pick, self.size);
+        let n = topo.num_nodes();
+        let cfg = SimConfig::builder()
+            .injection_rate(self.lambda)
+            .packet_len(self.packet_len)
+            .warmup_cycles(self.warmup)
+            .measure_cycles(self.measure)
+            .sample_interval(self.sample_interval)
+            .seed(self.seed)
+            .sink_rate(self.sink_rate)
+            .router_delay(self.router_delay)
+            .input_buffer_capacity(self.input_capacity)
+            .output_buffer_capacity(self.output_capacity)
+            .record_deliveries(true)
+            .sparse(sparse)
+            .compiled_routes(compiled)
+            .build()
+            .unwrap();
+        let mut sim = Simulation::new(topo, routing, build_pattern(self.traffic, n), cfg).unwrap();
+        let stats = sim.run().unwrap();
+        (stats, sim.deliveries().to_vec())
+    }
+}
+
+/// Runs `case` sparse (with compiled routes) and dense (dynamic
+/// routing) and asserts identical stats and deliveries.
+fn assert_matches_dense(case: &Case) -> SimStats {
+    let sparse = case.run(true, true);
+    let dense = case.run(false, false);
+    assert_eq!(sparse.0, dense.0, "SimStats diverged for {case:?}");
+    assert_eq!(sparse.1, dense.1, "deliveries diverged for {case:?}");
+    sparse.0
+}
+
+/// The named saturation case: spidergon-16 under a single hot-spot at
+/// λ = 0.6, with a two-channel sink so one router turn can both fill
+/// and release ejection channels. A router delay leaves channels empty
+/// but owned between flits, which is where a head bound for the sink
+/// must wait on every channel and a slot's parked bit must be read live
+/// (an ejection push earlier in the same turn can wake it).
+#[test]
+fn spidergon16_hotspot_with_double_sink_matches_dense() {
+    for router_delay in 0..=2 {
+        for seed in 0..4 {
+            let stats = assert_matches_dense(&Case {
+                sink_rate: 2,
+                router_delay,
+                ..Case::paper(1, 8, 1, 0.6, 200, 2_000, 100, 6, seed)
+            });
+            assert!(stats.packets_delivered > 100, "{stats}");
+            assert!(stats.backlog_flits > 0, "λ = 0.6 saturates the hot spot");
+        }
+    }
+}
+
+/// West-First on a 2×4 mesh past uniform saturation: a head with
+/// several candidate routes must wait on every candidate queue.
+#[test]
+fn west_first_mesh_saturation_matches_dense() {
+    for router_delay in 1..=2 {
+        for seed in 0..4 {
+            let stats = assert_matches_dense(&Case {
+                router_delay,
+                ..Case::paper(4, 6, 0, 0.8, 200, 1_000, 0, 6, seed)
+            });
+            assert!(stats.backlog_flits > 0, "λ = 0.8 saturates the mesh");
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The headline invariant of the sparse core: the full-featured
-    /// path (active set + fast-forward + compiled routes, i.e. the
-    /// defaults) is bit-identical to the dense reference stepping every
-    /// router every cycle with dynamic routing.
+    /// path (active set + parking + fast-forward + compiled routes,
+    /// i.e. the defaults) is bit-identical to the dense reference
+    /// stepping every router every cycle with dynamic routing — past
+    /// saturation, and over every buffer depth, sink rate and router
+    /// delay that makes a stall transient or permanent.
     #[test]
     fn sparse_core_matches_dense_reference(
-        pick in 0u8..4,
+        pick in 0u8..5,
         size in 3usize..10,
-        hotspot_pick in 0u8..2,
-        lambda in 0.0f64..0.5,
+        traffic in 0u8..3,
+        lambda in 0.0f64..1.0,
         warmup in 0u64..200,
         measure in 50u64..600,
         sample_interval in 0u64..80,
         packet_len in 1usize..6,
         seed in 0u64..1_000,
+        sink_rate in 1usize..4,
+        router_delay in 0u64..3,
+        input_capacity in 1usize..4,
+        output_capacity in 1usize..5,
     ) {
-        let hotspot = hotspot_pick == 1;
-        let sparse = run_variant(
-            pick, size, hotspot, lambda, warmup, measure, sample_interval,
-            packet_len, seed, true, true,
-        );
-        let dense = run_variant(
-            pick, size, hotspot, lambda, warmup, measure, sample_interval,
-            packet_len, seed, false, false,
-        );
+        let case = Case {
+            sink_rate,
+            router_delay,
+            input_capacity,
+            output_capacity,
+            ..Case::paper(
+                pick, size, traffic, lambda, warmup, measure, sample_interval,
+                packet_len, seed,
+            )
+        };
+        let sparse = case.run(true, true);
+        let dense = case.run(false, false);
         prop_assert_eq!(&sparse.0, &dense.0, "SimStats diverged");
         prop_assert_eq!(&sparse.1, &dense.1, "per-packet deliveries diverged");
     }
@@ -123,7 +233,7 @@ proptest! {
     /// schedules here stress the clock-jump resampling logic hardest.
     #[test]
     fn idle_skipping_never_changes_latencies(
-        pick in 0u8..4,
+        pick in 0u8..5,
         size in 3usize..8,
         lambda in 0.0f64..0.1,
         warmup in 0u64..150,
@@ -131,14 +241,9 @@ proptest! {
         sample_interval in 1u64..60,
         seed in 0u64..1_000,
     ) {
-        let sparse = run_variant(
-            pick, size, false, lambda, warmup, measure, sample_interval,
-            4, seed, true, false,
-        );
-        let dense = run_variant(
-            pick, size, false, lambda, warmup, measure, sample_interval,
-            4, seed, false, false,
-        );
+        let case = Case::paper(pick, size, 0, lambda, warmup, measure, sample_interval, 4, seed);
+        let sparse = case.run(true, false);
+        let dense = case.run(false, false);
         prop_assert_eq!(&sparse.0, &dense.0, "SimStats diverged");
         for (a, b) in sparse.1.iter().zip(dense.1.iter()) {
             prop_assert_eq!(a.latency, b.latency, "packet {:?} latency", a.packet);
