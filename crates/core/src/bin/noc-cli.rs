@@ -50,7 +50,7 @@ use noc_core::{
     matched_size_cases, run_conformance, run_indexed, Aggregate, CoreError, Experiment,
     FigureOptions, Parallelism, TopologySpec, TrafficSpec,
 };
-use noc_sim::{AuditReport, SimConfig};
+use noc_sim::{AuditReport, Auditor, Recorder, SimConfig};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -189,14 +189,16 @@ fn cmd_run_audited(
         .map(|r| {
             let experiment = experiment.clone();
             let seed = experiment.config.seed.wrapping_add(r as u64);
-            move || experiment.run_audited_with_seed(seed)
+            move || experiment.run_probed(seed, Auditor::new())
         })
         .collect();
     let outcomes: Vec<_> = run_indexed(jobs, parallelism)
         .into_iter()
         .collect::<Result<_, _>>()?;
-    let reports: Vec<AuditReport> = outcomes.iter().map(|(_, rep)| rep.clone()).collect();
-    let runs: Vec<_> = outcomes.into_iter().map(|(run, _)| run).collect();
+    let (runs, reports): (Vec<_>, Vec<AuditReport>) = outcomes
+        .into_iter()
+        .map(|(run, auditor)| (run, auditor.into_report()))
+        .unzip();
     if runs.len() == 1 {
         println!("{}", runs[0].stats);
     } else {
@@ -243,7 +245,7 @@ fn print_aggregate(agg: &Aggregate) {
 fn cmd_trace(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let path = args.first().ok_or("missing spec path")?;
     let mut out_dir = std::path::PathBuf::from("trace-out");
-    let mut window = noc_sim::Recorder::DEFAULT_WINDOW;
+    let mut window = Recorder::DEFAULT_WINDOW;
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -265,8 +267,8 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         experiment.traffic.label(),
         experiment.config.injection_rate,
     );
-    let recorder = noc_sim::Recorder::with_window(window);
-    let (result, recorder) = experiment.run_traced_with(experiment.config.seed, recorder)?;
+    let (result, recorder) =
+        experiment.run_probed(experiment.config.seed, Recorder::with_window(window))?;
     std::fs::create_dir_all(&out_dir)?;
     std::fs::write(out_dir.join("trace.jsonl"), recorder.to_jsonl())?;
     std::fs::write(out_dir.join("timeseries.csv"), recorder.timeseries_csv())?;

@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// that affects simulation semantics or serialized shapes without
 /// showing up in the spec itself — every prior key becomes unreachable
 /// and the stale records age out via [`ExperimentCache::gc`].
-pub const CACHE_SCHEMA: u32 = 1;
+pub const CACHE_SCHEMA: u32 = 2;
 
 /// Default store location, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "results/.cache";

@@ -36,7 +36,7 @@
 use crate::parallel::{run_indexed, Parallelism};
 use crate::{CoreError, Experiment, RunResult, TopologySpec, TrafficSpec};
 use core::fmt;
-use noc_sim::{AuditReport, SimConfig};
+use noc_sim::{AuditReport, Auditor, SimConfig};
 
 /// One scenario the harness replays across execution modes.
 #[derive(Clone, PartialEq, Debug)]
@@ -143,8 +143,7 @@ impl fmt::Display for ConformanceReport {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidSpec`] if `base.audit` is set (the
-/// harness controls auditing itself) or `nodes < 4`.
+/// Returns [`CoreError::InvalidSpec`] if `nodes < 4`.
 pub fn matched_size_cases(
     nodes: usize,
     base: &SimConfig,
@@ -152,12 +151,6 @@ pub fn matched_size_cases(
     if nodes < 4 {
         return Err(CoreError::InvalidSpec {
             reason: "conformance grid needs at least 4 nodes".to_owned(),
-        });
-    }
-    if base.audit {
-        return Err(CoreError::InvalidSpec {
-            reason: "base config must leave `audit` off; the harness toggles it per mode"
-                .to_owned(),
         });
     }
     let topologies = [
@@ -233,14 +226,14 @@ pub fn run_conformance(
         // Mode 2: audited, sequential.
         let audited_seq: Vec<(RunResult, AuditReport)> = seeds
             .iter()
-            .map(|&s| case.experiment.run_audited_with_seed(s))
+            .map(|&s| audited_run(&case.experiment, s))
             .collect::<Result<_, _>>()?;
         // Mode 3: audited, on the parallel engine.
         let jobs: Vec<_> = seeds
             .iter()
             .map(|&s| {
                 let experiment = case.experiment.clone();
-                move || experiment.run_audited_with_seed(s)
+                move || audited_run(&experiment, s)
             })
             .collect();
         let audited_par: Vec<(RunResult, AuditReport)> = run_indexed(jobs, parallelism)
@@ -258,7 +251,7 @@ pub fn run_conformance(
             .collect::<Result<_, _>>()?;
         let dense_audited: Vec<(RunResult, AuditReport)> = seeds
             .iter()
-            .map(|&s| dense_experiment.run_audited_with_seed(s))
+            .map(|&s| audited_run(&dense_experiment, s))
             .collect::<Result<_, _>>()?;
         // Modes 6 and 7: through the experiment cache, cold (every
         // point simulated and stored) then warm (every point answered
@@ -342,6 +335,13 @@ pub fn run_conformance(
     Ok(ConformanceReport { outcomes, failures })
 }
 
+/// One run of `experiment` under `seed` with an [`Auditor`] attached:
+/// the result and the auditor's findings.
+fn audited_run(experiment: &Experiment, seed: u64) -> Result<(RunResult, AuditReport), CoreError> {
+    let (result, auditor) = experiment.run_probed(seed, Auditor::new())?;
+    Ok((result, auditor.into_report()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,12 +365,6 @@ mod tests {
         let base = SimConfig::default();
         assert!(matches!(
             matched_size_cases(2, &base),
-            Err(CoreError::InvalidSpec { .. })
-        ));
-        let mut audited = base.clone();
-        audited.audit = true;
-        assert!(matches!(
-            matched_size_cases(16, &audited),
             Err(CoreError::InvalidSpec { .. })
         ));
     }

@@ -3,7 +3,7 @@
 
 use crate::parallel::{run_experiment_jobs, ExperimentJob, Parallelism};
 use crate::{CoreError, TopologySpec, TrafficSpec};
-use noc_sim::{AuditReport, LatencyStats, Recorder, SimConfig, SimStats, Simulation};
+use noc_sim::{LatencyStats, NullProbe, Probe, Recorder, SimConfig, SimStats, Simulation};
 use serde::{Deserialize, Serialize};
 
 /// A fully-specified simulation experiment.
@@ -77,21 +77,13 @@ impl Experiment {
 
     /// Builds the configured simulation without running it, for
     /// callers that need simulator accessors beyond [`SimStats`] (the
-    /// benchmark binaries read `active_router_ratio`, for example).
+    /// `benchmark/` package reads `active_router_ratio`, for example).
     ///
     /// # Errors
     ///
     /// Returns a [`CoreError`] if the specs are invalid.
     pub fn build_simulation(&self) -> Result<Simulation, CoreError> {
-        let topo = self.topology.build()?;
-        let routing = self.topology.build_routing()?;
-        let pattern = self.traffic.build(&self.topology)?;
-        Ok(Simulation::new(
-            topo,
-            routing,
-            pattern,
-            self.config.clone(),
-        )?)
+        self.simulation(self.config.seed, NullProbe)
     }
 
     /// Runs once with an explicit seed (overriding the configured one).
@@ -100,111 +92,64 @@ impl Experiment {
     ///
     /// See [`run`](Self::run).
     pub fn run_with_seed(&self, seed: u64) -> Result<RunResult, CoreError> {
-        let topo = self.topology.build()?;
-        let routing = self.topology.build_routing()?;
-        let pattern = self.traffic.build(&self.topology)?;
-        let mut config = self.config.clone();
-        config.seed = seed;
-        let topology_label = topo.label();
-        let mut sim = Simulation::new(topo, routing, pattern, config)?;
-        let stats = sim.run()?;
-        Ok(RunResult {
-            topology_label,
-            traffic_label: self.traffic.label(),
-            injection_rate: self.config.injection_rate,
-            seed,
-            stats,
-        })
+        Ok(self.run_probed(seed, NullProbe)?.0)
     }
 
-    /// Runs once with an explicit seed and the runtime invariant
-    /// auditor attached ([`noc_sim::audit`]), regardless of
-    /// `config.audit`. Returns the run result together with the audit
-    /// findings.
-    ///
-    /// Auditing never perturbs the simulation: the returned
-    /// [`RunResult`] is identical to [`run_with_seed`] with the same
-    /// seed (the conformance harness in [`crate::conformance`] asserts
-    /// this bit-for-bit).
-    ///
-    /// [`run_with_seed`]: Self::run_with_seed
-    ///
-    /// # Errors
-    ///
-    /// See [`run`](Self::run).
-    pub fn run_audited_with_seed(&self, seed: u64) -> Result<(RunResult, AuditReport), CoreError> {
-        let topo = self.topology.build()?;
-        let routing = self.topology.build_routing()?;
-        let pattern = self.traffic.build(&self.topology)?;
-        let mut config = self.config.clone();
-        config.seed = seed;
-        config.audit = true;
-        let topology_label = topo.label();
-        let mut sim = Simulation::new(topo, routing, pattern, config)?;
-        let stats = sim.run()?;
-        let report = sim.take_audit_report().unwrap_or_default();
-        Ok((
-            RunResult {
-                topology_label,
-                traffic_label: self.traffic.label(),
-                injection_rate: self.config.injection_rate,
-                seed,
-                stats,
-            },
-            report,
-        ))
-    }
-
-    /// Runs once with an explicit seed and a recording probe attached
-    /// ([`noc_sim::probe`]): the **probed run mode**. Returns the run
-    /// result together with the recorder holding the flit-lifecycle
+    /// [`run_probed`](Self::run_probed) with a default
+    /// [`Recorder`]: the run result together with the flit-lifecycle
     /// trace, time-series windows and latency decomposition.
-    ///
-    /// Probing never perturbs the simulation: the returned
-    /// [`RunResult`] is bit-identical to [`run_with_seed`] with the
-    /// same seed, and because a run is seed-deterministic the
-    /// recorder's exports are byte-identical for any worker-thread
-    /// count of the surrounding engine (asserted in
-    /// `crates/core/tests/trace.rs`).
-    ///
-    /// [`run_with_seed`]: Self::run_with_seed
     ///
     /// # Errors
     ///
     /// See [`run`](Self::run).
     pub fn run_traced_with_seed(&self, seed: u64) -> Result<(RunResult, Recorder), CoreError> {
-        self.run_traced_with(seed, Recorder::new())
+        self.run_probed(seed, Recorder::new())
     }
 
-    /// [`run_traced_with_seed`](Self::run_traced_with_seed) with a
-    /// caller-configured recorder (e.g. a custom time-series window).
+    /// Runs once with an explicit seed and `probe` attached
+    /// ([`noc_sim::probe`]) — a [`Recorder`], an
+    /// [`Auditor`](noc_sim::Auditor) or [`NullProbe`] — and returns the
+    /// run result together with the probe.
+    ///
+    /// Probing never perturbs the simulation: the returned
+    /// [`RunResult`] is bit-identical to [`run_with_seed`] with the
+    /// same seed (the conformance harness in [`crate::conformance`]
+    /// asserts this for the auditor, `crates/core/tests/trace.rs` for
+    /// the recorder), and because a run is seed-deterministic a probe's
+    /// findings are identical for any worker-thread count of the
+    /// surrounding engine.
+    ///
+    /// [`run_with_seed`]: Self::run_with_seed
     ///
     /// # Errors
     ///
     /// See [`run`](Self::run).
-    pub fn run_traced_with(
-        &self,
-        seed: u64,
-        recorder: Recorder,
-    ) -> Result<(RunResult, Recorder), CoreError> {
-        let topo = self.topology.build()?;
-        let routing = self.topology.build_routing()?;
-        let pattern = self.traffic.build(&self.topology)?;
+    pub fn run_probed<P: Probe>(&self, seed: u64, probe: P) -> Result<(RunResult, P), CoreError> {
+        let mut sim = self.simulation(seed, probe)?;
+        let stats = sim.run()?;
+        let result = RunResult {
+            topology_label: sim.topology().label(),
+            traffic_label: self.traffic.label(),
+            injection_rate: self.config.injection_rate,
+            seed,
+            stats,
+        };
+        Ok((result, sim.into_probe()))
+    }
+
+    /// Assembles topology, routing, traffic and the configuration with
+    /// the effective `seed` into a simulation observed by `probe`: the
+    /// one place an experiment becomes a simulator.
+    fn simulation<P: Probe>(&self, seed: u64, probe: P) -> Result<Simulation<P>, CoreError> {
         let mut config = self.config.clone();
         config.seed = seed;
-        let topology_label = topo.label();
-        let mut sim = Simulation::with_probe(topo, routing, pattern, config, recorder)?;
-        let stats = sim.run()?;
-        Ok((
-            RunResult {
-                topology_label,
-                traffic_label: self.traffic.label(),
-                injection_rate: self.config.injection_rate,
-                seed,
-                stats,
-            },
-            sim.into_probe(),
-        ))
+        Ok(Simulation::with_probe(
+            self.topology.build()?,
+            self.topology.build_routing()?,
+            self.traffic.build(&self.topology)?,
+            config,
+            probe,
+        )?)
     }
 
     /// Runs `replications` times with seeds `seed, seed+1, ...` and

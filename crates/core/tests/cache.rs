@@ -183,11 +183,11 @@ fn fingerprint_is_stable_across_processes() {
     // on every host. If this assertion ever fires, the canonical
     // encoding changed — which requires a `CACHE_SCHEMA` bump.
     let exp = experiment(1, 2, true, 0.25, 42);
-    let fp = fingerprint_with(1, "test-token", &exp, 42);
-    let again = fingerprint_with(1, "test-token", &exp, 42);
+    let fp = fingerprint_with(2, "test-token", &exp, 42);
+    let again = fingerprint_with(2, "test-token", &exp, 42);
     assert_eq!(fp, again);
     assert_eq!(fp.hex().len(), 32);
-    assert_eq!(fp.hex(), "ea26fe95856713929254ee31de28ca16");
+    assert_eq!(fp.hex(), "5d762eb388eebbbb6d7604da1abaf5f9");
 }
 
 #[test]

@@ -20,7 +20,7 @@
 use noc_core::{
     matched_size_cases, run_conformance, Experiment, Parallelism, TopologySpec, TrafficSpec,
 };
-use noc_sim::SimConfig;
+use noc_sim::{Auditor, SimConfig};
 
 fn base_config() -> SimConfig {
     SimConfig::builder()
@@ -89,8 +89,9 @@ fn audited_equals_unaudited_for_explicit_seeds() {
     };
     for seed in [1u64, 99, 0xBAD5EED] {
         let plain = exp.run_with_seed(seed).unwrap();
-        let (audited, report) = exp.run_audited_with_seed(seed).unwrap();
+        let (audited, auditor) = exp.run_probed(seed, Auditor::new()).unwrap();
         assert_eq!(plain, audited, "seed {seed}: audit perturbed the run");
+        let report = auditor.report();
         assert!(report.is_clean(), "seed {seed}:\n{report}");
         assert!(report.preflight_ran);
     }

@@ -3,9 +3,9 @@
 //! The paper's throughput/latency figures are only as trustworthy as
 //! the simulator's bookkeeping: a switch-allocation bug that drops or
 //! duplicates a flit shifts every curve without failing a single
-//! assertion. The auditor is an opt-in observer
-//! ([`SimConfig::audit`](crate::SimConfig)) attached to a
-//! [`Simulation`] that cross-checks, while the simulation runs:
+//! assertion. The [`Auditor`] is a [`Probe`]: attached to a simulation
+//! with [`Simulation::with_probe`](crate::Simulation::with_probe), it
+//! cross-checks, while the simulation runs:
 //!
 //! * **Flit conservation** — `generated = consumed + source backlog +
 //!   in network`, re-derived from the buffers every audited cycle and
@@ -49,9 +49,9 @@
 //! switch allocator uses — the two are required to agree, so a
 //! miscompiled or hand-"optimized" fast path is caught by the slow one.
 
-use crate::network::{NodeState, Simulation};
+use crate::network::Network;
 use crate::probe::Probe;
-use crate::{Flit, PacketId, SimConfig};
+use crate::{Flit, PacketId};
 use core::fmt;
 use noc_routing::cdg::CdgAnalysis;
 use noc_routing::{validate, RoutingAlgorithm};
@@ -214,9 +214,9 @@ pub enum StallDiagnosis {
 
 /// Aggregated findings of one audited simulation run.
 ///
-/// Obtained from [`Simulation::audit_report`]. Reports are plain data
-/// (`PartialEq`, serde) so replicated sweeps can compare and aggregate
-/// them deterministically across workers.
+/// Obtained from [`Auditor::report`] or [`Auditor::into_report`].
+/// Reports are plain data (`PartialEq`, serde) so replicated sweeps can
+/// compare and aggregate them deterministically across workers.
 #[derive(Clone, PartialEq, Debug, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AuditReport {
@@ -280,10 +280,25 @@ struct PacketTrack {
     hops: u64,
 }
 
-/// The auditor itself: owned by [`Simulation`] when
-/// [`SimConfig::audit`](crate::SimConfig) is set, invoked from the
-/// cycle phases. Read-only with respect to simulation state.
-pub(crate) struct Auditor {
+/// The runtime invariant auditor: a [`Probe`] that reads the network at
+/// every hook and records what it finds in an [`AuditReport`].
+///
+/// ```
+/// use noc_routing::RingShortestPath;
+/// use noc_sim::{Auditor, SimConfig, Simulation};
+/// use noc_topology::Ring;
+/// use noc_traffic::UniformRandom;
+///
+/// let ring = Ring::new(8)?;
+/// let routing = Box::new(RingShortestPath::new(&ring));
+/// let traffic = Box::new(UniformRandom::new(8)?);
+/// let config = SimConfig::default();
+/// let mut sim = Simulation::with_probe(Box::new(ring), routing, traffic, config, Auditor::new())?;
+/// sim.run()?;
+/// assert!(sim.into_probe().into_report().is_clean());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct Auditor {
     interval: u64,
     packet_len: usize,
     hop_budget: u64,
@@ -308,35 +323,38 @@ impl fmt::Debug for Auditor {
     }
 }
 
+impl Default for Auditor {
+    fn default() -> Self {
+        Auditor::new()
+    }
+}
+
 impl Auditor {
-    /// Builds an auditor for the assembled simulation and runs the
-    /// preflight routing validation.
-    pub(crate) fn attach(
-        topo: &dyn Topology,
-        routing: &dyn RoutingAlgorithm,
-        nodes: &[NodeState],
-        vcs: usize,
-        config: &SimConfig,
-    ) -> Self {
-        let n = topo.num_nodes();
-        let link_owner = nodes
-            .iter()
-            .map(|node| vec![vec![None; vcs]; node.dirs.len()])
-            .collect();
-        let mut auditor = Auditor {
-            interval: config.audit_interval.max(1),
-            packet_len: config.packet_len,
-            hop_budget: (4 * n + 4) as u64,
+    /// An auditor sweeping the whole network every cycle.
+    pub fn new() -> Self {
+        Auditor::with_interval(1)
+    }
+
+    /// An auditor whose whole-network sweep (conservation, buffer
+    /// bounds, queue structure) runs every `interval`-th cycle, trading
+    /// coverage for speed. Per-flit checks (route legality, wormhole
+    /// ordering) still run on every event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval == 0`.
+    pub fn with_interval(interval: u64) -> Self {
+        assert!(interval > 0, "audit interval must be positive");
+        Auditor {
+            interval,
+            packet_len: 0,
+            hop_budget: 0,
             minimal: false,
             dist: None,
-            link_owner,
+            link_owner: Vec::new(),
             packets: HashMap::new(),
             report: AuditReport::default(),
-        };
-        if n <= PREFLIGHT_MAX_NODES {
-            auditor.preflight(topo, routing);
         }
-        auditor
     }
 
     /// Cross-checks the routing algorithm against
@@ -394,11 +412,13 @@ impl Auditor {
         }
     }
 
-    pub(crate) fn report(&self) -> &AuditReport {
+    /// The findings so far.
+    pub fn report(&self) -> &AuditReport {
         &self.report
     }
 
-    pub(crate) fn into_report(self) -> AuditReport {
+    /// The final findings.
+    pub fn into_report(self) -> AuditReport {
         self.report
     }
 
@@ -410,87 +430,12 @@ impl Auditor {
         self.report.violations.push(violation);
     }
 
-    /// Observes one flit crossing the link `(v, dirs[d])` on `vc`.
-    /// `flit` is the flit *after* its hop counter was incremented.
-    pub(crate) fn on_link_transfer<Q: Probe>(
-        &mut self,
-        sim: &Simulation<Q>,
-        v: usize,
-        d: usize,
-        vc: usize,
-        flit: &Flit,
-    ) {
-        self.report.flit_events += 1;
-        self.report.checks += 2;
-        let dir = sim.nodes[v].dirs[d];
-        let (peer, _) = sim.nodes[v].peer[d];
-        let link = BufferRef {
-            node: NodeId::new(v),
-            class: BufferClass::Link,
-            direction: Some(dir),
-            vc,
-        };
-        // Wormhole ownership on the wire: a head claims the link VC
-        // until the matching tail; no foreign flit may interleave.
-        let owner = self.link_owner[v][d][vc];
-        if flit.kind.is_head() {
-            if let Some(prev) = owner {
-                self.push(AuditViolation {
-                    invariant: Invariant::WormholeOrder,
-                    cycle: sim.cycle(),
-                    node: Some(NodeId::new(v)),
-                    buffer: Some(link),
-                    packet: Some(flit.packet),
-                    detail: format!("head {flit} crossed link still owned by {prev}"),
-                });
-            }
-            self.link_owner[v][d][vc] = if flit.kind.is_tail() {
-                None
-            } else {
-                Some(flit.packet)
-            };
-        } else {
-            if owner != Some(flit.packet) {
-                self.push(AuditViolation {
-                    invariant: Invariant::WormholeOrder,
-                    cycle: sim.cycle(),
-                    node: Some(NodeId::new(v)),
-                    buffer: Some(link),
-                    packet: Some(flit.packet),
-                    detail: format!(
-                        "{flit} crossed link owned by {} (interleaved wormholes)",
-                        owner.map_or_else(|| "nobody".to_owned(), |p| p.to_string()),
-                    ),
-                });
-            }
-            if flit.kind.is_tail() {
-                self.link_owner[v][d][vc] = None;
-            }
-        }
-        if flit.kind.is_head() {
-            self.check_hop_legality(sim, v, peer, dir, vc, flit);
-        }
-        if flit.hops > self.hop_budget {
-            self.push(AuditViolation {
-                invariant: Invariant::RouteLegality,
-                cycle: sim.cycle(),
-                node: Some(NodeId::new(v)),
-                buffer: Some(link),
-                packet: Some(flit.packet),
-                detail: format!(
-                    "{flit} exceeded the {}-hop budget ({} hops): routing livelock",
-                    self.hop_budget, flit.hops
-                ),
-            });
-        }
-    }
-
     /// Route legality of one head-flit hop: membership in the routing
     /// algorithm's candidate set, and strict progress under the BFS
     /// distance oracle when the algorithm is minimal.
-    fn check_hop_legality<Q: Probe>(
+    fn check_hop_legality(
         &mut self,
-        sim: &Simulation<Q>,
+        net: &Network,
         v: usize,
         peer: usize,
         dir: Direction,
@@ -499,11 +444,11 @@ impl Auditor {
     ) {
         let here = NodeId::new(v);
         self.report.checks += 1;
-        let legal = sim.routing.candidates(here, flit.dst);
+        let legal = net.routing.candidates(here, flit.dst);
         if !legal.contains(&dir) {
             self.push(AuditViolation {
                 invariant: Invariant::RouteLegality,
-                cycle: sim.cycle(),
+                cycle: net.cycle(),
                 node: Some(here),
                 buffer: Some(BufferRef {
                     node: here,
@@ -529,7 +474,7 @@ impl Auditor {
             if to + 1 != from {
                 self.push(AuditViolation {
                     invariant: Invariant::RouteLegality,
-                    cycle: sim.cycle(),
+                    cycle: net.cycle(),
                     node: Some(here),
                     buffer: Some(BufferRef {
                         node: here,
@@ -547,137 +492,15 @@ impl Auditor {
         }
     }
 
-    /// Observes one flit consumed by the sink at node `v`.
-    pub(crate) fn on_consume(&mut self, cycle: u64, v: usize, flit: &Flit) {
-        self.report.flit_events += 1;
-        self.report.checks += 2;
-        if flit.dst.index() != v {
-            self.push(AuditViolation {
-                invariant: Invariant::RouteLegality,
-                cycle,
-                node: Some(NodeId::new(v)),
-                buffer: None,
-                packet: Some(flit.packet),
-                detail: format!("{flit} consumed at n{v}, not its destination {}", flit.dst),
-            });
-        }
-        let track = self.packets.entry(flit.packet).or_insert(PacketTrack {
-            consumed: 0,
-            hops: flit.hops,
-        });
-        let mut bad: Option<String> = None;
-        if flit.kind.is_head() && track.consumed > 0 {
-            bad = Some(format!(
-                "head {flit} consumed after {} earlier flit(s)",
-                track.consumed
-            ));
-        } else if !flit.kind.is_head() && track.consumed == 0 {
-            bad = Some(format!("{flit} consumed before its head"));
-        } else if track.hops != flit.hops {
-            bad = Some(format!(
-                "{flit} crossed {} link(s) but its head crossed {} (divergent wormhole path)",
-                flit.hops, track.hops
-            ));
-        }
-        track.consumed += 1;
-        let consumed = track.consumed;
-        if flit.kind.is_tail() {
-            self.packets.remove(&flit.packet);
-            if bad.is_none() && consumed != self.packet_len {
-                bad = Some(format!(
-                    "packet reassembled with {consumed} of {} flit(s)",
-                    self.packet_len
-                ));
-            }
-        } else if bad.is_none() && consumed >= self.packet_len {
-            bad = Some(format!(
-                "{flit} is flit #{consumed} of a {}-flit packet with no tail yet",
-                self.packet_len
-            ));
-        }
-        if let Some(detail) = bad {
-            self.push(AuditViolation {
-                invariant: Invariant::WormholeOrder,
-                cycle,
-                node: Some(NodeId::new(v)),
-                buffer: None,
-                packet: Some(flit.packet),
-                detail,
-            });
-        }
-    }
-
-    /// Per-cycle sweep (every `audit_interval` cycles): conservation
-    /// identity, counter consistency, buffer bounds and queue
-    /// structure.
-    pub(crate) fn on_cycle_end<Q: Probe>(&mut self, sim: &Simulation<Q>) {
-        if !sim.cycle().is_multiple_of(self.interval) {
-            return;
-        }
-        let cycle = sim.cycle();
-        self.report.cycles_audited += 1;
-        self.report.checks += 3;
-        let occ = sim.occupancy();
-        let generated = sim.total_flits_generated();
-        let consumed = sim.total_flits_consumed();
-        let accounted = consumed + occ.source_flits + occ.in_network();
-        if generated != accounted {
-            self.push(AuditViolation {
-                invariant: Invariant::FlitConservation,
-                cycle,
-                node: None,
-                buffer: None,
-                packet: None,
-                detail: format!(
-                    "generated {generated} != consumed {consumed} + backlog {} + \
-                     in-network {} (flits lost or duplicated)",
-                    occ.source_flits,
-                    occ.in_network()
-                ),
-            });
-        }
-        if sim.flits_in_network() != occ.in_network() {
-            self.push(AuditViolation {
-                invariant: Invariant::FlitConservation,
-                cycle,
-                node: None,
-                buffer: None,
-                packet: None,
-                detail: format!(
-                    "in-network counter {} drifted from buffer-derived occupancy {}",
-                    sim.flits_in_network(),
-                    occ.in_network()
-                ),
-            });
-        }
-        if sim.source_backlog() != occ.source_flits {
-            self.push(AuditViolation {
-                invariant: Invariant::FlitConservation,
-                cycle,
-                node: None,
-                buffer: None,
-                packet: None,
-                detail: format!(
-                    "source-backlog counter {} drifted from derived backlog {}",
-                    sim.source_backlog(),
-                    occ.source_flits
-                ),
-            });
-        }
-        for v in 0..sim.nodes.len() {
-            self.check_node_buffers(sim, v, cycle);
-        }
-    }
-
     /// Capacity and wormhole-structure checks for every buffer of one
     /// node.
-    fn check_node_buffers<Q: Probe>(&mut self, sim: &Simulation<Q>, v: usize, cycle: u64) {
-        let node = &sim.nodes[v];
+    fn check_node_buffers(&mut self, net: &Network, v: usize, cycle: u64) {
+        let node = &net.nodes[v];
         let id = NodeId::new(v);
         for d in 0..node.dirs.len() {
             let dir = node.dirs[d];
-            for c in 0..sim.vcs {
-                let s = sim.link_slot(v, d, c);
+            for c in 0..net.vcs {
+                let s = net.link_slot(v, d, c);
                 let r = BufferRef {
                     node: id,
                     class: BufferClass::Input,
@@ -685,50 +508,50 @@ impl Auditor {
                     vc: c,
                 };
                 self.report.checks += 1;
-                let (len, cap) = (sim.inputs.len(s), sim.inputs.capacity());
+                let (len, cap) = (net.inputs.len(s), net.inputs.capacity());
                 if len > cap {
                     self.push_overflow(cycle, r, len, cap);
                 }
                 self.check_queue_structure(
                     cycle,
                     r,
-                    sim.inputs.iter(s).map(|&f| sim.arena.materialize(f)),
+                    net.inputs.iter(s).map(|&f| net.arena.materialize(f)),
                     None,
                 );
             }
-            for c in 0..sim.vcs {
+            for c in 0..net.vcs {
                 let r = BufferRef {
                     node: id,
                     class: BufferClass::Output,
                     direction: Some(dir),
                     vc: c,
                 };
-                self.check_output(sim, cycle, r, sim.link_slot(v, d, c));
+                self.check_output(net, cycle, r, net.link_slot(v, d, c));
             }
         }
-        for (c, s) in sim.eject_slots(v).enumerate() {
+        for (c, s) in net.eject_slots(v).enumerate() {
             let r = BufferRef {
                 node: id,
                 class: BufferClass::Ejection,
                 direction: None,
                 vc: c,
             };
-            self.check_output(sim, cycle, r, s);
+            self.check_output(net, cycle, r, s);
         }
     }
 
     /// Capacity and wormhole-structure checks for output slot `s`.
-    fn check_output<Q: Probe>(&mut self, sim: &Simulation<Q>, cycle: u64, r: BufferRef, s: usize) {
+    fn check_output(&mut self, net: &Network, cycle: u64, r: BufferRef, s: usize) {
         self.report.checks += 1;
-        let (len, cap) = (sim.outputs.len(s), sim.outputs.capacity());
+        let (len, cap) = (net.outputs.len(s), net.outputs.capacity());
         if len > cap {
             self.push_overflow(cycle, r, len, cap);
         }
         self.check_queue_structure(
             cycle,
             r,
-            sim.outputs.iter(s).map(|&f| sim.arena.materialize(f)),
-            Some(sim.outputs.owner(s).map(|p| sim.arena.packet_id(p))),
+            net.outputs.iter(s).map(|&f| net.arena.materialize(f)),
+            Some(net.outputs.owner(s).map(|p| net.arena.packet_id(p))),
         );
     }
 
@@ -795,17 +618,227 @@ impl Auditor {
             }
         }
     }
+}
+
+impl Probe for Auditor {
+    const ACTIVE: bool = true;
+
+    /// Sizes the per-link wormhole tracking and runs the preflight
+    /// routing validation.
+    fn on_attach(&mut self, net: &Network) {
+        let n = net.nodes.len();
+        self.packet_len = net.config.packet_len;
+        self.hop_budget = (4 * n + 4) as u64;
+        self.link_owner = net
+            .nodes
+            .iter()
+            .map(|node| vec![vec![None; net.vcs]; node.dirs.len()])
+            .collect();
+        if n <= PREFLIGHT_MAX_NODES {
+            self.preflight(net.topo.as_ref(), net.routing.as_ref());
+        }
+    }
+
+    /// Observes one flit crossing the link `(v, dirs[d])` on `vc`.
+    /// `flit` is the flit *after* its hop counter was incremented.
+    fn on_link_traverse(&mut self, net: &Network, v: usize, d: usize, vc: usize, flit: &Flit) {
+        self.report.flit_events += 1;
+        self.report.checks += 2;
+        let dir = net.nodes[v].dirs[d];
+        let (peer, _) = net.nodes[v].peer[d];
+        let link = BufferRef {
+            node: NodeId::new(v),
+            class: BufferClass::Link,
+            direction: Some(dir),
+            vc,
+        };
+        // Wormhole ownership on the wire: a head claims the link VC
+        // until the matching tail; no foreign flit may interleave.
+        let owner = self.link_owner[v][d][vc];
+        if flit.kind.is_head() {
+            if let Some(prev) = owner {
+                self.push(AuditViolation {
+                    invariant: Invariant::WormholeOrder,
+                    cycle: net.cycle(),
+                    node: Some(NodeId::new(v)),
+                    buffer: Some(link),
+                    packet: Some(flit.packet),
+                    detail: format!("head {flit} crossed link still owned by {prev}"),
+                });
+            }
+            self.link_owner[v][d][vc] = if flit.kind.is_tail() {
+                None
+            } else {
+                Some(flit.packet)
+            };
+        } else {
+            if owner != Some(flit.packet) {
+                self.push(AuditViolation {
+                    invariant: Invariant::WormholeOrder,
+                    cycle: net.cycle(),
+                    node: Some(NodeId::new(v)),
+                    buffer: Some(link),
+                    packet: Some(flit.packet),
+                    detail: format!(
+                        "{flit} crossed link owned by {} (interleaved wormholes)",
+                        owner.map_or_else(|| "nobody".to_owned(), |p| p.to_string()),
+                    ),
+                });
+            }
+            if flit.kind.is_tail() {
+                self.link_owner[v][d][vc] = None;
+            }
+        }
+        if flit.kind.is_head() {
+            self.check_hop_legality(net, v, peer, dir, vc, flit);
+        }
+        if flit.hops > self.hop_budget {
+            self.push(AuditViolation {
+                invariant: Invariant::RouteLegality,
+                cycle: net.cycle(),
+                node: Some(NodeId::new(v)),
+                buffer: Some(link),
+                packet: Some(flit.packet),
+                detail: format!(
+                    "{flit} exceeded the {}-hop budget ({} hops): routing livelock",
+                    self.hop_budget, flit.hops
+                ),
+            });
+        }
+    }
+
+    /// Observes one flit consumed by the sink at node `v`.
+    fn on_consume(&mut self, cycle: u64, v: usize, _channel: usize, flit: &Flit) {
+        self.report.flit_events += 1;
+        self.report.checks += 2;
+        if flit.dst.index() != v {
+            self.push(AuditViolation {
+                invariant: Invariant::RouteLegality,
+                cycle,
+                node: Some(NodeId::new(v)),
+                buffer: None,
+                packet: Some(flit.packet),
+                detail: format!("{flit} consumed at n{v}, not its destination {}", flit.dst),
+            });
+        }
+        let track = self.packets.entry(flit.packet).or_insert(PacketTrack {
+            consumed: 0,
+            hops: flit.hops,
+        });
+        let mut bad: Option<String> = None;
+        if flit.kind.is_head() && track.consumed > 0 {
+            bad = Some(format!(
+                "head {flit} consumed after {} earlier flit(s)",
+                track.consumed
+            ));
+        } else if !flit.kind.is_head() && track.consumed == 0 {
+            bad = Some(format!("{flit} consumed before its head"));
+        } else if track.hops != flit.hops {
+            bad = Some(format!(
+                "{flit} crossed {} link(s) but its head crossed {} (divergent wormhole path)",
+                flit.hops, track.hops
+            ));
+        }
+        track.consumed += 1;
+        let consumed = track.consumed;
+        if flit.kind.is_tail() {
+            self.packets.remove(&flit.packet);
+            if bad.is_none() && consumed != self.packet_len {
+                bad = Some(format!(
+                    "packet reassembled with {consumed} of {} flit(s)",
+                    self.packet_len
+                ));
+            }
+        } else if bad.is_none() && consumed >= self.packet_len {
+            bad = Some(format!(
+                "{flit} is flit #{consumed} of a {}-flit packet with no tail yet",
+                self.packet_len
+            ));
+        }
+        if let Some(detail) = bad {
+            self.push(AuditViolation {
+                invariant: Invariant::WormholeOrder,
+                cycle,
+                node: Some(NodeId::new(v)),
+                buffer: None,
+                packet: Some(flit.packet),
+                detail,
+            });
+        }
+    }
+
+    /// Per-cycle sweep (every `interval` cycles): conservation
+    /// identity, counter consistency, buffer bounds and queue
+    /// structure.
+    fn on_cycle_end(&mut self, net: &Network) {
+        if !net.cycle().is_multiple_of(self.interval) {
+            return;
+        }
+        let cycle = net.cycle();
+        self.report.cycles_audited += 1;
+        self.report.checks += 3;
+        let occ = net.occupancy();
+        let generated = net.total_flits_generated();
+        let consumed = net.total_flits_consumed();
+        let accounted = consumed + occ.source_flits + occ.in_network();
+        if generated != accounted {
+            self.push(AuditViolation {
+                invariant: Invariant::FlitConservation,
+                cycle,
+                node: None,
+                buffer: None,
+                packet: None,
+                detail: format!(
+                    "generated {generated} != consumed {consumed} + backlog {} + \
+                     in-network {} (flits lost or duplicated)",
+                    occ.source_flits,
+                    occ.in_network()
+                ),
+            });
+        }
+        if net.flits_in_network() != occ.in_network() {
+            self.push(AuditViolation {
+                invariant: Invariant::FlitConservation,
+                cycle,
+                node: None,
+                buffer: None,
+                packet: None,
+                detail: format!(
+                    "in-network counter {} drifted from buffer-derived occupancy {}",
+                    net.flits_in_network(),
+                    occ.in_network()
+                ),
+            });
+        }
+        if net.source_backlog() != occ.source_flits {
+            self.push(AuditViolation {
+                invariant: Invariant::FlitConservation,
+                cycle,
+                node: None,
+                buffer: None,
+                packet: None,
+                detail: format!(
+                    "source-backlog counter {} drifted from derived backlog {}",
+                    net.source_backlog(),
+                    occ.source_flits
+                ),
+            });
+        }
+        for v in 0..net.nodes.len() {
+            self.check_node_buffers(net, v, cycle);
+        }
+    }
 
     /// Called when the stall watchdog fires: inspects the wait-for
     /// graph of blocked VCs to tell deadlock from starvation.
-    pub(crate) fn on_stall<Q: Probe>(&mut self, sim: &Simulation<Q>) {
+    fn on_stall(&mut self, net: &Network) {
         self.report.checks += 1;
-        match find_circular_wait(sim) {
+        match find_circular_wait(net) {
             Some(chain) => {
                 let witness: Vec<String> = chain.iter().map(|b| b.to_string()).collect();
                 self.push(AuditViolation {
                     invariant: Invariant::Progress,
-                    cycle: sim.cycle(),
+                    cycle: net.cycle(),
                     node: chain.first().map(|b| b.node),
                     buffer: chain.first().copied(),
                     packet: None,
@@ -816,7 +849,7 @@ impl Auditor {
             None => {
                 self.push(AuditViolation {
                     invariant: Invariant::Progress,
-                    cycle: sim.cycle(),
+                    cycle: net.cycle(),
                     node: None,
                     buffer: None,
                     packet: None,
@@ -844,22 +877,22 @@ impl Auditor {
 /// Ejection queues are sinks (the IP drains them every cycle) and
 /// source queues hold no network resource, so neither can close a
 /// cycle.
-fn find_circular_wait<Q: Probe>(sim: &Simulation<Q>) -> Option<Vec<BufferRef>> {
-    let vcs = sim.vcs;
-    let n = sim.nodes.len();
+fn find_circular_wait(net: &Network) -> Option<Vec<BufferRef>> {
+    let vcs = net.vcs;
+    let n = net.nodes.len();
     // Resource ids: per node, `dirs.len() * vcs` input slots followed by
     // `dirs.len() * vcs` output slots.
     let mut base = vec![0usize; n + 1];
     for v in 0..n {
-        base[v + 1] = base[v] + 2 * sim.nodes[v].dirs.len() * vcs;
+        base[v + 1] = base[v] + 2 * net.nodes[v].dirs.len() * vcs;
     }
     let total = base[n];
     let input_id = |v: usize, d: usize, c: usize| base[v] + d * vcs + c;
     let output_id =
-        |v: usize, d: usize, c: usize| base[v] + sim.nodes[v].dirs.len() * vcs + d * vcs + c;
+        |v: usize, d: usize, c: usize| base[v] + net.nodes[v].dirs.len() * vcs + d * vcs + c;
     let mut refs: Vec<Option<BufferRef>> = vec![None; total];
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); total];
-    for (v, node) in sim.nodes.iter().enumerate() {
+    for (v, node) in net.nodes.iter().enumerate() {
         for d in 0..node.dirs.len() {
             let dir = node.dirs[d];
             for c in 0..vcs {
@@ -875,40 +908,40 @@ fn find_circular_wait<Q: Probe>(sim: &Simulation<Q>) -> Option<Vec<BufferRef>> {
                     direction: Some(dir),
                     vc: c,
                 });
-                let s = sim.link_slot(v, d, c);
+                let s = net.link_slot(v, d, c);
                 // Output queue -> downstream input buffer.
-                if !sim.outputs.is_empty(s) {
+                if !net.outputs.is_empty(s) {
                     let (u, up) = node.peer[d];
-                    if !sim.inputs.has_space(sim.link_slot(u, up, c)) {
+                    if !net.inputs.has_space(net.link_slot(u, up, c)) {
                         adj[output_id(v, d, c)].push(input_id(u, up, c));
                     }
                 }
                 // Input buffer -> blocked output queue(s) at this node.
-                let Some(&flit) = sim.inputs.iter(s).next() else {
+                let Some(&flit) = net.inputs.iter(s).next() else {
                     continue;
                 };
                 if flit.kind.is_head() {
-                    let dst = sim.arena.dst(flit.pkt);
-                    for cand in sim.routing.candidates(NodeId::new(v), dst) {
+                    let dst = net.arena.dst(flit.pkt);
+                    for cand in net.routing.candidates(NodeId::new(v), dst) {
                         if cand == Direction::Local {
                             continue; // ejection queues always drain
                         }
                         let Some(p) = node.dirs.iter().position(|&x| x == cand) else {
                             continue; // illegal hop, flagged elsewhere
                         };
-                        let out_vc = sim.routing.vc_for_hop(NodeId::new(v), dst, cand, c);
+                        let out_vc = net.routing.vc_for_hop(NodeId::new(v), dst, cand, c);
                         if out_vc < vcs
-                            && !sim.outputs.can_accept(sim.link_slot(v, p, out_vc), &flit)
+                            && !net.outputs.can_accept(net.link_slot(v, p, out_vc), &flit)
                         {
                             adj[input_id(v, d, c)].push(output_id(v, p, out_vc));
                         }
                     }
-                } else if let Some(route) = sim.inputs.route(s) {
+                } else if let Some(route) = net.inputs.route(s) {
                     // Ejection channels (the slots after the link slots)
                     // always drain; a link slot's offset from the node's
                     // base is its `port * vcs + vc`.
                     let local = route.out - node.base;
-                    if route.out < sim.eject_slot(v, 0) && !sim.outputs.can_accept(route.out, &flit)
+                    if route.out < net.eject_slot(v, 0) && !net.outputs.can_accept(route.out, &flit)
                     {
                         adj[input_id(v, d, c)].push(output_id(v, local / vcs, local % vcs));
                     }
@@ -1001,6 +1034,12 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("flit-conservation"), "{text}");
         assert!(text.contains("cycle 42"), "{text}");
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_interval_rejected() {
+        let _ = Auditor::with_interval(0);
     }
 
     #[test]

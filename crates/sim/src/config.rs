@@ -81,19 +81,6 @@ pub struct SimConfig {
     /// [`input_buffer_capacity`](Self::input_buffer_capacity) to model
     /// overlapped pipelines.
     pub router_delay: u64,
-    /// Attach the runtime invariant auditor ([`crate::audit`]): flit
-    /// conservation, buffer bounds, wormhole ordering, route legality
-    /// and deadlock diagnosis are checked while the simulation runs,
-    /// with findings collected in a [`crate::AuditReport`]. Auditing
-    /// never changes simulation behaviour — an audited run produces
-    /// bit-identical statistics to an unaudited run of the same seed.
-    pub audit: bool,
-    /// Cycle stride of the auditor's whole-network sweep (conservation
-    /// and buffer checks): 1 audits every cycle, larger values trade
-    /// coverage for speed. Per-flit checks (route legality, wormhole
-    /// ordering) always run on every event. Ignored unless
-    /// [`audit`](Self::audit) is set.
-    pub audit_interval: u64,
     /// Sparse activity tracking (on by default): each cycle the
     /// simulator visits only routers holding flits, with idle stretches
     /// of the whole network fast-forwarded to the next scheduled
@@ -133,7 +120,7 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a zero packet length,
-    /// sink rate, measurement window, stall threshold or audit interval;
+    /// sink rate, measurement window or stall threshold;
     /// a negative or non-finite injection rate; buffer capacities outside
     /// `1..=`[`MAX_BUFFER_CAPACITY`]; or a sink rate above
     /// [`MAX_SINK_RATE`].
@@ -158,8 +145,6 @@ impl SimConfig {
             "measure_cycles must be positive".to_owned()
         } else if self.stall_threshold == 0 {
             "stall_threshold must be positive".to_owned()
-        } else if self.audit_interval == 0 {
-            "audit_interval must be positive".to_owned()
         } else {
             return Ok(());
         };
@@ -199,8 +184,6 @@ impl SimConfigBuilder {
                 record_deliveries: false,
                 sample_interval: 0,
                 router_delay: 0,
-                audit: false,
-                audit_interval: 1,
                 sparse: true,
                 compiled_routes: true,
             },
@@ -282,18 +265,6 @@ impl SimConfigBuilder {
     /// Sets the router pipeline depth in cycles.
     pub fn router_delay(&mut self, cycles: u64) -> &mut Self {
         self.config.router_delay = cycles;
-        self
-    }
-
-    /// Enables or disables the runtime invariant auditor.
-    pub fn audit(&mut self, enabled: bool) -> &mut Self {
-        self.config.audit = enabled;
-        self
-    }
-
-    /// Sets the cycle stride of the auditor's whole-network sweep.
-    pub fn audit_interval(&mut self, cycles: u64) -> &mut Self {
-        self.config.audit_interval = cycles;
         self
     }
 
@@ -434,25 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_zero_audit_interval() {
-        assert!(rejection(|c| c.audit_interval = 0).contains("audit_interval"));
-    }
-
-    #[test]
-    fn audit_fields_build_and_default_off() {
-        let cfg = SimConfig::default();
-        assert!(!cfg.audit);
-        assert_eq!(cfg.audit_interval, 1);
-        let cfg = SimConfig::builder()
-            .audit(true)
-            .audit_interval(16)
-            .build()
-            .unwrap();
-        assert!(cfg.audit);
-        assert_eq!(cfg.audit_interval, 16);
-    }
-
-    #[test]
     fn partial_json_configs_fill_defaults() {
         // Specs written before a field existed must still parse.
         let cfg: SimConfig =
@@ -464,6 +416,17 @@ mod tests {
         assert!(!cfg.record_deliveries);
         assert!(cfg.sparse, "old specs get the sparse core");
         assert!(cfg.compiled_routes);
+        // The retired `audit` keys are ignored: auditing is a probe
+        // (`crate::Auditor`), not part of the configuration.
+        let old: SimConfig =
+            serde_json::from_str(r#"{"audit": true, "audit_interval": 0, "seed": 9}"#).unwrap();
+        assert_eq!(
+            old,
+            SimConfig {
+                seed: 9,
+                ..SimConfig::default()
+            }
+        );
     }
 
     #[test]

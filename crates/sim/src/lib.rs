@@ -58,11 +58,13 @@ mod network;
 pub mod probe;
 mod stats;
 
-pub use audit::{AuditReport, AuditViolation, BufferClass, BufferRef, Invariant, StallDiagnosis};
+pub use audit::{
+    AuditReport, AuditViolation, Auditor, BufferClass, BufferRef, Invariant, StallDiagnosis,
+};
 pub use config::{SimConfig, SimConfigBuilder, MAX_BUFFER_CAPACITY, MAX_SINK_RATE};
 pub use error::SimError;
 pub use flit::{ArenaFlit, Flit, FlitKind, PacketArena, PacketId, PacketRef};
-pub use network::{Delivery, Occupancy, Simulation};
+pub use network::{Delivery, Network, Occupancy, Simulation};
 pub use probe::{
     BufferPeak, LatencyBreakdown, NetworkShape, NullProbe, PacketTiming, Probe, Recorder,
     TraceEvent, WindowSample,

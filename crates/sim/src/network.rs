@@ -93,7 +93,6 @@
 //! skip, so it stays an independent oracle for the differential
 //! conformance checks; both modes produce bit-identical results.
 
-use crate::audit::{AuditReport, Auditor};
 use crate::buffer::{InputRings, OutputRings, SlotRoute};
 use crate::des::{EventQueue, SimTime};
 use crate::flit::{ArenaFlit, FlitKind, PacketArena};
@@ -105,6 +104,7 @@ use noc_topology::{Direction, NodeId, Topology};
 use noc_traffic::{Trace, TrafficPattern};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 /// Sentinel in a node's direction→port map for directions the node has
 /// no link in.
@@ -113,8 +113,9 @@ const NO_PORT: u8 = u8::MAX;
 /// Per-node router and network-interface state (the buffers
 /// themselves live in the simulation's network-wide rings).
 ///
-/// Crate-visible so the [`Auditor`] can read (never write) the node's
-/// layout when re-deriving occupancy and wormhole structure.
+/// Crate-visible so the [`Auditor`](crate::Auditor) can read (never
+/// write) the node's layout when re-deriving occupancy and wormhole
+/// structure.
 #[derive(Debug)]
 pub(crate) struct NodeState {
     /// Link directions at this node (canonical order).
@@ -142,13 +143,20 @@ pub(crate) struct NodeState {
 }
 
 /// A complete wormhole NoC simulation: topology + routing + traffic +
-/// configuration, advanced in synchronous cycles.
+/// configuration, advanced in synchronous cycles, with an observation
+/// probe attached.
 ///
-/// The type parameter `P` is the attached observation probe
-/// ([`crate::probe`]). It defaults to [`NullProbe`], whose empty
-/// inlined hooks monomorphize away — the plain simulator pays nothing
-/// for the instrumentation points. Attach a recording probe with
-/// [`with_probe`](Simulation::with_probe).
+/// The type parameter `P` is the probe ([`crate::probe`]). It defaults
+/// to [`NullProbe`], whose empty inlined hooks monomorphize away — the
+/// plain simulator pays nothing for the instrumentation points. Attach
+/// a [`Recorder`](crate::Recorder) or an [`Auditor`](crate::Auditor)
+/// with [`with_probe`](Simulation::with_probe).
+///
+/// The probe sits beside the [`Network`] it observes, not inside it, so
+/// the cycle phases can hand it a read-only view of the network while
+/// they advance it. A `Simulation` dereferences to that `Network` for
+/// every state accessor ([`cycle`](Network::cycle),
+/// [`occupancy`](Network::occupancy), ...).
 ///
 /// # Examples
 ///
@@ -173,7 +181,18 @@ pub(crate) struct NodeState {
 /// ```
 #[derive(Debug)]
 pub struct Simulation<P: Probe = NullProbe> {
-    topo: Box<dyn Topology>,
+    net: Network,
+    probe: P,
+}
+
+/// The state of a simulated network: routers, buffers, packets in
+/// flight, the clock and the statistics gathered so far.
+///
+/// Probe hooks receive it read-only; a [`Simulation`] dereferences to
+/// it.
+#[derive(Debug)]
+pub struct Network {
+    pub(crate) topo: Box<dyn Topology>,
     pub(crate) routing: Box<dyn RoutingAlgorithm>,
     /// Precompiled next-hop table, present when the algorithm is
     /// deterministic and [`SimConfig::compiled_routes`] is enabled.
@@ -181,7 +200,7 @@ pub struct Simulation<P: Probe = NullProbe> {
     compiled: Option<CompiledRoutes>,
     /// `None` in trace-replay mode.
     pattern: Option<Box<dyn TrafficPattern>>,
-    config: SimConfig,
+    pub(crate) config: SimConfig,
     pub(crate) vcs: usize,
     num_sources: usize,
     rng: SmallRng,
@@ -213,7 +232,7 @@ pub struct Simulation<P: Probe = NullProbe> {
     /// incrementally (generation adds, injection subtracts) so
     /// [`source_backlog`](Self::source_backlog) is O(1) and consistent
     /// with [`in_network`](Self::flits_in_network) at every phase
-    /// boundary of [`step`](Self::step).
+    /// boundary of a cycle.
     source_flits: u64,
     /// Lifetime totals (warmup included), for conservation checks.
     total_flits_generated: u64,
@@ -273,14 +292,6 @@ pub struct Simulation<P: Probe = NullProbe> {
     /// downstream input buffer full and that buffer has not popped
     /// since. Sparse mode only.
     link_blocked: Vec<u32>,
-    /// Runtime invariant auditor, attached when
-    /// [`SimConfig::audit`] is set. Boxed: the common unaudited path
-    /// pays one pointer; hooks take/restore it around calls so the
-    /// auditor can read the rest of the simulation.
-    auditor: Option<Box<Auditor>>,
-    /// Observation probe: hooks fire on every lifecycle transition.
-    /// [`NullProbe`] (the default) compiles them all away.
-    probe: P,
 }
 
 /// Per-node flit occupancy by buffer class. Kept in one 16-byte struct
@@ -320,8 +331,8 @@ struct Arrival {
 
 /// Snapshot of flit occupancy across the network's buffer classes.
 ///
-/// Produced by [`Simulation::occupancy`]; the sum of the router-side
-/// fields equals [`Simulation::flits_in_network`].
+/// Produced by [`Network::occupancy`]; the sum of the router-side
+/// fields equals [`Network::flits_in_network`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Occupancy {
@@ -379,55 +390,7 @@ impl Simulation {
         pattern: Box<dyn TrafficPattern>,
         config: SimConfig,
     ) -> Result<Self, SimError> {
-        if pattern.num_nodes() != topology.num_nodes() {
-            return Err(SimError::NodeCountMismatch {
-                topology: topology.num_nodes(),
-                pattern: pattern.num_nodes(),
-            });
-        }
         Simulation::with_probe(topology, routing, pattern, config, NullProbe)
-    }
-
-    /// Builds a **trace-replay** simulation: packets are injected
-    /// exactly as listed in `trace` (paper future work: application
-    /// traffic), with no stochastic sources.
-    ///
-    /// The injection-rate and injection-process configuration fields
-    /// are ignored in this mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidTrace`] if the trace addresses nodes
-    /// outside the topology.
-    pub fn with_trace(
-        topology: Box<dyn Topology>,
-        routing: Box<dyn RoutingAlgorithm>,
-        trace: &Trace,
-        config: SimConfig,
-    ) -> Result<Self, SimError> {
-        if trace.num_nodes() != topology.num_nodes() {
-            return Err(SimError::InvalidTrace {
-                reason: format!(
-                    "trace covers {} nodes but topology has {}",
-                    trace.num_nodes(),
-                    topology.num_nodes()
-                ),
-            });
-        }
-        let sources = trace.sources();
-        let is_source = |v: NodeId| sources.binary_search(&v).is_ok();
-        let mut sim = Self::assemble(topology, routing, None, config, &is_source, NullProbe)?;
-        sim.num_sources = sources.len();
-        for entry in trace.entries() {
-            sim.arrivals.schedule(
-                SimTime::new(entry.cycle as f64),
-                Arrival {
-                    node: entry.src.index(),
-                    dst: Some(entry.dst),
-                },
-            );
-        }
-        Ok(sim)
     }
 }
 
@@ -435,7 +398,7 @@ impl<P: Probe> Simulation<P> {
     /// Builds a simulation like [`Simulation::new`] with an observation
     /// probe attached ([`crate::probe`]).
     ///
-    /// The probe receives the network description once
+    /// The probe sees the assembled network once
     /// ([`Probe::on_attach`]) and every lifecycle hook afterwards; read
     /// it back with [`probe`](Self::probe) or
     /// [`into_probe`](Self::into_probe) after running. Probes only
@@ -452,29 +415,117 @@ impl<P: Probe> Simulation<P> {
         pattern: Box<dyn TrafficPattern>,
         config: SimConfig,
         probe: P,
-    ) -> Result<Simulation<P>, SimError> {
+    ) -> Result<Self, SimError> {
         if pattern.num_nodes() != topology.num_nodes() {
             return Err(SimError::NodeCountMismatch {
                 topology: topology.num_nodes(),
                 pattern: pattern.num_nodes(),
             });
         }
-        let sources: Vec<NodeId> = pattern.sources();
-        let is_source = |v: NodeId| sources.binary_search(&v).is_ok();
-        let mut sim = Self::assemble(topology, routing, Some(pattern), config, &is_source, probe)?;
-        sim.num_sources = sources.len();
-        sim.schedule_initial_arrivals();
-        Ok(sim)
+        let sources = pattern.sources();
+        let mut net = Network::assemble(topology, routing, Some(pattern), config, &sources)?;
+        net.schedule_initial_arrivals();
+        Ok(Simulation::attach(net, probe))
     }
 
+    /// Builds a **trace-replay** simulation with `probe` attached:
+    /// packets are injected exactly as listed in `trace` (paper future
+    /// work: application traffic), with no stochastic sources.
+    ///
+    /// The injection-rate and injection-process configuration fields
+    /// are ignored in this mode.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidTrace`] if the trace addresses nodes
+    /// outside the topology.
+    pub fn with_trace(
+        topology: Box<dyn Topology>,
+        routing: Box<dyn RoutingAlgorithm>,
+        trace: &Trace,
+        config: SimConfig,
+        probe: P,
+    ) -> Result<Self, SimError> {
+        if trace.num_nodes() != topology.num_nodes() {
+            return Err(SimError::InvalidTrace {
+                reason: format!(
+                    "trace covers {} nodes but topology has {}",
+                    trace.num_nodes(),
+                    topology.num_nodes()
+                ),
+            });
+        }
+        let mut net = Network::assemble(topology, routing, None, config, &trace.sources())?;
+        for entry in trace.entries() {
+            net.arrivals.schedule(
+                SimTime::new(entry.cycle as f64),
+                Arrival {
+                    node: entry.src.index(),
+                    dst: Some(entry.dst),
+                },
+            );
+        }
+        Ok(Simulation::attach(net, probe))
+    }
+
+    fn attach(net: Network, mut probe: P) -> Self {
+        probe.on_attach(&net);
+        Simulation { net, probe }
+    }
+
+    /// The attached observation probe.
+    pub fn probe(&self) -> &P {
+        &self.probe
+    }
+
+    /// Consumes the simulation and returns its probe (a
+    /// [`Recorder`](crate::Recorder) holding the captured trace, an
+    /// [`Auditor`](crate::Auditor) holding its report).
+    pub fn into_probe(self) -> P {
+        self.probe
+    }
+
+    /// Runs warmup plus measurement and returns the collected
+    /// statistics.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Stalled`] if the deadlock watchdog fires.
+    pub fn run(&mut self) -> Result<SimStats, SimError> {
+        self.net.run(&mut self.probe)
+    }
+
+    /// Advances the simulation by one cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Stalled`] if no flit has moved for the
+    /// configured threshold while flits are in flight.
+    pub fn step(&mut self) -> Result<(), SimError> {
+        self.net.step(&mut self.probe)
+    }
+}
+
+impl<P: Probe> Deref for Simulation<P> {
+    type Target = Network;
+
+    fn deref(&self) -> &Network {
+        &self.net
+    }
+}
+
+// The phase methods are generic over the probe, so they are compiled in
+// the crate that runs the simulation; the non-generic helpers they call
+// every cycle or every allocation attempt are `#[inline]` so they can
+// still be inlined there.
+impl Network {
     fn assemble(
         topology: Box<dyn Topology>,
         routing: Box<dyn RoutingAlgorithm>,
         pattern: Option<Box<dyn TrafficPattern>>,
         config: SimConfig,
-        is_source: &dyn Fn(NodeId) -> bool,
-        mut probe: P,
-    ) -> Result<Simulation<P>, SimError> {
+        sources: &[NodeId],
+    ) -> Result<Network, SimError> {
         config.validate()?;
         let vcs = routing.num_vcs_required().max(1);
         let n = topology.num_nodes();
@@ -519,7 +570,7 @@ impl<P: Probe> Simulation<P> {
                 base,
                 source_queue: VecDeque::new(),
                 source_route: None,
-                is_source: is_source(v),
+                is_source: sources.binary_search(&v).is_ok(),
                 port_of,
                 dirs,
             });
@@ -544,29 +595,6 @@ impl<P: Probe> Simulation<P> {
             slot_port.extend((0..config.sink_rate).map(|k| (node.dirs.len() as u8, k as u8)));
         }
 
-        let auditor = if config.audit {
-            Some(Box::new(Auditor::attach(
-                topology.as_ref(),
-                routing.as_ref(),
-                &nodes,
-                vcs,
-                &config,
-            )))
-        } else {
-            None
-        };
-
-        probe.on_attach(NetworkShape {
-            num_nodes: n,
-            vcs,
-            packet_len: config.packet_len,
-            router_delay: config.router_delay,
-            warmup_cycles: config.warmup_cycles,
-            sink_channels: config.sink_rate,
-            dirs: nodes.iter().map(|node| node.dirs.clone()).collect(),
-            peer: nodes.iter().map(|node| node.peer.clone()).collect(),
-        });
-
         let compiled = if config.compiled_routes {
             CompiledRoutes::compile(routing.as_ref(), topology.as_ref())
         } else {
@@ -580,13 +608,13 @@ impl<P: Probe> Simulation<P> {
             (vec![true; n], (0..n).collect())
         };
 
-        Ok(Simulation {
+        Ok(Network {
             topo: topology,
             routing,
             compiled,
             pattern,
             vcs,
-            num_sources: 0,
+            num_sources: sources.len(),
             rng: SmallRng::seed_from_u64(config.seed),
             nodes,
             outputs: OutputRings::new(slots, config.output_buffer_capacity),
@@ -620,8 +648,6 @@ impl<P: Probe> Simulation<P> {
             blocked: vec![0; n],
             waiters: vec![0; slots],
             link_blocked: vec![0; n],
-            auditor,
-            probe,
             config,
         })
     }
@@ -641,6 +667,26 @@ impl<P: Probe> Simulation<P> {
                     .schedule(SimTime::new(dt), Arrival { node: v, dst: None });
             }
         }
+    }
+
+    /// The static description of the network (what a
+    /// [`Recorder`](crate::Recorder) keeps at attach time).
+    pub(crate) fn shape(&self) -> NetworkShape {
+        NetworkShape {
+            num_nodes: self.nodes.len(),
+            vcs: self.vcs,
+            packet_len: self.config.packet_len,
+            router_delay: self.config.router_delay,
+            warmup_cycles: self.config.warmup_cycles,
+            sink_channels: self.config.sink_rate,
+            dirs: self.nodes.iter().map(|node| node.dirs.clone()).collect(),
+            peer: self.nodes.iter().map(|node| node.peer.clone()).collect(),
+        }
+    }
+
+    /// The simulated topology.
+    pub fn topology(&self) -> &dyn Topology {
+        self.topo.as_ref()
     }
 
     /// Current simulation cycle.
@@ -751,45 +797,16 @@ impl<P: Probe> Simulation<P> {
         self.compiled.is_some()
     }
 
-    /// The audit findings so far, if auditing is enabled
-    /// ([`SimConfig::audit`]).
-    pub fn audit_report(&self) -> Option<&AuditReport> {
-        self.auditor.as_ref().map(|a| a.report())
-    }
-
-    /// Detaches the auditor and returns its final report, if auditing
-    /// was enabled. Subsequent cycles run unaudited.
-    pub fn take_audit_report(&mut self) -> Option<AuditReport> {
-        self.auditor.take().map(|a| a.into_report())
-    }
-
-    /// The attached observation probe.
-    pub fn probe(&self) -> &P {
-        &self.probe
-    }
-
-    /// Consumes the simulation and returns its probe (typically a
-    /// [`crate::Recorder`] holding the captured trace).
-    pub fn into_probe(self) -> P {
-        self.probe
-    }
-
-    /// Runs warmup plus measurement and returns the collected
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stalled`] if the deadlock watchdog fires.
-    pub fn run(&mut self) -> Result<SimStats, SimError> {
+    fn run<P: Probe>(&mut self, probe: &mut P) -> Result<SimStats, SimError> {
         let total = self.config.total_cycles();
         while self.cycle < total {
             if self.cycle == self.config.warmup_cycles {
                 self.begin_measurement();
             }
-            if self.try_fast_forward(total) {
+            if self.try_fast_forward::<P>(total) {
                 continue;
             }
-            self.step()?;
+            self.step(probe)?;
         }
         let mut stats = self.stats.clone();
         stats.measured_cycles = self.config.measure_cycles;
@@ -817,12 +834,12 @@ impl<P: Probe> Simulation<P> {
     /// scheduled arrival is a no-op, including its statistics — the
     /// only dense side effect, zero-valued throughput samples, is
     /// replayed here. Never crosses the warmup boundary (so
-    /// measurement starts on time) and never fires under an auditor or
-    /// an active probe, both of which observe every cycle.
+    /// measurement starts on time) and never fires under an active
+    /// probe (a recorder or an auditor), which observes every cycle.
     ///
     /// Returns `true` if the clock advanced.
-    fn try_fast_forward(&mut self, total: u64) -> bool {
-        if !self.config.sparse || P::ACTIVE || self.auditor.is_some() {
+    fn try_fast_forward<P: Probe>(&mut self, total: u64) -> bool {
+        if !self.config.sparse || P::ACTIVE {
             return false;
         }
         if self.in_network != 0 || self.source_flits != 0 {
@@ -885,6 +902,7 @@ impl<P: Probe> Simulation<P> {
     }
 
     /// Folds `pending_active` into the sorted worklist.
+    #[inline]
     fn merge_pending(&mut self) {
         if self.pending_active.is_empty() {
             return;
@@ -901,11 +919,12 @@ impl<P: Probe> Simulation<P> {
 
     /// Drops routers whose flit count hit zero from the worklist
     /// (sparse mode only; dense mode keeps everyone).
+    #[inline]
     fn retire_idle(&mut self) {
         if !self.config.sparse {
             return;
         }
-        let Simulation {
+        let Network {
             active_nodes,
             active_mask,
             node_flits,
@@ -921,40 +940,27 @@ impl<P: Probe> Simulation<P> {
         });
     }
 
-    /// Advances the simulation by one cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stalled`] if no flit has moved for the
-    /// configured threshold while flits are in flight.
-    pub fn step(&mut self) -> Result<(), SimError> {
+    fn step<P: Probe>(&mut self, probe: &mut P) -> Result<(), SimError> {
         let mut moved = false;
-        self.generate();
+        self.generate(probe);
         self.merge_pending();
-        moved |= self.consume();
-        moved |= self.transfer_links();
+        moved |= self.consume(probe);
+        moved |= self.transfer_links(probe);
         // Link arrivals can enable same-cycle switch allocation at the
         // receiver (zero router delay), so merge before allocating.
         self.merge_pending();
-        moved |= self.allocate_switches();
+        moved |= self.allocate_switches(probe);
         self.active_node_cycles += self.active_nodes.len() as u64;
         self.end_of_cycle_bookkeeping();
-        self.probe.on_cycle_end(self.cycle);
-        if let Some(mut auditor) = self.auditor.take() {
-            auditor.on_cycle_end(&*self);
-            self.auditor = Some(auditor);
-        }
+        probe.on_cycle_end(self);
         self.retire_idle();
 
         if !moved && self.in_network > 0 {
             self.idle_cycles += 1;
             if self.idle_cycles >= self.config.stall_threshold {
-                // Before reporting the stall, let the auditor inspect
-                // the wait-for graph to tell deadlock from starvation.
-                if let Some(mut auditor) = self.auditor.take() {
-                    auditor.on_stall(&*self);
-                    self.auditor = Some(auditor);
-                }
+                // Before reporting the stall, let the probe inspect the
+                // network (the auditor tells deadlock from starvation).
+                probe.on_stall(self);
                 return Err(SimError::Stalled {
                     cycle: self.cycle,
                     flits_in_flight: self.in_network,
@@ -969,7 +975,7 @@ impl<P: Probe> Simulation<P> {
 
     /// Phase 1: drain this cycle's arrival events into source queues
     /// and reschedule each source's next arrival.
-    fn generate(&mut self) {
+    fn generate<P: Probe>(&mut self, probe: &mut P) {
         let deadline = SimTime::new((self.cycle + 1) as f64);
         let rate = self.config.packets_per_cycle();
         while let Some((t, arrival)) = self.arrivals.pop_before(deadline) {
@@ -984,7 +990,7 @@ impl<P: Probe> Simulation<P> {
             self.next_packet += 1;
             let len = self.config.packet_len;
             let pkt = self.arena.alloc(pid, src, dst, self.cycle);
-            self.probe.on_generate(self.cycle, pid, src, dst, len);
+            probe.on_generate(self.cycle, pid, src, dst, len);
             self.total_flits_generated += len as u64;
             self.source_flits += len as u64;
             if self.measuring {
@@ -1021,7 +1027,7 @@ impl<P: Probe> Simulation<P> {
 
     /// Phase 2: sinks drain ejection queues round-robin, up to
     /// `sink_rate` flits per node per cycle.
-    fn consume(&mut self) -> bool {
+    fn consume<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut moved = false;
         let channels = self.config.sink_rate;
         // The sink round-robin pointer used to advance once per node
@@ -1054,13 +1060,9 @@ impl<P: Probe> Simulation<P> {
                     self.in_network -= 1;
                     self.node_flits[v].eject -= 1;
                     self.total_flits_consumed += 1;
-                    if self.auditor.is_some() || P::ACTIVE {
+                    if P::ACTIVE {
                         let full = self.arena.materialize(flit);
-                        if let Some(mut auditor) = self.auditor.take() {
-                            auditor.on_consume(self.cycle, v, &full);
-                            self.auditor = Some(auditor);
-                        }
-                        self.probe.on_consume(self.cycle, v, q, &full);
+                        probe.on_consume(self.cycle, v, q, &full);
                     }
                     if self.measuring {
                         self.stats.flits_delivered += 1;
@@ -1115,7 +1117,7 @@ impl<P: Probe> Simulation<P> {
     /// and a link VC parked on a full downstream buffer would find it
     /// still full (only the allocation phase pops input buffers, and
     /// each pop un-parks the buffer's one feeder).
-    fn transfer_links(&mut self) -> bool {
+    fn transfer_links<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut moved = false;
         let eligible = self.cycle + self.config.router_delay;
         let sparse = self.config.sparse;
@@ -1163,13 +1165,9 @@ impl<P: Probe> Simulation<P> {
                     self.wake(v, s);
                     self.nodes[v].link_rr[d] = if vc + 1 == vcs { 0 } else { vc + 1 };
                     flit.hops += 1;
-                    if self.auditor.is_some() || P::ACTIVE {
+                    if P::ACTIVE {
                         let full = self.arena.materialize(flit);
-                        if let Some(mut auditor) = self.auditor.take() {
-                            auditor.on_link_transfer(&*self, v, d, vc, &full);
-                            self.auditor = Some(auditor);
-                        }
-                        self.probe.on_link_traverse(self.cycle, v, d, vc, &full);
+                        probe.on_link_traverse(self, v, d, vc, &full);
                     }
                     self.inputs.receive(t, flit, eligible);
                     let (peer, peer_port) = self.nodes[v].peer[d];
@@ -1194,7 +1192,7 @@ impl<P: Probe> Simulation<P> {
     }
 
     /// Phase 4: switch allocation at every active router.
-    fn allocate_switches(&mut self) -> bool {
+    fn allocate_switches<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut moved = false;
         let sparse = self.config.sparse;
         let active = std::mem::take(&mut self.active_nodes);
@@ -1205,7 +1203,7 @@ impl<P: Probe> Simulation<P> {
             if sparse && self.occupied_slots(v) & !self.blocked[v] == 0 {
                 continue;
             }
-            moved |= self.allocate_node(v);
+            moved |= self.allocate_node(v, probe);
         }
         self.active_nodes = active;
         moved
@@ -1221,7 +1219,7 @@ impl<P: Probe> Simulation<P> {
     /// Runs switch allocation for one router: rotating priority over
     /// the source queue and every (input port, VC), one write per
     /// output port per cycle.
-    fn allocate_node(&mut self, v: usize) -> bool {
+    fn allocate_node<P: Probe>(&mut self, v: usize, probe: &mut P) -> bool {
         let num_dirs = self.nodes[v].dirs.len();
         let nslots = 1 + num_dirs * self.vcs;
         // Like the sink pointer, the rotating priority used to advance
@@ -1259,9 +1257,9 @@ impl<P: Probe> Simulation<P> {
                 continue;
             }
             moved |= if slot == 0 {
-                self.try_inject(v, &mut used)
+                self.try_inject(v, &mut used, probe)
             } else {
-                self.try_forward(v, slot, &mut used)
+                self.try_forward(v, slot, &mut used, probe)
             };
         }
         moved
@@ -1273,6 +1271,7 @@ impl<P: Probe> Simulation<P> {
     /// algorithms yield exactly one candidate — served from the
     /// precompiled table when available; adaptive ones several, and the
     /// switch takes the first whose queue can accept the flit.
+    #[inline]
     fn head_routes_into(
         &mut self,
         v: usize,
@@ -1345,6 +1344,7 @@ impl<P: Probe> Simulation<P> {
     /// until one of those queues is pushed or popped. A candidate whose
     /// crossbar port was already used this cycle is a transient failure
     /// and parks nothing.
+    #[inline]
     fn try_place(
         &mut self,
         v: usize,
@@ -1410,7 +1410,13 @@ impl<P: Probe> Simulation<P> {
     /// Tries to move the head-of-line flit of the input buffer behind
     /// allocation slot `slot` (`1 + d * vcs + vc`) at node `v` into its
     /// output queue.
-    fn try_forward(&mut self, v: usize, slot: usize, used: &mut [usize]) -> bool {
+    fn try_forward<P: Probe>(
+        &mut self,
+        v: usize,
+        slot: usize,
+        used: &mut [usize],
+        probe: &mut P,
+    ) -> bool {
         let s = self.nodes[v].base + slot - 1;
         // A flit still in the router pipeline is a transient failure:
         // nothing is parked.
@@ -1447,7 +1453,7 @@ impl<P: Probe> Simulation<P> {
             let (port, out_vc) = self.slot_port[route.out];
             let out_port = (usize::from(port) != self.nodes[v].dirs.len()).then_some(port.into());
             let full = self.arena.materialize(flit);
-            self.probe.on_buffer_exit(
+            probe.on_buffer_exit(
                 self.cycle,
                 v,
                 d.into(),
@@ -1472,7 +1478,7 @@ impl<P: Probe> Simulation<P> {
 
     /// Tries to inject the head-of-line flit of the source queue
     /// (allocation slot 0).
-    fn try_inject(&mut self, v: usize, used: &mut [usize]) -> bool {
+    fn try_inject<P: Probe>(&mut self, v: usize, used: &mut [usize], probe: &mut P) -> bool {
         let Some(&flit) = self.nodes[v].source_queue.front() else {
             return false;
         };
@@ -1506,8 +1512,7 @@ impl<P: Probe> Simulation<P> {
         if P::ACTIVE {
             let (port, out_vc) = self.slot_port[route.out];
             let full = self.arena.materialize(flit);
-            self.probe
-                .on_inject(self.cycle, v, port.into(), out_vc.into(), &full);
+            probe.on_inject(self.cycle, v, port.into(), out_vc.into(), &full);
         }
         let node = &mut self.nodes[v];
         node.source_queue.pop_front();
@@ -1522,6 +1527,7 @@ impl<P: Probe> Simulation<P> {
     }
 
     /// Phase 5: per-cycle statistics updates.
+    #[inline]
     fn end_of_cycle_bookkeeping(&mut self) {
         if self.measuring && self.config.sample_interval > 0 {
             let elapsed = self.cycle + 1 - self.config.warmup_cycles;
@@ -1849,7 +1855,8 @@ mod tests {
         let routing = RingShortestPath::new(&topo);
         let trace = Trace::new(8, Vec::new()).unwrap();
         let err =
-            Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, config).unwrap_err();
+            Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, config, NullProbe)
+                .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
     }
 

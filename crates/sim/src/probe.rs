@@ -2,11 +2,14 @@
 //! and per-packet latency decomposition.
 //!
 //! The simulator hot path is instrumented through the sealed [`Probe`]
-//! trait. [`Simulation`](crate::Simulation) is generic over its probe
+//! trait, the one observation path of the simulator.
+//! [`Simulation`](crate::Simulation) is generic over its probe
 //! (`Simulation<P: Probe = NullProbe>`), so the default build
 //! monomorphizes every hook into an empty inlined call — the unprobed
 //! simulator pays nothing (the repository benchmark's traced run
-//! reports a recorder's cost as `probe.recorder_over_null.*`).
+//! reports a recorder's cost as `probe.recorder_over_null.*`). Besides
+//! [`NullProbe`] there are two probes: the runtime invariant
+//! [`Auditor`](crate::Auditor) ([`crate::audit`]) and the [`Recorder`].
 //! Attaching a [`Recorder`] via
 //! [`Simulation::with_probe`](crate::Simulation::with_probe) captures:
 //!
@@ -22,8 +25,9 @@
 //!   components ([`Recorder::breakdown`], [`Recorder::packet_timings`]).
 //!
 //! A probe only *observes*: it receives copies of the data the
-//! simulator is moving and never touches the RNG, the statistics or
-//! any buffer, so a recorded run produces bit-identical
+//! simulator is moving, and some hooks a read-only view of the
+//! [`Network`]; it never touches the RNG, the statistics or any buffer,
+//! so a recorded run produces bit-identical
 //! [`SimStats`](crate::SimStats) to an unrecorded one with the same
 //! seed (asserted in `tests/probe.rs`). Because a run is
 //! seed-deterministic, recorder exports are byte-identical regardless
@@ -51,6 +55,7 @@
 //! the last crossing).
 
 use crate::audit::BufferClass;
+use crate::network::Network;
 use crate::stats::LatencyStats;
 use crate::Flit;
 use crate::PacketId;
@@ -59,15 +64,16 @@ use noc_topology::{Direction, NodeId};
 use std::collections::HashMap;
 
 /// Seals [`Probe`]: the simulator's hook contract is an internal
-/// interface, implemented only by [`NullProbe`] and [`Recorder`].
+/// interface, implemented only by the probes of this crate.
 mod sealed {
     pub trait Sealed {}
     impl Sealed for super::NullProbe {}
     impl Sealed for super::Recorder {}
+    impl Sealed for crate::Auditor {}
 }
 
-/// Static description of the assembled network, handed to a probe once
-/// before the first cycle ([`Probe::on_attach`]).
+/// Static description of the assembled network, captured by a
+/// [`Recorder`] when it is attached ([`Probe::on_attach`]).
 #[derive(Clone, Debug, Default)]
 pub struct NetworkShape {
     /// Number of routers.
@@ -100,24 +106,27 @@ impl NetworkShape {
 ///
 /// All hooks default to empty `#[inline]` bodies so the
 /// [`NullProbe`]-instantiated simulator compiles them away. Hooks
-/// receive plain copies of event data (never the simulation itself):
-/// a probe can record, but cannot perturb.
+/// receive plain copies of event data; the attach, link-traverse,
+/// cycle-end and stall hooks also get a read-only view of the
+/// [`Network`] as it stands at that moment. A probe can record and
+/// cross-check, but cannot perturb.
 ///
 /// This trait is sealed; outside this crate it can be named and used
 /// as a bound but not implemented.
 pub trait Probe: sealed::Sealed + core::fmt::Debug {
-    /// `true` for probes that record events ([`Recorder`]), `false` for
-    /// [`NullProbe`]. The simulator uses this monomorphization-time
-    /// constant to skip materializing event payloads on the hot path
-    /// and to disable the sparse core's empty-network fast-forward,
-    /// which would elide the per-cycle [`on_cycle_end`](Probe::on_cycle_end)
-    /// calls a recording probe's time-series depends on.
+    /// `true` for probes that observe events ([`Recorder`],
+    /// [`Auditor`](crate::Auditor)), `false` for [`NullProbe`]. The
+    /// simulator uses this monomorphization-time constant to skip
+    /// materializing event payloads on the hot path and to disable the
+    /// sparse core's empty-network fast-forward, which would elide the
+    /// per-cycle [`on_cycle_end`](Probe::on_cycle_end) calls an active
+    /// probe depends on.
     const ACTIVE: bool;
 
-    /// Called once at assembly with the network's static description.
+    /// Called once, after assembly and before the first cycle.
     #[inline]
-    fn on_attach(&mut self, shape: NetworkShape) {
-        let _ = shape;
+    fn on_attach(&mut self, net: &Network) {
+        let _ = net;
     }
 
     /// A packet of `len` flits was created at `src` and appended to its
@@ -156,13 +165,21 @@ pub trait Probe: sealed::Sealed + core::fmt::Debug {
         let _ = (cycle, node, in_port, in_vc, out_port, out_vc, flit);
     }
 
-    /// A flit crossed the link out of `(from, port)` on `vc` into the
+    /// A flit crossed the link out of `(from, port)` on `vc` at cycle
+    /// [`net.cycle()`](Network::cycle) and is about to enter the
     /// downstream input buffer (phase 3). `flit.hops` already counts
     /// this crossing; the receiving side follows from
     /// [`NetworkShape::peer`].
     #[inline]
-    fn on_link_traverse(&mut self, cycle: u64, from: usize, port: usize, vc: usize, flit: &Flit) {
-        let _ = (cycle, from, port, vc, flit);
+    fn on_link_traverse(
+        &mut self,
+        net: &Network,
+        from: usize,
+        port: usize,
+        vc: usize,
+        flit: &Flit,
+    ) {
+        let _ = (net, from, port, vc, flit);
     }
 
     /// The sink at `node` consumed a flit from ejection channel
@@ -172,10 +189,18 @@ pub trait Probe: sealed::Sealed + core::fmt::Debug {
         let _ = (cycle, node, channel, flit);
     }
 
-    /// All phases of `cycle` have run.
+    /// All phases of cycle [`net.cycle()`](Network::cycle) have run.
     #[inline]
-    fn on_cycle_end(&mut self, cycle: u64) {
-        let _ = cycle;
+    fn on_cycle_end(&mut self, net: &Network) {
+        let _ = net;
+    }
+
+    /// The stall watchdog fired ([`SimError::Stalled`](crate::SimError)
+    /// follows): no flit moved for `stall_threshold` cycles while flits
+    /// were in flight.
+    #[inline]
+    fn on_stall(&mut self, net: &Network) {
+        let _ = net;
     }
 }
 
@@ -836,7 +861,8 @@ impl Recorder {
 impl Probe for Recorder {
     const ACTIVE: bool = true;
 
-    fn on_attach(&mut self, shape: NetworkShape) {
+    fn on_attach(&mut self, net: &Network) {
+        let shape = net.shape();
         self.link_flits = shape.dirs.iter().map(|dirs| vec![0; dirs.len()]).collect();
         self.depths = DepthTracker::for_shape(&shape);
         self.shape = shape;
@@ -931,10 +957,17 @@ impl Probe for Recorder {
         self.note_depth(d);
     }
 
-    fn on_link_traverse(&mut self, cycle: u64, from: usize, port: usize, vc: usize, flit: &Flit) {
+    fn on_link_traverse(
+        &mut self,
+        net: &Network,
+        from: usize,
+        port: usize,
+        vc: usize,
+        flit: &Flit,
+    ) {
         let (to, to_port) = self.shape.peer[from][port];
         self.events.push(TraceEvent::LinkTraverse {
-            cycle,
+            cycle: net.cycle(),
             from,
             port,
             vc,
@@ -1015,7 +1048,7 @@ impl Probe for Recorder {
         }
     }
 
-    fn on_cycle_end(&mut self, _cycle: u64) {
+    fn on_cycle_end(&mut self, _net: &Network) {
         self.observed_cycles += 1;
         self.cycles_in_window += 1;
         if self.cycles_in_window == self.window {
@@ -1031,22 +1064,25 @@ impl Probe for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlitKind;
+    use crate::{FlitKind, SimConfig, Simulation};
+    use noc_routing::MeshXY;
+    use noc_topology::RectMesh;
+    use noc_traffic::UniformRandom;
 
-    fn two_node_shape() -> NetworkShape {
-        NetworkShape {
-            num_nodes: 2,
-            vcs: 1,
-            packet_len: 2,
-            router_delay: 0,
-            warmup_cycles: 0,
-            sink_channels: 1,
-            dirs: vec![
-                vec![Direction::Clockwise],
-                vec![Direction::CounterClockwise],
-            ],
-            peer: vec![vec![(1, 0)], vec![(0, 0)]],
-        }
+    /// A silent two-router network (a 2x1 mesh, one link each way, one
+    /// VC) whose clock the tests advance by stepping it.
+    fn two_node_net() -> Simulation {
+        let mesh = RectMesh::new(2, 1).unwrap();
+        let routing = MeshXY::new(&mesh);
+        let pattern = UniformRandom::new(2).unwrap();
+        let config = SimConfig::builder().injection_rate(0.0).build().unwrap();
+        Simulation::new(Box::new(mesh), Box::new(routing), Box::new(pattern), config).unwrap()
+    }
+
+    /// Closes the current cycle on both the recorder and the network.
+    fn end_cycle(rec: &mut Recorder, net: &mut Simulation) {
+        rec.on_cycle_end(net);
+        net.step().unwrap();
     }
 
     fn flit(kind: FlitKind, hops: u64) -> Flit {
@@ -1064,28 +1100,34 @@ mod tests {
     /// checks events, decomposition, windows and depth peaks.
     #[test]
     fn recorder_tracks_minimal_packet() {
+        let mut net = two_node_net();
         let mut rec = Recorder::with_window(4);
-        rec.on_attach(two_node_shape());
+        rec.on_attach(&net);
         assert_eq!(rec.shape().num_links(), 2);
 
         rec.on_generate(0, PacketId::new(0), NodeId::new(0), NodeId::new(1), 2);
         // Cycle 0: head injected; cycle 1: head crosses, tail injected.
         rec.on_inject(0, 0, 0, 0, &flit(FlitKind::Head, 0));
-        rec.on_cycle_end(0);
-        rec.on_link_traverse(1, 0, 0, 0, &flit(FlitKind::Head, 1));
+        end_cycle(&mut rec, &mut net);
+        rec.on_link_traverse(&net, 0, 0, 0, &flit(FlitKind::Head, 1));
         rec.on_inject(1, 0, 0, 0, &flit(FlitKind::Tail, 0));
-        rec.on_cycle_end(1);
+        end_cycle(&mut rec, &mut net);
         // Cycle 2: head exits input into ejection, tail crosses.
         rec.on_buffer_exit(2, 1, 0, 0, None, 0, &flit(FlitKind::Head, 1));
-        rec.on_link_traverse(2, 0, 0, 0, &flit(FlitKind::Tail, 1));
-        rec.on_cycle_end(2);
+        rec.on_link_traverse(&net, 0, 0, 0, &flit(FlitKind::Tail, 1));
+        end_cycle(&mut rec, &mut net);
         // Cycle 3: head consumed, tail exits into ejection.
         rec.on_consume(3, 1, 0, &flit(FlitKind::Head, 1));
         rec.on_buffer_exit(3, 1, 0, 0, None, 0, &flit(FlitKind::Tail, 1));
-        rec.on_cycle_end(3);
+        end_cycle(&mut rec, &mut net);
         // Cycle 4: tail consumed -> packet completes.
         rec.on_consume(4, 1, 0, &flit(FlitKind::Tail, 1));
-        rec.on_cycle_end(4);
+        end_cycle(&mut rec, &mut net);
+        assert_eq!(
+            rec.events()[2].cycle(),
+            1,
+            "link crossings read the view's clock"
+        );
 
         let t = rec.packet_timings();
         assert_eq!(t.len(), 1);
@@ -1126,7 +1168,7 @@ mod tests {
     #[test]
     fn jsonl_lines_carry_event_and_cycle() {
         let mut rec = Recorder::new();
-        rec.on_attach(two_node_shape());
+        rec.on_attach(&two_node_net());
         rec.on_generate(7, PacketId::new(3), NodeId::new(0), NodeId::new(1), 6);
         rec.on_inject(8, 0, 0, 0, &flit(FlitKind::Head, 0));
         let jsonl = rec.to_jsonl();
@@ -1157,11 +1199,12 @@ mod tests {
     #[test]
     fn digest_is_deterministic_and_content_sensitive() {
         let build = |n: u64| {
+            let mut net = two_node_net();
             let mut rec = Recorder::new();
-            rec.on_attach(two_node_shape());
+            rec.on_attach(&net);
             for c in 0..n {
                 rec.on_generate(c, PacketId::new(c), NodeId::new(0), NodeId::new(1), 2);
-                rec.on_cycle_end(c);
+                end_cycle(&mut rec, &mut net);
             }
             rec
         };
@@ -1177,9 +1220,11 @@ mod tests {
 
     #[test]
     fn null_probe_is_trivially_callable() {
+        let net = two_node_net();
         let mut p = NullProbe;
-        p.on_attach(NetworkShape::default());
+        p.on_attach(&net);
         p.on_generate(0, PacketId::new(0), NodeId::new(0), NodeId::new(1), 6);
-        p.on_cycle_end(0);
+        p.on_cycle_end(&net);
+        p.on_stall(&net);
     }
 }

@@ -5,38 +5,39 @@
 //! correctly-localized violations.
 
 use noc_routing::{MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst};
-use noc_sim::{Invariant, SimConfig, SimError, Simulation, StallDiagnosis};
+use noc_sim::{
+    Auditor, Invariant, NullProbe, Probe, SimConfig, SimError, Simulation, StallDiagnosis,
+};
 use noc_topology::{Direction, NodeId, RectMesh, Ring, Spidergon, Topology};
 use noc_traffic::{Trace, TraceEntry, UniformRandom};
 
-fn config(lambda: f64, audit: bool) -> SimConfig {
+fn config(lambda: f64) -> SimConfig {
     SimConfig::builder()
         .injection_rate(lambda)
         .warmup_cycles(200)
         .measure_cycles(2_000)
         .seed(20060306)
-        .audit(audit)
         .build()
         .unwrap()
 }
 
-fn build(n: usize, kind: &str, cfg: SimConfig) -> Simulation {
-    let pattern = UniformRandom::new(n).unwrap();
+fn build<P: Probe>(n: usize, kind: &str, cfg: SimConfig, probe: P) -> Simulation<P> {
+    let pattern = Box::new(UniformRandom::new(n).unwrap());
     match kind {
         "ring" => {
             let topo = Ring::new(n).unwrap();
             let routing = RingShortestPath::new(&topo);
-            Simulation::new(Box::new(topo), Box::new(routing), Box::new(pattern), cfg)
+            Simulation::with_probe(Box::new(topo), Box::new(routing), pattern, cfg, probe)
         }
         "spidergon" => {
             let topo = Spidergon::new(n).unwrap();
             let routing = SpidergonAcrossFirst::new(&topo);
-            Simulation::new(Box::new(topo), Box::new(routing), Box::new(pattern), cfg)
+            Simulation::with_probe(Box::new(topo), Box::new(routing), pattern, cfg, probe)
         }
         "mesh" => {
             let topo = RectMesh::new(4, n / 4).unwrap();
             let routing = MeshXY::new(&topo);
-            Simulation::new(Box::new(topo), Box::new(routing), Box::new(pattern), cfg)
+            Simulation::with_probe(Box::new(topo), Box::new(routing), pattern, cfg, probe)
         }
         other => panic!("unknown topology {other}"),
     }
@@ -47,9 +48,9 @@ fn build(n: usize, kind: &str, cfg: SimConfig) -> Simulation {
 fn audited_runs_are_clean_across_topology_triple() {
     for kind in ["ring", "spidergon", "mesh"] {
         for lambda in [0.2, 1.0] {
-            let mut sim = build(16, kind, config(lambda, true));
+            let mut sim = build(16, kind, config(lambda), Auditor::new());
             sim.run().unwrap_or_else(|e| panic!("{kind}@{lambda}: {e}"));
-            let report = sim.take_audit_report().expect("auditing enabled");
+            let report = sim.into_probe().into_report();
             assert!(
                 report.is_clean(),
                 "{kind}@{lambda} audit found violations:\n{report}"
@@ -64,17 +65,44 @@ fn audited_runs_are_clean_across_topology_triple() {
 #[test]
 fn audited_stats_bit_identical_to_unaudited() {
     for kind in ["ring", "spidergon", "mesh"] {
-        let plain = build(16, kind, config(0.3, false)).run().unwrap();
-        let audited = build(16, kind, config(0.3, true)).run().unwrap();
+        let plain = build(16, kind, config(0.3), NullProbe).run().unwrap();
+        let audited = build(16, kind, config(0.3), Auditor::new()).run().unwrap();
         assert_eq!(plain, audited, "{kind}: auditing changed the statistics");
     }
 }
 
 #[test]
-fn audit_report_absent_when_disabled() {
-    let mut sim = build(8, "ring", config(0.1, false));
-    assert!(sim.audit_report().is_none());
-    assert!(sim.take_audit_report().is_none());
+fn audited_run_sweeps_every_cycle_while_the_network_drains() {
+    // At this load the network is empty most of the time, so the plain
+    // sparse run fast-forwards; the auditor (an active probe) must
+    // still see every cycle, and change nothing.
+    let cfg = SimConfig::builder()
+        .injection_rate(0.005)
+        .warmup_cycles(200)
+        .measure_cycles(2_000)
+        .seed(5)
+        .build()
+        .unwrap();
+    let total = cfg.total_cycles();
+    let mut stepped = build(8, "ring", cfg.clone(), NullProbe);
+    let idle = (0..total)
+        .filter(|_| {
+            stepped.step().unwrap();
+            stepped.flits_in_network() + stepped.source_backlog() == 0
+        })
+        .count() as u64;
+    assert!(idle > total / 2, "only {idle} of {total} cycles drained");
+
+    let plain = build(8, "ring", cfg.clone(), NullProbe).run().unwrap();
+    let mut audited = build(8, "ring", cfg, Auditor::with_interval(1));
+    assert_eq!(
+        audited.run().unwrap(),
+        plain,
+        "auditing changed the statistics"
+    );
+    let report = audited.into_probe().into_report();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.cycles_audited, total, "{report}");
 }
 
 #[test]
@@ -83,13 +111,11 @@ fn audit_interval_thins_the_sweep() {
         .injection_rate(0.2)
         .warmup_cycles(100)
         .measure_cycles(900)
-        .audit(true)
-        .audit_interval(10)
         .build()
         .unwrap();
-    let mut sim = build(8, "spidergon", cfg);
+    let mut sim = build(8, "spidergon", cfg, Auditor::with_interval(10));
     sim.run().unwrap();
-    let report = sim.take_audit_report().unwrap();
+    let report = sim.into_probe().into_report();
     assert!(report.is_clean(), "{report}");
     // 1000 cycles, every 10th swept.
     assert_eq!(report.cycles_audited, 100);
@@ -153,17 +179,23 @@ fn mutant_fast_path_caught_with_route_legality_violation() {
     let cfg = SimConfig::builder()
         .warmup_cycles(0)
         .measure_cycles(200)
-        .audit(true)
         // The mutant lives in `candidates_into`, the *dynamic* fast
         // path; the compiled-route table is built from `next_hop` and
         // would route around the bug entirely.
         .compiled_routes(false)
         .build()
         .unwrap();
-    let mut sim = Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, cfg).unwrap();
+    let mut sim = Simulation::with_trace(
+        Box::new(topo),
+        Box::new(routing),
+        &trace,
+        cfg,
+        Auditor::new(),
+    )
+    .unwrap();
     let stats = sim.run().unwrap();
     assert_eq!(stats.packets_delivered, 1, "packet still arrives");
-    let report = sim.take_audit_report().unwrap();
+    let report = sim.into_probe().into_report();
     assert!(!report.is_clean());
     let route_violations: Vec<_> = report
         .violations
@@ -220,14 +252,19 @@ fn single_vc_ring_deadlock_is_diagnosed() {
         .measure_cycles(50_000)
         .stall_threshold(1_000)
         .seed(11)
-        .audit(true)
         .build()
         .unwrap();
-    let mut sim =
-        Simulation::new(Box::new(topo), Box::new(routing), Box::new(pattern), cfg).unwrap();
+    let mut sim = Simulation::with_probe(
+        Box::new(topo),
+        Box::new(routing),
+        Box::new(pattern),
+        cfg,
+        Auditor::new(),
+    )
+    .unwrap();
     let err = sim.run().expect_err("single-VC ring at saturation wedges");
     assert!(matches!(err, SimError::Stalled { .. }), "{err}");
-    let report = sim.take_audit_report().unwrap();
+    let report = sim.into_probe().into_report();
     // Preflight already warned: the CDG with one VC is cyclic.
     assert!(
         report

@@ -2,7 +2,7 @@
 //! torus simulation and adaptive (West-First) routing.
 
 use noc_routing::{MeshXY, RoutingAlgorithm, TorusXY, WestFirst};
-use noc_sim::{SimConfig, SimError, Simulation};
+use noc_sim::{NullProbe, SimConfig, SimError, Simulation};
 use noc_topology::{NodeId, RectMesh, Torus};
 use noc_traffic::{SingleHotspot, Trace, TraceEntry, UniformRandom};
 
@@ -34,7 +34,8 @@ fn trace_replay_delivers_every_packet_once() {
         .record_deliveries(true)
         .build()
         .unwrap();
-    let mut sim = Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg).unwrap();
+    let mut sim =
+        Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg, NullProbe).unwrap();
     let stats = sim.run().unwrap();
     assert_eq!(stats.packets_generated, 50);
     assert_eq!(stats.packets_delivered, 50);
@@ -66,7 +67,8 @@ fn trace_mode_ignores_the_stochastic_rate() {
         .measure_cycles(500)
         .build()
         .unwrap();
-    let mut sim = Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg).unwrap();
+    let mut sim =
+        Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg, NullProbe).unwrap();
     let stats = sim.run().unwrap();
     assert_eq!(stats.packets_generated, 1);
     assert_eq!(stats.packets_delivered, 1);
@@ -85,8 +87,14 @@ fn trace_node_count_mismatch_rejected() {
         }],
     )
     .unwrap();
-    let err =
-        Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, config(0.1)).unwrap_err();
+    let err = Simulation::with_trace(
+        Box::new(mesh),
+        Box::new(routing),
+        &trace,
+        config(0.1),
+        NullProbe,
+    )
+    .unwrap_err();
     assert!(matches!(err, SimError::InvalidTrace { .. }));
 }
 
@@ -107,7 +115,8 @@ fn pipeline_trace_keeps_per_pair_fifo_order() {
         .record_deliveries(true)
         .build()
         .unwrap();
-    let mut sim = Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg).unwrap();
+    let mut sim =
+        Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg, NullProbe).unwrap();
     let stats = sim.run().unwrap();
     assert_eq!(stats.packets_delivered as usize, trace.len());
     // Per (src, dst) pair: delivery order == packet-id order.

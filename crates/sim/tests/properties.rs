@@ -2,7 +2,7 @@
 //! sanity bounds hold for arbitrary configurations and topologies.
 
 use noc_routing::{MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst, TorusXY};
-use noc_sim::{SimConfig, Simulation};
+use noc_sim::{NullProbe, SimConfig, Simulation};
 use noc_topology::{RectMesh, Ring, Spidergon, Topology, Torus};
 use noc_traffic::{InjectionProcess, UniformRandom};
 use proptest::prelude::*;
@@ -217,7 +217,7 @@ proptest! {
             .build()
             .unwrap();
         let mut sim =
-            Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, cfg).unwrap();
+            Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, cfg, NullProbe).unwrap();
         let stats = sim.run().unwrap();
         prop_assert_eq!(stats.packets_generated, count);
         prop_assert_eq!(stats.packets_delivered, count);

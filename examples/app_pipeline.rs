@@ -14,7 +14,7 @@
 //! ```
 
 use spidergon_noc::routing::SpidergonAcrossFirst;
-use spidergon_noc::sim::{SimConfig, Simulation};
+use spidergon_noc::sim::{NullProbe, SimConfig, Simulation};
 use spidergon_noc::topology::{NodeId, Spidergon};
 use spidergon_noc::traffic::Trace;
 
@@ -46,7 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .measure_cycles(trace.last_cycle().unwrap_or(0) + 500)
         .record_deliveries(true)
         .build()?;
-    let mut sim = Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, config)?;
+    let mut sim =
+        Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, config, NullProbe)?;
     let stats = sim.run()?;
 
     println!(
