@@ -34,11 +34,11 @@
 //!    scheduler pass.
 //!
 //! The incremental scheduler lives in
-//! [`crate::parallel::run_experiment_jobs_with_cache`]: it partitions a
-//! job list into hits and misses, hands only the misses to the parallel
-//! engine, and splices cached results back in deterministic job order —
-//! so `run_replicated`, `sweep_rates` and every figure function become
-//! incremental without API changes.
+//! [`crate::parallel::run_experiment_jobs_with_cache`]: each job is one
+//! lookup-or-simulate step on the parallel engine's workers, and the
+//! calling thread stores fresh results in job order — so
+//! `run_replicated`, `sweep_rates`, every figure function and
+//! [`run_cached`] become incremental through one code path.
 
 use crate::{CoreError, Experiment, RunResult};
 use serde::Serialize;
@@ -493,9 +493,13 @@ impl ExperimentCache {
             std::process::id(),
             TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(true)
+        let written = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path));
+        if written.is_err() {
+            // Best effort: a stranded tempfile is invisible to `stats`
+            // and `gc`, so nothing else would ever remove it.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written.map(|()| true)
     }
 
     /// Every record in the store as `(path, len, modified)`.
@@ -610,9 +614,10 @@ impl ExperimentCache {
     }
 }
 
-/// Convenience wrapper: run one experiment point through the cache —
-/// lookup, simulate on miss, store. Used by the scheduler for its
-/// miss path and directly by tests.
+/// Runs one experiment point through the cache — lookup, simulate on a
+/// miss, store — as a one-job batch of
+/// [`crate::parallel::run_experiment_jobs_with_cache`], so cached
+/// execution has one code path. Used by `noc-cli run` and by tests.
 ///
 /// # Errors
 ///
@@ -623,21 +628,16 @@ pub fn run_cached(
     experiment: &Experiment,
     seed: u64,
 ) -> Result<RunResult, CoreError> {
-    if let Some(hit) = cache.lookup(experiment, seed) {
-        record_counters(CacheCounters {
-            hits: 1,
-            ..CacheCounters::default()
-        });
-        return Ok(hit);
-    }
-    let result = experiment.run_with_seed(seed)?;
-    let stored = cache.store(experiment, seed, &result).unwrap_or(false);
-    record_counters(CacheCounters {
-        hits: 0,
-        misses: 1,
-        stores: u64::from(stored),
-    });
-    Ok(result)
+    let job = crate::ExperimentJob {
+        experiment: experiment.clone(),
+        seed,
+    };
+    let mut results = crate::parallel::run_experiment_jobs_with_cache(
+        vec![job],
+        crate::Parallelism::Sequential,
+        cache,
+    )?;
+    Ok(results.pop().expect("one job, one result"))
 }
 
 #[cfg(test)]

@@ -164,99 +164,80 @@ pub fn run_experiment_jobs(
     )
 }
 
-/// The incremental scheduler behind [`run_experiment_jobs`]: partitions
-/// jobs into cache hits and misses, hands only the misses to the
-/// parallel engine, splices the results back **in job order** and
-/// stores fresh results for the next run.
+/// The incremental scheduler behind [`run_experiment_jobs`]: every job
+/// runs on the parallel engine as one lookup-or-simulate step — a cache
+/// hit is decoded on the worker, a miss is simulated there. Back on the
+/// calling thread, fresh results are stored in job order for the next
+/// run, and all results are returned in job order.
 ///
 /// Output is bit-identical to an uncached run: a hit is exactly the
 /// [`RunResult`] a fresh simulation would return (the conformance
 /// harness asserts this), and result order never depends on which
-/// points hit. Cache I/O failures degrade to recomputation, never to a
-/// run failure. Hit/miss/store counts accumulate in the process-wide
-/// [`crate::cache::counters`].
+/// points hit. A disabled cache makes every lookup a miss and every
+/// store a no-op. Cache I/O failures degrade to recomputation, never to
+/// a run failure. With the cache enabled, hit/miss/store counts
+/// accumulate in the process-wide [`crate::cache::counters`].
 ///
 /// # Errors
 ///
 /// Same contract as [`run_experiment_jobs`]: the lowest-index failing
-/// job's error. (Hits cannot fail, and misses keep their original
-/// relative order, so the first miss error *is* the lowest-index one.)
+/// job's error.
 pub fn run_experiment_jobs_with_cache(
     jobs: Vec<ExperimentJob>,
     parallelism: Parallelism,
     cache: &crate::cache::ExperimentCache,
 ) -> Result<Vec<RunResult>, CoreError> {
-    use crate::cache::CacheCounters;
-    if !cache.is_enabled() {
-        let closures: Vec<_> = jobs.into_iter().map(|job| move || job.run()).collect();
-        return run_indexed(closures, parallelism).into_iter().collect();
-    }
-
-    // Partition: fill hit slots immediately, keep misses (with their
-    // original index) in ascending order.
-    let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(jobs.len());
-    let mut misses: Vec<(usize, ExperimentJob)> = Vec::new();
-    let mut hits: u64 = 0;
-    for (index, job) in jobs.into_iter().enumerate() {
-        match cache.lookup(&job.experiment, job.seed) {
-            Some(result) => {
-                hits += 1;
-                slots.push(Some(result));
-            }
-            None => {
-                slots.push(None);
-                misses.push((index, job));
-            }
-        }
-    }
-
-    // Simulate only the misses. Closures borrow the jobs (run_indexed
-    // spawns scoped threads, so non-'static borrows are fine) because
-    // each job is needed again afterwards to store its result.
-    let computed = run_indexed(
-        misses.iter().map(|(_, job)| move || job.run()).collect(),
+    // Closures borrow the jobs (run_indexed spawns scoped threads, so
+    // non-'static borrows are fine): each job is needed again to store
+    // its result.
+    let outcomes = run_indexed(
+        jobs.iter()
+            .map(|job| {
+                move || match cache.lookup(&job.experiment, job.seed) {
+                    Some(hit) => (true, Ok(hit)),
+                    None => (false, job.run()),
+                }
+            })
+            .collect(),
         parallelism,
     );
-    let miss_count = misses.len() as u64;
-    let mut stores: u64 = 0;
-    let mut splice = Vec::with_capacity(computed.len());
+    let mut counters = crate::cache::CacheCounters::default();
+    let mut results = Vec::with_capacity(jobs.len());
     let mut first_error: Option<CoreError> = None;
-    for ((index, job), outcome) in misses.iter().zip(computed) {
+    for (job, (hit, outcome)) in jobs.iter().zip(outcomes) {
+        if hit {
+            counters.hits += 1;
+        } else {
+            counters.misses += 1;
+        }
         match outcome {
             Ok(result) => {
-                // Best-effort: successes are worth keeping even when a
-                // sibling job failed the overall call.
-                if cache
-                    .store(&job.experiment, job.seed, &result)
-                    .unwrap_or(false)
+                // Stores stay on this thread, in job order, so record
+                // mtimes (the GC's eviction order) do not depend on the
+                // schedule. Best-effort: successes are worth keeping
+                // even when a sibling job failed the overall call.
+                if !hit
+                    && cache
+                        .store(&job.experiment, job.seed, &result)
+                        .unwrap_or(false)
                 {
-                    stores += 1;
+                    counters.stores += 1;
                 }
-                splice.push((*index, result));
+                results.push(result);
             }
             Err(error) => {
-                if first_error.is_none() {
-                    first_error = Some(error);
-                }
+                first_error.get_or_insert(error);
             }
         }
     }
-    crate::cache::record_counters(CacheCounters {
-        hits,
-        misses: miss_count,
-        stores,
-    });
+    if cache.is_enabled() {
+        crate::cache::record_counters(counters);
+    }
     cache.enforce_env_limit();
-    if let Some(error) = first_error {
-        return Err(error);
+    match first_error {
+        Some(error) => Err(error),
+        None => Ok(results),
     }
-    for (index, result) in splice {
-        slots[index] = Some(result);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| slot.expect("every job hit or was simulated"))
-        .collect())
 }
 
 #[cfg(test)]

@@ -14,7 +14,10 @@
 //!   is replaced, and nothing ever panics or returns a wrong result;
 //! * **incremental scheduling** — a cold pass simulates and stores
 //!   every point, a warm pass answers all of them from disk
-//!   bit-identically, sequential or parallel.
+//!   bit-identically, sequential or parallel; with hits answered on
+//!   the workers, the lowest-index error still wins and stores land in
+//!   job order;
+//! * **store hygiene** — a store that fails leaves no tempfile behind.
 
 use noc_core::cache::{
     self, canonical_key, code_version_token, fingerprint, fingerprint_with, run_cached,
@@ -346,6 +349,93 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
 }
 
 #[test]
+fn first_error_wins_with_hits_on_the_workers() {
+    let dir = unique_temp_dir("noc-cache-precedence");
+    let cache = ExperimentCache::at(&dir);
+    let invalid = Experiment {
+        topology: TopologySpec::Ring { nodes: 1 },
+        ..small_experiment(0.2)
+    };
+    let job = |experiment: &Experiment, seed| ExperimentJob {
+        experiment: experiment.clone(),
+        seed,
+    };
+    let jobs = vec![
+        job(&small_experiment(0.1), 7),
+        job(&invalid, 7),
+        job(&small_experiment(0.2), 7),
+        job(&invalid, 8),
+        job(&small_experiment(0.3), 7),
+    ];
+    for hit in [&jobs[0], &jobs[2]] {
+        run_cached(&cache, &hit.experiment, hit.seed).unwrap();
+    }
+    let expected = jobs[1].run().unwrap_err().to_string();
+    let err = noc_core::run_experiment_jobs_with_cache(jobs.clone(), Parallelism::Fixed(4), &cache)
+        .unwrap_err();
+    assert_eq!(err.to_string(), expected, "index 1's error must win");
+    assert_eq!(
+        cache.lookup(&jobs[4].experiment, jobs[4].seed),
+        Some(jobs[4].run().unwrap()),
+        "the new point must be stored although a sibling failed"
+    );
+    assert_eq!(record_paths(&cache).len(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stores_land_in_job_order() {
+    // Most expensive first, so with four workers the cheap jobs finish
+    // before the dear ones: a store made on the worker would stamp a
+    // later job with an earlier mtime.
+    let dir = unique_temp_dir("noc-cache-store-order");
+    let cache = ExperimentCache::at(&dir);
+    let jobs: Vec<ExperimentJob> = (0..8u64)
+        .map(|i| {
+            let mut experiment = experiment(1, 4, false, 0.3, 7);
+            experiment.config.measure_cycles = 1_500 * (8 - i);
+            ExperimentJob {
+                experiment,
+                seed: 7,
+            }
+        })
+        .collect();
+    noc_core::run_experiment_jobs_with_cache(jobs.clone(), Parallelism::Fixed(4), &cache).unwrap();
+    let mtimes: Vec<_> = jobs
+        .iter()
+        .map(|job| {
+            let path = record_path(&cache, &job.experiment, job.seed);
+            std::fs::metadata(path).unwrap().modified().unwrap()
+        })
+        .collect();
+    assert!(
+        mtimes.windows(2).all(|pair| pair[0] <= pair[1]),
+        "record mtimes must follow job order: {mtimes:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_store_leaves_no_tempfile() {
+    let dir = unique_temp_dir("noc-cache-tempfile");
+    let cache = ExperimentCache::at(&dir);
+    let exp = small_experiment(0.2);
+    let record = record_path(&cache, &exp, 7);
+    // A directory squatting on the record's path makes the rename fail.
+    std::fs::create_dir_all(&record).unwrap();
+    let shard = record.parent().unwrap();
+    let fresh = exp.run_with_seed(7).unwrap();
+    assert!(cache.store(&exp, 7, &fresh).is_err());
+    let leftovers: Vec<_> = std::fs::read_dir(shard)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(".tmp-"))
+        .collect();
+    assert!(leftovers.is_empty(), "stranded tempfiles: {leftovers:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn gc_keeps_newest_records_within_budget() {
     let dir = unique_temp_dir("noc-cache-gc");
     let cache = ExperimentCache::at(&dir);
@@ -379,6 +469,18 @@ fn gc_keeps_newest_records_within_budget() {
         "oldest record must be evicted"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Where the store keeps the record of (experiment, seed): two hex
+/// shard levels, then the fingerprint as the file stem.
+fn record_path(cache: &ExperimentCache, experiment: &Experiment, seed: u64) -> std::path::PathBuf {
+    let hex = fingerprint(experiment, seed).hex();
+    cache
+        .dir()
+        .unwrap()
+        .join(&hex[0..2])
+        .join(&hex[2..4])
+        .join(format!("{hex}.noc"))
 }
 
 /// All record files in the store, sorted.
