@@ -35,20 +35,20 @@
 //! variable. Cached results are bit-identical to fresh simulation; a
 //! hit/miss summary is printed when caching is active.
 //!
-//! `figures` takes the IDs `fig2`, `fig3`, `fig_tables`, `fig5`,
-//! `fig6_7`, `fig8_9`, `fig10_11` and `ext` (the extension figures).
-//! `NOC_FIGURE_MODE` selects `full` (the default, paper quality) or
-//! `quick` (a smoke run); `NOC_THREADS` and `NOC_CACHE` apply as for
-//! `run`.
+//! `figures` takes the IDs of the library's figure sets,
+//! [`noc_core::figures::SETS`] (the usage line lists them), and with no
+//! ID draws every set of the paper. `NOC_FIGURE_MODE` selects `full`
+//! (the default, paper quality) or `quick` (a smoke run); `NOC_THREADS`
+//! and `NOC_CACHE` apply as for `run`.
 //!
 //! A spec is the JSON form of [`noc_core::Experiment`]; get a template
 //! with `noc-cli example`.
 
-use noc_core::figures;
+use noc_core::figures::{FigureSetFn, EXTENSIONS, SETS};
 use noc_core::report::{FigureData, RunMetadata};
 use noc_core::{
-    matched_size_cases, run_conformance, run_indexed, Aggregate, CoreError, Experiment,
-    FigureOptions, Parallelism, TopologySpec, TrafficSpec,
+    matched_size_cases, run_conformance, run_indexed, Aggregate, Experiment, FigureOptions,
+    Parallelism, TopologySpec, TrafficSpec,
 };
 use noc_sim::{AuditReport, Auditor, Recorder, SimConfig};
 use std::path::Path;
@@ -155,16 +155,12 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if reps == 1 {
         let cache = noc_core::ExperimentCache::from_env();
-        let result = if cache.is_enabled() {
-            noc_core::cache::run_cached(&cache, &experiment, experiment.config.seed)?
-        } else {
-            experiment.run()?
-        };
+        let result = noc_core::cache::run_cached(&cache, &experiment, experiment.config.seed)?;
         println!("{}", result.stats);
         println!(
-            "acceptance {:.3}, mean hops {:.3}, p95 latency {} cycles",
+            "acceptance {:.3}, mean hops {}, p95 latency {} cycles",
             result.stats.acceptance_ratio(),
-            result.stats.mean_hops().unwrap_or(f64::NAN),
+            hops_text(result.stats.mean_hops()),
             result.stats.latency.percentile(95.0).unwrap_or(0),
         );
     } else {
@@ -235,7 +231,15 @@ fn print_aggregate(agg: &Aggregate) {
         agg.latency_mean, agg.latency_std, agg.latency_p50, agg.latency_p95, agg.latency_p99
     );
     println!("acceptance {:.3}", agg.acceptance_mean);
-    println!("mean hops  {:.3}", agg.mean_hops);
+    let delivered = agg.runs.iter().any(|run| run.stats.mean_hops().is_some());
+    let hops = hops_text(delivered.then_some(agg.mean_hops));
+    println!("mean hops  {hops}");
+}
+
+/// A mean hop count to three decimals, or `-` when nothing was
+/// delivered.
+fn hops_text(hops: Option<f64>) -> String {
+    hops.map_or_else(|| "-".to_owned(), |h| format!("{h:.3}"))
 }
 
 /// `trace`: run one experiment with the flit-lifecycle recorder
@@ -432,27 +436,17 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     match action {
         "stats" => {
             let stats = cache.stats()?;
-            println!(
-                "{}: {} entr{}, {} bytes",
-                dir.display(),
-                stats.entries,
-                if stats.entries == 1 { "y" } else { "ies" },
-                stats.total_bytes
-            );
+            let entries = entries(stats.entries);
+            println!("{}: {entries}, {} bytes", dir.display(), stats.total_bytes);
         }
         "gc" => {
             let outcome = cache.gc(max_bytes)?;
             println!(
-                "{}: removed {} record(s), freed {} bytes; {} entr{} / {} bytes remain (limit {})",
+                "{}: removed {} record(s), freed {} bytes; {} / {} bytes remain (limit {})",
                 dir.display(),
                 outcome.removed,
                 outcome.freed_bytes,
-                outcome.remaining.entries,
-                if outcome.remaining.entries == 1 {
-                    "y"
-                } else {
-                    "ies"
-                },
+                entries(outcome.remaining.entries),
                 outcome.remaining.total_bytes,
                 max_bytes
             );
@@ -478,42 +472,10 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Computes the figures behind one `figures` ID.
-type FigureSet = fn(&FigureOptions) -> Result<Vec<FigureData>, CoreError>;
-
-/// Every `figures` ID. All but `ext` make up the paper's figure set, in
-/// this order: Figures 2-3 and the link-count table (analytical), then
-/// the simulated Figures 5-11.
-const FIGURE_SETS: [(&str, FigureSet); 8] = [
-    ("fig2", |_| Ok(vec![figures::fig2(64)])),
-    ("fig3", |_| Ok(vec![figures::fig3(64)])),
-    ("fig_tables", |_| {
-        Ok(vec![figures::table_links(&[8, 12, 16, 24, 32, 48, 64])])
-    }),
-    ("fig5", |opts| Ok(vec![figures::fig5(opts)?])),
-    ("fig6_7", |opts| {
-        figures::fig6_7(opts).map(|(a, b)| vec![a, b])
-    }),
-    ("fig8_9", |opts| {
-        figures::fig8_9(opts).map(|(a, b)| vec![a, b])
-    }),
-    ("fig10_11", |opts| {
-        figures::fig10_11(opts).map(|(a, b)| vec![a, b])
-    }),
-    ("ext", |opts| {
-        let (torus_tp, torus_lat) = figures::ext_torus(opts)?;
-        let (adaptive_tp, adaptive_lat) = figures::ext_adaptive(opts)?;
-        Ok(vec![
-            torus_tp,
-            torus_lat,
-            adaptive_tp,
-            adaptive_lat,
-            figures::ext_spidergon_routing(opts)?,
-            figures::ext_mixed_hotspot(opts)?,
-            figures::ext_link_heatmap(opts)?,
-        ])
-    }),
-];
+/// `n entry` or `n entries`.
+fn entries(n: usize) -> String {
+    format!("{n} entr{}", if n == 1 { "y" } else { "ies" })
+}
 
 /// Directory `figures` writes its CSV/JSON dumps into (relative to the
 /// working directory).
@@ -539,30 +501,22 @@ fn figure_options_from_env() -> Result<FigureOptions, String> {
 }
 
 /// Looks up a `figures` ID; an unknown one yields the usage line.
-fn figure_set(id: &str) -> Result<FigureSet, String> {
-    FIGURE_SETS
-        .iter()
-        .find(|(name, _)| *name == id)
-        .map(|&(_, set)| set)
-        .ok_or_else(|| {
-            let names: Vec<_> = FIGURE_SETS.iter().map(|(name, _)| *name).collect();
-            format!(
-                "unknown figure `{id}`\nusage: noc-cli figures [{}]...",
-                names.join("|")
-            )
-        })
+fn figure_set(id: &str) -> Result<FigureSetFn, String> {
+    let set = SETS.iter().find(|(name, _)| *name == id);
+    set.map(|&(_, set)| set).ok_or_else(|| {
+        let ids: Vec<_> = SETS.iter().map(|&(name, _)| name).collect();
+        let ids = ids.join("|");
+        format!("unknown figure `{id}`\nusage: noc-cli figures [{ids}]...")
+    })
 }
 
 /// `figures`: regenerates the figures named by `ids` (the paper's
 /// figure set when empty). Every ID and the mode are checked before
 /// anything is computed or written.
 fn cmd_figures(ids: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let sets: Vec<FigureSet> = if ids.is_empty() {
-        FIGURE_SETS
-            .iter()
-            .filter(|(name, _)| *name != "ext")
-            .map(|&(_, set)| set)
-            .collect()
+    let sets: Vec<FigureSetFn> = if ids.is_empty() {
+        let paper = SETS.iter().filter(|&&(id, _)| id != EXTENSIONS);
+        paper.map(|&(_, set)| set).collect()
     } else {
         ids.iter()
             .map(|id| figure_set(id))

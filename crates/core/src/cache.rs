@@ -28,9 +28,9 @@
 //!    removing oldest-modified records first.
 //! 3. **Toggles and accounting** — [`ExperimentCache::from_env`] reads
 //!    `NOC_CACHE` (unset/`0`/`off` disables; `1`/`on` selects the
-//!    default directory; anything else is a directory path), and global
-//!    [`counters`] track hits/misses/stores for reports and CI
-//!    assertions. `NOC_CACHE_MAX_BYTES` bounds the store after each
+//!    default directory; anything else is a directory path), and
+//!    per-thread [`counters`] track hits/misses/stores for reports and
+//!    CI assertions. `NOC_CACHE_MAX_BYTES` bounds the store after each
 //!    scheduler pass.
 //!
 //! The incremental scheduler lives in
@@ -42,6 +42,7 @@
 
 use crate::{CoreError, Experiment, RunResult};
 use serde::Serialize;
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -183,13 +184,22 @@ pub fn fingerprint(experiment: &Experiment, seed: u64) -> Fingerprint {
     Fingerprint(fnv1a_128(canonical_key(experiment, seed).as_bytes()))
 }
 
-// --- global hit/miss accounting -----------------------------------------
+// --- per-thread hit/miss accounting ------------------------------------
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static STORES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Counters of the schedulers called from this thread. Thread-local
+    /// so concurrent callers (parallel test threads, say) never see each
+    /// other's counts.
+    static COUNTERS: Cell<CacheCounters> = const {
+        Cell::new(CacheCounters {
+            hits: 0,
+            misses: 0,
+            stores: 0,
+        })
+    };
+}
 
-/// Snapshot of the process-wide cache counters.
+/// Snapshot of the calling thread's cache counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize)]
 pub struct CacheCounters {
     /// Points answered from the store.
@@ -211,27 +221,25 @@ impl CacheCounters {
     }
 }
 
-/// Current process-wide counters (all cache-aware schedulers in this
-/// process accumulate here).
+/// Current counters of the calling thread: the sum over every
+/// cache-aware scheduler call made from it.
 pub fn counters() -> CacheCounters {
-    CacheCounters {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        stores: STORES.load(Ordering::Relaxed),
-    }
+    COUNTERS.get()
 }
 
-/// Resets the process-wide counters to zero.
+/// Resets the calling thread's counters to zero.
 pub fn reset_counters() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    STORES.store(0, Ordering::Relaxed);
+    COUNTERS.set(CacheCounters::default());
 }
 
+/// Adds one scheduler call's counts to the calling thread's counters.
 pub(crate) fn record_counters(delta: CacheCounters) {
-    HITS.fetch_add(delta.hits, Ordering::Relaxed);
-    MISSES.fetch_add(delta.misses, Ordering::Relaxed);
-    STORES.fetch_add(delta.stores, Ordering::Relaxed);
+    let total = COUNTERS.get();
+    COUNTERS.set(CacheCounters {
+        hits: total.hits.wrapping_add(delta.hits),
+        misses: total.misses.wrapping_add(delta.misses),
+        stores: total.stores.wrapping_add(delta.stores),
+    });
 }
 
 // --- record envelope -----------------------------------------------------

@@ -1,25 +1,37 @@
-//! Reproduction of every figure in the paper's evaluation.
+//! Reproduction of every figure in the paper's evaluation, plus the
+//! extension figures.
 //!
-//! | Function | Paper figure | Content |
+//! | Function | Figure | Content |
 //! |---|---|---|
 //! | [`fig2`] | Figure 2 | Network diameter `ND` vs `N` (Ring, ideal mesh, real meshes, Spidergon) |
 //! | [`fig3`] | Figure 3 | Average network distance `E[D]` vs `N` |
+//! | [`table_links`] | Section 2 (text) | Link counts `2N` / `3N` / `2(m-1)n + 2(n-1)m` |
 //! | [`fig5`] | Figure 5 | Analytical vs simulated average distance |
 //! | [`fig6_7`] | Figures 6, 7 | Throughput and latency vs injection rate, **single hot-spot** |
 //! | [`fig8_9`] | Figures 8, 9 | Throughput and latency, **double hot-spot** (placements A/B) |
 //! | [`fig10_11`] | Figures 10, 11 | Throughput and latency, **homogeneous uniform** traffic |
-//! | [`table_links`] | Section 2 (text) | Link counts `2N` / `3N` / `2(m-1)n + 2(n-1)m` |
+//! | [`ext_torus`] | Extension | Uniform throughput and latency with the torus added |
+//! | [`ext_mixed_hotspot`] | Extension | Throughput vs hot-spot fraction |
+//! | [`ext_adaptive`] | Extension | XY vs West-First mesh routing |
+//! | [`ext_spidergon_routing`] | Extension | Spidergon Across-First vs Across-Last latency |
+//! | [`ext_link_heatmap`] | Extension | Per-link utilization under a single hot-spot |
+//! | [`manifest`] | 5-11, torus, mixed | The simulated sweep figures as data |
 //!
-//! The `_7`, `_9`, `_11` variants share the sweep with their throughput
-//! siblings, so both figures of a pair cost one set of simulations.
+//! One runner turns a manifest entry into a single engine call and the
+//! results into [`FigureData`], so both figures of a pair (`_7`, `_9`,
+//! `_11`) cost one set of simulations. `ext_adaptive` and
+//! `ext_spidergon_routing` run manifest-shaped entries with routing an
+//! [`Experiment`](crate::Experiment) cannot name. [`SETS`] groups the
+//! figures by the IDs `noc-cli figures` takes.
 
 use crate::parallel::{run_experiment_jobs, run_indexed, ExperimentJob, Parallelism};
 use crate::report::{FigureData, Point, Series};
-use crate::sweep::{sweep_from_runs, sweep_jobs, validate_rates};
-use crate::{Aggregate, CoreError, Experiment, RunResult, SweepResult, TopologySpec, TrafficSpec};
+use crate::sweep::{sweep_jobs, validate_rates};
+use crate::{Aggregate, CoreError, RunResult, TopologySpec, TrafficSpec};
+use noc_routing::{RoutingAlgorithm, SpidergonAcrossLast};
 use noc_sim::{SimConfig, Simulation};
-use noc_topology::{analytical, metrics, real_mesh, IrregularMesh, RectMesh, Ring, Spidergon};
-use noc_traffic::{PlacementScenario, TrafficPattern, UniformRandom};
+use noc_topology::{analytical, metrics, real_mesh, IrregularMesh, RectMesh, Spidergon, Topology};
+use noc_traffic::PlacementScenario;
 use serde::{Deserialize, Serialize};
 
 /// Quality knobs for the simulation-based figures.
@@ -85,6 +97,18 @@ impl FigureOptions {
             .build()
             .expect("figure options produce a valid config")
     }
+
+    /// Rejects options no simulated figure can run: an empty or
+    /// non-ascending rate grid, or no replications.
+    fn validate(&self) -> Result<(), CoreError> {
+        validate_rates(&self.rates())?;
+        if self.replications == 0 {
+            return Err(CoreError::InvalidSpec {
+                reason: "replications must be positive".to_owned(),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for FigureOptions {
@@ -102,42 +126,17 @@ impl Default for FigureOptions {
 /// Panics if `max_nodes < 6`.
 pub fn fig2(max_nodes: usize) -> FigureData {
     assert!(max_nodes >= 6, "figure 2 needs at least 6 nodes");
-    let mut fig = FigureData::new(
-        "fig2",
-        "Network diameter ND vs number of nodes N",
-        "N",
-        "ND (hops)",
-    );
-    fig.push_series(Series::from_xy(
-        "ring",
-        (3..=max_nodes).map(|n| (n as f64, analytical::ring_diameter(n) as f64)),
-    ));
-    fig.push_series(Series::from_xy(
-        "ideal-mesh",
-        (4..=max_nodes).map(|n| (n as f64, real_mesh::ideal_mesh_diameter_continuous(n))),
-    ));
-    fig.push_series(Series::from_xy(
-        "real-mesh-rect",
-        (4..=max_nodes).map(|n| {
-            let mesh = RectMesh::balanced(n).expect("n >= 4");
-            (n as f64, metrics::diameter(&mesh) as f64)
-        }),
-    ));
-    fig.push_series(Series::from_xy(
-        "real-mesh-irregular",
-        (4..=max_nodes).map(|n| {
-            let mesh = IrregularMesh::realistic(n).expect("n >= 4");
-            (n as f64, metrics::diameter(&mesh) as f64)
-        }),
-    ));
-    fig.push_series(Series::from_xy(
-        "spidergon",
-        (2..=max_nodes / 2).map(|half| {
-            let n = half * 2;
-            (n as f64, analytical::spidergon_diameter(n) as f64)
-        }),
-    ));
-    fig
+    let title = "Network diameter ND vs number of nodes N";
+    distance_curves(
+        FigureData::new("fig2", title, "N", "ND (hops)"),
+        max_nodes,
+        [
+            |n| analytical::ring_diameter(n) as f64,
+            real_mesh::ideal_mesh_diameter_continuous,
+            |n| analytical::spidergon_diameter(n) as f64,
+        ],
+        |mesh| metrics::diameter(mesh) as f64,
+    )
 }
 
 /// Figure 3: average network distance `E[D]` vs number of nodes (paper
@@ -148,81 +147,392 @@ pub fn fig2(max_nodes: usize) -> FigureData {
 /// Panics if `max_nodes < 6`.
 pub fn fig3(max_nodes: usize) -> FigureData {
     assert!(max_nodes >= 6, "figure 3 needs at least 6 nodes");
-    let mut fig = FigureData::new(
-        "fig3",
-        "Average network distance E[D] vs number of nodes N",
-        "N",
-        "E[D] (hops)",
-    );
-    fig.push_series(Series::from_xy(
-        "ring",
-        (3..=max_nodes).map(|n| (n as f64, analytical::ring_average_distance(n))),
-    ));
-    fig.push_series(Series::from_xy(
-        "ideal-mesh",
-        (4..=max_nodes).map(|n| {
-            (
-                n as f64,
-                real_mesh::ideal_mesh_average_distance_continuous(n),
-            )
-        }),
-    ));
-    fig.push_series(Series::from_xy(
-        "real-mesh-rect",
-        (4..=max_nodes).map(|n| {
-            let mesh = RectMesh::balanced(n).expect("n >= 4");
-            (n as f64, metrics::average_distance_paper(&mesh))
-        }),
-    ));
-    fig.push_series(Series::from_xy(
-        "real-mesh-irregular",
-        (4..=max_nodes).map(|n| {
-            let mesh = IrregularMesh::realistic(n).expect("n >= 4");
-            (n as f64, metrics::average_distance_paper(&mesh))
-        }),
-    ));
-    fig.push_series(Series::from_xy(
-        "spidergon",
-        (2..=max_nodes / 2).map(|half| {
-            let n = half * 2;
-            (n as f64, analytical::spidergon_average_distance(n))
-        }),
-    ));
+    let title = "Average network distance E[D] vs number of nodes N";
+    distance_curves(
+        FigureData::new("fig3", title, "N", "E[D] (hops)"),
+        max_nodes,
+        [
+            analytical::ring_average_distance,
+            real_mesh::ideal_mesh_average_distance_continuous,
+            analytical::spidergon_average_distance,
+        ],
+        |mesh| metrics::average_distance_paper(mesh),
+    )
+}
+
+/// The five curves of Figures 2 and 3 up to `max_nodes`: Ring, the
+/// ideal mesh and Spidergon (even `N`) in closed form, and `measure` of
+/// the two real-mesh families.
+fn distance_curves(
+    mut fig: FigureData,
+    max_nodes: usize,
+    [ring, ideal_mesh, spidergon]: [fn(usize) -> f64; 3],
+    measure: fn(&dyn Topology) -> f64,
+) -> FigureData {
+    let curve = |from, y: &dyn Fn(usize) -> f64| {
+        Vec::from_iter((from..=max_nodes).map(|n| (n as f64, y(n))))
+    };
+    let rect = |n| measure(&RectMesh::balanced(n).expect("n >= 4"));
+    let irregular = |n| measure(&IrregularMesh::realistic(n).expect("n >= 4"));
+    fig.push_series(Series::from_xy("ring", curve(3, &ring)));
+    fig.push_series(Series::from_xy("ideal-mesh", curve(4, &ideal_mesh)));
+    fig.push_series(Series::from_xy("real-mesh-rect", curve(4, &rect)));
+    fig.push_series(Series::from_xy("real-mesh-irregular", curve(4, &irregular)));
+    let even = (2..=max_nodes / 2).map(|half| 2 * half);
+    let spidergon = Vec::from_iter(even.map(|n| (n as f64, spidergon(n))));
+    fig.push_series(Series::from_xy("spidergon", spidergon));
     fig
 }
 
 /// Section 2's in-text link-count comparison as a table: `2N` for Ring,
 /// `3N` for Spidergon, `2(m-1)n + 2(n-1)m` for the balanced mesh.
 pub fn table_links(node_counts: &[usize]) -> FigureData {
-    let mut fig = FigureData::new(
-        "table-links",
-        "Unidirectional link counts per topology",
-        "N",
-        "links",
-    );
+    let title = "Unidirectional link counts per topology";
+    let mut fig = FigureData::new("table-links", title, "N", "links");
+    let counts = |ns: &[usize], links: &dyn Fn(usize) -> usize| {
+        Vec::from_iter(ns.iter().map(|&n| (n as f64, links(n) as f64)))
+    };
+    let mesh_links = |n| {
+        let mesh = RectMesh::balanced(n).expect("n >= 2");
+        analytical::mesh_link_count(mesh.cols(), mesh.rows())
+    };
     let even: Vec<usize> = node_counts.iter().copied().filter(|n| n % 2 == 0).collect();
-    fig.push_series(Series::from_xy(
-        "ring",
-        node_counts
-            .iter()
-            .map(|&n| (n as f64, analytical::ring_link_count(n) as f64)),
-    ));
-    fig.push_series(Series::from_xy(
-        "spidergon",
-        even.iter()
-            .map(|&n| (n as f64, analytical::spidergon_link_count(n) as f64)),
-    ));
-    fig.push_series(Series::from_xy(
-        "mesh",
-        node_counts.iter().map(|&n| {
-            let mesh = RectMesh::balanced(n).expect("n >= 2");
-            (
-                n as f64,
-                analytical::mesh_link_count(mesh.cols(), mesh.rows()) as f64,
-            )
-        }),
-    ));
+    let ring = counts(node_counts, &analytical::ring_link_count);
+    fig.push_series(Series::from_xy("ring", ring));
+    let spidergon = counts(&even, &analytical::spidergon_link_count);
+    fig.push_series(Series::from_xy("spidergon", spidergon));
+    fig.push_series(Series::from_xy("mesh", counts(node_counts, &mesh_links)));
     fig
+}
+
+/// What an output figure plots for each point's replications.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Statistic {
+    /// Aggregate throughput in flits/cycle (mean ± sample std).
+    Throughput,
+    /// Mean packet latency in cycles (mean ± sample std).
+    Latency,
+    /// Mean hops per delivered packet (no spread).
+    MeanHops,
+}
+
+impl Statistic {
+    /// The y-axis label of a figure plotting this statistic.
+    pub fn axis_label(self) -> &'static str {
+        match self {
+            Statistic::Throughput => "throughput (flits/cycle)",
+            Statistic::Latency => "latency (cycles)",
+            Statistic::MeanHops => "E[D] (hops)",
+        }
+    }
+
+    /// `(y, std)` of this statistic over one point's replications.
+    fn of(self, agg: &Aggregate) -> (f64, f64) {
+        match self {
+            Statistic::Throughput => (agg.throughput_mean, agg.throughput_std),
+            Statistic::Latency => (agg.latency_mean, agg.latency_std),
+            Statistic::MeanHops => (agg.mean_hops, 0.0),
+        }
+    }
+
+    /// An output figure plotting this statistic.
+    const fn figure(self, id: &'static str, title: &'static str) -> FigureOutput {
+        FigureOutput {
+            id,
+            title,
+            statistic: self,
+        }
+    }
+}
+
+/// One figure drawn from a manifest entry's runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FigureOutput {
+    /// Figure ID, e.g. `"fig6"`; also the name of its result files.
+    pub id: &'static str,
+    /// Figure title.
+    pub title: &'static str,
+    /// What the figure plots; its y-axis label follows from it.
+    pub statistic: Statistic,
+}
+
+/// One simulated point of a series: `(x, topology, traffic, λ)`, the
+/// x coordinate in every output figure and the experiment behind it at
+/// injection rate λ (flits/cycle/source).
+pub type ManifestPoint = (f64, TopologySpec, TrafficSpec, f64);
+
+/// One curve of a manifest entry, drawn in every output figure.
+#[derive(Clone, PartialEq, Debug)]
+pub struct ManifestSeries {
+    /// Curve label, e.g. `"spidergon-16"`.
+    pub label: String,
+    /// The points, in x order.
+    pub points: Vec<ManifestPoint>,
+}
+
+/// One simulated figure, or a pair sharing its simulations, as data.
+#[derive(Clone, PartialEq, Debug)]
+pub struct ManifestEntry {
+    /// X-axis label of every output.
+    pub x_label: &'static str,
+    /// The figures drawn from the entry's runs.
+    pub outputs: Vec<FigureOutput>,
+    /// The curves. Every point runs `replications` times, with seeds
+    /// `seed, seed + 1, ...`.
+    pub series: Vec<ManifestSeries>,
+}
+
+/// X-axis label of the rate sweeps.
+const RATE_AXIS: &str = "lambda (flits/cycle/source)";
+
+/// Builds a family's topology spec at a node count.
+type FamilyFn = fn(usize) -> TopologySpec;
+
+/// The topology families the paper compares, by label.
+const FAMILIES: [(&str, FamilyFn); 3] = [
+    ("ring", |nodes| TopologySpec::Ring { nodes }),
+    ("spidergon", |nodes| TopologySpec::Spidergon { nodes }),
+    ("mesh", |nodes| TopologySpec::MeshBalanced { nodes }),
+];
+
+/// Figure 5's node counts.
+const FIG5_NODES: [usize; 7] = [8, 12, 16, 20, 24, 28, 32];
+
+/// A series sweeping `opts.rates()` on one (topology, traffic) pair.
+fn sweep(
+    opts: &FigureOptions,
+    label: String,
+    topology: TopologySpec,
+    traffic: TrafficSpec,
+) -> ManifestSeries {
+    let points = opts.rates().into_iter();
+    ManifestSeries {
+        label,
+        points: points.map(|r| (r, topology, traffic, r)).collect(),
+    }
+}
+
+/// Side of the square grid of the torus and adaptive extensions: the
+/// largest node count rounded to a square, at least 3 × 3.
+fn square_side(opts: &FigureOptions) -> usize {
+    let n = opts.node_counts.iter().copied().max().unwrap_or(16);
+    ((n as f64).sqrt().round() as usize).max(3)
+}
+
+/// The largest even node count (Spidergon needs one), else 16.
+fn largest_even(opts: &FigureOptions) -> usize {
+    let even = opts.node_counts.iter().copied().filter(|n| n % 2 == 0);
+    even.max().unwrap_or(16)
+}
+
+/// The simulated sweep figures as data, in publication order: Figure 5's
+/// simulated half, Figures 6/7, 8/9 and 10/11, then the torus and mixed
+/// hot-spot extensions.
+pub fn manifest(opts: &FigureOptions) -> Vec<ManifestEntry> {
+    use Statistic::{Latency, MeanHops, Throughput};
+    // Node count × family × traffic variant: the paper's sweep grid.
+    let paper_grid = |variants: &[(&str, TrafficSpec)]| {
+        let mut grid = Vec::new();
+        for &n in &opts.node_counts {
+            for (family, spec) in FAMILIES {
+                for &(tag, traffic) in variants {
+                    grid.push(sweep(opts, format!("{family}-{n}{tag}"), spec(n), traffic));
+                }
+            }
+        }
+        grid
+    };
+    let placed = |scenario| TrafficSpec::DoubleHotspotPlaced { scenario };
+    let mixed = |fraction| TrafficSpec::MixedHotspot {
+        target: 0,
+        fraction,
+    };
+    let fractions: [f64; 11] = std::array::from_fn(|i| i as f64 / 10.0);
+    let (side, even) = (square_side(opts), largest_even(opts));
+    let (n, cols, rows) = (side * side, side, side);
+    let torus_grid = [
+        ("ring", TopologySpec::Ring { nodes: n }),
+        ("spidergon", TopologySpec::Spidergon { nodes: n }),
+        ("mesh", TopologySpec::Mesh { cols, rows }),
+        ("torus", TopologySpec::Torus { cols, rows }),
+    ];
+    vec![
+        ManifestEntry {
+            x_label: "N",
+            outputs: vec![MeanHops.figure(
+                "fig5",
+                "Analytical and simulation-based average network distances",
+            )],
+            // Light load: negligible queueing, hops unaffected.
+            series: Vec::from(FAMILIES.map(|(family, spec)| ManifestSeries {
+                label: format!("{family}-simulated"),
+                points: Vec::from(
+                    FIG5_NODES.map(|n| (n as f64, spec(n), TrafficSpec::Uniform, 0.1)),
+                ),
+            })),
+        },
+        ManifestEntry {
+            x_label: RATE_AXIS,
+            outputs: vec![
+                Throughput.figure("fig6", "NoC throughput, one hot-spot destination node"),
+                Latency.figure("fig7", "NoC latency, one hot-spot destination node"),
+            ],
+            series: paper_grid(&[("", TrafficSpec::SingleHotspot { target: 0 })]),
+        },
+        ManifestEntry {
+            x_label: RATE_AXIS,
+            outputs: vec![
+                Throughput.figure("fig8", "NoC throughput, two hot-spot destination nodes"),
+                Latency.figure("fig9", "NoC latency, two hot-spot destination nodes"),
+            ],
+            series: paper_grid(&[
+                ("-A", placed(PlacementScenario::Opposed)),
+                ("-B", placed(PlacementScenario::CornerMiddle)),
+            ]),
+        },
+        ManifestEntry {
+            x_label: RATE_AXIS,
+            outputs: vec![
+                Throughput.figure(
+                    "fig10",
+                    "NoC throughput, homogeneous sources and destinations",
+                ),
+                Latency.figure("fig11", "NoC latency, homogeneous sources and destinations"),
+            ],
+            series: paper_grid(&[("", TrafficSpec::Uniform)]),
+        },
+        ManifestEntry {
+            x_label: RATE_AXIS,
+            outputs: vec![
+                Throughput.figure("ext-torus", "Extension: uniform throughput incl. torus"),
+                Latency.figure(
+                    "ext-torus-latency",
+                    "Extension: uniform latency incl. torus",
+                ),
+            ],
+            series: Vec::from(torus_grid.map(|(family, spec)| {
+                sweep(opts, format!("{family}-{n}"), spec, TrafficSpec::Uniform)
+            })),
+        },
+        ManifestEntry {
+            x_label: "hot-spot fraction",
+            outputs: vec![Throughput.figure(
+                "ext-mixed-hotspot",
+                "Extension: throughput vs hot-spot fraction (lambda = 0.25)",
+            )],
+            series: Vec::from(FAMILIES.map(|(family, spec)| ManifestSeries {
+                label: format!("{family}-{even}"),
+                points: Vec::from(fractions.map(|f| (f, spec(even), mixed(f), 0.25))),
+            })),
+        },
+    ]
+}
+
+/// The engine jobs of a series: point-major, replication-minor.
+fn series_jobs(opts: &FigureOptions, series: &ManifestSeries) -> Vec<ExperimentJob> {
+    let base = opts.base_config();
+    series
+        .points
+        .iter()
+        .flat_map(|&(_, topology, traffic, rate)| {
+            sweep_jobs(topology, traffic, &base, &[rate], opts.replications)
+        })
+        .collect()
+}
+
+/// Chunks an entry's runs (series-major, then [`series_jobs`] order) by
+/// replication and draws its output figures.
+fn assemble(entry: &ManifestEntry, replications: usize, runs: Vec<RunResult>) -> Vec<FigureData> {
+    let mut runs = runs.into_iter();
+    let mut aggregate = || Aggregate::from_runs(runs.by_ref().take(replications).collect());
+    let aggregates: Vec<Vec<Aggregate>> = entry
+        .series
+        .iter()
+        .map(|series| series.points.iter().map(|_| aggregate()).collect())
+        .collect();
+    let figure = |out: &FigureOutput| {
+        let y_label = out.statistic.axis_label();
+        let mut fig = FigureData::new(out.id, out.title, entry.x_label, y_label);
+        for (series, aggs) in entry.series.iter().zip(&aggregates) {
+            let points = series.points.iter().zip(aggs).map(|(&(x, ..), agg)| {
+                let (y, std) = out.statistic.of(agg);
+                Point { x, y, std }
+            });
+            fig.push_series(Series {
+                label: series.label.clone(),
+                points: points.collect(),
+            });
+        }
+        fig
+    };
+    entry.outputs.iter().map(figure).collect()
+}
+
+/// Runs the manifest entry whose first output is `id` as **one** engine
+/// call, exposing its whole grid to the worker pool at once.
+fn run_manifest(opts: &FigureOptions, id: &str) -> Result<Vec<FigureData>, CoreError> {
+    opts.validate()?;
+    let entry = manifest(opts)
+        .into_iter()
+        .find(|entry| entry.outputs[0].id == id)
+        .expect("the manifest lists every simulated sweep figure");
+    let jobs = entry
+        .series
+        .iter()
+        .flat_map(|series| series_jobs(opts, series));
+    let runs = run_experiment_jobs(jobs.collect(), Parallelism::default())?;
+    Ok(assemble(&entry, opts.replications, runs))
+}
+
+/// Builds a series' routing in place of its spec's default.
+type RoutingFn = fn(&TopologySpec) -> Result<Box<dyn RoutingAlgorithm>, CoreError>;
+
+/// The custom-routing builder: runs `entry` like [`run_manifest`], but
+/// series `i` routes with `routing[i]`, which an
+/// [`Experiment`](crate::Experiment) cannot express. Its points
+/// therefore run on the generic engine, uncached (the cache key has no
+/// routing field).
+fn run_routed(
+    opts: &FigureOptions,
+    entry: &ManifestEntry,
+    routing: &[RoutingFn],
+) -> Result<Vec<FigureData>, CoreError> {
+    opts.validate()?;
+    let jobs: Vec<_> = entry
+        .series
+        .iter()
+        .zip(routing)
+        .flat_map(|(series, &routing)| {
+            let jobs = series_jobs(opts, series).into_iter();
+            jobs.map(move |job| (job, routing))
+        })
+        .map(|(ExperimentJob { experiment, seed }, routing)| {
+            move || -> Result<RunResult, CoreError> {
+                let mut config = experiment.config.clone();
+                config.seed = seed;
+                let spec = &experiment.topology;
+                let traffic = experiment.traffic.build(spec)?;
+                let mut sim = Simulation::new(spec.build()?, routing(spec)?, traffic, config)?;
+                Ok(RunResult {
+                    topology_label: sim.topology().label(),
+                    traffic_label: experiment.traffic.label(),
+                    injection_rate: experiment.config.injection_rate,
+                    seed,
+                    stats: sim.run()?,
+                })
+            }
+        })
+        .collect();
+    let runs = run_indexed(jobs, Parallelism::default())
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+    Ok(assemble(entry, opts.replications, runs))
+}
+
+/// Splits a two-output entry's figures into (throughput, latency).
+fn pair(figures: Vec<FigureData>) -> (FigureData, FigureData) {
+    let [throughput, latency] = <[FigureData; 2]>::try_from(figures).expect("two outputs");
+    (throughput, latency)
 }
 
 /// Figure 5: analytical vs simulated average network distance (hops)
@@ -234,164 +544,20 @@ pub fn table_links(node_counts: &[usize]) -> FigureData {
 ///
 /// # Errors
 ///
-/// Returns the first simulation error.
+/// Returns [`CoreError::InvalidSpec`] for invalid options, else the
+/// first simulation error.
 pub fn fig5(opts: &FigureOptions) -> Result<FigureData, CoreError> {
-    if opts.replications == 0 {
-        return Err(CoreError::InvalidSpec {
-            reason: "replications must be positive".to_owned(),
-        });
-    }
-    let mut fig = FigureData::new(
-        "fig5",
-        "Analytical and simulation-based average network distances",
-        "N",
-        "E[D] (hops)",
-    );
-    let ns: Vec<usize> = (2..=8).map(|h| h * 4).collect(); // 8, 12, ..., 32
-    let lambda = 0.1; // light load: negligible queueing, hops unaffected
-
-    let mut analytic: Vec<(String, Vec<(f64, f64)>)> = vec![
-        ("ring-analytical".into(), Vec::new()),
-        ("spidergon-analytical".into(), Vec::new()),
-        ("mesh-analytical".into(), Vec::new()),
-    ];
-    let mut simulated: Vec<(String, Vec<(f64, f64)>)> = vec![
-        ("ring-simulated".into(), Vec::new()),
-        ("spidergon-simulated".into(), Vec::new()),
-        ("mesh-simulated".into(), Vec::new()),
-    ];
-    // Analytical curves and the flattened simulation job list (node
-    // count × family × replication) are built in one pass; the engine
-    // then runs the whole grid at once and results are reassembled in
-    // the same (n, family) order.
-    let mut grid = Vec::new();
-    let mut jobs = Vec::new();
-    for &n in &ns {
-        let specs = [
-            (0usize, TopologySpec::Ring { nodes: n }),
-            (1, TopologySpec::Spidergon { nodes: n }),
-            (2, TopologySpec::MeshBalanced { nodes: n }),
-        ];
-        for (slot, spec) in specs {
-            let exact = match spec {
-                TopologySpec::Ring { nodes } => metrics::average_distance(&Ring::new(nodes)?),
-                TopologySpec::Spidergon { nodes } => {
-                    metrics::average_distance(&Spidergon::new(nodes)?)
-                }
-                _ => metrics::average_distance(&RectMesh::balanced(n)?),
-            };
-            analytic[slot].1.push((n as f64, exact));
-            let mut config = opts.base_config();
-            config.injection_rate = lambda;
-            let experiment = Experiment {
-                topology: spec,
-                traffic: TrafficSpec::Uniform,
-                config,
-            };
-            for rep in 0..opts.replications {
-                jobs.push(ExperimentJob {
-                    seed: experiment.config.seed.wrapping_add(rep as u64),
-                    experiment: experiment.clone(),
-                });
-            }
-            grid.push((slot, n));
+    let mut fig = run_manifest(opts, "fig5")?.remove(0);
+    let mut analytical = Vec::new();
+    for (family, spec) in FAMILIES {
+        let mut xy = Vec::new();
+        for n in FIG5_NODES {
+            xy.push((n as f64, metrics::average_distance(&*spec(n).build()?)));
         }
+        analytical.push(Series::from_xy(format!("{family}-analytical"), xy));
     }
-    let mut runs = run_experiment_jobs(jobs, Parallelism::default())?.into_iter();
-    for (slot, n) in grid {
-        let chunk: Vec<RunResult> = runs.by_ref().take(opts.replications).collect();
-        let agg = Aggregate::from_runs(chunk);
-        simulated[slot].1.push((n as f64, agg.mean_hops));
-    }
-    for (label, xy) in analytic.into_iter().chain(simulated) {
-        fig.push_series(Series::from_xy(label, xy));
-    }
+    fig.series.splice(0..0, analytical);
     Ok(fig)
-}
-
-/// The three topology families the simulation figures compare at a
-/// given node count.
-fn families(n: usize) -> Vec<(&'static str, TopologySpec)> {
-    vec![
-        ("ring", TopologySpec::Ring { nodes: n }),
-        ("spidergon", TopologySpec::Spidergon { nodes: n }),
-        ("mesh", TopologySpec::MeshBalanced { nodes: n }),
-    ]
-}
-
-/// One planned sweep of a figure grid: series label plus the
-/// (topology, traffic) pair to sweep over the shared rate grid.
-type PlannedSweep = (String, TopologySpec, TrafficSpec);
-
-/// Runs every planned sweep as **one** flat job list on the parallel
-/// engine (plan-major, rate-major, replication-minor — the order the
-/// old nested loops ran in) and reassembles per-plan sweep results in
-/// plan order. This exposes the whole figure grid — node counts ×
-/// families × scenarios × rates × replications — to the worker pool at
-/// once instead of one sweep point at a time.
-fn run_planned_sweeps(
-    plans: &[PlannedSweep],
-    opts: &FigureOptions,
-    rates: &[f64],
-) -> Result<Vec<SweepResult>, CoreError> {
-    validate_rates(rates)?;
-    if opts.replications == 0 {
-        return Err(CoreError::InvalidSpec {
-            reason: "replications must be positive".to_owned(),
-        });
-    }
-    let base = opts.base_config();
-    let per_plan = rates.len() * opts.replications;
-    let mut jobs = Vec::with_capacity(plans.len() * per_plan);
-    for (_, topology, traffic) in plans {
-        jobs.extend(sweep_jobs(
-            *topology,
-            *traffic,
-            &base,
-            rates,
-            opts.replications,
-        ));
-    }
-    let mut runs = run_experiment_jobs(jobs, Parallelism::default())?.into_iter();
-    Ok(plans
-        .iter()
-        .map(|_| {
-            let chunk: Vec<RunResult> = runs.by_ref().take(per_plan).collect();
-            sweep_from_runs(rates, opts.replications, chunk)
-        })
-        .collect())
-}
-
-fn push_sweep(
-    throughput: &mut FigureData,
-    latency: &mut FigureData,
-    label: String,
-    sweep: &SweepResult,
-) {
-    throughput.push_series(Series {
-        label: label.clone(),
-        points: sweep
-            .points
-            .iter()
-            .map(|p| Point {
-                x: p.rate,
-                y: p.throughput_mean,
-                std: p.throughput_std,
-            })
-            .collect(),
-    });
-    latency.push_series(Series {
-        label,
-        points: sweep
-            .points
-            .iter()
-            .map(|p| Point {
-                x: p.rate,
-                y: p.latency_mean,
-                std: p.latency_std,
-            })
-            .collect(),
-    });
 }
 
 /// Figures 6 and 7: throughput and latency vs injection rate with one
@@ -399,36 +565,9 @@ fn push_sweep(
 ///
 /// # Errors
 ///
-/// Returns the first simulation error.
+/// See [`fig5`].
 pub fn fig6_7(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreError> {
-    let mut throughput = FigureData::new(
-        "fig6",
-        "NoC throughput, one hot-spot destination node",
-        "lambda (flits/cycle/source)",
-        "throughput (flits/cycle)",
-    );
-    let mut latency = FigureData::new(
-        "fig7",
-        "NoC latency, one hot-spot destination node",
-        "lambda (flits/cycle/source)",
-        "latency (cycles)",
-    );
-    let rates = opts.rates();
-    let mut plans = Vec::new();
-    for &n in &opts.node_counts {
-        for (family, spec) in families(n) {
-            plans.push((
-                format!("{family}-{n}"),
-                spec,
-                TrafficSpec::SingleHotspot { target: 0 },
-            ));
-        }
-    }
-    let sweeps = run_planned_sweeps(&plans, opts, &rates)?;
-    for ((label, _, _), sweep) in plans.into_iter().zip(&sweeps) {
-        push_sweep(&mut throughput, &mut latency, label, sweep);
-    }
-    Ok((throughput, latency))
+    run_manifest(opts, "fig6").map(pair)
 }
 
 /// Figures 8 and 9: throughput and latency vs injection rate with two
@@ -437,42 +576,9 @@ pub fn fig6_7(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreErro
 ///
 /// # Errors
 ///
-/// Returns the first simulation error.
+/// See [`fig5`].
 pub fn fig8_9(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreError> {
-    let mut throughput = FigureData::new(
-        "fig8",
-        "NoC throughput, two hot-spot destination nodes",
-        "lambda (flits/cycle/source)",
-        "throughput (flits/cycle)",
-    );
-    let mut latency = FigureData::new(
-        "fig9",
-        "NoC latency, two hot-spot destination nodes",
-        "lambda (flits/cycle/source)",
-        "latency (cycles)",
-    );
-    let rates = opts.rates();
-    let scenarios = [
-        ("A", PlacementScenario::Opposed),
-        ("B", PlacementScenario::CornerMiddle),
-    ];
-    let mut plans = Vec::new();
-    for &n in &opts.node_counts {
-        for (family, spec) in families(n) {
-            for (tag, scenario) in scenarios {
-                plans.push((
-                    format!("{family}-{n}-{tag}"),
-                    spec,
-                    TrafficSpec::DoubleHotspotPlaced { scenario },
-                ));
-            }
-        }
-    }
-    let sweeps = run_planned_sweeps(&plans, opts, &rates)?;
-    for ((label, _, _), sweep) in plans.into_iter().zip(&sweeps) {
-        push_sweep(&mut throughput, &mut latency, label, sweep);
-    }
-    Ok((throughput, latency))
+    run_manifest(opts, "fig8").map(pair)
 }
 
 /// Figures 10 and 11: throughput and latency vs injection rate under
@@ -480,32 +586,9 @@ pub fn fig8_9(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreErro
 ///
 /// # Errors
 ///
-/// Returns the first simulation error.
+/// See [`fig5`].
 pub fn fig10_11(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreError> {
-    let mut throughput = FigureData::new(
-        "fig10",
-        "NoC throughput, homogeneous sources and destinations",
-        "lambda (flits/cycle/source)",
-        "throughput (flits/cycle)",
-    );
-    let mut latency = FigureData::new(
-        "fig11",
-        "NoC latency, homogeneous sources and destinations",
-        "lambda (flits/cycle/source)",
-        "latency (cycles)",
-    );
-    let rates = opts.rates();
-    let mut plans = Vec::new();
-    for &n in &opts.node_counts {
-        for (family, spec) in families(n) {
-            plans.push((format!("{family}-{n}"), spec, TrafficSpec::Uniform));
-        }
-    }
-    let sweeps = run_planned_sweeps(&plans, opts, &rates)?;
-    for ((label, _, _), sweep) in plans.into_iter().zip(&sweeps) {
-        push_sweep(&mut throughput, &mut latency, label, sweep);
-    }
-    Ok((throughput, latency))
+    run_manifest(opts, "fig10").map(pair)
 }
 
 /// Extension figure: uniform-traffic throughput and latency with the
@@ -515,243 +598,9 @@ pub fn fig10_11(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreEr
 ///
 /// # Errors
 ///
-/// Returns the first simulation error.
+/// See [`fig5`].
 pub fn ext_torus(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreError> {
-    let mut throughput = FigureData::new(
-        "ext-torus",
-        "Extension: uniform throughput incl. torus",
-        "lambda (flits/cycle/source)",
-        "throughput (flits/cycle)",
-    );
-    let mut latency = FigureData::new(
-        "ext-torus-latency",
-        "Extension: uniform latency incl. torus",
-        "lambda (flits/cycle/source)",
-        "latency (cycles)",
-    );
-    let n = opts.node_counts.iter().copied().max().unwrap_or(16);
-    let side = ((n as f64).sqrt().round() as usize).max(3);
-    let n = side * side;
-    let rates = opts.rates();
-    let specs = [
-        ("ring", TopologySpec::Ring { nodes: n }),
-        ("spidergon", TopologySpec::Spidergon { nodes: n }),
-        (
-            "mesh",
-            TopologySpec::Mesh {
-                cols: side,
-                rows: side,
-            },
-        ),
-        (
-            "torus",
-            TopologySpec::Torus {
-                cols: side,
-                rows: side,
-            },
-        ),
-    ];
-    let plans: Vec<PlannedSweep> = specs
-        .into_iter()
-        .map(|(family, spec)| (format!("{family}-{n}"), spec, TrafficSpec::Uniform))
-        .collect();
-    let sweeps = run_planned_sweeps(&plans, opts, &rates)?;
-    for ((label, _, _), sweep) in plans.into_iter().zip(&sweeps) {
-        push_sweep(&mut throughput, &mut latency, label, sweep);
-    }
-    Ok((throughput, latency))
-}
-
-/// Extension figure: deterministic XY versus West-First adaptive mesh
-/// routing under uniform traffic, as throughput/latency sweeps.
-///
-/// # Errors
-///
-/// Returns the first simulation error.
-pub fn ext_adaptive(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreError> {
-    let mut throughput = FigureData::new(
-        "ext-adaptive",
-        "Extension: XY vs West-First adaptive mesh routing (throughput)",
-        "lambda (flits/cycle/source)",
-        "throughput (flits/cycle)",
-    );
-    let mut latency = FigureData::new(
-        "ext-adaptive-latency",
-        "Extension: XY vs West-First adaptive mesh routing (latency)",
-        "lambda (flits/cycle/source)",
-        "latency (cycles)",
-    );
-    let n = opts.node_counts.iter().copied().max().unwrap_or(16);
-    let side = ((n as f64).sqrt().round() as usize).max(3);
-    let n = side * side;
-    let spec = TopologySpec::Mesh {
-        cols: side,
-        rows: side,
-    };
-    // Custom routing objects cannot be expressed as `ExperimentJob`s,
-    // so this driver uses the generic engine entry point directly: one
-    // closure per (routing, rate, replication), each building its own
-    // simulation, with results reassembled in flattening order.
-    let rates = opts.rates();
-    let mut params = Vec::new();
-    for adaptive in [false, true] {
-        for &rate in &rates {
-            for rep in 0..opts.replications {
-                params.push((adaptive, rate, opts.seed.wrapping_add(rep as u64)));
-            }
-        }
-    }
-    let base = opts.base_config();
-    let jobs: Vec<_> = params
-        .iter()
-        .map(|&(adaptive, rate, seed)| {
-            let mut config = base.clone();
-            move || -> Result<(f64, Option<f64>), CoreError> {
-                config.injection_rate = rate;
-                config.seed = seed;
-                let routing = if adaptive {
-                    spec.build_adaptive_routing()?
-                } else {
-                    spec.build_routing()?
-                };
-                let pattern: Box<dyn TrafficPattern> = Box::new(UniformRandom::new(n)?);
-                let mut sim = Simulation::new(spec.build()?, routing, pattern, config)?;
-                let stats = sim.run()?;
-                Ok((stats.throughput_flits_per_cycle(), stats.latency.mean()))
-            }
-        })
-        .collect();
-    let mut samples = run_indexed(jobs, Parallelism::default())
-        .into_iter()
-        .collect::<Result<Vec<_>, CoreError>>()?
-        .into_iter();
-    for adaptive in [false, true] {
-        let label = if adaptive { "west-first" } else { "xy" };
-        let mut tp_points = Vec::new();
-        let mut lat_points = Vec::new();
-        for &rate in &rates {
-            let chunk: Vec<(f64, Option<f64>)> = samples.by_ref().take(opts.replications).collect();
-            let tp_samples: Vec<f64> = chunk.iter().map(|&(tp, _)| tp).collect();
-            let lat_samples: Vec<f64> = chunk.iter().filter_map(|&(_, lat)| lat).collect();
-            let (tp_mean, tp_std) = crate::mean_std(&tp_samples);
-            let (lat_mean, lat_std) = crate::mean_std(&lat_samples);
-            tp_points.push(Point {
-                x: rate,
-                y: tp_mean,
-                std: tp_std,
-            });
-            lat_points.push(Point {
-                x: rate,
-                y: lat_mean,
-                std: lat_std,
-            });
-        }
-        throughput.push_series(Series {
-            label: format!("{label}-{n}"),
-            points: tp_points,
-        });
-        latency.push_series(Series {
-            label: format!("{label}-{n}"),
-            points: lat_points,
-        });
-    }
-    Ok((throughput, latency))
-}
-
-/// Extension figure: Spidergon Across-First vs Across-Last routing,
-/// as latency sweeps under uniform traffic and under a single
-/// hot-spot (the schemes differ in where they concentrate load, not in
-/// path lengths).
-///
-/// # Errors
-///
-/// Returns the first simulation error.
-pub fn ext_spidergon_routing(opts: &FigureOptions) -> Result<FigureData, CoreError> {
-    use noc_routing::{RoutingAlgorithm, SpidergonAcrossFirst, SpidergonAcrossLast};
-    use noc_traffic::SingleHotspot;
-
-    let mut fig = FigureData::new(
-        "ext-spidergon-routing",
-        "Extension: Across-First vs Across-Last latency",
-        "lambda (flits/cycle/source)",
-        "latency (cycles)",
-    );
-    let n = opts
-        .node_counts
-        .iter()
-        .copied()
-        .filter(|n| n % 2 == 0)
-        .max()
-        .unwrap_or(16);
-    let schemes = [
-        ("across-first", true),
-        ("across-last", true),
-        ("across-first-hotspot", false),
-        ("across-last-hotspot", false),
-    ];
-    // Same pattern as `ext_adaptive`: routing objects are built inside
-    // per-(scheme, rate, replication) closures on the generic engine.
-    let rates = opts.rates();
-    let mut params = Vec::new();
-    for (scheme, uniform) in schemes {
-        let across_last = scheme.starts_with("across-last");
-        for &rate in &rates {
-            for rep in 0..opts.replications {
-                params.push((
-                    across_last,
-                    uniform,
-                    rate,
-                    opts.seed.wrapping_add(rep as u64),
-                ));
-            }
-        }
-    }
-    let base = opts.base_config();
-    let jobs: Vec<_> = params
-        .iter()
-        .map(|&(across_last, uniform, rate, seed)| {
-            let mut config = base.clone();
-            move || -> Result<Option<f64>, CoreError> {
-                let topo = Spidergon::new(n)?;
-                let routing: Box<dyn RoutingAlgorithm> = if across_last {
-                    Box::new(SpidergonAcrossLast::new(&topo))
-                } else {
-                    Box::new(SpidergonAcrossFirst::new(&topo))
-                };
-                let pattern: Box<dyn TrafficPattern> = if uniform {
-                    Box::new(UniformRandom::new(n)?)
-                } else {
-                    Box::new(SingleHotspot::new(n, noc_topology::NodeId::new(0))?)
-                };
-                config.injection_rate = rate;
-                config.seed = seed;
-                let mut sim = Simulation::new(Box::new(topo), routing, pattern, config)?;
-                let stats = sim.run()?;
-                Ok(stats.latency.mean())
-            }
-        })
-        .collect();
-    let mut samples = run_indexed(jobs, Parallelism::default())
-        .into_iter()
-        .collect::<Result<Vec<_>, CoreError>>()?
-        .into_iter();
-    for (scheme, _) in schemes {
-        let mut points = Vec::new();
-        for &rate in &rates {
-            let chunk: Vec<f64> = samples.by_ref().take(opts.replications).flatten().collect();
-            let (mean, std) = crate::mean_std(&chunk);
-            points.push(Point {
-                x: rate,
-                y: mean,
-                std,
-            });
-        }
-        fig.push_series(Series {
-            label: format!("{scheme}-{n}"),
-            points,
-        });
-    }
-    Ok(fig)
+    run_manifest(opts, "ext-torus").map(pair)
 }
 
 /// Extension figure: throughput vs hot-spot fraction (the classic
@@ -761,68 +610,83 @@ pub fn ext_spidergon_routing(opts: &FigureOptions) -> Result<FigureData, CoreErr
 ///
 /// # Errors
 ///
-/// Returns the first simulation error.
+/// See [`fig5`].
 pub fn ext_mixed_hotspot(opts: &FigureOptions) -> Result<FigureData, CoreError> {
-    let mut fig = FigureData::new(
-        "ext-mixed-hotspot",
-        "Extension: throughput vs hot-spot fraction (lambda = 0.25)",
-        "hot-spot fraction",
-        "throughput (flits/cycle)",
-    );
-    let n = opts
-        .node_counts
-        .iter()
-        .copied()
-        .filter(|n| n % 2 == 0)
-        .max()
-        .unwrap_or(16);
-    if opts.replications == 0 {
-        return Err(CoreError::InvalidSpec {
-            reason: "replications must be positive".to_owned(),
-        });
-    }
-    let fractions: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
-    // Flatten family × fraction × replication into one engine
-    // submission, then chunk results back per fraction.
-    let mut jobs = Vec::new();
-    for (_, spec) in families(n) {
-        for &fraction in &fractions {
-            let mut config = opts.base_config();
-            config.injection_rate = 0.25;
-            let experiment = Experiment {
-                topology: spec,
-                traffic: TrafficSpec::MixedHotspot {
-                    target: 0,
-                    fraction,
-                },
-                config,
-            };
-            for rep in 0..opts.replications {
-                jobs.push(ExperimentJob {
-                    seed: experiment.config.seed.wrapping_add(rep as u64),
-                    experiment: experiment.clone(),
-                });
-            }
-        }
-    }
-    let mut runs = run_experiment_jobs(jobs, Parallelism::default())?.into_iter();
-    for (family, _) in families(n) {
-        let mut points = Vec::new();
-        for &fraction in &fractions {
-            let chunk: Vec<RunResult> = runs.by_ref().take(opts.replications).collect();
-            let agg = Aggregate::from_runs(chunk);
-            points.push(Point {
-                x: fraction,
-                y: agg.throughput_mean,
-                std: agg.throughput_std,
-            });
-        }
-        fig.push_series(Series {
-            label: format!("{family}-{n}"),
-            points,
-        });
-    }
-    Ok(fig)
+    Ok(run_manifest(opts, "ext-mixed-hotspot")?.remove(0))
+}
+
+/// Extension figure: deterministic XY versus West-First adaptive mesh
+/// routing under uniform traffic, as throughput/latency sweeps.
+///
+/// # Errors
+///
+/// See [`fig5`].
+pub fn ext_adaptive(opts: &FigureOptions) -> Result<(FigureData, FigureData), CoreError> {
+    let side = square_side(opts);
+    let (cols, rows, n) = (side, side, side * side);
+    let mesh = TopologySpec::Mesh { cols, rows };
+    let schemes = ["xy", "west-first"];
+    let entry = ManifestEntry {
+        x_label: RATE_AXIS,
+        outputs: vec![
+            Statistic::Throughput.figure(
+                "ext-adaptive",
+                "Extension: XY vs West-First adaptive mesh routing (throughput)",
+            ),
+            Statistic::Latency.figure(
+                "ext-adaptive-latency",
+                "Extension: XY vs West-First adaptive mesh routing (latency)",
+            ),
+        ],
+        series: Vec::from(
+            schemes.map(|scheme| sweep(opts, format!("{scheme}-{n}"), mesh, TrafficSpec::Uniform)),
+        ),
+    };
+    let routing: [RoutingFn; 2] = [
+        TopologySpec::build_routing,
+        TopologySpec::build_adaptive_routing,
+    ];
+    run_routed(opts, &entry, &routing).map(pair)
+}
+
+/// Spidergon Across-Last routing (the spec default is Across-First).
+fn across_last(spec: &TopologySpec) -> Result<Box<dyn RoutingAlgorithm>, CoreError> {
+    let spidergon = Spidergon::new(spec.nodes())?;
+    Ok(Box::new(SpidergonAcrossLast::new(&spidergon)))
+}
+
+/// Extension figure: Spidergon Across-First vs Across-Last routing,
+/// as latency sweeps under uniform traffic and under a single
+/// hot-spot (the schemes differ in where they concentrate load, not in
+/// path lengths).
+///
+/// # Errors
+///
+/// See [`fig5`].
+pub fn ext_spidergon_routing(opts: &FigureOptions) -> Result<FigureData, CoreError> {
+    let n = largest_even(opts);
+    let spidergon = TopologySpec::Spidergon { nodes: n };
+    let hotspot = TrafficSpec::SingleHotspot { target: 0 };
+    let schemes = [
+        ("across-first", TrafficSpec::Uniform),
+        ("across-last", TrafficSpec::Uniform),
+        ("across-first-hotspot", hotspot),
+        ("across-last-hotspot", hotspot),
+    ];
+    let entry = ManifestEntry {
+        x_label: RATE_AXIS,
+        outputs: vec![Statistic::Latency.figure(
+            "ext-spidergon-routing",
+            "Extension: Across-First vs Across-Last latency",
+        )],
+        series: Vec::from(
+            schemes
+                .map(|(scheme, traffic)| sweep(opts, format!("{scheme}-{n}"), spidergon, traffic)),
+        ),
+    };
+    let across_first: RoutingFn = TopologySpec::build_routing;
+    let routing = [across_first, across_last, across_first, across_last];
+    Ok(run_routed(opts, &entry, &routing)?.remove(0))
 }
 
 /// Extension figure: per-link utilization heatmap under a single
@@ -839,8 +703,10 @@ pub fn ext_mixed_hotspot(opts: &FigureOptions) -> Result<FigureData, CoreError> 
 ///
 /// # Errors
 ///
-/// Returns the first build or simulation error.
+/// Returns [`CoreError::InvalidSpec`] for invalid options, else the
+/// first build or simulation error.
 pub fn ext_link_heatmap(opts: &FigureOptions) -> Result<FigureData, CoreError> {
+    opts.validate()?;
     let n = 16;
     let mut fig = FigureData::new(
         "ext-link-heatmap",
@@ -848,35 +714,51 @@ pub fn ext_link_heatmap(opts: &FigureOptions) -> Result<FigureData, CoreError> {
         "link index (node-major, port-minor)",
         "utilization (flits/cycle)",
     );
-    let jobs: Vec<ExperimentJob> = families(n)
-        .into_iter()
-        .map(|(_, spec)| {
-            let mut config = opts.base_config();
-            config.injection_rate = 0.3;
-            ExperimentJob {
-                seed: opts.seed,
-                experiment: Experiment {
-                    topology: spec,
-                    traffic: TrafficSpec::SingleHotspot { target: 0 },
-                    config,
-                },
-            }
-        })
-        .collect();
-    let runs = run_experiment_jobs(jobs, Parallelism::default())?;
-    for ((family, _), run) in families(n).into_iter().zip(runs) {
+    let (base, hotspot) = (opts.base_config(), TrafficSpec::SingleHotspot { target: 0 });
+    let jobs = FAMILIES
+        .iter()
+        .flat_map(|(_, spec)| sweep_jobs(spec(n), hotspot, &base, &[0.3], 1));
+    let runs = run_experiment_jobs(jobs.collect(), Parallelism::default())?;
+    for ((family, _), run) in FAMILIES.iter().zip(runs) {
         let cycles = run.stats.measured_cycles.max(1) as f64;
+        let links = run.stats.per_link.iter().enumerate();
         fig.push_series(Series::from_xy(
             format!("{family}-{n}"),
-            run.stats
-                .per_link
-                .iter()
-                .enumerate()
-                .map(|(i, link)| (i as f64, link.flits as f64 / cycles)),
+            links.map(|(i, link)| (i as f64, link.flits as f64 / cycles)),
         ));
     }
     Ok(fig)
 }
+
+/// Computes the figures of one set, in output order.
+pub type FigureSetFn = fn(&FigureOptions) -> Result<Vec<FigureData>, CoreError>;
+
+/// ID of the extension figures, the one set outside the paper's.
+pub const EXTENSIONS: &str = "ext";
+
+/// Every figure set by `noc-cli figures` ID, in output order: Figures
+/// 2-3 and the link-count table (analytical), the simulated Figures
+/// 5-11, then the [`EXTENSIONS`]. All but the last make up the paper's
+/// figure set.
+pub const SETS: [(&str, FigureSetFn); 8] = [
+    ("fig2", |_| Ok(vec![fig2(64)])),
+    ("fig3", |_| Ok(vec![fig3(64)])),
+    ("fig_tables", |_| {
+        Ok(vec![table_links(&[8, 12, 16, 24, 32, 48, 64])])
+    }),
+    ("fig5", |opts| Ok(vec![fig5(opts)?])),
+    ("fig6_7", |opts| run_manifest(opts, "fig6")),
+    ("fig8_9", |opts| run_manifest(opts, "fig8")),
+    ("fig10_11", |opts| run_manifest(opts, "fig10")),
+    (EXTENSIONS, |opts| {
+        let mut figures = run_manifest(opts, "ext-torus")?;
+        figures.extend(<[FigureData; 2]>::from(ext_adaptive(opts)?));
+        figures.push(ext_spidergon_routing(opts)?);
+        figures.push(ext_mixed_hotspot(opts)?);
+        figures.push(ext_link_heatmap(opts)?);
+        Ok(figures)
+    }),
+];
 
 #[cfg(test)]
 mod tests {
@@ -940,6 +822,87 @@ mod tests {
         assert_eq!(rates.len(), opts.rate_steps);
         assert!((rates.last().unwrap() - opts.max_rate).abs() < 1e-12);
         assert!(rates.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn every_simulated_figure_rejects_bad_options() {
+        type Figure = fn(&FigureOptions) -> Result<(), CoreError>;
+        let figures: [(&str, Figure); 9] = [
+            ("fig5", |o| fig5(o).map(drop)),
+            ("fig6_7", |o| fig6_7(o).map(drop)),
+            ("fig8_9", |o| fig8_9(o).map(drop)),
+            ("fig10_11", |o| fig10_11(o).map(drop)),
+            ("ext_torus", |o| ext_torus(o).map(drop)),
+            ("ext_mixed_hotspot", |o| ext_mixed_hotspot(o).map(drop)),
+            ("ext_adaptive", |o| ext_adaptive(o).map(drop)),
+            ("ext_spidergon_routing", |o| {
+                ext_spidergon_routing(o).map(drop)
+            }),
+            ("ext_link_heatmap", |o| ext_link_heatmap(o).map(drop)),
+        ];
+        let bad = [
+            FigureOptions {
+                replications: 0,
+                ..FigureOptions::quick()
+            },
+            FigureOptions {
+                rate_steps: 0,
+                ..FigureOptions::quick()
+            },
+        ];
+        let mut accepted = Vec::new();
+        for (name, figure) in figures {
+            for opts in &bad {
+                let outcome = figure(opts);
+                if !matches!(outcome, Err(CoreError::InvalidSpec { .. })) {
+                    accepted.push(format!("{name} with {opts:?}: {outcome:?}"));
+                }
+            }
+        }
+        assert!(accepted.is_empty(), "{accepted:#?}");
+    }
+
+    #[test]
+    fn manifest_lists_the_sweep_figures_in_publication_order() {
+        let opts = FigureOptions::quick();
+        let entries = manifest(&opts);
+        let ids: Vec<_> = entries
+            .iter()
+            .flat_map(|entry| entry.outputs.iter().map(|out| out.id))
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                "fig5",
+                "fig6",
+                "fig7",
+                "fig8",
+                "fig9",
+                "fig10",
+                "fig11",
+                "ext-torus",
+                "ext-torus-latency",
+                "ext-mixed-hotspot"
+            ]
+        );
+        // Figures 6/7: node counts × families, each over the rate grid.
+        let fig6 = &entries[1];
+        assert_eq!(fig6.series.len(), opts.node_counts.len() * FAMILIES.len());
+        for series in &fig6.series {
+            let rates: Vec<f64> = series.points.iter().map(|p| p.3).collect();
+            assert_eq!(rates, opts.rates());
+        }
+        assert_eq!(fig6.series[4].label, "spidergon-16");
+    }
+
+    #[test]
+    fn figure_set_ids_are_unique_and_end_with_the_extensions() {
+        let ids: Vec<_> = SETS.iter().map(|&(id, _)| id).collect();
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ids.len());
+        assert_eq!(ids.last(), Some(&EXTENSIONS));
     }
 
     // Simulation-backed figure tests live in the crate's integration

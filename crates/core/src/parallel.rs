@@ -176,7 +176,7 @@ pub fn run_experiment_jobs(
 /// points hit. A disabled cache makes every lookup a miss and every
 /// store a no-op. Cache I/O failures degrade to recomputation, never to
 /// a run failure. With the cache enabled, hit/miss/store counts
-/// accumulate in the process-wide [`crate::cache::counters`].
+/// accumulate in the calling thread's [`crate::cache::counters`].
 ///
 /// # Errors
 ///

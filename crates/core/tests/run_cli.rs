@@ -1,7 +1,8 @@
 //! `noc-cli run` end to end: a spec whose configuration is out of range
 //! reports `invalid configuration` and exits non-zero instead of
 //! panicking, aborting or printing NaN statistics, and `--audit` runs
-//! the auditor and reports what it checked.
+//! the auditor and reports what it checked. A run that delivers nothing
+//! prints `mean hops -`.
 
 use std::process::{Command, Output};
 
@@ -89,4 +90,23 @@ fn audited_run_reports_checks_and_flit_events() {
     };
     let positive = |n: &str| n.parse::<u64>().is_ok_and(|n| n > 0);
     assert!(positive(checks) && positive(events), "{line}");
+}
+
+#[test]
+fn a_run_that_delivers_nothing_prints_no_mean_hops() {
+    for reps in ["1", "2"] {
+        let out = run_with("injection_rate", "0.0", &["--reps", reps]);
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("NaN"), "--reps {reps}:\n{stdout}");
+        let hops = stdout
+            .lines()
+            .find(|l| l.contains("mean hops"))
+            .unwrap_or_else(|| panic!("no mean hops line:\n{stdout}"));
+        let value = hops.split("mean hops").nth(1).unwrap().trim_start();
+        assert!(
+            value == "-" || value.starts_with("-,"),
+            "--reps {reps}: {hops}"
+        );
+    }
 }

@@ -4,7 +4,7 @@ use core::fmt;
 use noc_topology::NodeId;
 
 /// Error returned when a traffic pattern cannot be constructed.
-// `Eq` is omitted: `InvalidRate` carries an `f64`.
+// `Eq` is omitted: `InvalidRate` and `InvalidFraction` carry an `f64`.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum TrafficError {
     /// A hot-spot target is outside the node range.
@@ -31,6 +31,11 @@ pub enum TrafficError {
         /// The offending rate in flits/cycle.
         rate: f64,
     },
+    /// A hot-spot fraction was outside `[0, 1]` or NaN.
+    InvalidFraction {
+        /// The offending fraction.
+        fraction: f64,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -56,6 +61,9 @@ impl fmt::Display for TrafficError {
                     f,
                     "injection rate must be finite and non-negative, got {rate}"
                 )
+            }
+            TrafficError::InvalidFraction { fraction } => {
+                write!(f, "hot-spot fraction must be within [0, 1], got {fraction}")
             }
         }
     }

@@ -308,7 +308,7 @@ impl MixedHotspot {
     ///
     /// Returns [`TrafficError::TooFewNodes`] if `num_nodes < 2`,
     /// [`TrafficError::TargetOutOfRange`] for a bad target, and
-    /// [`TrafficError::InvalidRate`] if `fraction` is not within
+    /// [`TrafficError::InvalidFraction`] if `fraction` is not within
     /// `[0, 1]`.
     pub fn new(num_nodes: usize, target: NodeId, fraction: f64) -> Result<Self, TrafficError> {
         let uniform = UniformRandom::new(num_nodes)?;
@@ -316,7 +316,7 @@ impl MixedHotspot {
             return Err(TrafficError::TargetOutOfRange { target, num_nodes });
         }
         if !(0.0..=1.0).contains(&fraction) {
-            return Err(TrafficError::InvalidRate { rate: fraction });
+            return Err(TrafficError::InvalidFraction { fraction });
         }
         Ok(MixedHotspot {
             uniform,
@@ -381,6 +381,22 @@ mod mixed_tests {
         let p = MixedHotspot::new(8, NodeId::new(2), 0.25).unwrap();
         assert_eq!(p.target(), NodeId::new(2));
         assert_eq!(p.fraction(), 0.25);
+    }
+
+    #[test]
+    fn bad_fraction_error_names_the_fraction() {
+        for fraction in [1.5, -0.1, f64::NAN] {
+            let err = MixedHotspot::new(8, NodeId::new(0), fraction).unwrap_err();
+            assert!(
+                matches!(err, TrafficError::InvalidFraction { .. }),
+                "{err:?}"
+            );
+            let message = err.to_string();
+            assert!(message.contains("fraction"), "{message}");
+            assert!(!message.contains("injection rate"), "{message}");
+        }
+        let err = MixedHotspot::new(8, NodeId::new(0), 1.5).unwrap_err();
+        assert!(err.to_string().ends_with("got 1.5"), "{err}");
     }
 
     #[test]
