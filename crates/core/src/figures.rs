@@ -305,10 +305,10 @@ fn sweep(
     topology: TopologySpec,
     traffic: TrafficSpec,
 ) -> ManifestSeries {
-    let points = opts.rates().into_iter();
+    let points = opts.rates().into_iter().map(|r| (r, topology, traffic, r));
     ManifestSeries {
         label,
-        points: points.map(|r| (r, topology, traffic, r)).collect(),
+        points: points.collect(),
     }
 }
 
