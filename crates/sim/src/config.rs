@@ -42,7 +42,8 @@ pub struct SimConfig {
     /// Packet length in flits (paper: 6).
     pub packet_len: usize,
     /// Per-source injection rate lambda in flits per cycle (paper's
-    /// x-axis).
+    /// x-axis). Under [`InjectionProcess::Bernoulli`] at most
+    /// `packet_len` (one packet per cycle).
     pub injection_rate: f64,
     /// Stochastic process for packet creation times.
     pub injection_process: InjectionProcess,
@@ -121,7 +122,9 @@ impl SimConfig {
     ///
     /// Returns [`SimError::InvalidConfig`] for a zero packet length,
     /// sink rate, measurement window or stall threshold;
-    /// a negative or non-finite injection rate; buffer capacities outside
+    /// a negative or non-finite injection rate; a
+    /// [`Bernoulli`](InjectionProcess::Bernoulli) rate above one packet
+    /// per cycle (`packet_len` flits); buffer capacities outside
     /// `1..=`[`MAX_BUFFER_CAPACITY`]; or a sink rate above
     /// [`MAX_SINK_RATE`].
     pub fn validate(&self) -> Result<(), SimError> {
@@ -129,6 +132,14 @@ impl SimConfig {
             "packet_len must be positive".to_owned()
         } else if !self.injection_rate.is_finite() || self.injection_rate < 0.0 {
             "injection_rate must be finite and non-negative".to_owned()
+        } else if self.injection_process == InjectionProcess::Bernoulli
+            && self.packets_per_cycle() > 1.0
+        {
+            format!(
+                "injection_rate {} exceeds one {}-flit packet per cycle, the most a \
+                 bernoulli source can inject",
+                self.injection_rate, self.packet_len
+            )
         } else if self.input_buffer_capacity == 0 {
             "input_buffer_capacity must be positive".to_owned()
         } else if self.input_buffer_capacity > MAX_BUFFER_CAPACITY {
@@ -355,6 +366,24 @@ mod tests {
         assert!(rejection(|c| c.injection_rate = -0.1).contains("injection_rate"));
         assert!(rejection(|c| c.injection_rate = f64::NAN).contains("injection_rate"));
         assert!(rejection(|c| c.injection_rate = f64::INFINITY).contains("injection_rate"));
+        // A Bernoulli source injects at most one packet per cycle; a
+        // Poisson source has no such cap.
+        let bernoulli = |rate: f64| SimConfig {
+            injection_rate: rate,
+            injection_process: InjectionProcess::Bernoulli,
+            ..SimConfig::default()
+        };
+        let reason = rejection(|c| *c = bernoulli(7.0));
+        assert!(
+            reason.contains("injection_rate 7 exceeds one 6-flit packet"),
+            "{reason}"
+        );
+        assert_eq!(bernoulli(6.0).validate(), Ok(()));
+        let poisson = SimConfig {
+            injection_rate: 7.0,
+            ..SimConfig::default()
+        };
+        assert_eq!(poisson.validate(), Ok(()));
     }
 
     #[test]
