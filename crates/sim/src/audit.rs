@@ -9,7 +9,9 @@
 //!
 //! * **Flit conservation** — `generated = consumed + source backlog +
 //!   in network`, re-derived from the buffers every audited cycle and
-//!   compared against the simulator's incremental counters;
+//!   compared against the simulator's incremental counters; and the
+//!   packet arena holds no more packets than in-network flits plus
+//!   sources (more means a leaked slot);
 //! * **Buffer capacity** — every input buffer, output VC queue and
 //!   ejection queue holds at most its capacity (the signal-based flow
 //!   control credit never goes negative);
@@ -73,8 +75,9 @@ const PREFLIGHT_MAX_NODES: usize = 512;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Invariant {
-    /// `generated = consumed + source backlog + in network`, and the
-    /// incremental counters agree with the buffer-derived occupancy.
+    /// `generated = consumed + source backlog + in network`, the
+    /// incremental counters agree with the buffer-derived occupancy, and
+    /// live arena packets never exceed in-network flits plus sources.
     FlitConservation,
     /// Every buffer holds at most its capacity.
     BufferCapacity,
@@ -768,15 +771,15 @@ impl Probe for Auditor {
     }
 
     /// Per-cycle sweep (every `interval` cycles): conservation
-    /// identity, counter consistency, buffer bounds and queue
-    /// structure.
+    /// identity, counter consistency, the arena bound, buffer bounds and
+    /// queue structure.
     fn on_cycle_end(&mut self, net: &Network) {
         if !net.cycle().is_multiple_of(self.interval) {
             return;
         }
         let cycle = net.cycle();
         self.report.cycles_audited += 1;
-        self.report.checks += 3;
+        self.report.checks += 4;
         let occ = net.occupancy();
         let generated = net.total_flits_generated();
         let consumed = net.total_flits_consumed();
@@ -821,6 +824,24 @@ impl Probe for Auditor {
                     "source-backlog counter {} drifted from derived backlog {}",
                     net.source_backlog(),
                     occ.source_flits
+                ),
+            });
+        }
+        // Every live packet has a flit inside routers or is the one its
+        // source is injecting; queued packets take no slot.
+        let live = net.arena.live() as u64;
+        if live > net.flits_in_network() + net.num_sources as u64 {
+            self.push(AuditViolation {
+                invariant: Invariant::FlitConservation,
+                cycle,
+                node: None,
+                buffer: None,
+                packet: None,
+                detail: format!(
+                    "arena holds {live} live packets, more than {} in-network flits + {} \
+                     sources (leaked packet slots)",
+                    net.flits_in_network(),
+                    net.num_sources
                 ),
             });
         }

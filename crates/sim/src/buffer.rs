@@ -350,15 +350,7 @@ mod tests {
     fn packet(arena: &mut PacketArena, id: u64, len: usize) -> Vec<ArenaFlit> {
         let pkt = arena.alloc(PacketId::new(id), NodeId::new(0), NodeId::new(1), 0);
         (0..len)
-            .map(|i| {
-                let kind = match (i, len) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (i, l) if i + 1 == l => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                arena.flit(pkt, kind)
-            })
+            .map(|i| arena.flit(pkt, FlitKind::at(i, len)))
             .collect()
     }
 

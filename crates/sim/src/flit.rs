@@ -56,6 +56,30 @@ impl FlitKind {
     pub const fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
+
+    /// Kind of the flit at position `index` of a `len`-flit packet:
+    /// `Head`, then `Body`, with `Tail` last (`HeadTail` when
+    /// `len == 1`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc_sim::FlitKind;
+    ///
+    /// assert_eq!(FlitKind::at(0, 6), FlitKind::Head);
+    /// assert_eq!(FlitKind::at(3, 6), FlitKind::Body);
+    /// assert_eq!(FlitKind::at(5, 6), FlitKind::Tail);
+    /// assert_eq!(FlitKind::at(0, 1), FlitKind::HeadTail);
+    /// ```
+    #[inline]
+    pub const fn at(index: usize, len: usize) -> FlitKind {
+        match (index, len) {
+            (0, 1) => FlitKind::HeadTail,
+            (0, _) => FlitKind::Head,
+            (i, l) if i + 1 == l => FlitKind::Tail,
+            _ => FlitKind::Body,
+        }
+    }
 }
 
 /// One flow-control digit travelling through the network.
@@ -117,14 +141,9 @@ impl Flit {
             hops: 0,
         };
         (0..len)
-            .map(|i| {
-                let kind = match (i, len) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (i, l) if i + 1 == l => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                Flit { kind, ..template }
+            .map(|i| Flit {
+                kind: FlitKind::at(i, len),
+                ..template
             })
             .collect()
     }
@@ -153,7 +172,7 @@ pub struct PacketRef {
     generation: u32,
 }
 
-/// The in-network representation of a flit: a 12-byte handle instead of
+/// The in-network representation of a flit: a 16-byte handle instead of
 /// the 48-byte [`Flit`] record.
 ///
 /// Per-packet constants (source, destination, id, creation cycle) live
@@ -186,13 +205,16 @@ impl ArenaFlit {
 
 /// Slab allocator for in-flight packet descriptors, SoA layout.
 ///
-/// One slot per live packet; slots are recycled through a free list when
-/// the packet's tail flit is consumed (wormhole ordering guarantees the
-/// tail is the last flit of its packet to leave the network, so freeing
-/// at tail consumption can never orphan a sibling flit). Capacity grows
-/// with the peak number of simultaneously in-flight packets — bounded by
-/// buffer space, not by simulation length — so per-packet heap
-/// allocation disappears from the generate hot path.
+/// One slot per live packet. The simulator takes a packet's slot at its
+/// first injection attempt, not at generation: a packet still waiting
+/// in its source queue is a compact descriptor there and holds no slot.
+/// Slots are recycled through a free list when the packet's tail flit
+/// is consumed (wormhole ordering guarantees the tail is the last flit
+/// of its packet to leave the network, so freeing at tail consumption
+/// can never orphan a sibling flit). Capacity grows with the peak
+/// number of live packets, which is bounded by buffer space plus one
+/// packet per source (the one being injected), not by simulation length
+/// or source backlog — so steady-state simulation does not allocate.
 ///
 /// # Examples
 ///

@@ -16,6 +16,13 @@
 //! sink at a configurable rate (one flit per cycle by default — the
 //! "destination node saturation" bottleneck of the hot-spot figures).
 //!
+//! The source queue is packet-granular: it holds one [`QueuedPacket`]
+//! descriptor per waiting packet, and the front packet's flits are
+//! derived from a cursor as they are injected. Past saturation the
+//! source queues hold most of the traffic, so a backlogged packet costs
+//! one small descriptor instead of `packet_len` flits and an arena
+//! slot.
+//!
 //! # Cycle phases
 //!
 //! 1. **generate** — drain this cycle's packet-arrival events from the
@@ -95,7 +102,7 @@
 
 use crate::buffer::{InputRings, OutputRings, SlotRoute};
 use crate::des::{EventQueue, SimTime};
-use crate::flit::{ArenaFlit, FlitKind, PacketArena};
+use crate::flit::{ArenaFlit, FlitKind, PacketArena, PacketRef};
 use crate::probe::{NetworkShape, NullProbe, Probe};
 use crate::stats::LinkLoad;
 use crate::{PacketId, SimConfig, SimError, SimStats};
@@ -130,8 +137,14 @@ pub(crate) struct NodeState {
     /// Stored (not cycle-derived) because it only advances on actual
     /// transfers.
     link_rr: Vec<usize>,
-    /// Flits awaiting injection, whole packets back to back.
-    pub(crate) source_queue: VecDeque<ArenaFlit>,
+    /// Packets awaiting injection, oldest first, one descriptor each.
+    source_queue: VecDeque<QueuedPacket>,
+    /// Flits of the front packet already injected; the next flit to
+    /// inject is [`FlitKind::at`] this position.
+    source_sent: usize,
+    /// Arena handle of the front packet, taken at its first injection
+    /// attempt; `None` until then and again once its tail has left.
+    source_pkt: Option<PacketRef>,
     /// Wormhole allocation of the packet currently being injected.
     source_route: Option<SlotRoute>,
     /// Whether the traffic pattern generates packets here.
@@ -202,7 +215,8 @@ pub struct Network {
     pattern: Option<Box<dyn TrafficPattern>>,
     pub(crate) config: SimConfig,
     pub(crate) vcs: usize,
-    num_sources: usize,
+    /// Nodes the traffic pattern (or trace) generates packets at.
+    pub(crate) num_sources: usize,
     rng: SmallRng,
     pub(crate) nodes: Vec<NodeState>,
     /// Every output VC queue and ejection channel, by slot id.
@@ -220,8 +234,9 @@ pub struct Network {
     /// feeding it, whose [`link_blocked`](Self::link_blocked) bit a pop
     /// clears.
     upstream: Vec<(u32, u32)>,
-    /// Per-packet descriptor storage; buffers hold 12-byte
-    /// [`ArenaFlit`] handles into it.
+    /// Descriptors of the packets with a flit inside routers or being
+    /// injected; buffers hold [`ArenaFlit`] handles into it. Packets
+    /// still waiting in a source queue take no slot.
     pub(crate) arena: PacketArena,
     arrivals: EventQueue<Arrival>,
     cycle: u64,
@@ -320,6 +335,18 @@ impl NodeFlits {
 /// the ejection port — lets switch allocation keep its per-port write
 /// budget in a stack array instead of a per-cycle heap allocation.
 const MAX_PORTS: usize = Direction::ALL.len() + 1;
+
+/// A generated packet waiting in its source queue. Its arena slot is
+/// taken at its first injection attempt and its flits are derived from
+/// the queue's cursor, so a backlogged packet costs only this
+/// descriptor.
+#[derive(Clone, Copy, Debug)]
+struct QueuedPacket {
+    id: PacketId,
+    dst: NodeId,
+    /// Cycle at which the packet was generated.
+    created: u64,
+}
 
 /// A scheduled packet creation: from a stochastic pattern (destination
 /// drawn at creation time) or from a trace entry (destination fixed).
@@ -569,6 +596,8 @@ impl Network {
                 peer,
                 base,
                 source_queue: VecDeque::new(),
+                source_sent: 0,
+                source_pkt: None,
                 source_route: None,
                 is_source: sources.binary_search(&v).is_ok(),
                 port_of,
@@ -708,8 +737,9 @@ impl Network {
     /// A summary of where flits currently sit inside the network.
     pub fn occupancy(&self) -> Occupancy {
         let mut occ = Occupancy::default();
+        let len = self.config.packet_len;
         for (v, node) in self.nodes.iter().enumerate() {
-            occ.source_flits += node.source_queue.len() as u64;
+            occ.source_flits += (node.source_queue.len() * len - node.source_sent) as u64;
             let (links, ejects) = (node.base..self.eject_slot(v, 0), self.eject_slots(v));
             for s in links {
                 occ.input_flits += self.inputs.len(s) as u64;
@@ -989,7 +1019,6 @@ impl Network {
             let pid = PacketId::new(self.next_packet);
             self.next_packet += 1;
             let len = self.config.packet_len;
-            let pkt = self.arena.alloc(pid, src, dst, self.cycle);
             probe.on_generate(self.cycle, pid, src, dst, len);
             self.total_flits_generated += len as u64;
             self.source_flits += len as u64;
@@ -998,16 +1027,11 @@ impl Network {
                 self.stats.flits_generated += len as u64;
                 self.stats.per_node_generated[v] += 1;
             }
-            let queue = &mut self.nodes[v].source_queue;
-            for i in 0..len {
-                let kind = match (i, len) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (i, l) if i + 1 == l => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                queue.push_back(ArenaFlit { pkt, kind, hops: 0 });
-            }
+            self.nodes[v].source_queue.push_back(QueuedPacket {
+                id: pid,
+                dst,
+                created: self.cycle,
+            });
             self.node_flits[v].source += len as u32;
             self.activate(v);
             // Stochastic sources reschedule themselves; trace arrivals
@@ -1476,11 +1500,22 @@ impl Network {
         true
     }
 
-    /// Tries to inject the head-of-line flit of the source queue
-    /// (allocation slot 0).
+    /// Tries to inject the next flit of the front packet of the source
+    /// queue (allocation slot 0). The packet takes its arena slot on its
+    /// first attempt.
     fn try_inject<P: Probe>(&mut self, v: usize, used: &mut [usize], probe: &mut P) -> bool {
-        let Some(&flit) = self.nodes[v].source_queue.front() else {
+        let node = &mut self.nodes[v];
+        let Some(&queued) = node.source_queue.front() else {
             return false;
+        };
+        let pkt = *node.source_pkt.get_or_insert_with(|| {
+            self.arena
+                .alloc(queued.id, NodeId::new(v), queued.dst, queued.created)
+        });
+        let flit = ArenaFlit {
+            pkt,
+            kind: FlitKind::at(node.source_sent, self.config.packet_len),
+            hops: 0,
         };
         let route = if flit.kind.is_head() {
             let mut routes = std::mem::take(&mut self.route_scratch);
@@ -1515,8 +1550,15 @@ impl Network {
             probe.on_inject(self.cycle, v, port.into(), out_vc.into(), &full);
         }
         let node = &mut self.nodes[v];
-        node.source_queue.pop_front();
-        node.source_route = (!flit.kind.is_tail()).then_some(route);
+        if flit.kind.is_tail() {
+            node.source_queue.pop_front();
+            node.source_sent = 0;
+            node.source_pkt = None;
+            node.source_route = None;
+        } else {
+            node.source_sent += 1;
+            node.source_route = Some(route);
+        }
         self.node_flits[v].source -= 1;
         self.in_network += 1;
         self.source_flits -= 1;
@@ -1836,6 +1878,67 @@ mod tests {
                 assert!(sim.waiters.iter().all(|&w| w == 0));
             }
         }
+    }
+
+    #[test]
+    fn arena_holds_only_packets_in_routers_or_being_injected() {
+        // Past saturation the source queues hold most of the traffic;
+        // a queued packet is a descriptor there and takes no arena slot
+        // until its first injection attempt.
+        let mut sim = spidergon_sim(8, 1.0);
+        let mut half_injected = 0;
+        for _ in 0..2_000 {
+            sim.step().unwrap();
+            let live = sim.arena.live() as u64;
+            let bound = sim.flits_in_network() + sim.num_sources as u64;
+            assert!(
+                live <= bound,
+                "cycle {}: {live} live > {bound}",
+                sim.cycle()
+            );
+            assert_eq!(sim.occupancy().source_flits, sim.source_backlog());
+            half_injected += sim.nodes.iter().filter(|n| n.source_sent > 0).count();
+        }
+        assert!(
+            half_injected > 0,
+            "no cycle ended with a packet half injected"
+        );
+        let queued = sim.source_backlog() / sim.config().packet_len as u64;
+        assert!(
+            queued > 10 * sim.arena.live() as u64,
+            "{queued} queued packets, {} live",
+            sim.arena.live()
+        );
+    }
+
+    #[test]
+    fn auditor_reports_leaked_arena_slots() {
+        let mut sim = Simulation::with_probe(
+            Box::new(Spidergon::new(8).unwrap()),
+            Box::new(SpidergonAcrossFirst::new(&Spidergon::new(8).unwrap())),
+            Box::new(UniformRandom::new(8).unwrap()),
+            quick_config(0.0),
+            crate::Auditor::new(),
+        )
+        .unwrap();
+        sim.step().unwrap();
+        assert!(sim.probe().report().is_clean());
+        // An idle network may hold one slot per source; one more is a
+        // slot that no flit or source holds.
+        for raw in 0..=sim.num_sources as u64 {
+            let id = PacketId::new(u64::MAX - raw);
+            sim.net.arena.alloc(id, NodeId::new(0), NodeId::new(1), 0);
+        }
+        sim.step().unwrap();
+        let report = sim.probe().report();
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.invariant == crate::Invariant::FlitConservation
+                    && v.detail.contains("leaked packet slots")),
+            "{report}"
+        );
     }
 
     #[test]
