@@ -2,10 +2,10 @@
 //! against full simulation runs: decomposition exactness,
 //! non-perturbation, event-stream consistency and export determinism.
 
-use noc_routing::SpidergonAcrossFirst;
+use noc_routing::{MeshXY, SpidergonAcrossFirst};
 use noc_sim::{Recorder, SimConfig, SimStats, Simulation, TraceEvent};
-use noc_topology::{NodeId, Spidergon};
-use noc_traffic::{SingleHotspot, UniformRandom};
+use noc_topology::{NodeId, RectMesh, Spidergon};
+use noc_traffic::{InjectionProcess, SingleHotspot, Trace, TraceEntry, UniformRandom};
 use std::collections::HashMap;
 
 fn config(lambda: f64, router_delay: u64) -> SimConfig {
@@ -256,20 +256,15 @@ fn link_csv_and_buffer_peaks_are_consistent() {
     }
 }
 
-/// Pins the flit-event order of one saturated run. The golden files pin
-/// only `SimStats`, so a kernel change that reorders generate, inject or
-/// forward events while keeping the statistics equal would pass them;
-/// the recorder's digest covers every event with its cycle, node, port,
-/// VC and packet. Past saturation the source queues hold most of the
-/// traffic, so the run exercises long backlogs and half-injected
-/// packets.
-#[test]
-fn saturated_trace_digest_is_pinned() {
+/// A recorded spidergon-16 uniform run (200 + 800 cycles, seed 2006)
+/// under `process` at `lambda`: its statistics and flit-event digest.
+fn pinned_run(process: InjectionProcess, lambda: f64) -> (SimStats, u64) {
     let topo = Spidergon::new(16).unwrap();
     let routing = SpidergonAcrossFirst::new(&topo);
     let pattern = UniformRandom::new(16).unwrap();
     let config = SimConfig::builder()
-        .injection_rate(0.6)
+        .injection_rate(lambda)
+        .injection_process(process)
         .warmup_cycles(200)
         .measure_cycles(800)
         .seed(2006)
@@ -284,10 +279,77 @@ fn saturated_trace_digest_is_pinned() {
     )
     .unwrap();
     let stats = sim.run().unwrap();
-    assert!(stats.backlog_flits > 0, "the run must be past saturation");
-    let digest = sim.into_probe().digest();
+    (stats, sim.into_probe().digest())
+}
+
+/// A recorded 3×3-mesh trace replay over the same window: four entries
+/// per listed cycle, their sources out of node order, so packet ids
+/// follow the trace's order within a cycle.
+fn pinned_trace_run() -> (SimStats, u64) {
+    let mesh = RectMesh::new(3, 3).unwrap();
+    let routing = MeshXY::new(&mesh);
+    let entries = (0..120u64)
+        .map(|i| {
+            let src = (i * 5 % 9) as usize;
+            TraceEntry {
+                cycle: i / 4 * 25,
+                src: NodeId::new(src),
+                dst: NodeId::new((src + 1 + (i % 8) as usize) % 9),
+            }
+        })
+        .collect();
+    let trace = Trace::new(9, entries).unwrap();
+    let config = SimConfig::builder()
+        .warmup_cycles(200)
+        .measure_cycles(800)
+        .seed(2006)
+        .build()
+        .unwrap();
+    let mut sim = Simulation::with_trace(
+        Box::new(mesh),
+        Box::new(routing),
+        &trace,
+        config,
+        Recorder::new(),
+    )
+    .unwrap();
+    let stats = sim.run().unwrap();
+    (stats, sim.into_probe().digest())
+}
+
+/// Pins the flit-event order of runs under every arrival kind. The
+/// golden files pin only `SimStats`, so a kernel change that reorders
+/// generate, inject or forward events while keeping the statistics
+/// equal would pass them; the recorder's digest covers every event with
+/// its cycle, node, port, VC and packet. Bernoulli and CBR arrival
+/// times tie, and so do same-cycle trace entries: simultaneous arrivals
+/// must fire in the order they were scheduled, which fixes packet ids
+/// and the RNG draws of each destination. Past saturation (λ = 0.6)
+/// the source queues hold most of the traffic, so those runs exercise
+/// long backlogs and half-injected packets.
+#[test]
+fn flit_event_digests_are_pinned() {
+    use InjectionProcess::{Bernoulli, Cbr, Poisson};
+    for (process, lambda, pinned) in [
+        (Poisson, 0.6, 0x16f1_7116_08c0_2670),
+        (Bernoulli, 0.6, 0xac9a_4cd8_68c1_1f9f),
+        (Bernoulli, 0.2, 0xbc61_ecf9_25e4_5fad),
+        (Cbr, 0.6, 0x0600_c0a9_e732_0a54),
+    ] {
+        let (stats, digest) = pinned_run(process, lambda);
+        let what = format!("{process:?} λ = {lambda}");
+        if lambda > 0.5 {
+            assert!(stats.backlog_flits > 0, "{what}: must be past saturation");
+        }
+        assert_eq!(
+            digest, pinned,
+            "{what}: flit-event order changed: digest {digest:#018x}"
+        );
+    }
+    let (stats, digest) = pinned_trace_run();
+    assert_eq!(stats.packets_generated, 88, "entries from the warmup on");
     assert_eq!(
-        digest, 0x16f1_7116_08c0_2670,
-        "flit-event order changed: digest {digest:#018x}"
+        digest, 0x3315_c009_fe5f_c530,
+        "trace replay: flit-event order changed: digest {digest:#018x}"
     );
 }

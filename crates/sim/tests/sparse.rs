@@ -1,18 +1,21 @@
 //! Property-based differential of the sparse active-set core against
 //! the dense reference: for random short schedules (any topology
 //! family, adaptive routing included; uniform, single or double
-//! hot-spot traffic up to full saturation; any buffer depth, sink rate
-//! and router delay), idle-router skipping, wake-on-change parking of
-//! stalled slots, clock fast-forward and compiled route tables must
-//! never change `SimStats` or any recorded per-packet delivery
-//! (latency, hops, arrival cycle).
+//! hot-spot traffic up to full saturation under any injection process,
+//! or a replayed trace; any buffer depth, sink rate and router delay),
+//! idle-router skipping, wake-on-change parking of stalled slots, clock
+//! fast-forward and compiled route tables must never change `SimStats`
+//! or any recorded per-packet delivery (latency, hops, arrival cycle).
 
 use noc_routing::{
     MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst, TorusXY, WestFirst,
 };
 use noc_sim::{Delivery, SimConfig, SimStats, Simulation};
 use noc_topology::{NodeId, RectMesh, Ring, Spidergon, Topology, Torus};
-use noc_traffic::{DoubleHotspot, SingleHotspot, TrafficPattern, UniformRandom};
+use noc_traffic::{
+    DoubleHotspot, InjectionProcess, SingleHotspot, Trace, TraceEntry, TrafficPattern,
+    UniformRandom,
+};
 use proptest::prelude::*;
 
 /// Builds a (topology, routing) pair from a family selector and a size
@@ -73,6 +76,7 @@ struct Case {
     size: usize,
     traffic: u8,
     lambda: f64,
+    process: InjectionProcess,
     warmup: u64,
     measure: u64,
     sample_interval: u64,
@@ -86,7 +90,7 @@ struct Case {
 
 impl Case {
     /// A schedule with the paper's node model (1-flit inputs, 3-flit
-    /// outputs, unit sink rate, single-stage routers).
+    /// outputs, unit sink rate, single-stage routers, Poisson sources).
     #[allow(clippy::too_many_arguments)]
     fn paper(
         pick: u8,
@@ -104,6 +108,7 @@ impl Case {
             size,
             traffic,
             lambda,
+            process: InjectionProcess::Poisson,
             warmup,
             measure,
             sample_interval,
@@ -121,6 +126,7 @@ impl Case {
         let n = topo.num_nodes();
         let cfg = SimConfig::builder()
             .injection_rate(self.lambda)
+            .injection_process(self.process)
             .packet_len(self.packet_len)
             .warmup_cycles(self.warmup)
             .measure_cycles(self.measure)
@@ -187,6 +193,56 @@ fn west_first_mesh_saturation_matches_dense() {
     }
 }
 
+/// A 4×4-mesh trace replay whose bursts (five packets in one cycle,
+/// several from one source) are 300 cycles apart, far longer than the
+/// network takes to drain: the sparse core fast-forwards the clock to
+/// the next trace entry, through the warmup boundary and over sampling
+/// windows, while the dense reference steps every cycle.
+#[test]
+fn trace_replay_with_idle_gaps_matches_dense() {
+    let entries: Vec<TraceEntry> = (0..8u64)
+        .flat_map(|burst| {
+            [3, 12, 3, 7, 0].into_iter().enumerate().map(move |(j, s)| {
+                let src = (s + burst as usize) % 16;
+                TraceEntry {
+                    cycle: 37 + burst * 300,
+                    src: NodeId::new(src),
+                    dst: NodeId::new((src + 5 + j) % 16),
+                }
+            })
+        })
+        .collect();
+    let trace = Trace::new(16, entries).unwrap();
+    let run = |sparse: bool| {
+        let mesh = RectMesh::new(4, 4).unwrap();
+        let routing = MeshXY::new(&mesh);
+        let cfg = SimConfig::builder()
+            .warmup_cycles(500)
+            .measure_cycles(2_500)
+            .sample_interval(64)
+            .record_deliveries(true)
+            .sparse(sparse)
+            .compiled_routes(sparse)
+            .build()
+            .unwrap();
+        let mut sim = Simulation::with_trace(
+            Box::new(mesh),
+            Box::new(routing),
+            &trace,
+            cfg,
+            noc_sim::NullProbe,
+        )
+        .unwrap();
+        let stats = sim.run().unwrap();
+        (stats, sim.deliveries().to_vec())
+    };
+    let (sparse, dense) = (run(true), run(false));
+    assert_eq!(sparse.0, dense.0, "SimStats diverged");
+    assert_eq!(sparse.1, dense.1, "deliveries diverged");
+    assert_eq!(sparse.0.packets_generated, 30, "bursts after warmup");
+    assert_eq!(sparse.0.packets_delivered, 30);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -194,14 +250,16 @@ proptest! {
     /// path (active set + parking + fast-forward + compiled routes,
     /// i.e. the defaults) is bit-identical to the dense reference
     /// stepping every router every cycle with dynamic routing — past
-    /// saturation, and over every buffer depth, sink rate and router
-    /// delay that makes a stall transient or permanent.
+    /// saturation, under Poisson, Bernoulli and CBR arrivals, and over
+    /// every buffer depth, sink rate and router delay that makes a
+    /// stall transient or permanent.
     #[test]
     fn sparse_core_matches_dense_reference(
         pick in 0u8..5,
         size in 3usize..10,
         traffic in 0u8..3,
         lambda in 0.0f64..1.0,
+        process in 0usize..3,
         warmup in 0u64..200,
         measure in 50u64..600,
         sample_interval in 0u64..80,
@@ -212,7 +270,13 @@ proptest! {
         input_capacity in 1usize..4,
         output_capacity in 1usize..5,
     ) {
+        let process = [
+            InjectionProcess::Poisson,
+            InjectionProcess::Bernoulli,
+            InjectionProcess::Cbr,
+        ][process];
         let case = Case {
+            process,
             sink_rate,
             router_delay,
             input_capacity,
