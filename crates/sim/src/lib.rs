@@ -2,11 +2,11 @@
 //! / 2D-Mesh study.
 //!
 //! This crate is the substitute for the paper's OMNeT++ models: a
-//! discrete-event kernel ([`des`]) plus a cycle-level wormhole network
-//! model ([`Simulation`]) that replicates the paper's node architecture
-//! (Figure 4) — one-flit input buffers, three-flit output queues, a pair
-//! of virtual channels on ring-like links, Poisson packet sources of
-//! constant 6-flit packets, and FIFO sinks consuming one flit per cycle.
+//! cycle-level wormhole network model ([`Simulation`]) that replicates
+//! the paper's node architecture (Figure 4) — one-flit input buffers,
+//! three-flit output queues, a pair of virtual channels on ring-like
+//! links, Poisson packet sources of constant 6-flit packets, and FIFO
+//! sinks consuming one flit per cycle.
 //!
 //! # Quick start
 //!
@@ -48,10 +48,10 @@
 /// so cached results never survive an engine change.
 pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
+mod arrivals;
 pub mod audit;
 mod buffer;
 mod config;
-pub mod des;
 mod error;
 mod flit;
 mod network;

@@ -25,8 +25,8 @@
 //!
 //! # Cycle phases
 //!
-//! 1. **generate** — drain this cycle's packet-arrival events from the
-//!    DES queue into source queues;
+//! 1. **generate** — move this cycle's packet arrivals from the arrival
+//!    schedule into source queues;
 //! 2. **consume** — sinks pop up to `sink_rate` flits from ejection
 //!    queues (packet latency recorded at tail consumption);
 //! 3. **link transfer** — per unidirectional link, one flit moves from
@@ -100,8 +100,8 @@
 //! skip, so it stays an independent oracle for the differential
 //! conformance checks; both modes produce bit-identical results.
 
+use crate::arrivals::Arrivals;
 use crate::buffer::{InputRings, OutputRings, SlotRoute};
-use crate::des::{EventQueue, SimTime};
 use crate::flit::{ArenaFlit, FlitKind, PacketArena, PacketRef};
 use crate::probe::{NetworkShape, NullProbe, Probe};
 use crate::stats::LinkLoad;
@@ -109,7 +109,6 @@ use crate::{PacketId, SimConfig, SimError, SimStats};
 use noc_routing::{CompiledRoutes, RoutingAlgorithm};
 use noc_topology::{Direction, NodeId, Topology};
 use noc_traffic::{Trace, TrafficPattern};
-use rand::{rngs::SmallRng, SeedableRng};
 use std::collections::VecDeque;
 use std::ops::Deref;
 
@@ -147,8 +146,6 @@ pub(crate) struct NodeState {
     source_pkt: Option<PacketRef>,
     /// Wormhole allocation of the packet currently being injected.
     source_route: Option<SlotRoute>,
-    /// Whether the traffic pattern generates packets here.
-    is_source: bool,
     /// Port index per [`Direction::index`], [`NO_PORT`] where absent —
     /// lets the compiled-route fast path turn a direction into a port
     /// without scanning `dirs`.
@@ -211,13 +208,10 @@ pub struct Network {
     /// deterministic and [`SimConfig::compiled_routes`] is enabled.
     /// `None` falls back to the dynamic algorithm (adaptive routing).
     compiled: Option<CompiledRoutes>,
-    /// `None` in trace-replay mode.
-    pattern: Option<Box<dyn TrafficPattern>>,
     pub(crate) config: SimConfig,
     pub(crate) vcs: usize,
     /// Nodes the traffic pattern (or trace) generates packets at.
     pub(crate) num_sources: usize,
-    rng: SmallRng,
     pub(crate) nodes: Vec<NodeState>,
     /// Every output VC queue and ejection channel, by slot id.
     pub(crate) outputs: OutputRings,
@@ -238,7 +232,8 @@ pub struct Network {
     /// injected; buffers hold [`ArenaFlit`] handles into it. Packets
     /// still waiting in a source queue take no slot.
     pub(crate) arena: PacketArena,
-    arrivals: EventQueue<Arrival>,
+    /// When packets are created and where they go.
+    arrivals: Arrivals,
     cycle: u64,
     next_packet: u64,
     /// Flits currently inside routers (not in source queues).
@@ -348,14 +343,6 @@ struct QueuedPacket {
     created: u64,
 }
 
-/// A scheduled packet creation: from a stochastic pattern (destination
-/// drawn at creation time) or from a trace entry (destination fixed).
-#[derive(Clone, Copy, Debug)]
-struct Arrival {
-    node: usize,
-    dst: Option<NodeId>,
-}
-
 /// Snapshot of flit occupancy across the network's buffer classes.
 ///
 /// Produced by [`Network::occupancy`]; the sum of the router-side
@@ -449,9 +436,10 @@ impl<P: Probe> Simulation<P> {
                 pattern: pattern.num_nodes(),
             });
         }
-        let sources = pattern.sources();
-        let mut net = Network::assemble(topology, routing, Some(pattern), config, &sources)?;
-        net.schedule_initial_arrivals();
+        config.validate()?;
+        let num_sources = pattern.sources().len();
+        let arrivals = Arrivals::stochastic(pattern, &config);
+        let net = Network::assemble(topology, routing, config, arrivals, num_sources);
         Ok(Simulation::attach(net, probe))
     }
 
@@ -482,16 +470,15 @@ impl<P: Probe> Simulation<P> {
                 ),
             });
         }
-        let mut net = Network::assemble(topology, routing, None, config, &trace.sources())?;
-        for entry in trace.entries() {
-            net.arrivals.schedule(
-                SimTime::new(entry.cycle as f64),
-                Arrival {
-                    node: entry.src.index(),
-                    dst: Some(entry.dst),
-                },
-            );
-        }
+        config.validate()?;
+        let num_sources = trace.sources().len();
+        let net = Network::assemble(
+            topology,
+            routing,
+            config,
+            Arrivals::trace(trace),
+            num_sources,
+        );
         Ok(Simulation::attach(net, probe))
     }
 
@@ -546,14 +533,14 @@ impl<P: Probe> Deref for Simulation<P> {
 // every cycle or every allocation attempt are `#[inline]` so they can
 // still be inlined there.
 impl Network {
+    /// Builds the network around `arrivals` from a validated `config`.
     fn assemble(
         topology: Box<dyn Topology>,
         routing: Box<dyn RoutingAlgorithm>,
-        pattern: Option<Box<dyn TrafficPattern>>,
         config: SimConfig,
-        sources: &[NodeId],
-    ) -> Result<Network, SimError> {
-        config.validate()?;
+        arrivals: Arrivals,
+        num_sources: usize,
+    ) -> Network {
         let vcs = routing.num_vcs_required().max(1);
         let n = topology.num_nodes();
         let mut nodes = Vec::with_capacity(n);
@@ -599,7 +586,6 @@ impl Network {
                 source_sent: 0,
                 source_pkt: None,
                 source_route: None,
-                is_source: sources.binary_search(&v).is_ok(),
                 port_of,
                 dirs,
             });
@@ -637,14 +623,12 @@ impl Network {
             (vec![true; n], (0..n).collect())
         };
 
-        Ok(Network {
+        Network {
             topo: topology,
             routing,
             compiled,
-            pattern,
             vcs,
-            num_sources: sources.len(),
-            rng: SmallRng::seed_from_u64(config.seed),
+            num_sources,
             nodes,
             outputs: OutputRings::new(slots, config.output_buffer_capacity),
             inputs: InputRings::new(slots, config.input_buffer_capacity),
@@ -652,7 +636,7 @@ impl Network {
             link_peer,
             upstream,
             arena: PacketArena::new(),
-            arrivals: EventQueue::new(),
+            arrivals,
             cycle: 0,
             next_packet: 0,
             in_network: 0,
@@ -678,23 +662,6 @@ impl Network {
             waiters: vec![0; slots],
             link_blocked: vec![0; n],
             config,
-        })
-    }
-
-    fn schedule_initial_arrivals(&mut self) {
-        let rate = self.config.packets_per_cycle();
-        for v in 0..self.nodes.len() {
-            if !self.nodes[v].is_source {
-                continue;
-            }
-            let dt = self
-                .config
-                .injection_process
-                .interarrival(&mut self.rng, rate);
-            if dt.is_finite() {
-                self.arrivals
-                    .schedule(SimTime::new(dt), Arrival { node: v, dst: None });
-            }
         }
     }
 
@@ -875,10 +842,7 @@ impl Network {
         if self.in_network != 0 || self.source_flits != 0 {
             return false;
         }
-        let mut target = match self.arrivals.peek_time() {
-            Some(t) => t.cycle().min(total),
-            None => total,
-        };
+        let mut target = self.arrivals.next_cycle().map_or(total, |c| c.min(total));
         if self.cycle < self.config.warmup_cycles {
             target = target.min(self.config.warmup_cycles);
         }
@@ -1003,19 +967,11 @@ impl Network {
         Ok(())
     }
 
-    /// Phase 1: drain this cycle's arrival events into source queues
-    /// and reschedule each source's next arrival.
+    /// Phase 1: move the packets the arrival schedule creates this
+    /// cycle into their source queues.
     fn generate<P: Probe>(&mut self, probe: &mut P) {
-        let deadline = SimTime::new((self.cycle + 1) as f64);
-        let rate = self.config.packets_per_cycle();
-        while let Some((t, arrival)) = self.arrivals.pop_before(deadline) {
-            let v = arrival.node;
-            let src = NodeId::new(v);
-            let dst = match (arrival.dst, &self.pattern) {
-                (Some(dst), _) => dst,
-                (None, Some(pattern)) => pattern.pick_destination(src, &mut self.rng),
-                (None, None) => unreachable!("pattern-less arrival without destination"),
-            };
+        while let Some((src, dst)) = self.arrivals.pop_due(self.cycle) {
+            let v = src.index();
             let pid = PacketId::new(self.next_packet);
             self.next_packet += 1;
             let len = self.config.packet_len;
@@ -1034,18 +990,6 @@ impl Network {
             });
             self.node_flits[v].source += len as u32;
             self.activate(v);
-            // Stochastic sources reschedule themselves; trace arrivals
-            // were all scheduled up front.
-            if arrival.dst.is_none() {
-                let dt = self
-                    .config
-                    .injection_process
-                    .interarrival(&mut self.rng, rate);
-                if dt.is_finite() {
-                    self.arrivals
-                        .schedule(t.advanced(dt), Arrival { node: v, dst: None });
-                }
-            }
         }
     }
 
