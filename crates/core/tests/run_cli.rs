@@ -54,6 +54,8 @@ fn out_of_range_configs_are_rejected_without_panicking() {
         ("packet_len", "0"),
         ("sink_rate", "0"),
         ("measure_cycles", "0"),
+        ("warmup_cycles", "18446744073709551615"),
+        ("router_delay", "18446744073709551615"),
     ] {
         let out = run_with(field, value, &[]);
         let stderr = String::from_utf8_lossy(&out.stderr);

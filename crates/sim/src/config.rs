@@ -125,8 +125,9 @@ impl SimConfig {
     /// a negative or non-finite injection rate; a
     /// [`Bernoulli`](InjectionProcess::Bernoulli) rate above one packet
     /// per cycle (`packet_len` flits); buffer capacities outside
-    /// `1..=`[`MAX_BUFFER_CAPACITY`]; or a sink rate above
-    /// [`MAX_SINK_RATE`].
+    /// `1..=`[`MAX_BUFFER_CAPACITY`]; a sink rate above
+    /// [`MAX_SINK_RATE`]; or cycle counts whose sum
+    /// `warmup_cycles + measure_cycles + router_delay` overflows `u64`.
     pub fn validate(&self) -> Result<(), SimError> {
         let reason = if self.packet_len == 0 {
             "packet_len must be positive".to_owned()
@@ -154,6 +155,21 @@ impl SimConfig {
             format!("sink_rate must be at most {MAX_SINK_RATE}")
         } else if self.measure_cycles == 0 {
             "measure_cycles must be positive".to_owned()
+        } else if self
+            .warmup_cycles
+            .checked_add(self.measure_cycles)
+            .is_none()
+        {
+            format!(
+                "warmup_cycles {} plus measure_cycles {} overflows u64",
+                self.warmup_cycles, self.measure_cycles
+            )
+        } else if self.total_cycles().checked_add(self.router_delay).is_none() {
+            format!(
+                "router_delay {} past the {} simulated cycles overflows u64",
+                self.router_delay,
+                self.total_cycles()
+            )
         } else if self.stall_threshold == 0 {
             "stall_threshold must be positive".to_owned()
         } else {
@@ -426,6 +442,29 @@ mod tests {
     #[test]
     fn validation_rejects_zero_measure_cycles() {
         assert!(rejection(|c| c.measure_cycles = 0).contains("measure_cycles"));
+    }
+
+    #[test]
+    fn validation_rejects_overflowing_cycle_counts() {
+        let reason = rejection(|c| c.warmup_cycles = u64::MAX);
+        assert!(reason.contains("warmup_cycles"), "{reason}");
+        let reason = rejection(|c| c.measure_cycles = u64::MAX);
+        assert!(reason.contains("measure_cycles"), "{reason}");
+        let reason = rejection(|c| c.router_delay = u64::MAX);
+        assert!(reason.contains("router_delay"), "{reason}");
+        // The largest legal sum is exactly `u64::MAX`.
+        let edge = SimConfig {
+            warmup_cycles: u64::MAX - 12,
+            measure_cycles: 10,
+            router_delay: 2,
+            ..SimConfig::default()
+        };
+        assert_eq!(edge.validate(), Ok(()));
+        let over = SimConfig {
+            router_delay: 3,
+            ..edge
+        };
+        assert!(over.validate().is_err());
     }
 
     #[test]
