@@ -109,17 +109,7 @@ impl CdgAnalysis {
         A: RoutingAlgorithm + ?Sized,
         T: Topology + ?Sized,
     {
-        let mut index: HashMap<Channel, usize> = HashMap::new();
-        let mut channels: Vec<Channel> = Vec::new();
-        let mut edges: Vec<Vec<usize>> = Vec::new();
-        let mut intern =
-            |ch: Channel, channels: &mut Vec<Channel>, edges: &mut Vec<Vec<usize>>| -> usize {
-                *index.entry(ch).or_insert_with(|| {
-                    channels.push(ch);
-                    edges.push(Vec::new());
-                    channels.len() - 1
-                })
-            };
+        let mut graph = Graph::default();
         for dst in topo.node_ids() {
             for current in topo.node_ids() {
                 if current == dst {
@@ -130,43 +120,27 @@ impl CdgAnalysis {
                     let next = topo
                         .neighbor(current, dir)
                         .expect("candidate direction must have a link");
-                    let c1 = intern(
-                        Channel {
-                            node: current,
-                            direction: dir,
-                            vc: vc1,
-                        },
-                        &mut channels,
-                        &mut edges,
-                    );
+                    let c1 = Channel {
+                        node: current,
+                        direction: dir,
+                        vc: vc1,
+                    };
+                    graph.intern(c1);
                     if next == dst {
                         continue;
                     }
                     for dir2 in algo.candidates(next, dst) {
-                        let vc2 = algo.vc_for_hop(next, dst, dir2, vc1);
-                        let c2 = intern(
-                            Channel {
-                                node: next,
-                                direction: dir2,
-                                vc: vc2,
-                            },
-                            &mut channels,
-                            &mut edges,
-                        );
-                        if !edges[c1].contains(&c2) {
-                            edges[c1].push(c2);
-                        }
+                        let c2 = Channel {
+                            node: next,
+                            direction: dir2,
+                            vc: algo.vc_for_hop(next, dst, dir2, vc1),
+                        };
+                        graph.depend(c1, c2);
                     }
                 }
             }
         }
-        let num_dependencies = edges.iter().map(Vec::len).sum();
-        let cycle = find_cycle(&edges).map(|idxs| idxs.into_iter().map(|i| channels[i]).collect());
-        CdgAnalysis {
-            num_channels: channels.len(),
-            num_dependencies,
-            cycle,
-        }
+        graph.analysis()
     }
 
     fn analyze_inner<A, T>(algo: &A, topo: &T, collapse_vcs: bool) -> Self
@@ -174,18 +148,7 @@ impl CdgAnalysis {
         A: RoutingAlgorithm + ?Sized,
         T: Topology + ?Sized,
     {
-        let mut index: HashMap<Channel, usize> = HashMap::new();
-        let mut channels: Vec<Channel> = Vec::new();
-        let mut edges: Vec<Vec<usize>> = Vec::new();
-        let mut intern =
-            |ch: Channel, channels: &mut Vec<Channel>, edges: &mut Vec<Vec<usize>>| -> usize {
-                *index.entry(ch).or_insert_with(|| {
-                    channels.push(ch);
-                    edges.push(Vec::new());
-                    channels.len() - 1
-                })
-            };
-
+        let mut graph = Graph::default();
         for src in topo.node_ids() {
             for dst in topo.node_ids() {
                 if src == dst {
@@ -202,26 +165,15 @@ impl CdgAnalysis {
                     })
                     .collect();
                 for pair in hops.windows(2) {
-                    let a = intern(pair[0], &mut channels, &mut edges);
-                    let b = intern(pair[1], &mut channels, &mut edges);
-                    if !edges[a].contains(&b) {
-                        edges[a].push(b);
-                    }
+                    graph.depend(pair[0], pair[1]);
                 }
                 // Channels with no dependencies still count.
                 for &ch in &hops {
-                    intern(ch, &mut channels, &mut edges);
+                    graph.intern(ch);
                 }
             }
         }
-
-        let num_dependencies = edges.iter().map(Vec::len).sum();
-        let cycle = find_cycle(&edges).map(|idxs| idxs.into_iter().map(|i| channels[i]).collect());
-        CdgAnalysis {
-            num_channels: channels.len(),
-            num_dependencies,
-            cycle,
-        }
+        graph.analysis()
     }
 
     /// Returns `true` if the channel dependency graph is acyclic, i.e.
@@ -246,9 +198,59 @@ impl CdgAnalysis {
     }
 }
 
-/// Iterative DFS cycle detection; returns the nodes of one cycle if the
-/// directed graph has any.
-fn find_cycle(edges: &[Vec<usize>]) -> Option<Vec<usize>> {
+/// A channel dependency graph under construction: channels numbered in
+/// first-seen order, each with its distinct successors in insertion
+/// order.
+#[derive(Default)]
+struct Graph {
+    index: HashMap<Channel, usize>,
+    channels: Vec<Channel>,
+    edges: Vec<Vec<usize>>,
+}
+
+impl Graph {
+    fn intern(&mut self, ch: Channel) -> usize {
+        *self.index.entry(ch).or_insert_with(|| {
+            self.channels.push(ch);
+            self.edges.push(Vec::new());
+            self.channels.len() - 1
+        })
+    }
+
+    /// Records that channel `a` is held while `b` is requested.
+    fn depend(&mut self, a: Channel, b: Channel) {
+        let (a, b) = (self.intern(a), self.intern(b));
+        if !self.edges[a].contains(&b) {
+            self.edges[a].push(b);
+        }
+    }
+
+    fn analysis(self) -> CdgAnalysis {
+        let cycle = find_cycle(&self.edges);
+        CdgAnalysis {
+            num_channels: self.channels.len(),
+            num_dependencies: self.edges.iter().map(Vec::len).sum(),
+            cycle: cycle.map(|ids| ids.into_iter().map(|i| self.channels[i]).collect()),
+        }
+    }
+}
+
+/// Iterative DFS cycle detection over a directed graph given as
+/// adjacency lists: returns the nodes of the first cycle found, in edge
+/// order (each node has an edge to the next, the last to the first), or
+/// `None` if the graph is acyclic. Starts are tried in ascending node
+/// order and edges in list order, so the witness is deterministic.
+///
+/// # Examples
+///
+/// ```
+/// use noc_routing::cdg::find_cycle;
+///
+/// // 0 -> 1 -> 2 -> 1: the cycle is 1 -> 2 -> 1.
+/// assert_eq!(find_cycle(&[vec![1], vec![2], vec![1]]), Some(vec![2, 1]));
+/// assert_eq!(find_cycle(&[vec![1, 2], vec![2], vec![]]), None);
+/// ```
+pub fn find_cycle(edges: &[Vec<usize>]) -> Option<Vec<usize>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
@@ -386,6 +388,9 @@ mod tests {
     #[test]
     fn find_cycle_detects_simple_cases() {
         assert!(find_cycle(&[vec![1], vec![2], vec![0]]).is_some());
+        // A tail into the cycle is not part of the witness.
+        let cycle = find_cycle(&[vec![1], vec![2], vec![0], vec![0]]).unwrap();
+        assert_eq!(cycle.len(), 3);
         assert!(find_cycle(&[vec![1], vec![2], vec![]]).is_none());
         assert!(find_cycle(&[vec![0]]).is_some(), "self-loop");
         assert!(find_cycle(&[]).is_none());

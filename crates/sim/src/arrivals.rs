@@ -4,7 +4,7 @@
 //! stochastic schedule keeps each source's next arrival, drawn in
 //! continuous time, in a min-heap ordered by time and then by the order
 //! arrivals were scheduled (simultaneous arrivals fire first-scheduled
-//! first); a trace schedule replays its entries in order.
+//! first); a trace schedule pops its entries in order.
 
 use crate::SimConfig;
 use noc_topology::NodeId;
@@ -18,11 +18,8 @@ use std::collections::BinaryHeap;
 pub(crate) enum Arrivals {
     /// The sources of a traffic pattern.
     Stochastic(Sources),
-    /// A trace's entries, sorted by cycle, and the next one to fire.
-    Trace {
-        entries: Vec<TraceEntry>,
-        next: usize,
-    },
+    /// A trace's entries, latest first: the next to fire is last.
+    Trace(Vec<TraceEntry>),
 }
 
 /// A traffic pattern's sources, each drawing its next arrival from the
@@ -62,10 +59,7 @@ impl Arrivals {
 
     /// The replay schedule of `trace`.
     pub(crate) fn trace(trace: &Trace) -> Self {
-        Arrivals::Trace {
-            entries: trace.entries().to_vec(),
-            next: 0,
-        }
+        Arrivals::Trace(trace.entries().iter().rev().copied().collect())
     }
 
     /// Removes the next arrival due by the end of `cycle` and returns
@@ -74,10 +68,8 @@ impl Arrivals {
     pub(crate) fn pop_due(&mut self, cycle: u64) -> Option<(NodeId, NodeId)> {
         match self {
             Arrivals::Stochastic(sources) => sources.pop_due(cycle),
-            Arrivals::Trace { entries, next } => {
-                let entry = entries.get(*next).filter(|e| e.cycle <= cycle)?;
-                *next += 1;
-                Some((entry.src, entry.dst))
+            Arrivals::Trace(entries) => {
+                entries.pop_if(|e| e.cycle <= cycle).map(|e| (e.src, e.dst))
             }
         }
     }
@@ -89,7 +81,7 @@ impl Arrivals {
                 .pending
                 .peek()
                 .map(|&Reverse((bits, _, _))| f64::from_bits(bits) as u64),
-            Arrivals::Trace { entries, next } => entries.get(*next).map(|e| e.cycle),
+            Arrivals::Trace(entries) => entries.last().map(|e| e.cycle),
         }
     }
 }

@@ -55,7 +55,7 @@ use crate::network::Network;
 use crate::probe::Probe;
 use crate::{Flit, PacketId};
 use core::fmt;
-use noc_routing::cdg::CdgAnalysis;
+use noc_routing::cdg::{find_cycle, CdgAnalysis};
 use noc_routing::{validate, RoutingAlgorithm};
 use noc_topology::graph::DistanceMatrix;
 use noc_topology::{Direction, NodeId, Topology};
@@ -974,43 +974,6 @@ fn find_circular_wait(net: &Network) -> Option<Vec<BufferRef>> {
     Some(cycle_ids.iter().filter_map(|&id| refs[id]).collect())
 }
 
-/// Iterative DFS cycle detection; returns the node ids forming the
-/// first cycle found, in chain order.
-fn find_cycle(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color = vec![WHITE; adj.len()];
-    for start in 0..adj.len() {
-        if color[start] != WHITE {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        let mut path = vec![start];
-        color[start] = GRAY;
-        while let Some(frame) = stack.last_mut() {
-            let (u, edge) = (frame.0, frame.1);
-            if edge < adj[u].len() {
-                frame.1 += 1;
-                let w = adj[u][edge];
-                if color[w] == WHITE {
-                    color[w] = GRAY;
-                    stack.push((w, 0));
-                    path.push(w);
-                } else if color[w] == GRAY {
-                    let pos = path.iter().position(|&x| x == w)?;
-                    return Some(path[pos..].to_vec());
-                }
-            } else {
-                color[u] = BLACK;
-                stack.pop();
-                path.pop();
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1061,16 +1024,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_interval_rejected() {
         let _ = Auditor::with_interval(0);
-    }
-
-    #[test]
-    fn find_cycle_detects_and_clears() {
-        // 0 -> 1 -> 2 -> 0 plus a tail 3 -> 0.
-        let adj = vec![vec![1], vec![2], vec![0], vec![0]];
-        let cycle = find_cycle(&adj).unwrap();
-        assert_eq!(cycle.len(), 3);
-        // A DAG has none.
-        let dag = vec![vec![1, 2], vec![2], vec![]];
-        assert!(find_cycle(&dag).is_none());
     }
 }
