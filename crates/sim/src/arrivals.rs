@@ -1,6 +1,6 @@
 //! The packet-arrival schedule: when each packet is created, and where
 //! it goes. Packet creation is the only asynchronous event of the
-//! cycle-level network, so this replaces a discrete-event kernel: a
+//! cycle-level network, so it needs no general event queue: a
 //! stochastic schedule keeps each source's next arrival, drawn in
 //! continuous time, in a min-heap ordered by time and then by the order
 //! arrivals were scheduled (simultaneous arrivals fire first-scheduled
