@@ -2,10 +2,12 @@
 //! against full simulation runs: decomposition exactness,
 //! non-perturbation, event-stream consistency and export determinism.
 
-use noc_routing::{MeshXY, SpidergonAcrossFirst};
+use noc_routing::{MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst};
 use noc_sim::{Recorder, SimConfig, SimStats, Simulation, TraceEvent};
-use noc_topology::{NodeId, RectMesh, Spidergon};
-use noc_traffic::{InjectionProcess, SingleHotspot, Trace, TraceEntry, UniformRandom};
+use noc_topology::{NodeId, RectMesh, Ring, Spidergon, Topology};
+use noc_traffic::{
+    InjectionProcess, SingleHotspot, Trace, TraceEntry, TrafficPattern, UniformRandom,
+};
 use std::collections::HashMap;
 
 fn config(lambda: f64, router_delay: u64) -> SimConfig {
@@ -22,7 +24,7 @@ fn config(lambda: f64, router_delay: u64) -> SimConfig {
 fn recorded_run(n: usize, lambda: f64, router_delay: u64, hotspot: bool) -> (SimStats, Recorder) {
     let topo = Spidergon::new(n).unwrap();
     let routing = SpidergonAcrossFirst::new(&topo);
-    let pattern: Box<dyn noc_traffic::TrafficPattern> = if hotspot {
+    let pattern: Box<dyn TrafficPattern> = if hotspot {
         Box::new(SingleHotspot::new(n, NodeId::new(0)).unwrap())
     } else {
         Box::new(UniformRandom::new(n).unwrap())
@@ -256,28 +258,43 @@ fn link_csv_and_buffer_peaks_are_consistent() {
     }
 }
 
-/// A recorded spidergon-16 uniform run (200 + 800 cycles, seed 2006)
-/// under `process` at `lambda`: its statistics and flit-event digest.
-fn pinned_run(process: InjectionProcess, lambda: f64) -> (SimStats, u64) {
+/// The network of a pinned run: topology, routing and traffic pattern.
+type PinnedNet = (
+    Box<dyn Topology>,
+    Box<dyn RoutingAlgorithm>,
+    Box<dyn TrafficPattern>,
+);
+
+/// Spidergon-16 with across-first routing under uniform traffic.
+fn spidergon16_uniform() -> PinnedNet {
     let topo = Spidergon::new(16).unwrap();
     let routing = SpidergonAcrossFirst::new(&topo);
-    let pattern = UniformRandom::new(16).unwrap();
+    (
+        Box::new(topo),
+        Box::new(routing),
+        Box::new(UniformRandom::new(16).unwrap()),
+    )
+}
+
+/// A recorded run of `net` (200 + 800 cycles, seed 2006) under
+/// `process` at `lambda` with `sink_rate` ejection channels per node:
+/// its statistics and flit-event digest.
+fn pinned_run(
+    (topo, routing, pattern): PinnedNet,
+    process: InjectionProcess,
+    lambda: f64,
+    sink_rate: usize,
+) -> (SimStats, u64) {
     let config = SimConfig::builder()
         .injection_rate(lambda)
         .injection_process(process)
+        .sink_rate(sink_rate)
         .warmup_cycles(200)
         .measure_cycles(800)
         .seed(2006)
         .build()
         .unwrap();
-    let mut sim = Simulation::with_probe(
-        Box::new(topo),
-        Box::new(routing),
-        Box::new(pattern),
-        config,
-        Recorder::new(),
-    )
-    .unwrap();
+    let mut sim = Simulation::with_probe(topo, routing, pattern, config, Recorder::new()).unwrap();
     let stats = sim.run().unwrap();
     (stats, sim.into_probe().digest())
 }
@@ -327,6 +344,13 @@ fn pinned_trace_run() -> (SimStats, u64) {
 /// and the RNG draws of each destination. Past saturation (λ = 0.6)
 /// the source queues hold most of the traffic, so those runs exercise
 /// long backlogs and half-injected packets.
+///
+/// Switch allocation rotates over a router's allocation slots (the
+/// source queue plus one per input VC), so the topology rows pin it at
+/// every slot count the paper's networks have: 7 on spidergon-16, 5 on
+/// ring-16, and 3, 4 and 5 on the 4×4 mesh's corner, edge and inner
+/// routers. The two-channel hot-spot row parks heads on every ejection
+/// channel of the hot node.
 #[test]
 fn flit_event_digests_are_pinned() {
     use InjectionProcess::{Bernoulli, Cbr, Poisson};
@@ -336,11 +360,54 @@ fn flit_event_digests_are_pinned() {
         (Bernoulli, 0.2, 0xbc61_ecf9_25e4_5fad),
         (Cbr, 0.6, 0x0600_c0a9_e732_0a54),
     ] {
-        let (stats, digest) = pinned_run(process, lambda);
+        let (stats, digest) = pinned_run(spidergon16_uniform(), process, lambda, 1);
         let what = format!("{process:?} λ = {lambda}");
         if lambda > 0.5 {
             assert!(stats.backlog_flits > 0, "{what}: must be past saturation");
         }
+        assert_eq!(
+            digest, pinned,
+            "{what}: flit-event order changed: digest {digest:#018x}"
+        );
+    }
+    let ring = Ring::new(16).unwrap();
+    let mesh = RectMesh::new(4, 4).unwrap();
+    let spidergon = Spidergon::new(16).unwrap();
+    let rows: [(&str, PinnedNet, usize, u64); 3] = [
+        (
+            "ring-16 uniform",
+            (
+                Box::new(ring.clone()),
+                Box::new(RingShortestPath::new(&ring)),
+                Box::new(UniformRandom::new(16).unwrap()),
+            ),
+            1,
+            0xe6e0_fca4_4d0e_e383,
+        ),
+        (
+            "4x4 mesh uniform",
+            (
+                Box::new(mesh.clone()),
+                Box::new(MeshXY::new(&mesh)),
+                Box::new(UniformRandom::new(16).unwrap()),
+            ),
+            1,
+            0xf224_4ea8_ef21_02f0,
+        ),
+        (
+            "spidergon-16 hot-spot, two sink channels",
+            (
+                Box::new(spidergon.clone()),
+                Box::new(SpidergonAcrossFirst::new(&spidergon)),
+                Box::new(SingleHotspot::new(16, NodeId::new(0)).unwrap()),
+            ),
+            2,
+            0x4319_a753_382c_4274,
+        ),
+    ];
+    for (what, net, sink_rate, pinned) in rows {
+        let (stats, digest) = pinned_run(net, Poisson, 0.6, sink_rate);
+        assert!(stats.backlog_flits > 0, "{what}: must be past saturation");
         assert_eq!(
             digest, pinned,
             "{what}: flit-event order changed: digest {digest:#018x}"
