@@ -197,22 +197,15 @@ impl OutputRings {
         }
     }
 
-    /// Pushes a flit into queue `s`, updating ownership (head claims,
-    /// tail releases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`can_accept`](Self::can_accept) is false — callers
-    /// must check first; pushing blindly indicates a switch allocation
-    /// bug.
+    /// Pushes `flit` into queue `s` if [`can_accept`](Self::can_accept)
+    /// allows it, updating ownership (head claims, tail releases).
+    /// Returns whether the flit was pushed; a refused flit changes
+    /// nothing.
     #[inline]
-    pub(crate) fn push(&mut self, s: usize, flit: ArenaFlit) {
-        assert!(
-            self.can_accept(s, &flit),
-            "queue {s} cannot accept {flit:?} (owner {:?}, len {})",
-            self.owner[s],
-            self.flits.len(s)
-        );
+    pub(crate) fn try_push(&mut self, s: usize, flit: ArenaFlit) -> bool {
+        if !self.can_accept(s, &flit) {
+            return false;
+        }
         if flit.kind.is_head() {
             self.owner[s] = Some(flit.pkt);
         }
@@ -220,6 +213,7 @@ impl OutputRings {
             self.owner[s] = None;
         }
         self.flits.push_back(s, flit);
+        true
     }
 
     /// Removes and returns the head flit of queue `s`.
@@ -359,10 +353,11 @@ mod tests {
         let mut arena = PacketArena::new();
         let mut q = OutputRings::new(2, 3);
         let flits = packet(&mut arena, 0, 6);
-        q.push(1, flits[0]);
-        q.push(1, flits[1]);
-        q.push(1, flits[2]);
+        for f in &flits[..3] {
+            assert!(q.try_push(1, *f));
+        }
         assert!(!q.can_accept(1, &flits[3]));
+        assert!(!q.try_push(1, flits[3]), "a full queue refuses");
         assert_eq!(q.len(1), 3);
         assert!(q.is_empty(0), "slots are independent");
         q.pop(1);
@@ -375,14 +370,15 @@ mod tests {
         let mut q = OutputRings::new(1, 8);
         let a = packet(&mut arena, 0, 3);
         let b = packet(&mut arena, 1, 3);
-        q.push(0, a[0]);
+        assert!(q.try_push(0, a[0]));
         assert_eq!(q.owner(0), Some(a[0].pkt));
         assert!(!q.can_accept(0, &b[0]), "foreign head rejected mid-packet");
-        q.push(0, a[1]);
-        q.push(0, a[2]); // tail releases
+        assert!(!q.try_push(0, b[0]));
+        assert!(q.try_push(0, a[1]));
+        assert!(q.try_push(0, a[2]), "tail releases");
         assert_eq!(q.owner(0), None);
         assert!(q.can_accept(0, &b[0]), "new head accepted after tail");
-        q.push(0, b[0]);
+        assert!(q.try_push(0, b[0]));
         assert_eq!(q.owner(0), Some(b[0].pkt));
     }
 
@@ -399,7 +395,7 @@ mod tests {
         let mut arena = PacketArena::new();
         let mut q = OutputRings::new(1, 3);
         let a = packet(&mut arena, 0, 1);
-        q.push(0, a[0]);
+        assert!(q.try_push(0, a[0]));
         assert_eq!(q.owner(0), None);
         let b = packet(&mut arena, 1, 1);
         assert!(q.can_accept(0, &b[0]));
@@ -411,7 +407,7 @@ mod tests {
         let mut q = OutputRings::new(1, 6);
         let a = packet(&mut arena, 0, 3);
         for f in &a {
-            q.push(0, *f);
+            assert!(q.try_push(0, *f));
         }
         assert_eq!(q.iter(0).next().unwrap().kind, a[0].kind);
         let kinds: Vec<_> = q.iter(0).map(|f| f.kind).collect();
@@ -422,13 +418,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot accept")]
-    fn blind_push_panics() {
+    fn refused_push_changes_nothing() {
         let mut arena = PacketArena::new();
         let mut q = OutputRings::new(1, 1);
         let a = packet(&mut arena, 0, 3);
-        q.push(0, a[0]);
-        q.push(0, a[1]); // full
+        assert!(q.try_push(0, a[0]));
+        assert!(!q.try_push(0, a[1]), "full");
+        assert_eq!(q.len(0), 1);
+        assert_eq!(q.owner(0), Some(a[0].pkt));
+        assert_eq!(q.iter(0).copied().collect::<Vec<_>>(), [a[0]]);
     }
 
     #[test]

@@ -222,8 +222,8 @@ pub struct Network {
     /// loops never divide by the VC count (a real `div` instruction,
     /// since `vcs` is a runtime value).
     slot_port: Vec<(u8, u8)>,
-    /// Link slot id → slot id of the input buffer the link feeds.
-    link_peer: Vec<u32>,
+    /// Link slot id → where a flit crossing the link lands.
+    link_dst: Vec<LinkDst>,
     /// Input slot id → `(node, out_slots bit)` of the one link VC
     /// feeding it, whose [`link_blocked`](Self::link_blocked) bit a pop
     /// clears.
@@ -251,15 +251,28 @@ pub struct Network {
     measuring: bool,
     stats: SimStats,
     deliveries: Vec<Delivery>,
-    /// Flits per (node, output dir) during the window.
-    link_counters: Vec<Vec<u64>>,
+    /// Flits per link slot during the window (ejection slots stay 0);
+    /// [`run`](Self::run) sums each link's VCs into `per_link`.
+    link_counters: Vec<u64>,
     /// Delivered flits inside the current sampling window.
     window_flits: u64,
     /// Reusable buffer for routing candidate directions (hot path:
     /// filled and drained every head-flit allocation attempt).
     dir_scratch: Vec<Direction>,
-    /// Reusable buffer for candidate (port, VC) allocations.
+    /// Reusable buffer for the candidate (port, VC) allocations of a
+    /// head routed by the dynamic algorithm.
     route_scratch: Vec<SlotRoute>,
+    /// Distinct allocation-slot counts over all routers: switch
+    /// allocation takes `cycle % count` once per cycle for each.
+    alloc_slot_counts: Vec<usize>,
+    /// Nodes whose source backlog grew this cycle (generation is the
+    /// only thing that grows one), so the measured maximum backlog
+    /// only needs to look at them.
+    backlog_grew: Vec<usize>,
+    /// Set at the start of measurement: the first measured cycle takes
+    /// the maximum over every active node, since backlog carried over
+    /// from the warmup was never looked at.
+    backlog_scan: bool,
     /// `active_mask[v]` ⟺ `v` is in the worklist (on `active_nodes` or
     /// `pending_active`). Invariant at every cycle boundary:
     /// `active_mask[v] ⟺ node_flits[v].total() > 0`. Dense mode pins
@@ -330,6 +343,35 @@ impl NodeFlits {
 /// the ejection port — lets switch allocation keep its per-port write
 /// budget in a stack array instead of a per-cycle heap allocation.
 const MAX_PORTS: usize = Direction::ALL.len() + 1;
+
+/// Upper bound on allocation slots per router: the source queue plus
+/// one per input VC, whose bits fill the `u32` occupancy word.
+const MAX_ALLOC_SLOTS: usize = 1 + u32::BITS as usize;
+
+/// Where a flit crossing a link lands, by link slot id.
+#[derive(Clone, Copy, Debug)]
+struct LinkDst {
+    /// Slot id of the receiving input buffer.
+    input: u32,
+    /// The receiving router.
+    node: u32,
+    /// The input buffer's bit in the receiver's `in_slots` word.
+    bit: u32,
+}
+
+/// Outcome of offering a flit to one output queue
+/// ([`Network::place`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Placement {
+    /// The flit was pushed.
+    Placed,
+    /// The queue's crossbar port was already written this cycle: a
+    /// transient failure that parks nothing.
+    PortBusy,
+    /// The queue refused the flit on its own state (full, or owned by
+    /// another packet): retrying is pointless until it changes.
+    Refused,
+}
 
 /// A generated packet waiting in its source queue. Its arena slot is
 /// taken at its first injection attempt and its flits are derived from
@@ -593,7 +635,12 @@ impl Network {
         // Slot tables: `(port, vc)` per slot, and for link slots the
         // input buffer they feed and, inversely, its single feeder.
         let mut slot_port = Vec::with_capacity(slots);
-        let mut link_peer = vec![u32::MAX; slots];
+        let unlinked = LinkDst {
+            input: u32::MAX,
+            node: u32::MAX,
+            bit: 0,
+        };
+        let mut link_dst = vec![unlinked; slots];
         let mut upstream = vec![(u32::MAX, 0); slots];
         let slot_id = |id: usize| u32::try_from(id).expect("slot ids fit in u32");
         for (v, node) in nodes.iter().enumerate() {
@@ -602,13 +649,22 @@ impl Network {
                     slot_port.push((d as u8, vc as u8));
                     let s = node.base + d * vcs + vc;
                     let t = nodes[u].base + up * vcs + vc;
-                    link_peer[s] = slot_id(t);
+                    link_dst[s] = LinkDst {
+                        input: slot_id(t),
+                        node: slot_id(u),
+                        bit: 1 << (up * vcs + vc),
+                    };
                     upstream[t] = (slot_id(v), 1 << (d * vcs + vc));
                 }
             }
             // `sink_rate <= MAX_SINK_RATE` (validated) fits the byte.
             slot_port.extend((0..config.sink_rate).map(|k| (node.dirs.len() as u8, k as u8)));
         }
+
+        let mut alloc_slot_counts: Vec<usize> =
+            nodes.iter().map(|node| 1 + node.dirs.len() * vcs).collect();
+        alloc_slot_counts.sort_unstable();
+        alloc_slot_counts.dedup();
 
         let compiled = if config.compiled_routes {
             CompiledRoutes::compile(routing.as_ref(), topology.as_ref())
@@ -633,7 +689,7 @@ impl Network {
             outputs: OutputRings::new(slots, config.output_buffer_capacity),
             inputs: InputRings::new(slots, config.input_buffer_capacity),
             slot_port,
-            link_peer,
+            link_dst,
             upstream,
             arena: PacketArena::new(),
             arrivals,
@@ -651,6 +707,9 @@ impl Network {
             window_flits: 0,
             dir_scratch: Vec::new(),
             route_scratch: Vec::new(),
+            alloc_slot_counts,
+            backlog_grew: Vec::new(),
+            backlog_scan: false,
             active_mask,
             active_nodes,
             pending_active: Vec::new(),
@@ -810,19 +869,24 @@ impl Network {
         stats.num_nodes = self.topo.num_nodes();
         stats.num_sources = self.num_sources;
         stats.backlog_flits = self.source_backlog();
-        stats.per_link = self
-            .link_counters
-            .iter()
-            .enumerate()
-            .flat_map(|(v, dirs)| {
-                let node_dirs = &self.nodes[v].dirs;
-                dirs.iter().enumerate().map(move |(d, &flits)| LinkLoad {
-                    from: NodeId::new(v),
-                    direction: node_dirs[d],
-                    flits,
+        if self.measuring {
+            let (vcs, counters) = (self.vcs, &self.link_counters);
+            stats.per_link = self
+                .nodes
+                .iter()
+                .enumerate()
+                .flat_map(|(v, node)| {
+                    node.dirs.iter().enumerate().map(move |(d, &direction)| {
+                        let first = node.base + d * vcs;
+                        LinkLoad {
+                            from: NodeId::new(v),
+                            direction,
+                            flits: counters[first..first + vcs].iter().sum(),
+                        }
+                    })
                 })
-            })
-            .collect();
+                .collect();
+        }
         Ok(stats)
     }
 
@@ -875,13 +939,10 @@ impl Network {
         let n = self.nodes.len();
         self.stats.per_node_delivered = vec![0; n];
         self.stats.per_node_generated = vec![0; n];
-        self.link_counters = self
-            .nodes
-            .iter()
-            .map(|node| vec![0; node.dirs.len()])
-            .collect();
+        self.link_counters = vec![0; self.link_dst.len()];
         self.window_flits = 0;
         self.measuring = true;
+        self.backlog_scan = true;
     }
 
     /// Puts router `v` on the active worklist if it is not already
@@ -989,6 +1050,9 @@ impl Network {
                 created: self.cycle,
             });
             self.node_flits[v].source += len as u32;
+            if self.measuring {
+                self.backlog_grew.push(v);
+            }
             self.activate(v);
         }
     }
@@ -1122,7 +1186,8 @@ impl Network {
                     if self.outputs.is_empty(s) {
                         continue;
                     }
-                    let t = self.link_peer[s] as usize;
+                    let dst = self.link_dst[s];
+                    let (t, peer) = (dst.input as usize, dst.node as usize);
                     if !self.inputs.has_space(t) {
                         if sparse {
                             self.link_blocked[v] |= bit;
@@ -1138,8 +1203,7 @@ impl Network {
                         probe.on_link_traverse(self, v, d, vc, &full);
                     }
                     self.inputs.receive(t, flit, eligible);
-                    let (peer, peer_port) = self.nodes[v].peer[d];
-                    self.in_slots[peer] |= 1 << (peer_port * vcs + vc);
+                    self.in_slots[peer] |= dst.bit;
                     if self.outputs.is_empty(s) {
                         self.out_slots[v] &= !bit;
                     }
@@ -1148,7 +1212,7 @@ impl Network {
                     self.activate(peer);
                     if self.measuring {
                         self.stats.link_traversals += 1;
-                        self.link_counters[v][d] += 1;
+                        self.link_counters[s] += 1;
                     }
                     moved = true;
                     break;
@@ -1163,6 +1227,14 @@ impl Network {
     fn allocate_switches<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut moved = false;
         let sparse = self.config.sparse;
+        // Like the sink pointer, each router's rotating priority used to
+        // advance once per cycle unconditionally, so it is cycle-derived:
+        // `cycle % slots`, taken here once per distinct slot count
+        // rather than once per router.
+        let mut rotation = [0u8; MAX_ALLOC_SLOTS + 1];
+        for &count in &self.alloc_slot_counts {
+            rotation[count] = (self.cycle % count as u64) as u8;
+        }
         let active = std::mem::take(&mut self.active_nodes);
         for &v in &active {
             // Dense-identical skip: every occupied slot (source queue,
@@ -1171,7 +1243,8 @@ impl Network {
             if sparse && self.occupied_slots(v) & !self.blocked[v] == 0 {
                 continue;
             }
-            moved |= self.allocate_node(v, probe);
+            let nslots = 1 + self.nodes[v].dirs.len() * self.vcs;
+            moved |= self.allocate_node(v, nslots, rotation[nslots].into(), probe);
         }
         self.active_nodes = active;
         moved
@@ -1184,16 +1257,18 @@ impl Network {
         (u64::from(self.in_slots[v]) << 1) | u64::from(self.node_flits[v].source > 0)
     }
 
-    /// Runs switch allocation for one router: rotating priority over
-    /// the source queue and every (input port, VC), one write per
-    /// output port per cycle.
-    fn allocate_node<P: Probe>(&mut self, v: usize, probe: &mut P) -> bool {
+    /// Runs switch allocation for one router with `nslots` allocation
+    /// slots: rotating priority over the source queue and every (input
+    /// port, VC), starting at slot `start`, one write per output port
+    /// per cycle.
+    fn allocate_node<P: Probe>(
+        &mut self,
+        v: usize,
+        nslots: usize,
+        start: usize,
+        probe: &mut P,
+    ) -> bool {
         let num_dirs = self.nodes[v].dirs.len();
-        let nslots = 1 + num_dirs * self.vcs;
-        // Like the sink pointer, the rotating priority used to advance
-        // once per node per cycle unconditionally — cycle-derived, so
-        // idle routers carry no allocation state at all.
-        let start = (self.cycle % nslots as u64) as usize;
         // Writes left per output port this cycle: one per link port
         // (crossbar), `sink_rate` for the ejection port (the IP
         // interface is as wide as its consumption rate). A stack array
@@ -1210,68 +1285,83 @@ impl Network {
         let occupied = if self.config.sparse {
             self.occupied_slots(v)
         } else {
-            u64::MAX
+            (1 << nslots) - 1
         };
-        for k in 0..nslots {
-            let mut slot = start + k;
-            if slot >= nslots {
-                slot -= nslots;
+        // The rotated order `start, .., nslots - 1, 0, .., start - 1`
+        // is the set bits at or above `start`, then those below it,
+        // each ascending.
+        let below = (1 << start) - 1;
+        for mut bits in [occupied & !below, occupied & below] {
+            while bits != 0 {
+                let slot = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // Parked slots are skipped too, reading `blocked` live:
+                // a push earlier in this turn (a tail releasing an
+                // ejection channel, with `sink_rate > 1`) can wake a
+                // slot the dense scan still tries this cycle.
+                if self.blocked[v] & (1 << slot) != 0 {
+                    continue;
+                }
+                moved |= if slot == 0 {
+                    self.try_inject(v, &mut used, probe)
+                } else {
+                    self.try_forward(v, slot, &mut used, probe)
+                };
             }
-            // Parked slots are skipped too, reading `blocked` live: a
-            // push earlier in this turn (a tail releasing an ejection
-            // channel, with `sink_rate > 1`) can wake a slot the dense
-            // scan still tries this cycle.
-            if (occupied & !self.blocked[v]) & (1 << slot) == 0 {
-                continue;
-            }
-            moved |= if slot == 0 {
-                self.try_inject(v, &mut used, probe)
-            } else {
-                self.try_forward(v, slot, &mut used, probe)
-            };
         }
         moved
     }
 
-    /// Computes the candidate output slots for a head flit at node `v`
-    /// arriving on virtual channel `in_vc`, in the routing algorithm's
-    /// preference order, appending them to `out`. Deterministic
-    /// algorithms yield exactly one candidate — served from the
-    /// precompiled table when available; adaptive ones several, and the
-    /// switch takes the first whose queue can accept the flit.
+    /// Routes the head flit `flit` of allocation slot `slot` at router
+    /// `v`, which arrived on virtual channel `in_vc`, and places it in
+    /// the first candidate output queue that accepts it; returns the
+    /// route taken. Deterministic algorithms yield exactly one
+    /// candidate, served from the precompiled table when available;
+    /// adaptive ones several, in the routing algorithm's preference
+    /// order.
+    ///
+    /// In sparse mode a failure is remembered when it can only repeat:
+    /// if every candidate queue refused the flit, the slot is parked on
+    /// all of them. A candidate whose crossbar port was already written
+    /// this cycle is a transient failure and parks nothing.
     #[inline]
-    fn head_routes_into(
+    fn place_head(
         &mut self,
         v: usize,
+        slot: usize,
         flit: &ArenaFlit,
         in_vc: usize,
-        out: &mut Vec<SlotRoute>,
-    ) {
+        used: &mut [usize],
+    ) -> Option<SlotRoute> {
         let here = NodeId::new(v);
         let dst = self.arena.dst(flit.pkt);
         if let Some(table) = &self.compiled {
             let hop = table.hop(here, dst);
-            let slot = if hop.dir == Direction::Local {
+            let out = if hop.dir == Direction::Local {
+                assert!(slot != 0, "packet addressed to its own source");
                 self.eject_route(v, flit)
             } else {
                 let port = usize::from(self.nodes[v].port_of[hop.dir.index()]);
                 debug_assert!(port < self.nodes[v].dirs.len(), "compiled absent port");
                 self.link_slot(v, port, usize::from(hop.out_vc[in_vc]))
             };
-            out.push(SlotRoute {
-                out: slot,
+            let route = SlotRoute {
+                out,
                 packet: flit.pkt,
-            });
-            return;
+            };
+            return self.place_one(v, slot, flit, route, used);
         }
-        // Reuse the direction scratch buffer (taken so the routing call
-        // can borrow `self`); head flits retry until they are placed (or
+        // Reuse the scratch buffers (taken so the routing call can
+        // borrow `self`); head flits retry until they are placed (or
         // parked), so this runs far too often to allocate each time.
         let mut dirs = std::mem::take(&mut self.dir_scratch);
+        let mut routes = std::mem::take(&mut self.route_scratch);
         dirs.clear();
+        routes.clear();
         self.routing.candidates_into(here, dst, &mut dirs);
         for &dir in &dirs {
-            let slot = if dir == Direction::Local {
+            let out = if dir == Direction::Local {
+                assert!(slot != 0, "packet addressed to its own source");
                 self.eject_route(v, flit)
             } else {
                 let port = self.nodes[v]
@@ -1283,12 +1373,29 @@ impl Network {
                 assert!(vc < self.vcs, "routing chose VC {vc} of {}", self.vcs);
                 self.link_slot(v, port, vc)
             };
-            out.push(SlotRoute {
-                out: slot,
+            routes.push(SlotRoute {
+                out,
                 packet: flit.pkt,
             });
         }
         self.dir_scratch = dirs;
+        let mut transient = false;
+        let mut taken = None;
+        for &route in &routes {
+            match self.place(v, flit, route, used) {
+                Placement::Placed => {
+                    taken = Some(route);
+                    break;
+                }
+                Placement::PortBusy => transient = true,
+                Placement::Refused => {}
+            }
+        }
+        if taken.is_none() && !transient && self.config.sparse {
+            self.park(v, slot, flit, &routes);
+        }
+        self.route_scratch = routes;
+        taken
     }
 
     /// The ejection channel a head flit bound for router `v`'s sink
@@ -1302,50 +1409,57 @@ impl Network {
             .unwrap_or(first)
     }
 
-    /// Tries each candidate allocation in order and performs the first
-    /// enqueue the crossbar and the queue allow; returns the route
-    /// taken, if any.
-    ///
-    /// In sparse mode a failure is remembered when it can only repeat:
-    /// if every candidate queue refused the flit on its own state (full,
-    /// or owned by another packet), allocation slot `slot` is parked
-    /// until one of those queues is pushed or popped. A candidate whose
-    /// crossbar port was already used this cycle is a transient failure
-    /// and parks nothing.
+    /// Places `flit` of allocation slot `slot` on its one known
+    /// `route`; in sparse mode a refusal parks the slot on that queue.
     #[inline]
-    fn try_place(
+    fn place_one(
         &mut self,
         v: usize,
         slot: usize,
         flit: &ArenaFlit,
-        routes: &[SlotRoute],
+        route: SlotRoute,
         used: &mut [usize],
     ) -> Option<SlotRoute> {
-        let mut transient = false;
-        for &route in routes {
-            let port = usize::from(self.slot_port[route.out].0);
-            if used[port] == 0 {
-                transient = true;
-                continue;
+        match self.place(v, flit, route, used) {
+            Placement::Placed => Some(route),
+            Placement::PortBusy => None,
+            Placement::Refused => {
+                if self.config.sparse {
+                    self.park(v, slot, flit, std::slice::from_ref(&route));
+                }
+                None
             }
-            if !self.outputs.can_accept(route.out, flit) {
-                continue;
-            }
-            self.outputs.push(route.out, *flit);
-            self.wake(v, route.out);
-            if port == self.nodes[v].dirs.len() {
-                self.node_flits[v].eject += 1;
-            } else {
-                self.node_flits[v].output += 1;
-                self.out_slots[v] |= 1 << (route.out - self.nodes[v].base);
-            }
-            used[port] -= 1;
-            return Some(route);
         }
-        if self.config.sparse && !transient {
-            self.park(v, slot, flit, routes);
+    }
+
+    /// Offers `flit` at router `v` to the output queue of `route`: the
+    /// one place a flit enters an output queue or ejection channel.
+    /// On success it wakes the queue's waiters, counts the flit at the
+    /// router and spends one write of the queue's crossbar port.
+    #[inline]
+    fn place(
+        &mut self,
+        v: usize,
+        flit: &ArenaFlit,
+        route: SlotRoute,
+        used: &mut [usize],
+    ) -> Placement {
+        let port = usize::from(self.slot_port[route.out].0);
+        if used[port] == 0 {
+            return Placement::PortBusy;
         }
-        None
+        if !self.outputs.try_push(route.out, *flit) {
+            return Placement::Refused;
+        }
+        self.wake(v, route.out);
+        if port == self.nodes[v].dirs.len() {
+            self.node_flits[v].eject += 1;
+        } else {
+            self.node_flits[v].output += 1;
+            self.out_slots[v] |= 1 << (route.out - self.nodes[v].base);
+        }
+        used[port] -= 1;
+        Placement::Placed
     }
 
     /// Parks allocation slot `slot` of router `v` on every queue its
@@ -1392,30 +1506,21 @@ impl Network {
             return false;
         };
         let (d, vc) = self.slot_port[s];
-        let route = if flit.kind.is_head() {
-            let mut routes = std::mem::take(&mut self.route_scratch);
-            routes.clear();
-            self.head_routes_into(v, &flit, usize::from(vc), &mut routes);
-            let placed = self.try_place(v, slot, &flit, &routes, used);
-            self.route_scratch = routes;
-            let Some(route) = placed else {
-                return false;
-            };
-            route
+        let placed = if flit.kind.is_head() {
+            self.place_head(v, slot, &flit, usize::from(vc), used)
         } else {
-            // Body and tail flits reuse the packet's wormhole
-            // allocation: the candidate list is one known route, so
-            // no scratch vector round trip (5/6 of all forwards at the
-            // paper's 6-flit packets).
+            // Body and tail flits follow the packet's wormhole
+            // allocation (5/6 of all forwards at the paper's 6-flit
+            // packets).
             let r = self
                 .inputs
                 .route(s)
                 .expect("body/tail flit with no wormhole allocation");
             assert_eq!(r.packet, flit.pkt, "stale wormhole allocation");
-            let Some(route) = self.try_place(v, slot, &flit, std::slice::from_ref(&r), used) else {
-                return false;
-            };
-            route
+            self.place_one(v, slot, &flit, r, used)
+        };
+        let Some(route) = placed else {
+            return false;
         };
         if P::ACTIVE {
             let (port, out_vc) = self.slot_port[route.out];
@@ -1461,32 +1566,18 @@ impl Network {
             kind: FlitKind::at(node.source_sent, self.config.packet_len),
             hops: 0,
         };
-        let route = if flit.kind.is_head() {
-            let mut routes = std::mem::take(&mut self.route_scratch);
-            routes.clear();
-            self.head_routes_into(v, &flit, 0, &mut routes);
-            let first_eject = self.eject_slot(v, 0);
-            assert!(
-                routes.iter().all(|r| r.out < first_eject),
-                "packet addressed to its own source"
-            );
-            let placed = self.try_place(v, 0, &flit, &routes, used);
-            self.route_scratch = routes;
-            let Some(route) = placed else {
-                return false;
-            };
-            route
+        let placed = if flit.kind.is_head() {
+            self.place_head(v, 0, &flit, 0, used)
         } else {
-            // Single known route (the packet's injection allocation) —
-            // same shortcut as the forward path.
+            // The packet's injection allocation, as on the forward path.
             let r = self.nodes[v]
                 .source_route
                 .expect("injecting body/tail with no allocation");
             assert_eq!(r.packet, flit.pkt, "stale injection allocation");
-            let Some(route) = self.try_place(v, 0, &flit, std::slice::from_ref(&r), used) else {
-                return false;
-            };
-            route
+            self.place_one(v, 0, &flit, r, used)
+        };
+        let Some(route) = placed else {
+            return false;
         };
         if P::ACTIVE {
             let (port, out_vc) = self.slot_port[route.out];
@@ -1527,15 +1618,22 @@ impl Network {
             }
         }
         if self.measuring {
-            // Only active routers can hold source backlog (backlogged
-            // flits keep their router on the worklist).
-            let max_backlog = self
-                .active_nodes
+            // A node's backlog only grows when it generates, so after
+            // the first measured cycle only those nodes can raise the
+            // maximum. Only active routers can hold source backlog
+            // (backlogged flits keep their router on the worklist).
+            let nodes = if std::mem::take(&mut self.backlog_scan) {
+                &self.active_nodes
+            } else {
+                &self.backlog_grew
+            };
+            let max_backlog = nodes
                 .iter()
                 .map(|&v| u64::from(self.node_flits[v].source))
                 .max()
                 .unwrap_or(0);
             self.stats.max_source_backlog = self.stats.max_source_backlog.max(max_backlog);
+            self.backlog_grew.clear();
         }
     }
 }
@@ -1797,6 +1895,76 @@ mod tests {
             (dense_ratio - 1.0).abs() < 1e-12,
             "dense ratio {dense_ratio}"
         );
+    }
+
+    #[test]
+    fn max_source_backlog_matches_a_full_scan() {
+        // Only nodes that generated are checked after the first
+        // measured cycle; a full scan every cycle must agree, backlog
+        // carried over from the warmup included.
+        for seed in [3, 17, 2006] {
+            let config = SimConfig::builder()
+                .injection_rate(0.8)
+                .warmup_cycles(300)
+                .measure_cycles(400)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let ring = Ring::new(16).unwrap();
+            let mesh = RectMesh::new(4, 4).unwrap();
+            let spidergon = Spidergon::new(16).unwrap();
+            let sims = [
+                (
+                    "ring",
+                    Simulation::new(
+                        Box::new(ring.clone()),
+                        Box::new(RingShortestPath::new(&ring)),
+                        Box::new(UniformRandom::new(16).unwrap()),
+                        config.clone(),
+                    ),
+                ),
+                (
+                    "mesh",
+                    Simulation::new(
+                        Box::new(mesh.clone()),
+                        Box::new(MeshXY::new(&mesh)),
+                        Box::new(UniformRandom::new(16).unwrap()),
+                        config.clone(),
+                    ),
+                ),
+                (
+                    "spidergon",
+                    Simulation::new(
+                        Box::new(spidergon.clone()),
+                        Box::new(SpidergonAcrossFirst::new(&spidergon)),
+                        Box::new(SingleHotspot::new(16, NodeId::new(0)).unwrap()),
+                        config.clone(),
+                    ),
+                ),
+            ];
+            for (label, sim) in sims {
+                let mut sim = sim.unwrap();
+                let mut expected = 0;
+                while sim.cycle() < config.total_cycles() {
+                    if sim.cycle() == config.warmup_cycles {
+                        sim.net.begin_measurement();
+                    }
+                    sim.step().unwrap();
+                    if sim.cycle() <= config.warmup_cycles {
+                        continue;
+                    }
+                    let now = sim.node_flits.iter().map(|f| u64::from(f.source)).max();
+                    expected = expected.max(now.unwrap());
+                    assert_eq!(
+                        sim.stats.max_source_backlog,
+                        expected,
+                        "{label}, seed {seed}, cycle {}",
+                        sim.cycle() - 1
+                    );
+                }
+                assert!(expected > 0, "{label}, seed {seed}: never backlogged");
+            }
+        }
     }
 
     #[test]
