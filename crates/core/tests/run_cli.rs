@@ -2,33 +2,43 @@
 //! reports `invalid configuration` and exits non-zero instead of
 //! panicking, aborting or printing NaN statistics, and `--audit` runs
 //! the auditor and reports what it checked. A run that delivers nothing
-//! prints `mean hops -`.
+//! prints `mean hops -`, and a rate that asks for more generated flits
+//! than the simulator's budget fails at once instead of running for
+//! hours.
 
 use std::process::{Command, Output};
 
 /// Runs `noc-cli run` with `flags` on the example spec (one config
 /// field per line), with the config field `field` set to `value`.
 fn run_with(field: &str, value: &str, flags: &[&str]) -> Output {
+    run_edited(&[(field, value)], flags)
+}
+
+/// Runs `noc-cli run` with `flags` on the example spec with each
+/// `(field, value)` of `edits` applied.
+fn run_edited(edits: &[(&str, &str)], flags: &[&str]) -> Output {
     let example = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
         .arg("example")
         .output()
         .unwrap();
     assert!(example.status.success(), "{example:?}");
-    let key = format!("\"{field}\":");
-    let mut edited = 0;
-    let spec: Vec<String> = String::from_utf8(example.stdout)
+    let mut spec: Vec<String> = String::from_utf8(example.stdout)
         .unwrap()
         .lines()
-        .map(|line| match line.find(&key) {
-            Some(at) => {
+        .map(str::to_owned)
+        .collect();
+    for &(field, value) in edits {
+        let key = format!("\"{field}\":");
+        let mut edited = 0;
+        for line in &mut spec {
+            if let Some(at) = line.find(&key) {
                 edited += 1;
                 let comma = if line.ends_with(',') { "," } else { "" };
-                format!("{}{key} {value}{comma}", &line[..at])
+                *line = format!("{}{key} {value}{comma}", &line[..at]);
             }
-            None => line.to_owned(),
-        })
-        .collect();
-    assert_eq!(edited, 1, "the example spec has one {field} line");
+        }
+        assert_eq!(edited, 1, "the example spec has one {field} line");
+    }
     let dir = noc_core::cache::unique_temp_dir("noc-cli-run");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("spec.json");
@@ -52,6 +62,9 @@ fn out_of_range_configs_are_rejected_without_panicking() {
         ("output_buffer_capacity", "100000000000"),
         ("input_buffer_capacity", "0"),
         ("packet_len", "0"),
+        ("packet_len", "65536"),
+        ("packet_len", "4294967296"),
+        ("packet_len", "4294967297"),
         ("sink_rate", "0"),
         ("measure_cycles", "0"),
         ("warmup_cycles", "18446744073709551615"),
@@ -68,6 +81,25 @@ fn out_of_range_configs_are_rejected_without_panicking() {
         assert!(!stderr.contains("panicked"), "{what}");
         assert!(!stdout.contains("NaN"), "{what}");
     }
+}
+
+#[test]
+fn rates_past_the_flit_budget_fail_fast() {
+    // Spidergon-16 with one hot-spot has 15 sources; over 600 cycles
+    // λ = 1e6 expects 9e9 flits, past the 2^30 budget, and used to run
+    // without end. λ = 1000 (9e6 flits) is within it.
+    let short = [("warmup_cycles", "100"), ("measure_cycles", "500")];
+    let out = run_edited(&[short[0], short[1], ("injection_rate", "1000000.0")], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        stderr.contains(
+            "invalid configuration: injection_rate 1000000 expects 9.000e9 generated flits"
+        ),
+        "{stderr}"
+    );
+    let out = run_edited(&[short[0], short[1], ("injection_rate", "1000.0")], &[]);
+    assert!(out.status.success(), "{out:?}");
 }
 
 #[test]

@@ -11,6 +11,20 @@ pub const MAX_BUFFER_CAPACITY: usize = crate::buffer::MAX_RING_CAPACITY;
 /// is an ejection channel, numbered by a single byte within its router.
 pub const MAX_SINK_RATE: usize = u8::MAX as usize;
 
+/// Longest packet, in flits. Per-node flit counts are 32-bit, so a
+/// backlogged packet's length must stay far below `u32::MAX`; the
+/// paper's packets have 6 flits.
+pub const MAX_PACKET_LEN: usize = u16::MAX as usize;
+
+/// Most flits a stochastic run may expect to generate:
+/// `injection_rate × sources × (warmup_cycles + measure_cycles)` must
+/// not exceed 2^30 (about 10^9). Past saturation every generated flit
+/// stays queued at its source, so a larger budget buys hours of run time
+/// and gigabytes of backlog. The paper's largest figure points expect
+/// under 10^6 flits. Trace replays generate exactly their entries and
+/// are not bounded by it.
+pub const MAX_EXPECTED_FLITS: u64 = 1 << 30;
+
 /// Configuration of one simulation run.
 ///
 /// Defaults mirror the paper's setup: 6-flit packets, 1-flit input
@@ -121,7 +135,8 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a zero packet length,
-    /// sink rate, measurement window or stall threshold;
+    /// sink rate, measurement window or stall threshold; a packet
+    /// length above [`MAX_PACKET_LEN`];
     /// a negative or non-finite injection rate; a
     /// [`Bernoulli`](InjectionProcess::Bernoulli) rate above one packet
     /// per cycle (`packet_len` flits); buffer capacities outside
@@ -131,6 +146,8 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), SimError> {
         let reason = if self.packet_len == 0 {
             "packet_len must be positive".to_owned()
+        } else if self.packet_len > MAX_PACKET_LEN {
+            format!("packet_len must be at most {MAX_PACKET_LEN}")
         } else if !self.injection_rate.is_finite() || self.injection_rate < 0.0 {
             "injection_rate must be finite and non-negative".to_owned()
         } else if self.injection_process == InjectionProcess::Bernoulli
@@ -176,6 +193,27 @@ impl SimConfig {
             return Ok(());
         };
         Err(SimError::InvalidConfig { reason })
+    }
+
+    /// Checks that `num_sources` stochastic sources at this rate expect
+    /// at most [`MAX_EXPECTED_FLITS`] generated flits over the run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] naming the estimate.
+    pub(crate) fn check_expected_flits(&self, num_sources: usize) -> Result<(), SimError> {
+        let expected = self.injection_rate * num_sources as f64 * self.total_cycles() as f64;
+        if expected <= MAX_EXPECTED_FLITS as f64 {
+            return Ok(());
+        }
+        Err(SimError::InvalidConfig {
+            reason: format!(
+                "injection_rate {} expects {expected:.3e} generated flits ({num_sources} \
+                 sources over {} cycles), more than the budget of {MAX_EXPECTED_FLITS}",
+                self.injection_rate,
+                self.total_cycles()
+            ),
+        })
     }
 }
 
@@ -437,6 +475,42 @@ mod tests {
             ..SimConfig::default()
         };
         assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validation_bounds_packet_len() {
+        assert!(rejection(|c| c.packet_len = 0).contains("packet_len"));
+        for len in [MAX_PACKET_LEN + 1, 1 << 32, (1 << 32) + 1] {
+            let reason = rejection(|c| c.packet_len = len);
+            assert!(reason.contains("packet_len must be at most"), "{reason}");
+        }
+        let cfg = SimConfig {
+            packet_len: MAX_PACKET_LEN,
+            ..SimConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn expected_flits_are_bounded() {
+        // 16 sources over 2^14 cycles: the budget of 2^30 flits allows
+        // λ up to exactly 2^12 flits per cycle.
+        let at = |rate: f64| SimConfig {
+            injection_rate: rate,
+            warmup_cycles: 384,
+            measure_cycles: 16_000,
+            ..SimConfig::default()
+        };
+        assert_eq!(at(4096.0).check_expected_flits(16), Ok(()));
+        assert!(at(4097.0).check_expected_flits(16).is_err());
+        assert_eq!(at(1e6).check_expected_flits(0), Ok(()), "no sources");
+        let Err(SimError::InvalidConfig { reason }) = at(1e6).check_expected_flits(16) else {
+            panic!("λ = 1e6 passed the budget");
+        };
+        assert!(
+            reason.contains("expects 2.621e11 generated flits (16 sources over 16384 cycles)"),
+            "{reason}"
+        );
     }
 
     #[test]

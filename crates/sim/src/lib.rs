@@ -61,7 +61,10 @@ mod stats;
 pub use audit::{
     AuditReport, AuditViolation, Auditor, BufferClass, BufferRef, Invariant, StallDiagnosis,
 };
-pub use config::{SimConfig, SimConfigBuilder, MAX_BUFFER_CAPACITY, MAX_SINK_RATE};
+pub use config::{
+    SimConfig, SimConfigBuilder, MAX_BUFFER_CAPACITY, MAX_EXPECTED_FLITS, MAX_PACKET_LEN,
+    MAX_SINK_RATE,
+};
 pub use error::SimError;
 pub use flit::{ArenaFlit, Flit, FlitKind, PacketArena, PacketId, PacketRef};
 pub use network::{Delivery, Network, Occupancy, Simulation};

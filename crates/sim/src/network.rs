@@ -439,7 +439,11 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError::NodeCountMismatch`] if the traffic pattern
-    /// covers a different node count than the topology.
+    /// covers a different node count than the topology, and
+    /// [`SimError::InvalidConfig`] if `config` fails
+    /// [`SimConfig::validate`] or its sources expect more than
+    /// [`MAX_EXPECTED_FLITS`](crate::MAX_EXPECTED_FLITS) generated
+    /// flits.
     pub fn new(
         topology: Box<dyn Topology>,
         routing: Box<dyn RoutingAlgorithm>,
@@ -480,6 +484,7 @@ impl<P: Probe> Simulation<P> {
         }
         config.validate()?;
         let num_sources = pattern.sources().len();
+        config.check_expected_flits(num_sources)?;
         let arrivals = Arrivals::stochastic(pattern, &config);
         let net = Network::assemble(topology, routing, config, arrivals, num_sources);
         Ok(Simulation::attach(net, probe))
