@@ -48,8 +48,33 @@
 //! Output queues and ejection channels share the output array (with
 //! their wormhole owners beside them); input buffers use the same ids in
 //! the input array (with the wormhole route of each). Precomputed tables
-//! map a slot id to its `(port, vc)`, a link slot to the input slot it
-//! feeds, and an input slot to its one feeding link VC.
+//! map a slot id to its `(port, vc)`, a link slot to where its flits
+//! land (the input slot, the receiving router and that buffer's bit in
+//! the router's input-occupancy word), and an input slot to its one
+//! feeding link VC. Link traversals are counted per link slot and summed
+//! over each link's VCs when a run reports
+//! [`SimStats::per_link`](crate::SimStats::per_link).
+//!
+//! # Switch allocation
+//!
+//! A router's allocation slots are the source queue (slot 0) and its
+//! input buffers (slot `1 + d * vcs + vc`). Each cycle the router serves
+//! them round-robin from slot `cycle % slots`, taken once per cycle for
+//! each distinct slot count in the network (a mesh has routers with 3, 4
+//! and 5 slots, a spidergon only 7). The order is walked over the set
+//! bits of the router's occupied-slot mask: first those at or above the
+//! start, then those below it, each ascending. Dense mode walks every
+//! slot.
+//!
+//! Every flit enters an output queue or ejection channel through one
+//! primitive, `place`, which offers it to one queue and answers
+//! `Placed` (pushed: waiters woken, counters updated, the crossbar
+//! port's write spent), `PortBusy` (that port was already written this
+//! cycle) or `Refused` (the queue is full or owned by another packet).
+//! Body and tail flits follow their packet's wormhole allocation, and a
+//! head routed by the precompiled table has one candidate: each calls
+//! `place` once. A head routed by an adaptive algorithm tries its
+//! candidates in preference order until one is placed.
 //!
 //! # Sparse active-set core
 //!
@@ -1324,11 +1349,6 @@ impl Network {
     /// candidate, served from the precompiled table when available;
     /// adaptive ones several, in the routing algorithm's preference
     /// order.
-    ///
-    /// In sparse mode a failure is remembered when it can only repeat:
-    /// if every candidate queue refused the flit, the slot is parked on
-    /// all of them. A candidate whose crossbar port was already written
-    /// this cycle is a transient failure and parks nothing.
     #[inline]
     fn place_head(
         &mut self,
@@ -1354,7 +1374,7 @@ impl Network {
                 out,
                 packet: flit.pkt,
             };
-            return self.place_one(v, slot, flit, route, used);
+            return self.place_first(v, slot, flit, std::slice::from_ref(&route), used);
         }
         // Reuse the scratch buffers (taken so the routing call can
         // borrow `self`); head flits retry until they are placed (or
@@ -1384,21 +1404,7 @@ impl Network {
             });
         }
         self.dir_scratch = dirs;
-        let mut transient = false;
-        let mut taken = None;
-        for &route in &routes {
-            match self.place(v, flit, route, used) {
-                Placement::Placed => {
-                    taken = Some(route);
-                    break;
-                }
-                Placement::PortBusy => transient = true,
-                Placement::Refused => {}
-            }
-        }
-        if taken.is_none() && !transient && self.config.sparse {
-            self.park(v, slot, flit, &routes);
-        }
+        let taken = self.place_first(v, slot, flit, &routes, used);
         self.route_scratch = routes;
         taken
     }
@@ -1414,27 +1420,34 @@ impl Network {
             .unwrap_or(first)
     }
 
-    /// Places `flit` of allocation slot `slot` on its one known
-    /// `route`; in sparse mode a refusal parks the slot on that queue.
+    /// Places `flit` of allocation slot `slot` with the first of
+    /// `routes` whose queue accepts it, and returns that route.
+    ///
+    /// In sparse mode a failure is remembered when it can only repeat:
+    /// if every queue refused the flit, the slot is parked on all of
+    /// them. A route whose crossbar port was already written this cycle
+    /// is a transient failure and parks nothing.
     #[inline]
-    fn place_one(
+    fn place_first(
         &mut self,
         v: usize,
         slot: usize,
         flit: &ArenaFlit,
-        route: SlotRoute,
+        routes: &[SlotRoute],
         used: &mut [usize],
     ) -> Option<SlotRoute> {
-        match self.place(v, flit, route, used) {
-            Placement::Placed => Some(route),
-            Placement::PortBusy => None,
-            Placement::Refused => {
-                if self.config.sparse {
-                    self.park(v, slot, flit, std::slice::from_ref(&route));
-                }
-                None
+        let mut transient = false;
+        for &route in routes {
+            match self.place(v, flit, route, used) {
+                Placement::Placed => return Some(route),
+                Placement::PortBusy => transient = true,
+                Placement::Refused => {}
             }
         }
+        if !transient && self.config.sparse {
+            self.park(v, slot, flit, routes);
+        }
+        None
     }
 
     /// Offers `flit` at router `v` to the output queue of `route`: the
@@ -1522,7 +1535,7 @@ impl Network {
                 .route(s)
                 .expect("body/tail flit with no wormhole allocation");
             assert_eq!(r.packet, flit.pkt, "stale wormhole allocation");
-            self.place_one(v, slot, &flit, r, used)
+            self.place_first(v, slot, &flit, std::slice::from_ref(&r), used)
         };
         let Some(route) = placed else {
             return false;
@@ -1579,7 +1592,7 @@ impl Network {
                 .source_route
                 .expect("injecting body/tail with no allocation");
             assert_eq!(r.packet, flit.pkt, "stale injection allocation");
-            self.place_one(v, 0, &flit, r, used)
+            self.place_first(v, 0, &flit, std::slice::from_ref(&r), used)
         };
         let Some(route) = placed else {
             return false;
