@@ -51,7 +51,8 @@
 //! map a slot id to its `(port, vc)`, a link slot to where its flits
 //! land (the input slot, the receiving router and that buffer's bit in
 //! the router's input-occupancy word), and an input slot to its one
-//! feeding link VC. Link traversals are counted per link slot and summed
+//! feeding link VC. A link's VC round-robin pointer sits at the slot id
+//! of its VC 0. Link traversals are counted per link slot and summed
 //! over each link's VCs when a run reports
 //! [`SimStats::per_link`](crate::SimStats::per_link).
 //!
@@ -157,10 +158,6 @@ pub(crate) struct NodeState {
     /// `base + port * vcs + vc`, ejection channel `k` (one per flit of
     /// sink bandwidth) is slot `base + dirs.len() * vcs + k`.
     pub(crate) base: usize,
-    /// Per link direction: VC round-robin pointer for link arbitration.
-    /// Stored (not cycle-derived) because it only advances on actual
-    /// transfers.
-    link_rr: Vec<usize>,
     /// Packets awaiting injection, oldest first, one descriptor each.
     source_queue: VecDeque<QueuedPacket>,
     /// Flits of the front packet already injected; the next flit to
@@ -249,6 +246,10 @@ pub struct Network {
     slot_port: Vec<(u8, u8)>,
     /// Link slot id → where a flit crossing the link lands.
     link_dst: Vec<LinkDst>,
+    /// Per link, at the slot id of its VC 0: the VC round-robin pointer
+    /// for link arbitration. Stored (not cycle-derived) because it only
+    /// advances on actual transfers.
+    link_rr: Vec<u8>,
     /// Input slot id → `(node, out_slots bit)` of the one link VC
     /// feeding it, whose [`link_blocked`](Self::link_blocked) bit a pop
     /// clears.
@@ -651,7 +652,6 @@ impl Network {
             let base = slots;
             slots += dirs.len() * vcs + config.sink_rate;
             nodes.push(NodeState {
-                link_rr: vec![0; dirs.len()],
                 peer,
                 base,
                 source_queue: VecDeque::new(),
@@ -720,6 +720,7 @@ impl Network {
             inputs: InputRings::new(slots, config.input_buffer_capacity),
             slot_port,
             link_dst,
+            link_rr: vec![0; slots],
             upstream,
             arena: PacketArena::new(),
             arrivals,
@@ -1202,7 +1203,8 @@ impl Network {
                 if sparse && slot_mask & (vc_mask << (d * vcs)) == 0 {
                     continue;
                 }
-                let start = self.nodes[v].link_rr[d];
+                let first = base + d * vcs;
+                let start = usize::from(self.link_rr[first]);
                 for k in 0..vcs {
                     let mut vc = start + k;
                     if vc >= vcs {
@@ -1212,7 +1214,7 @@ impl Network {
                     if sparse && slot_mask & bit == 0 {
                         continue;
                     }
-                    let s = base + d * vcs + vc;
+                    let s = first + vc;
                     if self.outputs.is_empty(s) {
                         continue;
                     }
@@ -1226,7 +1228,9 @@ impl Network {
                     }
                     let mut flit = self.outputs.pop(s).expect("checked above");
                     self.wake(v, s);
-                    self.nodes[v].link_rr[d] = if vc + 1 == vcs { 0 } else { vc + 1 };
+                    // `vcs` fits a byte: it is at most the 32 bits of a
+                    // router's occupancy word.
+                    self.link_rr[first] = if vc + 1 == vcs { 0 } else { vc as u8 + 1 };
                     flit.hops += 1;
                     if P::ACTIVE {
                         let full = self.arena.materialize(flit);
