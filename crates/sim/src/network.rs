@@ -387,7 +387,7 @@ struct LinkDst {
 
 /// Outcome of offering a flit to one output queue
 /// ([`Network::place`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Placement {
     /// The flit was pushed.
     Placed,
