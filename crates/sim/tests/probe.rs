@@ -299,6 +299,51 @@ fn pinned_run(
     (stats, sim.into_probe().digest())
 }
 
+/// Pins every buffer's peak depth over a saturated spidergon-16
+/// hot-spot run with two sink channels and a one-cycle router pipeline.
+/// The digest covers only the exports, which record no peaks, so this
+/// holds the recorder's depth bookkeeping for every buffer class.
+#[test]
+fn buffer_peaks_are_pinned() {
+    let topo = Spidergon::new(16).unwrap();
+    let routing = SpidergonAcrossFirst::new(&topo);
+    let pattern = SingleHotspot::new(16, NodeId::new(0)).unwrap();
+    let config = SimConfig::builder()
+        .injection_rate(0.6)
+        .sink_rate(2)
+        .router_delay(1)
+        .warmup_cycles(200)
+        .measure_cycles(800)
+        .seed(2006)
+        .build()
+        .unwrap();
+    let mut sim = Simulation::with_probe(
+        Box::new(topo),
+        Box::new(routing),
+        Box::new(pattern),
+        config,
+        Recorder::new(),
+    )
+    .unwrap();
+    let stats = sim.run().unwrap();
+    assert!(stats.backlog_flits > 0, "must be past saturation");
+    let peaks = sim.into_probe().buffer_peaks();
+    // 16 sources, 16 × 3 ports × 2 VCs inputs and outputs, 16 × 2
+    // ejection channels.
+    assert_eq!(peaks.len(), 16 + 2 * 96 + 32);
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for p in &peaks {
+        for byte in format!("{p:?}").bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        hash, 0x4668_07b4_5481_b5fc,
+        "buffer peaks changed: hash {hash:#018x}"
+    );
+}
+
 /// A recorded 3×3-mesh trace replay over the same window: four entries
 /// per listed cycle, their sources out of node order, so packet ids
 /// follow the trace's order within a cycle.
