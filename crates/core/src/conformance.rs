@@ -11,10 +11,12 @@
 //!    must be bit-identical to a sequential loop, stats *and* audit
 //!    reports;
 //! 3. **sparse vs dense** — the sparse active-set simulation core
-//!    (idle-router skipping, fast-forward, compiled route tables) must
-//!    be bit-identical to the dense reference core
-//!    ([`SimConfig::sparse`] and [`SimConfig::compiled_routes`] both
-//!    off), unaudited *and* audited;
+//!    (idle-router skipping, fast-forward) must be bit-identical to the
+//!    dense reference core ([`SimConfig::sparse`] off), unaudited *and*
+//!    audited. Both route from the same compiled table, which the
+//!    routing crate's tests compare with its algorithm pair by pair and
+//!    the auditor checks against the algorithm's candidates at every
+//!    head hop;
 //! 4. **cached vs fresh** — replaying the replications through the
 //!    experiment cache ([`crate::cache`]) into a cold store and then
 //!    a second time against the warm store must return the plain
@@ -239,12 +241,10 @@ pub fn run_conformance(
         let audited_par: Vec<(RunResult, AuditReport)> = run_indexed(jobs, parallelism)
             .into_iter()
             .collect::<Result<_, _>>()?;
-        // Modes 4 and 5: the dense reference core (active-set skipping,
-        // fast-forward and compiled route tables all disabled),
-        // unaudited and audited.
+        // Modes 4 and 5: the dense reference core (active-set skipping
+        // and fast-forward disabled), unaudited and audited.
         let mut dense_experiment = case.experiment.clone();
         dense_experiment.config.sparse = false;
-        dense_experiment.config.compiled_routes = false;
         let dense_plain: Vec<RunResult> = seeds
             .iter()
             .map(|&s| dense_experiment.run_with_seed(s))

@@ -353,6 +353,36 @@ mod tests {
     }
 
     #[test]
+    fn default_routings_run_from_a_route_table_and_west_first_does_not() {
+        let specs = [
+            TopologySpec::Ring { nodes: 9 },
+            TopologySpec::Spidergon { nodes: 14 },
+            TopologySpec::Mesh { cols: 2, rows: 4 },
+            TopologySpec::MeshBalanced { nodes: 24 },
+            TopologySpec::IrregularMesh { cols: 4, nodes: 13 },
+            TopologySpec::RealisticMesh { nodes: 17 },
+            TopologySpec::Torus { cols: 4, rows: 3 },
+        ];
+        for topology in specs {
+            let exp = Experiment {
+                topology,
+                ..quick(0.1)
+            };
+            let sim = exp.build_simulation().unwrap();
+            assert!(sim.uses_compiled_routes(), "{topology:?}");
+        }
+        let mesh = TopologySpec::Mesh { cols: 4, rows: 4 };
+        let sim = Simulation::new(
+            mesh.build().unwrap(),
+            mesh.build_adaptive_routing().unwrap(),
+            TrafficSpec::Uniform.build(&mesh).unwrap(),
+            quick(0.1).config,
+        )
+        .unwrap();
+        assert!(!sim.uses_compiled_routes());
+    }
+
+    #[test]
     fn mean_std_basics() {
         assert_eq!(mean_std(&[]), (0.0, 0.0));
         assert_eq!(mean_std(&[5.0]), (5.0, 0.0));

@@ -50,9 +50,9 @@ fn topology_triple_conforms_with_four_workers() {
 #[test]
 fn sparse_and_dense_cores_agree_for_explicit_seeds() {
     // Direct dense-vs-sparse differential, independent of the grid: the
-    // full-featured sparse core (active set + fast-forward + compiled
-    // routes) against the dense reference, on the paper's hot-spot
-    // scenario where routers idle unevenly.
+    // full-featured sparse core (active set + fast-forward) against the
+    // dense reference, on the paper's hot-spot scenario where routers
+    // idle unevenly.
     let sparse_exp = Experiment {
         topology: TopologySpec::Spidergon { nodes: 16 },
         traffic: TrafficSpec::SingleHotspot { target: 0 },
@@ -60,7 +60,6 @@ fn sparse_and_dense_cores_agree_for_explicit_seeds() {
     };
     let mut dense_exp = sparse_exp.clone();
     dense_exp.config.sparse = false;
-    dense_exp.config.compiled_routes = false;
     assert!(sparse_exp.config.sparse, "sparse core is the default");
     for seed in [7u64, 1234] {
         let sparse = sparse_exp.run_with_seed(seed).unwrap();

@@ -2,9 +2,9 @@
 //! reports `invalid configuration` and exits non-zero instead of
 //! panicking, aborting or printing NaN statistics, and `--audit` runs
 //! the auditor and reports what it checked. A run that delivers nothing
-//! prints `mean hops -`, and a rate that asks for more generated flits
+//! prints `mean hops -`, a rate that asks for more generated flits
 //! than the simulator's budget fails at once instead of running for
-//! hours.
+//! hours, and configuration keys that were retired are ignored.
 
 use std::process::{Command, Output};
 
@@ -106,6 +106,21 @@ fn rates_past_the_flit_budget_fail_fast() {
 fn the_example_spec_still_runs() {
     let out = run_with("measure_cycles", "500", &[]);
     assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn retired_config_keys_are_ignored() {
+    // Specs written while `audit`, `audit_interval` and
+    // `compiled_routes` were configuration fields still run, with the
+    // same statistics as the spec without them.
+    let plain = run_with("measure_cycles", "500", &[]);
+    let retired = r#"500, "audit": true, "audit_interval": 0, "compiled_routes": false"#;
+    let old = run_with("measure_cycles", retired, &[]);
+    assert!(plain.status.success(), "{plain:?}");
+    assert!(old.status.success(), "{old:?}");
+    let stdout = String::from_utf8_lossy(&old.stdout);
+    assert!(stdout.contains("throughput "), "{stdout}");
+    assert_eq!(stdout, String::from_utf8_lossy(&plain.stdout));
 }
 
 #[test]

@@ -117,12 +117,6 @@ impl RoutingAlgorithm for WestFirst {
     fn label(&self) -> String {
         "west-first-adaptive".to_owned()
     }
-
-    fn is_deterministic(&self) -> bool {
-        // Eastward phases offer several candidates picked by runtime
-        // congestion, so no static table can reproduce this scheme.
-        false
-    }
 }
 
 #[cfg(test)]

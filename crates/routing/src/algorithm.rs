@@ -83,26 +83,15 @@ pub trait RoutingAlgorithm: fmt::Debug {
     ///
     /// The default appends `next_hop(current, dest)`, matching the
     /// default `candidates`. An algorithm overriding `candidates` must
-    /// override this method to stay consistent.
+    /// override this method to stay consistent. Where it appends exactly
+    /// one direction for every pair, [`crate::CompiledRoutes`] flattens
+    /// the algorithm into a table.
     fn candidates_into(&self, current: NodeId, dest: NodeId, out: &mut Vec<Direction>) {
         out.push(self.next_hop(current, dest));
     }
 
     /// Short human-readable name, e.g. `"across-first"`.
     fn label(&self) -> String;
-
-    /// Returns `true` if this algorithm always produces exactly one
-    /// candidate per `(current, dest)` pair — i.e. its routing decision
-    /// is a pure function of the head flit's position and destination.
-    ///
-    /// Deterministic algorithms can be flattened into a
-    /// [`crate::CompiledRoutes`] table. Adaptive algorithms (several
-    /// candidates, picked by runtime congestion) must return `false`;
-    /// the default is `true`, matching the default
-    /// [`candidates`](RoutingAlgorithm::candidates).
-    fn is_deterministic(&self) -> bool {
-        true
-    }
 }
 
 /// A full route from `src` to `dst` as produced by repeatedly applying a

@@ -5,17 +5,17 @@
 //! schemes are pure functions of `(current, destination)` — so the
 //! simulator's switch-allocation hot path does not need to re-derive the
 //! next hop for every blocked head flit on every cycle. [`CompiledRoutes`]
-//! evaluates [`RoutingAlgorithm::next_hop`],
+//! evaluates [`RoutingAlgorithm::candidates_into`],
 //! [`vc_for_hop`](RoutingAlgorithm::vc_for_hop) and the remaining hop
 //! count once per node pair at build time and serves lookups from a
 //! `[node][dst]`-indexed table afterwards.
 //!
-//! Only **deterministic** algorithms compile
-//! ([`RoutingAlgorithm::is_deterministic`]): adaptive schemes pick among
-//! several candidates based on runtime congestion, which no static table
-//! can capture. [`CompiledRoutes::compile`] also returns `None` for
-//! oversized networks or non-terminating routing functions; in every
-//! `None` case the caller simply keeps the dynamic algorithm.
+//! A table compiles only when the algorithm offers exactly one candidate
+//! for every node pair: adaptive schemes pick among several candidates
+//! based on runtime congestion, which no static table can capture.
+//! [`CompiledRoutes::compile`] also returns `None` for oversized networks
+//! or non-terminating routing functions; in every `None` case the caller
+//! simply keeps the dynamic algorithm.
 
 use crate::RoutingAlgorithm;
 use noc_topology::{Direction, NodeId, Topology};
@@ -43,7 +43,8 @@ pub struct CompiledHop {
 }
 
 /// A dense `[node][dst] -> (direction, remaining hops, VC map)` route
-/// table compiled from a deterministic [`RoutingAlgorithm`].
+/// table compiled from a [`RoutingAlgorithm`] with one candidate per
+/// node pair.
 ///
 /// # Examples
 ///
@@ -71,11 +72,12 @@ impl CompiledRoutes {
     /// Compiles `algo` over all node pairs of `topo`.
     ///
     /// Returns `None` — the caller keeps the dynamic algorithm — when
-    /// the algorithm is adaptive ([`RoutingAlgorithm::is_deterministic`]
-    /// is `false`), needs more than [`MAX_COMPILED_VCS`] virtual
-    /// channels, the node count exceeds the compilation ceiling, the
-    /// algorithm routes onto a port the topology does not have, or a
-    /// route fails to terminate within a `4·N + 4` hop budget.
+    /// [`RoutingAlgorithm::candidates_into`] offers more or fewer than
+    /// one direction for some node pair, the algorithm needs more than
+    /// [`MAX_COMPILED_VCS`] virtual channels, the node count exceeds the
+    /// compilation ceiling, the algorithm routes onto a port the
+    /// topology does not have, or a route fails to terminate within a
+    /// `4·N + 4` hop budget.
     pub fn compile<A, T>(algo: &A, topo: &T) -> Option<CompiledRoutes>
     where
         A: RoutingAlgorithm + ?Sized,
@@ -83,15 +85,20 @@ impl CompiledRoutes {
     {
         let num_nodes = topo.num_nodes();
         let vcs = algo.num_vcs_required().max(1);
-        if !algo.is_deterministic() || vcs > MAX_COMPILED_VCS || num_nodes > MAX_COMPILED_NODES {
+        if vcs > MAX_COMPILED_VCS || num_nodes > MAX_COMPILED_NODES {
             return None;
         }
         let mut table = Vec::with_capacity(num_nodes * num_nodes);
+        let mut candidates = Vec::new();
         for v in 0..num_nodes {
             for dst in 0..num_nodes {
                 let here = NodeId::new(v);
                 let there = NodeId::new(dst);
-                let dir = algo.next_hop(here, there);
+                candidates.clear();
+                algo.candidates_into(here, there, &mut candidates);
+                let &[dir] = candidates.as_slice() else {
+                    return None;
+                };
                 if (dir == Direction::Local) != (v == dst) {
                     return None;
                 }
@@ -189,11 +196,15 @@ impl CompiledRoutes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MeshXY, RingShortestPath, SpidergonAcrossFirst, TableRouting, TorusXY, WestFirst};
-    use noc_topology::{RectMesh, Ring, Spidergon, Torus};
+    use crate::{
+        MeshXY, RingShortestPath, SpidergonAcrossFirst, SpidergonAcrossLast, TableRouting, TorusXY,
+        WestFirst,
+    };
+    use noc_topology::{IrregularMesh, RectMesh, Ring, Spidergon, Torus};
 
     /// Compiled lookups must agree with the dynamic algorithm on every
-    /// `(node, dst, in_vc)` triple, and `remaining_hops` must equal the
+    /// `(node, dst, in_vc)` triple — the direction with both `next_hop`
+    /// and the single candidate — and `remaining_hops` must equal the
     /// walked route length.
     fn assert_matches_dynamic<A, T>(algo: &A, topo: &T)
     where
@@ -205,10 +216,14 @@ mod tests {
         let vcs = algo.num_vcs_required().max(1);
         assert_eq!(compiled.vcs(), vcs);
         assert_eq!(compiled.num_nodes(), topo.num_nodes());
+        let mut candidates = Vec::new();
         for v in topo.node_ids() {
             for dst in topo.node_ids() {
                 let hop = compiled.hop(v, dst);
                 assert_eq!(hop.dir, algo.next_hop(v, dst), "{v}->{dst}");
+                candidates.clear();
+                algo.candidates_into(v, dst, &mut candidates);
+                assert_eq!(candidates, [hop.dir], "{v}->{dst} candidates");
                 for in_vc in 0..vcs {
                     assert_eq!(
                         hop.out_vc[in_vc] as usize,
@@ -237,9 +252,22 @@ mod tests {
     }
 
     #[test]
+    fn spidergon_across_last_compiles_and_matches() {
+        let sg = Spidergon::new(16).unwrap();
+        assert_matches_dynamic(&SpidergonAcrossLast::new(&sg), &sg);
+    }
+
+    #[test]
     fn mesh_compiles_and_matches() {
         let mesh = RectMesh::new(4, 4).unwrap();
         assert_matches_dynamic(&MeshXY::new(&mesh), &mesh);
+    }
+
+    #[test]
+    fn realistic_mesh_compiles_and_matches() {
+        // 14 nodes on a 4-wide grid: the last row holds two routers.
+        let mesh = IrregularMesh::realistic(14).unwrap();
+        assert_matches_dynamic(&MeshXY::new_irregular(&mesh), &mesh);
     }
 
     #[test]
@@ -259,7 +287,6 @@ mod tests {
     fn adaptive_does_not_compile() {
         let mesh = RectMesh::new(4, 4).unwrap();
         let algo = WestFirst::new(&mesh);
-        assert!(!algo.is_deterministic());
         assert!(CompiledRoutes::compile(&algo, &mesh).is_none());
     }
 

@@ -79,9 +79,8 @@ pub struct SimConfig {
     /// Abort with [`SimError::Stalled`] if no flit moves for this many
     /// consecutive cycles while flits are in flight (deadlock watchdog).
     pub stall_threshold: u64,
-    /// Record a [`crate::Delivery`] for every packet consumed during
-    /// the measurement window (off by default; the log grows with the
-    /// packet count).
+    /// Record a [`crate::Delivery`] for every packet consumed, warmup
+    /// included (off by default; the log grows with the packet count).
     pub record_deliveries: bool,
     /// Sampling window (cycles) for the throughput time series used by
     /// [`crate::SimStats::throughput_ci`]; 0 disables sampling.
@@ -103,12 +102,6 @@ pub struct SimConfig {
     /// this exists for the differential conformance harness and for
     /// perf comparison, not for correctness.
     pub sparse: bool,
-    /// Use a precomputed [`noc_routing::CompiledRoutes`] next-hop table
-    /// (on by default) instead of re-evaluating the routing function per
-    /// blocked head flit. Falls back to the dynamic algorithm
-    /// automatically when the algorithm is adaptive; disabling this
-    /// forces the dynamic path everywhere (differential testing).
-    pub compiled_routes: bool,
 }
 
 impl SimConfig {
@@ -250,7 +243,6 @@ impl SimConfigBuilder {
                 sample_interval: 0,
                 router_delay: 0,
                 sparse: true,
-                compiled_routes: true,
             },
         }
     }
@@ -337,12 +329,6 @@ impl SimConfigBuilder {
     /// skipping and empty-network fast-forward).
     pub fn sparse(&mut self, enabled: bool) -> &mut Self {
         self.config.sparse = enabled;
-        self
-    }
-
-    /// Enables or disables the precomputed next-hop table.
-    pub fn compiled_routes(&mut self, enabled: bool) -> &mut Self {
-        self.config.compiled_routes = enabled;
         self
     }
 
@@ -557,11 +543,14 @@ mod tests {
         assert_eq!(cfg.sample_interval, 0);
         assert!(!cfg.record_deliveries);
         assert!(cfg.sparse, "old specs get the sparse core");
-        assert!(cfg.compiled_routes);
         // The retired `audit` keys are ignored: auditing is a probe
-        // (`crate::Auditor`), not part of the configuration.
-        let old: SimConfig =
-            serde_json::from_str(r#"{"audit": true, "audit_interval": 0, "seed": 9}"#).unwrap();
+        // (`crate::Auditor`), not part of the configuration. So is the
+        // retired `compiled_routes` switch: the simulator compiles a
+        // route table whenever the routing algorithm allows one.
+        let old: SimConfig = serde_json::from_str(
+            r#"{"audit": true, "audit_interval": 0, "compiled_routes": false, "seed": 9}"#,
+        )
+        .unwrap();
         assert_eq!(
             old,
             SimConfig {
@@ -572,17 +561,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_compiled_routes_default_on_and_toggle() {
-        let cfg = SimConfig::default();
-        assert!(cfg.sparse);
-        assert!(cfg.compiled_routes);
-        let cfg = SimConfig::builder()
-            .sparse(false)
-            .compiled_routes(false)
-            .build()
-            .unwrap();
+    fn sparse_defaults_on_and_toggles() {
+        assert!(SimConfig::default().sparse);
+        let cfg = SimConfig::builder().sparse(false).build().unwrap();
         assert!(!cfg.sparse);
-        assert!(!cfg.compiled_routes);
     }
 
     #[test]

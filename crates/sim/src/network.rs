@@ -226,9 +226,9 @@ pub struct Simulation<P: Probe = NullProbe> {
 pub struct Network {
     pub(crate) topo: Box<dyn Topology>,
     pub(crate) routing: Box<dyn RoutingAlgorithm>,
-    /// Precompiled next-hop table, present when the algorithm is
-    /// deterministic and [`SimConfig::compiled_routes`] is enabled.
-    /// `None` falls back to the dynamic algorithm (adaptive routing).
+    /// Precompiled next-hop table, present when the algorithm offers one
+    /// candidate per node pair ([`CompiledRoutes::compile`]). `None`
+    /// falls back to the dynamic algorithm (adaptive routing).
     compiled: Option<CompiledRoutes>,
     pub(crate) config: SimConfig,
     pub(crate) vcs: usize,
@@ -696,11 +696,7 @@ impl Network {
         alloc_slot_counts.sort_unstable();
         alloc_slot_counts.dedup();
 
-        let compiled = if config.compiled_routes {
-            CompiledRoutes::compile(routing.as_ref(), topology.as_ref())
-        } else {
-            None
-        };
+        let compiled = CompiledRoutes::compile(routing.as_ref(), topology.as_ref());
         // Dense mode keeps every router permanently on the worklist;
         // sparse mode starts empty (no flits anywhere yet).
         let (active_mask, active_nodes) = if config.sparse {
@@ -828,7 +824,7 @@ impl Network {
         first..first + self.config.sink_rate
     }
 
-    /// Per-packet delivery log (empty unless
+    /// Per-packet delivery log, warmup included (empty unless
     /// [`SimConfig::record_deliveries`] is enabled).
     pub fn deliveries(&self) -> &[Delivery] {
         &self.deliveries
@@ -856,12 +852,6 @@ impl Network {
         self.source_flits
     }
 
-    /// Number of routers currently on the active worklist (all of them
-    /// in dense mode).
-    pub fn active_routers(&self) -> usize {
-        self.active_nodes.len()
-    }
-
     /// Mean fraction of routers touched per cycle since the start of
     /// the run: `Σ active-set size / (cycles × routers)`.
     ///
@@ -877,9 +867,9 @@ impl Network {
     }
 
     /// Whether head flits are routed through a precompiled next-hop
-    /// table (deterministic algorithms with
-    /// [`SimConfig::compiled_routes`] enabled) rather than by invoking
-    /// the routing algorithm per flit.
+    /// table (algorithms with one candidate per node pair, see
+    /// [`CompiledRoutes::compile`]) rather than by invoking the routing
+    /// algorithm per flit.
     pub fn uses_compiled_routes(&self) -> bool {
         self.compiled.is_some()
     }
@@ -1861,7 +1851,7 @@ mod tests {
         assert_eq!(sim.config().packet_len, 6);
     }
 
-    fn variant_config(lambda: f64, sparse: bool, compiled: bool) -> SimConfig {
+    fn variant_config(lambda: f64, sparse: bool) -> SimConfig {
         SimConfig::builder()
             .injection_rate(lambda)
             .warmup_cycles(200)
@@ -1869,7 +1859,6 @@ mod tests {
             .seed(777)
             .record_deliveries(true)
             .sparse(sparse)
-            .compiled_routes(compiled)
             .build()
             .unwrap()
     }
@@ -1877,8 +1866,8 @@ mod tests {
     #[test]
     fn sparse_matches_dense_bit_for_bit() {
         for lambda in [0.02, 0.3] {
-            let mut sparse = spidergon_sim_with(12, variant_config(lambda, true, true));
-            let mut dense = spidergon_sim_with(12, variant_config(lambda, false, true));
+            let mut sparse = spidergon_sim_with(12, variant_config(lambda, true));
+            let mut dense = spidergon_sim_with(12, variant_config(lambda, false));
             let a = sparse.run().unwrap();
             let b = dense.run().unwrap();
             assert_eq!(a, b, "stats diverged at lambda {lambda}");
@@ -1892,25 +1881,13 @@ mod tests {
     }
 
     #[test]
-    fn compiled_routes_match_dynamic_routing() {
-        let mut compiled = spidergon_sim_with(12, variant_config(0.2, true, true));
-        let mut dynamic = spidergon_sim_with(12, variant_config(0.2, true, false));
-        assert!(compiled.uses_compiled_routes());
-        assert!(!dynamic.uses_compiled_routes());
-        let a = compiled.run().unwrap();
-        let b = dynamic.run().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(compiled.deliveries(), dynamic.deliveries());
-    }
-
-    #[test]
     fn active_ratio_small_at_low_load_and_one_when_dense() {
-        let mut sparse = spidergon_sim_with(16, variant_config(0.01, true, true));
+        let mut sparse = spidergon_sim_with(16, variant_config(0.01, true));
         sparse.run().unwrap();
         let ratio = sparse.active_router_ratio();
         assert!(ratio > 0.0 && ratio < 0.5, "active ratio {ratio}");
 
-        let mut dense = spidergon_sim_with(16, variant_config(0.01, false, true));
+        let mut dense = spidergon_sim_with(16, variant_config(0.01, false));
         dense.run().unwrap();
         let dense_ratio = dense.active_router_ratio();
         assert!(
@@ -1995,7 +1972,7 @@ mod tests {
         // fail on a full or foreign-owned queue: the sparse core parks
         // them, the dense oracle retries them every cycle.
         for sparse in [true, false] {
-            let mut sim = spidergon_sim_with(8, variant_config(1.0, sparse, true));
+            let mut sim = spidergon_sim_with(8, variant_config(1.0, sparse));
             let (mut slots, mut links) = (0, 0);
             for _ in 0..500 {
                 sim.step().unwrap();
@@ -2098,14 +2075,51 @@ mod tests {
     }
 
     #[test]
+    fn delivery_log_includes_warmup_deliveries() {
+        // One packet, delivered long before the measurement window
+        // opens: the log keeps it, the statistics do not count it.
+        let ring = Ring::new(8).unwrap();
+        let entry = noc_traffic::TraceEntry {
+            cycle: 0,
+            src: NodeId::new(0),
+            dst: NodeId::new(2),
+        };
+        let trace = Trace::new(8, vec![entry]).unwrap();
+        let config = SimConfig::builder()
+            .warmup_cycles(200)
+            .measure_cycles(100)
+            .record_deliveries(true)
+            .build()
+            .unwrap();
+        let mut sim = Simulation::with_trace(
+            Box::new(ring.clone()),
+            Box::new(RingShortestPath::new(&ring)),
+            &trace,
+            config,
+            NullProbe,
+        )
+        .unwrap();
+        let stats = sim.run().unwrap();
+        assert_eq!(stats.packets_delivered, 0);
+        let [delivery] = sim.deliveries() else {
+            panic!("expected one delivery, got {:?}", sim.deliveries());
+        };
+        assert!(delivery.cycle < 200, "{delivery:?}");
+        assert_eq!(
+            (delivery.src, delivery.dst, delivery.hops),
+            (entry.src, entry.dst, 2)
+        );
+    }
+
+    #[test]
     fn fast_forward_replays_zero_throughput_samples() {
         // Zero injection: sparse mode fast-forwards the whole run,
         // dense mode steps every cycle; the sampled throughput series
         // must come out identical anyway.
-        let sparse_stats = spidergon_sim_with(8, variant_config(0.0, true, true))
+        let sparse_stats = spidergon_sim_with(8, variant_config(0.0, true))
             .run()
             .unwrap();
-        let dense_stats = spidergon_sim_with(8, variant_config(0.0, false, true))
+        let dense_stats = spidergon_sim_with(8, variant_config(0.0, false))
             .run()
             .unwrap();
         assert_eq!(sparse_stats, dense_stats);

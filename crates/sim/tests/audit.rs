@@ -124,8 +124,9 @@ fn audit_interval_thins_the_sweep() {
 }
 
 /// A routing algorithm whose *fast path* (`candidates_into`, the method
-/// the switch allocator actually calls) disagrees with its reference
-/// methods — the class of bug a hand-optimized hot path introduces.
+/// the simulator compiles its route table from) disagrees with its
+/// reference methods — the class of bug a hand-optimized hot path
+/// introduces.
 /// At node 0 towards node 2 it routes South instead of MeshXY's East.
 #[derive(Debug)]
 struct BrokenFastPath {
@@ -179,10 +180,6 @@ fn mutant_fast_path_caught_with_route_legality_violation() {
     let cfg = SimConfig::builder()
         .warmup_cycles(0)
         .measure_cycles(200)
-        // The mutant lives in `candidates_into`, the *dynamic* fast
-        // path; the compiled-route table is built from `next_hop` and
-        // would route around the bug entirely.
-        .compiled_routes(false)
         .build()
         .unwrap();
     let mut sim = Simulation::with_trace(

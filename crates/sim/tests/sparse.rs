@@ -3,9 +3,9 @@
 //! family, adaptive routing included; uniform, single or double
 //! hot-spot traffic up to full saturation under any injection process,
 //! or a replayed trace; any buffer depth, sink rate and router delay),
-//! idle-router skipping, wake-on-change parking of stalled slots, clock
-//! fast-forward and compiled route tables must never change `SimStats`
-//! or any recorded per-packet delivery (latency, hops, arrival cycle).
+//! idle-router skipping, wake-on-change parking of stalled slots and
+//! clock fast-forward must never change `SimStats` or any recorded
+//! per-packet delivery (latency, hops, arrival cycle).
 
 use noc_routing::{
     MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst, TorusXY, WestFirst,
@@ -121,7 +121,7 @@ impl Case {
         }
     }
 
-    fn run(&self, sparse: bool, compiled: bool) -> (SimStats, Vec<Delivery>) {
+    fn run(&self, sparse: bool) -> (SimStats, Vec<Delivery>) {
         let (topo, routing) = build_pair(self.pick, self.size);
         let n = topo.num_nodes();
         let cfg = SimConfig::builder()
@@ -138,7 +138,6 @@ impl Case {
             .output_buffer_capacity(self.output_capacity)
             .record_deliveries(true)
             .sparse(sparse)
-            .compiled_routes(compiled)
             .build()
             .unwrap();
         let mut sim = Simulation::new(topo, routing, build_pattern(self.traffic, n), cfg).unwrap();
@@ -147,11 +146,11 @@ impl Case {
     }
 }
 
-/// Runs `case` sparse (with compiled routes) and dense (dynamic
-/// routing) and asserts identical stats and deliveries.
+/// Runs `case` sparse and dense and asserts identical stats and
+/// deliveries.
 fn assert_matches_dense(case: &Case) -> SimStats {
-    let sparse = case.run(true, true);
-    let dense = case.run(false, false);
+    let sparse = case.run(true);
+    let dense = case.run(false);
     assert_eq!(sparse.0, dense.0, "SimStats diverged for {case:?}");
     assert_eq!(sparse.1, dense.1, "deliveries diverged for {case:?}");
     sparse.0
@@ -222,7 +221,6 @@ fn trace_replay_with_idle_gaps_matches_dense() {
             .sample_interval(64)
             .record_deliveries(true)
             .sparse(sparse)
-            .compiled_routes(sparse)
             .build()
             .unwrap();
         let mut sim = Simulation::with_trace(
@@ -247,9 +245,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The headline invariant of the sparse core: the full-featured
-    /// path (active set + parking + fast-forward + compiled routes,
-    /// i.e. the defaults) is bit-identical to the dense reference
-    /// stepping every router every cycle with dynamic routing — past
+    /// path (active set + parking + fast-forward, i.e. the defaults) is
+    /// bit-identical to the dense reference stepping every router every
+    /// cycle — past
     /// saturation, under Poisson, Bernoulli and CBR arrivals, and over
     /// every buffer depth, sink rate and router delay that makes a
     /// stall transient or permanent.
@@ -286,15 +284,15 @@ proptest! {
                 packet_len, seed,
             )
         };
-        let sparse = case.run(true, true);
-        let dense = case.run(false, false);
+        let sparse = case.run(true);
+        let dense = case.run(false);
         prop_assert_eq!(&sparse.0, &dense.0, "SimStats diverged");
         prop_assert_eq!(&sparse.1, &dense.1, "per-packet deliveries diverged");
     }
 
-    /// Idle-cycle skipping in isolation (dynamic routing in both runs):
-    /// low rates maximize fast-forward opportunities, so random short
-    /// schedules here stress the clock-jump resampling logic hardest.
+    /// Idle-cycle skipping in isolation: low rates maximize
+    /// fast-forward opportunities, so random short schedules here
+    /// stress the clock-jump resampling logic hardest.
     #[test]
     fn idle_skipping_never_changes_latencies(
         pick in 0u8..5,
@@ -306,8 +304,8 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let case = Case::paper(pick, size, 0, lambda, warmup, measure, sample_interval, 4, seed);
-        let sparse = case.run(true, false);
-        let dense = case.run(false, false);
+        let sparse = case.run(true);
+        let dense = case.run(false);
         prop_assert_eq!(&sparse.0, &dense.0, "SimStats diverged");
         for (a, b) in sparse.1.iter().zip(dense.1.iter()) {
             prop_assert_eq!(a.latency, b.latency, "packet {:?} latency", a.packet);
