@@ -309,9 +309,9 @@ pub struct Auditor {
     /// so every hop must reduce the BFS distance by exactly one.
     minimal: bool,
     dist: Option<DistanceMatrix>,
-    /// Packet currently holding each unidirectional link VC, indexed
-    /// `[node][dir][vc]` — tracks wormhole ownership *on the wire*.
-    link_owner: Vec<Vec<Vec<Option<PacketId>>>>,
+    /// Packet currently holding each unidirectional link VC, by link
+    /// slot id — tracks wormhole ownership *on the wire*.
+    link_owner: Vec<Option<PacketId>>,
     packets: HashMap<PacketId, PacketTrack>,
     report: AuditReport,
 }
@@ -632,11 +632,7 @@ impl Probe for Auditor {
         let n = net.nodes.len();
         self.packet_len = net.config.packet_len;
         self.hop_budget = (4 * n + 4) as u64;
-        self.link_owner = net
-            .nodes
-            .iter()
-            .map(|node| vec![vec![None; net.vcs]; node.dirs.len()])
-            .collect();
+        self.link_owner = vec![None; net.num_slots()];
         if n <= PREFLIGHT_MAX_NODES {
             self.preflight(net.topo.as_ref(), net.routing.as_ref());
         }
@@ -657,7 +653,8 @@ impl Probe for Auditor {
         };
         // Wormhole ownership on the wire: a head claims the link VC
         // until the matching tail; no foreign flit may interleave.
-        let owner = self.link_owner[v][d][vc];
+        let slot = net.link_slot(v, d, vc);
+        let owner = self.link_owner[slot];
         if flit.kind.is_head() {
             if let Some(prev) = owner {
                 self.push(AuditViolation {
@@ -669,7 +666,7 @@ impl Probe for Auditor {
                     detail: format!("head {flit} crossed link still owned by {prev}"),
                 });
             }
-            self.link_owner[v][d][vc] = if flit.kind.is_tail() {
+            self.link_owner[slot] = if flit.kind.is_tail() {
                 None
             } else {
                 Some(flit.packet)
@@ -689,7 +686,7 @@ impl Probe for Auditor {
                 });
             }
             if flit.kind.is_tail() {
-                self.link_owner[v][d][vc] = None;
+                self.link_owner[slot] = None;
             }
         }
         if flit.kind.is_head() {

@@ -817,6 +817,12 @@ impl Network {
         self.nodes[v].base + self.nodes[v].dirs.len() * self.vcs + k
     }
 
+    /// Number of slot ids (every router's link and ejection slots).
+    #[inline]
+    pub(crate) fn num_slots(&self) -> usize {
+        self.slot_port.len()
+    }
+
     /// Slot ids of router `v`'s ejection channels.
     #[inline]
     pub(crate) fn eject_slots(&self, v: usize) -> std::ops::Range<usize> {

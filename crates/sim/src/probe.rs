@@ -551,45 +551,6 @@ struct WindowAccum {
     peak_buffer_depth: usize,
 }
 
-/// Per-buffer depth counters with running peaks, indexed like the
-/// simulator's buffer arrays.
-#[derive(Clone, Default, Debug)]
-struct DepthTracker {
-    /// `[node][port][vc]` current depth.
-    input: Vec<Vec<Vec<usize>>>,
-    /// `[node][port][vc]` current depth.
-    output: Vec<Vec<Vec<usize>>>,
-    /// `[node][channel]` current depth.
-    eject: Vec<Vec<usize>>,
-    /// `[node]` current source-queue depth.
-    source: Vec<usize>,
-    input_peak: Vec<Vec<Vec<usize>>>,
-    output_peak: Vec<Vec<Vec<usize>>>,
-    eject_peak: Vec<Vec<usize>>,
-    source_peak: Vec<usize>,
-}
-
-impl DepthTracker {
-    fn for_shape(shape: &NetworkShape) -> Self {
-        let per_node: Vec<Vec<Vec<usize>>> = shape
-            .dirs
-            .iter()
-            .map(|dirs| vec![vec![0; shape.vcs]; dirs.len()])
-            .collect();
-        let eject = vec![vec![0; shape.sink_channels]; shape.num_nodes];
-        DepthTracker {
-            input: per_node.clone(),
-            output: per_node.clone(),
-            eject: eject.clone(),
-            source: vec![0; shape.num_nodes],
-            input_peak: per_node.clone(),
-            output_peak: per_node,
-            eject_peak: eject,
-            source_peak: vec![0; shape.num_nodes],
-        }
-    }
-}
-
 /// The recording probe: captures lifecycle events, time-series windows,
 /// buffer peaks and the per-packet latency decomposition.
 ///
@@ -618,7 +579,14 @@ pub struct Recorder {
     occupancy: u64,
     /// Link crossings per `[node][port]` over the whole run.
     link_flits: Vec<Vec<u64>>,
-    depths: DepthTracker,
+    /// First slot id of each router (see [`Network`]'s slot ids).
+    bases: Vec<usize>,
+    /// Current depth of every buffer: the source queues by node, then
+    /// the input buffers by slot id, then the output queues and
+    /// ejection channels by slot id.
+    depth: Vec<usize>,
+    /// Largest depth each buffer of [`depth`](Self::depth) reached.
+    peak: Vec<usize>,
 }
 
 impl Default for Recorder {
@@ -657,7 +625,9 @@ impl Recorder {
             observed_cycles: 0,
             occupancy: 0,
             link_flits: Vec::new(),
-            depths: DepthTracker::default(),
+            bases: Vec::new(),
+            depth: Vec::new(),
+            peak: Vec::new(),
         }
     }
 
@@ -702,51 +672,30 @@ impl Recorder {
     /// Peak depth of every buffer over the run, in a fixed scan order
     /// (source, then per node: inputs, outputs, ejections).
     pub fn buffer_peaks(&self) -> Vec<BufferPeak> {
-        let mut peaks = Vec::new();
-        for (v, &peak) in self.depths.source_peak.iter().enumerate() {
-            peaks.push(BufferPeak {
-                class: BufferClass::Source,
-                node: v,
-                port: 0,
-                vc: 0,
-                peak,
-            });
-        }
-        for (v, ports) in self.depths.input_peak.iter().enumerate() {
-            for (p, vcs) in ports.iter().enumerate() {
-                for (vc, &peak) in vcs.iter().enumerate() {
-                    peaks.push(BufferPeak {
-                        class: BufferClass::Input,
-                        node: v,
-                        port: p,
-                        vc,
-                        peak,
-                    });
+        let peak = |class, node, port, vc, i: usize| BufferPeak {
+            class,
+            node,
+            port,
+            vc,
+            peak: self.peak[i],
+        };
+        let n = self.shape.num_nodes;
+        let mut peaks: Vec<BufferPeak> = (0..n)
+            .map(|v| peak(BufferClass::Source, v, 0, 0, v))
+            .collect();
+        for (class, output) in [(BufferClass::Input, false), (BufferClass::Output, true)] {
+            for (v, dirs) in self.shape.dirs.iter().enumerate() {
+                for p in 0..dirs.len() {
+                    for vc in 0..self.shape.vcs {
+                        peaks.push(peak(class, v, p, vc, self.buffer(output, v, p, vc)));
+                    }
                 }
             }
         }
-        for (v, ports) in self.depths.output_peak.iter().enumerate() {
-            for (p, vcs) in ports.iter().enumerate() {
-                for (vc, &peak) in vcs.iter().enumerate() {
-                    peaks.push(BufferPeak {
-                        class: BufferClass::Output,
-                        node: v,
-                        port: p,
-                        vc,
-                        peak,
-                    });
-                }
-            }
-        }
-        for (v, channels) in self.depths.eject_peak.iter().enumerate() {
-            for (q, &peak) in channels.iter().enumerate() {
-                peaks.push(BufferPeak {
-                    class: BufferClass::Ejection,
-                    node: v,
-                    port: q,
-                    vc: 0,
-                    peak,
-                });
+        for (v, dirs) in self.shape.dirs.iter().enumerate() {
+            for q in 0..self.shape.sink_channels {
+                let i = self.buffer(true, v, dirs.len(), q);
+                peaks.push(peak(BufferClass::Ejection, v, q, 0, i));
             }
         }
         peaks
@@ -856,6 +805,23 @@ impl Recorder {
             self.current.peak_buffer_depth = depth;
         }
     }
+
+    /// Index in [`depth`](Self::depth) of the input buffer (`output`
+    /// false) or output queue (`output` true) of link `(port, vc)` at
+    /// `node`; `port == dirs.len()` names ejection channel `vc`.
+    fn buffer(&self, output: bool, node: usize, port: usize, vc: usize) -> usize {
+        let slots = (self.depth.len() - self.shape.num_nodes) / 2;
+        let first = self.shape.num_nodes + if output { slots } else { 0 };
+        first + self.bases[node] + port * self.shape.vcs + vc
+    }
+
+    /// Adds `flits` to buffer `i`'s depth, raising its peak; returns the
+    /// new depth.
+    fn add(&mut self, i: usize, flits: usize) -> usize {
+        self.depth[i] += flits;
+        self.peak[i] = self.peak[i].max(self.depth[i]);
+        self.depth[i]
+    }
 }
 
 impl Probe for Recorder {
@@ -864,7 +830,9 @@ impl Probe for Recorder {
     fn on_attach(&mut self, net: &Network) {
         let shape = net.shape();
         self.link_flits = shape.dirs.iter().map(|dirs| vec![0; dirs.len()]).collect();
-        self.depths = DepthTracker::for_shape(&shape);
+        self.bases = net.nodes.iter().map(|node| node.base).collect();
+        self.depth = vec![0; shape.num_nodes + 2 * net.num_slots()];
+        self.peak = self.depth.clone();
         self.shape = shape;
     }
 
@@ -877,13 +845,7 @@ impl Probe for Recorder {
             len,
         });
         self.current.generated_flits += len as u64;
-        let d = &mut self.depths.source[src.index()];
-        *d += len;
-        let d = *d;
-        let peak = &mut self.depths.source_peak[src.index()];
-        if d > *peak {
-            *peak = d;
-        }
+        self.add(src.index(), len);
     }
 
     fn on_inject(&mut self, cycle: u64, node: usize, out_port: usize, out_vc: usize, flit: &Flit) {
@@ -897,17 +859,11 @@ impl Probe for Recorder {
         });
         self.current.injected_flits += 1;
         self.occupancy += 1;
-        self.depths.source[node] -= 1;
+        self.depth[node] -= 1;
         if flit.kind.is_tail() {
             self.tail_injected.insert(flit.packet.raw(), cycle);
         }
-        let d = &mut self.depths.output[node][out_port][out_vc];
-        *d += 1;
-        let d = *d;
-        let peak = &mut self.depths.output_peak[node][out_port][out_vc];
-        if d > *peak {
-            *peak = d;
-        }
+        let d = self.add(self.buffer(true, node, out_port, out_vc), 1);
         self.note_depth(d);
     }
 
@@ -931,29 +887,10 @@ impl Probe for Recorder {
             packet: flit.packet.raw(),
             kind: flit.kind,
         });
-        self.depths.input[node][in_port][in_vc] -= 1;
-        let d = match out_port {
-            Some(p) => {
-                let d = &mut self.depths.output[node][p][out_vc];
-                *d += 1;
-                let d = *d;
-                let peak = &mut self.depths.output_peak[node][p][out_vc];
-                if d > *peak {
-                    *peak = d;
-                }
-                d
-            }
-            None => {
-                let d = &mut self.depths.eject[node][out_vc];
-                *d += 1;
-                let d = *d;
-                let peak = &mut self.depths.eject_peak[node][out_vc];
-                if d > *peak {
-                    *peak = d;
-                }
-                d
-            }
-        };
+        let input = self.buffer(false, node, in_port, in_vc);
+        self.depth[input] -= 1;
+        let port = out_port.unwrap_or(self.shape.dirs[node].len());
+        let d = self.add(self.buffer(true, node, port, out_vc), 1);
         self.note_depth(d);
     }
 
@@ -979,14 +916,9 @@ impl Probe for Recorder {
         });
         self.current.link_traversals += 1;
         self.link_flits[from][port] += 1;
-        self.depths.output[from][port][vc] -= 1;
-        let d = &mut self.depths.input[to][to_port][vc];
-        *d += 1;
-        let d = *d;
-        let peak = &mut self.depths.input_peak[to][to_port][vc];
-        if d > *peak {
-            *peak = d;
-        }
+        let output = self.buffer(true, from, port, vc);
+        self.depth[output] -= 1;
+        let d = self.add(self.buffer(false, to, to_port, vc), 1);
         self.note_depth(d);
     }
 
@@ -1000,7 +932,8 @@ impl Probe for Recorder {
         });
         self.current.delivered_flits += 1;
         self.occupancy -= 1;
-        self.depths.eject[node][channel] -= 1;
+        let eject = self.buffer(true, node, self.shape.dirs[node].len(), channel);
+        self.depth[eject] -= 1;
         if flit.kind.is_tail() {
             self.current.delivered_packets += 1;
             let total = cycle - flit.created;
