@@ -227,11 +227,6 @@ pub fn counters() -> CacheCounters {
     COUNTERS.get()
 }
 
-/// Resets the calling thread's counters to zero.
-pub fn reset_counters() {
-    COUNTERS.set(CacheCounters::default());
-}
-
 /// Adds one scheduler call's counts to the calling thread's counters.
 pub(crate) fn record_counters(delta: CacheCounters) {
     let total = COUNTERS.get();

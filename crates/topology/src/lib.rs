@@ -15,7 +15,8 @@
 //! * [`metrics`] — exact diameter / average distance / link counts;
 //! * [`analytical`] — the paper's closed forms (with a documented
 //!   erratum correction for Spidergon `E[D]`);
-//! * [`real_mesh`] — ideal-vs-real mesh construction strategies.
+//! * [`real_mesh`] — the ideal mesh and its continuous curves, against
+//!   which the real meshes are compared.
 //!
 //! # Quick start
 //!

@@ -5,53 +5,15 @@
 //! The point of the paper's Figures 2-3 is that real mesh metrics
 //! fluctuate unpredictably between the ideal-mesh curve and the ring
 //! curve as `N` varies, while Spidergon stays smooth and competitive.
-//! Two "real mesh" constructions are provided:
+//! Two "real mesh" constructions exist:
 //!
-//! * [`RealMeshStrategy::BalancedRectangle`]: the most square full
-//!   rectangle with exactly `N` nodes ([`crate::RectMesh::balanced`]) —
-//!   degenerates to a `1 x N` line for prime `N`;
-//! * [`RealMeshStrategy::IrregularGrid`]: a `ceil(sqrt(N))`-wide grid
-//!   with a partial last row ([`crate::IrregularMesh::realistic`]) —
-//!   the irregular-mesh family the paper highlights as its novelty.
+//! * [`RectMesh::balanced`]: the most square full rectangle with
+//!   exactly `N` nodes — degenerates to a `1 x N` line for prime `N`;
+//! * [`crate::IrregularMesh::realistic`]: a `ceil(sqrt(N))`-wide grid
+//!   with a partial last row — the irregular-mesh family the paper
+//!   highlights as its novelty.
 
-use crate::{IrregularMesh, RectMesh, Topology, TopologyError};
-
-/// How to realize a 2D mesh for a node count `N` that is not a perfect
-/// square.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum RealMeshStrategy {
-    /// Most square full rectangle `m x n = N` with `m <= n`.
-    BalancedRectangle,
-    /// `ceil(sqrt(N))`-wide grid filled row by row (irregular mesh).
-    IrregularGrid,
-}
-
-impl RealMeshStrategy {
-    /// Builds the real mesh for `num_nodes` under this strategy.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `num_nodes < 2`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use noc_topology::real_mesh::RealMeshStrategy;
-    ///
-    /// let t = RealMeshStrategy::BalancedRectangle.build(14)?;
-    /// assert_eq!(t.label(), "mesh-2x7");
-    /// let t = RealMeshStrategy::IrregularGrid.build(14)?;
-    /// assert_eq!(t.label(), "irregular-4w-14");
-    /// # Ok::<(), noc_topology::TopologyError>(())
-    /// ```
-    pub fn build(self, num_nodes: usize) -> Result<Box<dyn Topology>, TopologyError> {
-        match self {
-            RealMeshStrategy::BalancedRectangle => Ok(Box::new(RectMesh::balanced(num_nodes)?)),
-            RealMeshStrategy::IrregularGrid => Ok(Box::new(IrregularMesh::realistic(num_nodes)?)),
-        }
-    }
-}
+use crate::RectMesh;
 
 /// Returns the ideal `k x k` mesh if `num_nodes` is a perfect square,
 /// `None` otherwise.
@@ -93,7 +55,7 @@ pub fn ideal_mesh_average_distance_continuous(num_nodes: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics;
+    use crate::{metrics, IrregularMesh, Topology};
 
     #[test]
     fn ideal_mesh_only_at_perfect_squares() {
@@ -107,15 +69,10 @@ mod tests {
     }
 
     #[test]
-    fn strategies_build_requested_node_counts() {
+    fn real_meshes_build_requested_node_counts() {
         for n in 4..40usize {
-            for strategy in [
-                RealMeshStrategy::BalancedRectangle,
-                RealMeshStrategy::IrregularGrid,
-            ] {
-                let t = strategy.build(n).unwrap();
-                assert_eq!(t.num_nodes(), n, "{strategy:?} n={n}");
-            }
+            assert_eq!(RectMesh::balanced(n).unwrap().num_nodes(), n, "n={n}");
+            assert_eq!(IrregularMesh::realistic(n).unwrap().num_nodes(), n, "n={n}");
         }
     }
 
@@ -124,10 +81,11 @@ mod tests {
         // For prime N the balanced rectangle is a line whose diameter
         // exceeds even the ring's: the paper's "unpredictable
         // fluctuation".
-        let line = RealMeshStrategy::BalancedRectangle.build(13).unwrap();
-        assert_eq!(metrics::diameter(line.as_ref()), 12);
-        let irr = RealMeshStrategy::IrregularGrid.build(13).unwrap();
-        assert!(metrics::diameter(irr.as_ref()) < 12);
+        let line = RectMesh::balanced(13).unwrap();
+        assert_eq!(line.label(), "mesh-1x13");
+        assert_eq!(metrics::diameter(&line), 12);
+        let irr = IrregularMesh::realistic(13).unwrap();
+        assert!(metrics::diameter(&irr) < 12);
     }
 
     #[test]
@@ -144,8 +102,8 @@ mod tests {
         // The irregular real mesh should stay within a couple of hops of
         // the continuous ideal curve for moderate N.
         for n in 6..=48usize {
-            let irr = RealMeshStrategy::IrregularGrid.build(n).unwrap();
-            let d = metrics::diameter(irr.as_ref()) as f64;
+            let irr = IrregularMesh::realistic(n).unwrap();
+            let d = metrics::diameter(&irr) as f64;
             let ideal = ideal_mesh_diameter_continuous(n);
             assert!(d >= ideal - 1.0, "n={n}: {d} vs ideal {ideal}");
             assert!(d <= ideal + 3.0, "n={n}: {d} vs ideal {ideal}");
