@@ -28,8 +28,7 @@
 //! Spidergon, 2D mesh) at matched sizes under homogeneous and single
 //! hot-spot traffic, below and above saturation — the scenarios behind
 //! the paper's figures. Any future "optimization" of the simulator hot
-//! path that changes behaviour trips one of the three differences
-//! immediately.
+//! path that changes behaviour trips one of these checks immediately.
 //!
 //! Run it via [`run_conformance`], the `noc-cli conformance`
 //! subcommand, or the `conformance` integration test of this crate
