@@ -21,11 +21,16 @@
 //!    under a two-level sharded directory (`results/.cache/ab/cd/…​.noc`
 //!    by default). Records are versioned binary envelopes carrying the
 //!    full canonical key (collision proof: the key is compared on read,
-//!    not just the hash) and an FNV-1a-64 checksum over key + payload;
-//!    writes go through a tempfile + atomic rename; corrupt or
-//!    mismatched records are evicted and treated as misses, never
-//!    trusted. [`ExperimentCache::gc`] bounds the store's size,
-//!    removing oldest-modified records first.
+//!    not just the hash), an FNV-1a-64 checksum over key + payload, and
+//!    the `RunResult` as a binary payload: the two labels as
+//!    length-prefixed UTF-8, the injection rate as its `f64` bits, the
+//!    seed as a LEB128 varint, then the statistics in
+//!    [`noc_sim::codec`]'s layout (varints, sparse `(gap, count)`
+//!    latency bins, `per_link` as `(from, index in Direction::ALL,
+//!    flits)`). Writes go through a tempfile + atomic rename; corrupt,
+//!    stale-schema or mismatched records are evicted and treated as
+//!    misses, never trusted. [`ExperimentCache::gc`] bounds the
+//!    store's size, removing oldest-modified records first.
 //! 3. **Toggles and accounting** — [`ExperimentCache::from_env`] reads
 //!    `NOC_CACHE` (unset/`0`/`off` disables; `1`/`on` selects the
 //!    default directory; anything else is a directory path), and
@@ -41,6 +46,8 @@
 //! [`run_cached`] become incremental through one code path.
 
 use crate::{CoreError, Experiment, RunResult};
+use noc_sim::codec::{self, DecodeError, Reader};
+use noc_sim::SimStats;
 use serde::Serialize;
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
@@ -50,7 +57,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// that affects simulation semantics or serialized shapes without
 /// showing up in the spec itself — every prior key becomes unreachable
 /// and the stale records age out via [`ExperimentCache::gc`].
-pub const CACHE_SCHEMA: u32 = 2;
+/// Reordering `noc_topology::Direction::ALL` changes the payload
+/// layout too.
+pub const CACHE_SCHEMA: u32 = 3;
 
 /// Default store location, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "results/.cache";
@@ -285,6 +294,45 @@ fn encode_record(key: &[u8], payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The binary payload of a record: labels, rate bits, seed, then the
+/// statistics in [`noc_sim::codec`]'s layout.
+fn encode_payload(result: &RunResult) -> Vec<u8> {
+    // No `..`: a new field does not compile until it is encoded.
+    let RunResult {
+        topology_label,
+        traffic_label,
+        injection_rate,
+        seed,
+        stats,
+    } = result;
+    let mut out = Vec::with_capacity(1024);
+    codec::put_str(&mut out, topology_label);
+    codec::put_str(&mut out, traffic_label);
+    codec::put_f64(&mut out, *injection_rate);
+    codec::put_u64(&mut out, *seed);
+    stats.encode_into(&mut out);
+    out
+}
+
+/// Decodes a payload written by [`encode_payload`].
+fn decode_payload(payload: &[u8]) -> Result<RunResult, RecordFault> {
+    let decode = || -> Result<RunResult, DecodeError> {
+        let mut r = Reader::new(payload);
+        let topology_label = r.str()?.to_owned();
+        let traffic_label = r.str()?.to_owned();
+        let injection_rate = r.f64()?;
+        let seed = r.u64()?;
+        Ok(RunResult {
+            topology_label,
+            traffic_label,
+            injection_rate,
+            seed,
+            stats: SimStats::decode(r.rest())?,
+        })
+    };
+    decode().map_err(|e| RecordFault::BadPayload(e.to_string()))
+}
+
 /// Splits a record envelope into its validated key and payload slices.
 fn parse_record(bytes: &[u8]) -> Result<(&[u8], &[u8]), RecordFault> {
     if bytes.len() < HEADER_LEN {
@@ -317,10 +365,7 @@ fn parse_record(bytes: &[u8]) -> Result<(&[u8], &[u8]), RecordFault> {
 /// parse, and that the file sits where its embedded key hashes to.
 fn audit_record(path: &Path, bytes: &[u8]) -> Result<(), RecordFault> {
     let (key, payload) = parse_record(bytes)?;
-    let payload_text = std::str::from_utf8(payload)
-        .map_err(|e| RecordFault::BadPayload(format!("not UTF-8: {e}")))?;
-    let _: RunResult =
-        serde_json::from_str(payload_text).map_err(|e| RecordFault::BadPayload(e.to_string()))?;
+    decode_payload(payload)?;
     let stem = path
         .file_stem()
         .and_then(|s| s.to_str())
@@ -453,10 +498,7 @@ impl ExperimentCache {
             if stored_key != key.as_bytes() {
                 return Err(RecordFault::KeyMismatch);
             }
-            let text = std::str::from_utf8(payload)
-                .map_err(|e| RecordFault::BadPayload(format!("not UTF-8: {e}")))?;
-            serde_json::from_str::<RunResult>(text)
-                .map_err(|e| RecordFault::BadPayload(e.to_string()))
+            decode_payload(payload)
         });
         match parsed {
             Ok(result) => Some(result),
@@ -486,8 +528,7 @@ impl ExperimentCache {
             return Ok(false);
         };
         let key = canonical_key(experiment, seed);
-        let payload = serde_json::to_string(result).expect("run result serializes");
-        let bytes = encode_record(key.as_bytes(), payload.as_bytes());
+        let bytes = encode_record(key.as_bytes(), &encode_payload(result));
         let path = Self::record_path(dir, &Fingerprint(fnv1a_128(key.as_bytes())));
         let shard = path.parent().expect("record path has a parent");
         std::fs::create_dir_all(shard)?;
@@ -763,6 +804,106 @@ mod tests {
         assert_eq!(gc.remaining, CacheStats::default());
         assert!(cache.lookup(&exp, 7).is_none());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Asserts that a run result survives the payload codec exactly,
+    /// floats compared by their bits.
+    fn assert_payload_round_trips(result: &RunResult) {
+        let payload = encode_payload(result);
+        let back = decode_payload(&payload).unwrap();
+        assert_eq!(&back, result);
+        assert_eq!(
+            back.injection_rate.to_bits(),
+            result.injection_rate.to_bits()
+        );
+        let bits = |r: &RunResult| -> Vec<u64> {
+            r.stats
+                .throughput_samples
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(result));
+        assert_eq!(encode_payload(&back), payload, "re-encoding is stable");
+    }
+
+    #[test]
+    fn payload_round_trips_every_topology_and_traffic() {
+        let topologies = [
+            TopologySpec::Ring { nodes: 8 },
+            TopologySpec::Spidergon { nodes: 8 },
+            TopologySpec::Mesh { cols: 3, rows: 3 },
+            TopologySpec::MeshBalanced { nodes: 8 },
+            TopologySpec::IrregularMesh { cols: 3, nodes: 7 },
+            TopologySpec::RealisticMesh { nodes: 7 },
+            TopologySpec::Torus { cols: 3, rows: 3 },
+        ];
+        for topology in topologies {
+            for traffic in [
+                TrafficSpec::Uniform,
+                TrafficSpec::SingleHotspot { target: 0 },
+            ] {
+                let exp = Experiment {
+                    topology,
+                    traffic,
+                    config: SimConfig::builder()
+                        .injection_rate(0.1 + 0.2)
+                        .warmup_cycles(20)
+                        .measure_cycles(300)
+                        .sample_interval(50)
+                        .build()
+                        .unwrap(),
+                };
+                let result = exp.run_with_seed(7).unwrap();
+                assert!(!result.stats.per_link.is_empty(), "{topology:?}");
+                assert_eq!(result.stats.throughput_samples.len(), 6);
+                assert_payload_round_trips(&result);
+            }
+        }
+    }
+
+    #[test]
+    fn payload_round_trips_saturated_and_empty_runs() {
+        // Seven sources at λ = 0.5 into one sink: source queues grow
+        // until latencies pass the last exact histogram bin.
+        let mut exp = experiment();
+        exp.traffic = TrafficSpec::SingleHotspot { target: 0 };
+        exp.config.injection_rate = 0.5;
+        exp.config.measure_cycles = 8_000;
+        let saturated = exp.run_with_seed(7).unwrap();
+        let overflow = (noc_sim::LatencyStats::HISTOGRAM_BINS - 1) as u64;
+        assert_eq!(saturated.stats.latency.percentile(100.0), Some(overflow));
+        assert_payload_round_trips(&saturated);
+
+        exp.config.injection_rate = 0.0;
+        let empty = exp.run_with_seed(7).unwrap();
+        assert_eq!(empty.stats.packets_delivered, 0);
+        assert_eq!(empty.stats.latency.count(), 0);
+        assert_payload_round_trips(&empty);
+    }
+
+    #[test]
+    fn damaged_payloads_are_rejected_without_panicking() {
+        let payload = encode_payload(&experiment().run_with_seed(7).unwrap());
+        for len in 0..payload.len() {
+            assert!(decode_payload(&payload[..len]).is_err(), "prefix {len}");
+        }
+        for at in 0..payload.len() {
+            for value in [0x00, 0x7f, 0x80, 0xff, payload[at] ^ 0x01] {
+                let mut damaged = payload.clone();
+                damaged[at] = value;
+                let _ = decode_payload(&damaged);
+            }
+        }
+        // A label claiming 2^60 bytes fails before anything is
+        // allocated for it.
+        let mut huge = Vec::new();
+        codec::put_u64(&mut huge, 1 << 60);
+        huge.extend_from_slice(&payload);
+        assert!(matches!(
+            decode_payload(&huge),
+            Err(RecordFault::BadPayload(reason)) if reason.starts_with("length exceeds")
+        ));
     }
 
     #[test]

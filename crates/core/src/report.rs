@@ -320,16 +320,6 @@ impl RunMetadata {
         }
     }
 
-    /// Fills the git fields from `git describe` run **now**, in the
-    /// current working directory (see [`git_provenance`]).
-    #[must_use]
-    pub fn with_git_provenance(mut self) -> Self {
-        let (describe, dirty) = git_provenance();
-        self.git_describe = describe;
-        self.git_dirty = dirty;
-        self
-    }
-
     /// Fills the cache-counter fields from a counter snapshot.
     #[must_use]
     pub fn with_cache_counters(mut self, counters: crate::cache::CacheCounters) -> Self {

@@ -10,8 +10,10 @@
 //! * **invalidation** — bumping `CACHE_SCHEMA` or changing the
 //!   code-version token re-keys every point;
 //! * **corruption robustness** — truncated and bit-flipped records are
-//!   rejected by the checksum, the point is recomputed, the bad entry
-//!   is replaced, and nothing ever panics or returns a wrong result;
+//!   rejected by the checksum, a payload that passes the checksum but
+//!   does not decode is rejected by the decoder, the point is
+//!   recomputed, the bad entry is replaced, and nothing ever panics or
+//!   returns a wrong result;
 //! * **incremental scheduling** — a cold pass simulates and stores
 //!   every point, a warm pass answers all of them from disk
 //!   bit-identically, sequential or parallel; with hits answered on
@@ -278,6 +280,71 @@ fn bit_flipped_record_is_rejected_recomputed_and_replaced() {
 }
 
 #[test]
+fn unparsable_payload_with_valid_checksum_is_evicted() {
+    // A payload the checksum vouches for can still fail to decode (a
+    // writer bug, say). Append one byte to the payload and recompute
+    // the envelope's length and checksum: only the payload decoder can
+    // reject it.
+    let dir = unique_temp_dir("noc-cache-payload");
+    let cache = ExperimentCache::at(&dir);
+    let exp = small_experiment(0.2);
+    let fresh = exp.run_with_seed(7).unwrap();
+    cache.store(&exp, 7, &fresh).unwrap();
+    let record = record_paths(&cache)[0].clone();
+    let full = std::fs::read(&record).unwrap();
+
+    let word = |at: usize| u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize;
+    let (key_len, payload_len) = (word(8), word(12));
+    let key = &full[24..24 + key_len];
+    let mut payload = full[24 + key_len..].to_vec();
+    assert_eq!(payload.len(), payload_len);
+    payload.push(0);
+    let mut damaged = full[..24].to_vec();
+    damaged[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let checksum = fnv1a_64(key) ^ fnv1a_64(&payload).rotate_left(1);
+    damaged[16..24].copy_from_slice(&checksum.to_le_bytes());
+    damaged.extend_from_slice(key);
+    damaged.extend_from_slice(&payload);
+
+    std::fs::write(&record, &damaged).unwrap();
+    let report = cache.verify(false).unwrap();
+    assert_eq!((report.ok, report.corrupt.len()), (0, 1), "{report:?}");
+    assert!(
+        report.corrupt[0].1.starts_with("payload does not parse"),
+        "{report:?}"
+    );
+    assert!(cache.lookup(&exp, 7).is_none(), "damaged payload must miss");
+    assert!(!record.exists(), "damaged record must be evicted");
+    assert_eq!(run_cached(&cache, &exp, 7).unwrap(), fresh);
+    assert_eq!(std::fs::read(&record).unwrap(), full, "entry replaced");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn previous_schema_record_is_reported_and_evicted() {
+    // No reader for older layouts is kept: a record stamped with the
+    // previous schema is stale, whatever its payload.
+    let dir = unique_temp_dir("noc-cache-schema");
+    let cache = ExperimentCache::at(&dir);
+    let exp = small_experiment(0.2);
+    cache
+        .store(&exp, 7, &exp.run_with_seed(7).unwrap())
+        .unwrap();
+    let record = record_paths(&cache)[0].clone();
+    let mut stale = std::fs::read(&record).unwrap();
+    stale[4..8].copy_from_slice(&(CACHE_SCHEMA - 1).to_le_bytes());
+    std::fs::write(&record, &stale).unwrap();
+    let report = cache.verify(false).unwrap();
+    assert_eq!(
+        report.corrupt[0].1,
+        format!("schema {} != {CACHE_SCHEMA}", CACHE_SCHEMA - 1)
+    );
+    assert!(cache.lookup(&exp, 7).is_none());
+    assert!(!record.exists(), "stale record must be evicted");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cold_then_warm_pass_is_incremental_and_bit_identical() {
     let dir = unique_temp_dir("noc-cache-coldwarm");
     let cache = ExperimentCache::at(&dir);
@@ -466,6 +533,13 @@ fn gc_keeps_newest_records_within_budget() {
         "oldest record must be evicted"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a, 64-bit: the record checksum's hash.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x00000100000001b3)
+    })
 }
 
 /// Where the store keeps the record of (experiment, seed): two hex

@@ -51,6 +51,7 @@ pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
 mod arrivals;
 pub mod audit;
 mod buffer;
+pub mod codec;
 mod config;
 mod error;
 mod flit;

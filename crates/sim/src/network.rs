@@ -488,9 +488,8 @@ impl<P: Probe> Simulation<P> {
     /// ([`Probe::on_attach`]) and every lifecycle hook afterwards; read
     /// it back with [`probe`](Self::probe) or
     /// [`into_probe`](Self::into_probe) after running. Probes only
-    /// observe — a probed run yields bit-identical
-    /// [`SimStats`](crate::SimStats) to an unprobed run with the same
-    /// seed.
+    /// observe — a probed run yields bit-identical [`SimStats`] to an
+    /// unprobed run with the same seed.
     ///
     /// # Errors
     ///

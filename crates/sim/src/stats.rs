@@ -14,7 +14,9 @@ use noc_topology::{Direction, NodeId};
 ///
 /// Latencies up to [`LatencyStats::HISTOGRAM_BINS`]` - 1` cycles are
 /// binned exactly; larger values share the overflow bin (percentiles
-/// then saturate, min/max/mean stay exact).
+/// then saturate, min/max/mean stay exact). The bins are stored only up
+/// to the largest sample's, so a summary of short latencies stays
+/// small.
 ///
 /// # Examples
 ///
@@ -33,11 +35,13 @@ use noc_topology::{Direction, NodeId};
 /// ```
 #[derive(Clone, PartialEq, Debug)]
 pub struct LatencyStats {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    bins: Vec<u64>,
+    pub(crate) count: u64,
+    pub(crate) sum: u64,
+    pub(crate) min: u64,
+    pub(crate) max: u64,
+    /// Counts per latency, ending at the largest sample's bin (empty
+    /// when `count` is 0), so equal summaries have equal vectors.
+    pub(crate) bins: Vec<u64>,
 }
 
 impl LatencyStats {
@@ -51,7 +55,7 @@ impl LatencyStats {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            bins: vec![0; Self::HISTOGRAM_BINS],
+            bins: Vec::new(),
         }
     }
 
@@ -62,6 +66,9 @@ impl LatencyStats {
         self.min = self.min.min(latency);
         self.max = self.max.max(latency);
         let bin = (latency as usize).min(Self::HISTOGRAM_BINS - 1);
+        if bin >= self.bins.len() {
+            self.bins.resize(bin + 1, 0);
+        }
         self.bins[bin] += 1;
     }
 
@@ -116,6 +123,9 @@ impl LatencyStats {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
+        if other.bins.len() > self.bins.len() {
+            self.bins.resize(other.bins.len(), 0);
+        }
         for (a, b) in self.bins.iter_mut().zip(&other.bins) {
             *a += b;
         }
@@ -132,9 +142,8 @@ impl Default for LatencyStats {
 // sample counts the dense 4096-bin vector is overwhelmingly zeros, so
 // the wire format carries only the non-zero bins as `[index, count]`
 // pairs. Scalar counters keep their dense meaning; a round trip is
-// exact. (This keeps serialized `SimStats` — e.g. records in
-// `noc_core`'s experiment cache — roughly an order of magnitude
-// smaller than the dense encoding.)
+// exact. (This keeps serialized `SimStats` roughly an order of
+// magnitude smaller than the dense encoding.)
 #[cfg(feature = "serde")]
 impl serde::Serialize for LatencyStats {
     fn to_value(&self) -> serde::Value {
@@ -186,13 +195,19 @@ impl serde::Deserialize for LatencyStats {
                 ));
             };
             let index = u64::from_value(index)? as usize;
-            let slot = out.bins.get_mut(index).ok_or_else(|| {
-                DeError::custom(format!(
+            if index >= Self::HISTOGRAM_BINS {
+                return Err(DeError::custom(format!(
                     "LatencyStats: bin index {index} out of range (< {})",
                     Self::HISTOGRAM_BINS
-                ))
-            })?;
-            *slot = u64::from_value(count)?;
+                )));
+            }
+            let count = u64::from_value(count)?;
+            if count > 0 {
+                if index >= out.bins.len() {
+                    out.bins.resize(index + 1, 0);
+                }
+                out.bins[index] = count;
+            }
         }
         Ok(out)
     }
@@ -520,6 +535,26 @@ mod tests {
     }
 
     #[test]
+    fn merged_and_recorded_summaries_are_equal() {
+        // Bins end at the largest sample's, in whatever order the
+        // samples and merges arrive.
+        let (short, long) = ([3u64, 9, 9], [40u64, 10_000, 2]);
+        let mut all = LatencyStats::new();
+        for v in short.iter().chain(&long) {
+            all.record(*v);
+        }
+        for (first, second) in [(&short, &long), (&long, &short)] {
+            let (mut a, mut b) = (LatencyStats::new(), LatencyStats::new());
+            first.iter().for_each(|&v| a.record(v));
+            second.iter().for_each(|&v| b.record(v));
+            a.merge(&b);
+            assert_eq!(a, all);
+        }
+        assert_eq!(all.bins.len(), LatencyStats::HISTOGRAM_BINS);
+        assert!(LatencyStats::new().bins.is_empty());
+    }
+
+    #[test]
     fn merge_with_empty_is_identity() {
         let mut a = LatencyStats::new();
         a.record(7);
@@ -729,6 +764,16 @@ mod tests {
         assert!(!json.contains("[2,0]"), "zero bins omitted: {json}");
         let back: LatencyStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, lat);
+        // A listed empty bin is the same as an omitted one.
+        let mut short = LatencyStats::new();
+        short.record(3);
+        let padded = serde_json::to_string(&short)
+            .unwrap()
+            .replace("[3,1]", "[3,1],[100,0]");
+        assert_eq!(
+            serde_json::from_str::<LatencyStats>(&padded).unwrap(),
+            short
+        );
         // Empty summary (min = u64::MAX sentinel) survives too.
         let empty = LatencyStats::new();
         let back: LatencyStats =
@@ -762,9 +807,9 @@ mod tests {
     #[test]
     #[cfg(feature = "serde")]
     fn sim_stats_json_round_trip_is_bit_exact() {
-        // The experiment cache persists serialized run results; a
-        // round trip must reproduce every field bit-for-bit, floats
-        // included (the vendored serde_json re-parses f64 exactly).
+        // A JSON round trip must reproduce every field bit-for-bit,
+        // floats included (the vendored serde_json re-parses f64
+        // exactly).
         let mut stats = SimStats {
             measured_cycles: 1000,
             flits_injected: 123,

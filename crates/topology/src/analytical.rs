@@ -156,17 +156,6 @@ pub fn torus_diameter(m: usize, n: usize) -> usize {
     m / 2 + n / 2
 }
 
-/// Torus average distance, paper convention (`sum / N^2`): the sum of
-/// the per-dimension ring averages.
-pub fn torus_average_distance(m: usize, n: usize) -> f64 {
-    ring_average_distance(m) + ring_average_distance(n)
-}
-
-/// Number of unidirectional links of a torus: `4N`.
-pub fn torus_link_count(m: usize, n: usize) -> usize {
-    4 * m * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

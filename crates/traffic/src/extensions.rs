@@ -3,7 +3,7 @@
 //! The paper's future work lists "specific traffic patterns originated
 //! by common applications"; these are the standard synthetic patterns
 //! from the interconnection-network literature (Duato et al., the
-//! paper's reference [4]) most often used for that purpose.
+//! paper's reference \[4\]) most often used for that purpose.
 
 use crate::{TrafficError, TrafficPattern};
 use noc_topology::NodeId;
