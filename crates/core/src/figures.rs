@@ -905,6 +905,34 @@ mod tests {
         assert_eq!(ids.last(), Some(&EXTENSIONS));
     }
 
+    #[test]
+    fn routed_runs_equal_plain_runs() {
+        // With every series on its spec's default routing, the routed
+        // runner must reproduce the cached runner's figures exactly.
+        let opts = FigureOptions {
+            warmup_cycles: 50,
+            measure_cycles: 300,
+            replications: 2,
+            max_rate: 0.4,
+            rate_steps: 2,
+            node_counts: vec![8],
+            ..FigureOptions::quick()
+        };
+        let entry = manifest(&opts).remove(1);
+        assert_eq!(entry.outputs[0].id, "fig6");
+        let routing: Vec<RoutingFn> = vec![TopologySpec::build_routing; entry.series.len()];
+        let routed = run_routed(&opts, &entry, &routing).unwrap();
+        let jobs = entry.series.iter().flat_map(|s| series_jobs(&opts, s));
+        let disabled = crate::ExperimentCache::disabled();
+        let runs = crate::parallel::run_experiment_jobs_with_cache(
+            jobs.collect(),
+            Parallelism::default(),
+            &disabled,
+        )
+        .unwrap();
+        assert_eq!(routed, assemble(&entry, opts.replications, runs));
+    }
+
     // Simulation-backed figure tests live in the crate's integration
     // tests (they need more runtime than a unit test should take).
 }

@@ -6,6 +6,7 @@
 //! than the simulator's budget fails at once instead of running for
 //! hours, and configuration keys that were retired are ignored.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Runs `noc-cli run` with `flags` on the example spec (one config
@@ -17,6 +18,22 @@ fn run_with(field: &str, value: &str, flags: &[&str]) -> Output {
 /// Runs `noc-cli run` with `flags` on the example spec with each
 /// `(field, value)` of `edits` applied.
 fn run_edited(edits: &[(&str, &str)], flags: &[&str]) -> Output {
+    let (dir, path) = write_spec(edits);
+    let out = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+        .arg("run")
+        .arg(&path)
+        .args(flags)
+        .current_dir(&dir)
+        .env("NOC_CACHE", "0")
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    out
+}
+
+/// Writes the example spec with each `(field, value)` of `edits`
+/// applied into a fresh directory; returns the directory and the path.
+fn write_spec(edits: &[(&str, &str)]) -> (PathBuf, PathBuf) {
     let example = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
         .arg("example")
         .output()
@@ -43,16 +60,7 @@ fn run_edited(edits: &[(&str, &str)], flags: &[&str]) -> Output {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("spec.json");
     std::fs::write(&path, spec.join("\n")).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
-        .arg("run")
-        .arg(&path)
-        .args(flags)
-        .current_dir(&dir)
-        .env("NOC_CACHE", "0")
-        .output()
-        .unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-    out
+    (dir, path)
 }
 
 #[test]
@@ -158,4 +166,45 @@ fn a_run_that_delivers_nothing_prints_no_mean_hops() {
             "--reps {reps}: {hops}"
         );
     }
+}
+
+/// Runs `noc-cli <args>` from `dir` against the store `cache`, and
+/// splits its stdout into everything before the last line and the
+/// last line (the cache summary).
+fn cached_cli(dir: &Path, cache: &Path, args: &[&str]) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+        .args(args)
+        .current_dir(dir)
+        .env("NOC_CACHE", cache)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let (body, summary) = stdout.trim_end().rsplit_once('\n').unwrap();
+    (body.to_owned(), summary.to_owned())
+}
+
+#[test]
+fn run_and_sweep_print_the_cache_summary() {
+    let (dir, spec) = write_spec(&[("warmup_cycles", "100"), ("measure_cycles", "500")]);
+    let spec = spec.to_str().unwrap();
+    let run_store = dir.join("run-store");
+    let (cold, summary) = cached_cli(&dir, &run_store, &["run", spec]);
+    assert_eq!(summary, "cache: 0 hit(s), 1 miss(es)");
+    let (warm, summary) = cached_cli(&dir, &run_store, &["run", spec]);
+    assert_eq!(summary, "cache: 1 hit(s), 0 miss(es)");
+    assert_eq!(warm, cold);
+    assert!(cold.contains("acceptance "), "{cold}");
+    let (_, summary) = cached_cli(&dir, &run_store, &["run", spec, "--reps", "3"]);
+    assert_eq!(summary, "cache: 1 hit(s), 2 miss(es)");
+
+    let sweep_store = dir.join("sweep-store");
+    let sweep = ["sweep", spec, "--max", "0.4", "--steps", "4", "--reps", "2"];
+    let (cold, summary) = cached_cli(&dir, &sweep_store, &sweep);
+    assert_eq!(summary, "cache: 0 hit(s), 8 miss(es)");
+    let (warm, summary) = cached_cli(&dir, &sweep_store, &sweep);
+    assert_eq!(summary, "cache: 8 hit(s), 0 miss(es)");
+    assert_eq!(warm, cold);
+    assert_eq!(cold.lines().count(), 2 + 4, "{cold}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
