@@ -153,18 +153,16 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if audit {
         return cmd_run_audited(&experiment, reps, parallelism);
     }
-    if reps == 1 {
-        let cache = noc_core::ExperimentCache::from_env();
-        let result = noc_core::cache::run_cached(&cache, &experiment, experiment.config.seed)?;
-        println!("{}", result.stats);
+    let agg = experiment.run_replicated(reps, parallelism)?;
+    if let [run] = &agg.runs[..] {
+        println!("{}", run.stats);
         println!(
             "acceptance {:.3}, mean hops {}, p95 latency {} cycles",
-            result.stats.acceptance_ratio(),
-            hops_text(result.stats.mean_hops()),
-            result.stats.latency.percentile(95.0).unwrap_or(0),
+            run.stats.acceptance_ratio(),
+            hops_text(run.stats.mean_hops()),
+            run.stats.latency.percentile(95.0).unwrap_or(0),
         );
     } else {
-        let agg = experiment.run_replicated_with(reps, parallelism)?;
         print_aggregate(&agg);
     }
     print_cache_summary(counters_before);
@@ -181,14 +179,11 @@ fn cmd_run_audited(
     if reps == 0 {
         return Err("--reps must be a positive integer".into());
     }
-    let jobs: Vec<_> = (0..reps)
-        .map(|r| {
-            let experiment = experiment.clone();
-            let seed = experiment.config.seed.wrapping_add(r as u64);
-            move || experiment.run_probed(seed, Auditor::new())
-        })
-        .collect();
-    let outcomes: Vec<_> = run_indexed(jobs, parallelism)
+    let jobs = experiment.replication_jobs(reps)?;
+    let audited = jobs
+        .iter()
+        .map(|job| || job.experiment.run_probed(job.seed, Auditor::new()));
+    let outcomes: Vec<_> = run_indexed(audited.collect(), parallelism)
         .into_iter()
         .collect::<Result<_, _>>()?;
     let (runs, reports): (Vec<_>, Vec<AuditReport>) = outcomes
@@ -354,7 +349,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let counters_before = noc_core::cache::counters();
     let experiment: Experiment = serde_json::from_str(&std::fs::read_to_string(path)?)?;
     let rates: Vec<f64> = (1..=steps).map(|i| max * i as f64 / steps as f64).collect();
-    let sweep = noc_core::sweep_rates_with(
+    let sweep = noc_core::sweep_rates(
         experiment.topology,
         experiment.traffic,
         &experiment.config,

@@ -38,14 +38,14 @@
 //!    CI assertions. `NOC_CACHE_MAX_BYTES` bounds the store after each
 //!    scheduler pass.
 //!
-//! The incremental scheduler lives in
-//! [`crate::parallel::run_experiment_jobs_with_cache`]: each job is one
-//! lookup-or-simulate step on the parallel engine's workers, and the
-//! calling thread stores fresh results in job order — so
-//! `run_replicated`, `sweep_rates`, every figure function and
-//! [`run_cached`] become incremental through one code path.
+//! [`crate::parallel::run_jobs`] is the one caller of
+//! [`ExperimentCache::lookup`] and [`ExperimentCache::store`]: each job
+//! is one lookup-or-simulate step on the parallel engine's workers, and
+//! the calling thread stores fresh results in job order — so
+//! `run_replicated`, `sweep_rates`, every cached figure function and
+//! `noc-cli` become incremental through one code path.
 
-use crate::{CoreError, Experiment, RunResult};
+use crate::{Experiment, RunResult};
 use noc_sim::codec::{self, DecodeError, Reader};
 use noc_sim::SimStats;
 use serde::Serialize;
@@ -658,32 +658,6 @@ impl ExperimentCache {
     }
 }
 
-/// Runs one experiment point through the cache — lookup, simulate on a
-/// miss, store — as a one-job batch of
-/// [`crate::parallel::run_experiment_jobs_with_cache`], so cached
-/// execution has one code path. Used by `noc-cli run` and by tests.
-///
-/// # Errors
-///
-/// Propagates the simulation error on a miss that fails to run; cache
-/// I/O problems silently degrade to recomputation.
-pub fn run_cached(
-    cache: &ExperimentCache,
-    experiment: &Experiment,
-    seed: u64,
-) -> Result<RunResult, CoreError> {
-    let job = crate::ExperimentJob {
-        experiment: experiment.clone(),
-        seed,
-    };
-    let mut results = crate::parallel::run_experiment_jobs_with_cache(
-        vec![job],
-        crate::Parallelism::Sequential,
-        cache,
-    )?;
-    Ok(results.pop().expect("one job, one result"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,9 +909,15 @@ mod tests {
         let dir = unique_temp_dir("noc-cache-counters");
         let cache = ExperimentCache::at(&dir);
         let exp = experiment();
+        let job = || {
+            vec![crate::ExperimentJob {
+                experiment: exp.clone(),
+                seed: 7,
+            }]
+        };
         let before = counters();
-        let miss = run_cached(&cache, &exp, 7).unwrap();
-        let hit = run_cached(&cache, &exp, 7).unwrap();
+        let miss = crate::run_jobs(job(), crate::Parallelism::Sequential, &cache).unwrap();
+        let hit = crate::run_jobs(job(), crate::Parallelism::Sequential, &cache).unwrap();
         assert_eq!(miss, hit);
         let delta = counters().since(&before);
         assert_eq!(

@@ -34,7 +34,8 @@
 //! subcommand, or the `conformance` integration test of this crate
 //! (CI exercises it with `NOC_THREADS=1` and `NOC_THREADS=4`).
 
-use crate::parallel::{run_indexed, Parallelism};
+use crate::cache::{self, ExperimentCache};
+use crate::parallel::{run_indexed, run_jobs, Parallelism};
 use crate::{CoreError, Experiment, RunResult, TopologySpec, TrafficSpec};
 use core::fmt;
 use noc_sim::{AuditReport, Auditor, SimConfig};
@@ -216,9 +217,8 @@ pub fn run_conformance(
     let mut outcomes = Vec::with_capacity(cases.len());
     let mut failures = Vec::new();
     for case in cases {
-        let seeds: Vec<u64> = (0..replications)
-            .map(|r| case.experiment.config.seed.wrapping_add(r as u64))
-            .collect();
+        let jobs = case.experiment.replication_jobs(replications)?;
+        let seeds: Vec<u64> = jobs.iter().map(|job| job.seed).collect();
         // Mode 1: unaudited, sequential.
         let plain: Vec<RunResult> = seeds
             .iter()
@@ -230,16 +230,13 @@ pub fn run_conformance(
             .map(|&s| audited_run(&case.experiment, s))
             .collect::<Result<_, _>>()?;
         // Mode 3: audited, on the parallel engine.
-        let jobs: Vec<_> = seeds
+        let audited = jobs
             .iter()
-            .map(|&s| {
-                let experiment = case.experiment.clone();
-                move || audited_run(&experiment, s)
-            })
-            .collect();
-        let audited_par: Vec<(RunResult, AuditReport)> = run_indexed(jobs, parallelism)
-            .into_iter()
-            .collect::<Result<_, _>>()?;
+            .map(|job| || audited_run(&job.experiment, job.seed));
+        let audited_par: Vec<(RunResult, AuditReport)> =
+            run_indexed(audited.collect(), parallelism)
+                .into_iter()
+                .collect::<Result<_, _>>()?;
         // Modes 4 and 5: the dense reference core (active-set skipping
         // and fast-forward disabled), unaudited and audited.
         let mut dense_experiment = case.experiment.clone();
@@ -256,23 +253,12 @@ pub fn run_conformance(
         // point simulated and stored) then warm (every point answered
         // from disk). Each case gets its own throwaway store so
         // concurrent test processes cannot interfere.
-        let cache_dir = crate::cache::unique_temp_dir("noc-conformance-cache");
-        let cache = crate::cache::ExperimentCache::at(&cache_dir);
-        let jobs = |exp: &Experiment| -> Vec<crate::ExperimentJob> {
-            seeds
-                .iter()
-                .map(|&s| crate::ExperimentJob {
-                    experiment: exp.clone(),
-                    seed: s,
-                })
-                .collect()
-        };
-        let cached_cold =
-            crate::run_experiment_jobs_with_cache(jobs(&case.experiment), parallelism, &cache)?;
-        let before_warm = crate::cache::counters();
-        let cached_warm =
-            crate::run_experiment_jobs_with_cache(jobs(&case.experiment), parallelism, &cache)?;
-        let warm_delta = crate::cache::counters().since(&before_warm);
+        let cache_dir = cache::unique_temp_dir("noc-conformance-cache");
+        let store = ExperimentCache::at(&cache_dir);
+        let cached_cold = run_jobs(jobs.clone(), parallelism, &store)?;
+        let before_warm = cache::counters();
+        let cached_warm = run_jobs(jobs, parallelism, &store)?;
+        let warm_delta = cache::counters().since(&before_warm);
         std::fs::remove_dir_all(&cache_dir).ok();
 
         let audited_matches_unaudited = plain.iter().zip(&audited_seq).all(|(p, (a, _))| p == a);

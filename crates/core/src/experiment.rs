@@ -1,8 +1,9 @@
 //! Running experiments: a (topology, traffic, configuration) triple,
 //! single runs and seed-replicated aggregates.
 
-use crate::parallel::{run_experiment_jobs, ExperimentJob, Parallelism};
-use crate::{CoreError, TopologySpec, TrafficSpec};
+use crate::parallel::{run_jobs, ExperimentJob, Parallelism};
+use crate::{CoreError, ExperimentCache, TopologySpec, TrafficSpec};
+use noc_routing::RoutingAlgorithm;
 use noc_sim::{LatencyStats, NullProbe, Probe, Recorder, SimConfig, SimStats, Simulation};
 use serde::{Deserialize, Serialize};
 
@@ -83,7 +84,7 @@ impl Experiment {
     ///
     /// Returns a [`CoreError`] if the specs are invalid.
     pub fn build_simulation(&self) -> Result<Simulation, CoreError> {
-        self.simulation(self.config.seed, NullProbe)
+        self.simulation(self.config.seed, TopologySpec::build_routing, NullProbe)
     }
 
     /// Runs once with an explicit seed (overriding the configured one).
@@ -125,7 +126,20 @@ impl Experiment {
     ///
     /// See [`run`](Self::run).
     pub fn run_probed<P: Probe>(&self, seed: u64, probe: P) -> Result<(RunResult, P), CoreError> {
-        let mut sim = self.simulation(seed, probe)?;
+        self.run_routed(seed, TopologySpec::build_routing, probe)
+    }
+
+    /// [`run_probed`](Self::run_probed) with `routing` in place of the
+    /// topology's default routing: the one place a run becomes a
+    /// [`RunResult`]. The figures that compare routing algorithms use
+    /// it directly.
+    pub(crate) fn run_routed<P: Probe>(
+        &self,
+        seed: u64,
+        routing: RoutingFn,
+        probe: P,
+    ) -> Result<(RunResult, P), CoreError> {
+        let mut sim = self.simulation(seed, routing, probe)?;
         let stats = sim.run()?;
         let result = RunResult {
             topology_label: sim.topology().label(),
@@ -140,59 +154,68 @@ impl Experiment {
     /// Assembles topology, routing, traffic and the configuration with
     /// the effective `seed` into a simulation observed by `probe`: the
     /// one place an experiment becomes a simulator.
-    fn simulation<P: Probe>(&self, seed: u64, probe: P) -> Result<Simulation<P>, CoreError> {
+    fn simulation<P: Probe>(
+        &self,
+        seed: u64,
+        routing: RoutingFn,
+        probe: P,
+    ) -> Result<Simulation<P>, CoreError> {
         let mut config = self.config.clone();
         config.seed = seed;
         Ok(Simulation::with_probe(
             self.topology.build()?,
-            self.topology.build_routing()?,
+            routing(&self.topology)?,
             self.traffic.build(&self.topology)?,
             config,
             probe,
         )?)
     }
 
-    /// Runs `replications` times with seeds `seed, seed+1, ...` and
-    /// aggregates throughput and latency.
-    ///
-    /// Replications execute on the parallel experiment engine under
-    /// [`Parallelism::Auto`] (see [`crate::parallel`]); results are
-    /// identical to a sequential loop for any worker count.
+    /// The engine jobs of `replications` runs, with seeds `seed,
+    /// seed + 1, ...`: the one replication rule of every run path.
     ///
     /// # Errors
     ///
-    /// Returns the lowest-seed error encountered; requires
-    /// `replications > 0` ([`CoreError::InvalidSpec`] otherwise).
-    pub fn run_replicated(&self, replications: usize) -> Result<Aggregate, CoreError> {
-        self.run_replicated_with(replications, Parallelism::default())
-    }
-
-    /// [`run_replicated`](Self::run_replicated) with an explicit
-    /// parallelism policy.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_replicated`](Self::run_replicated).
-    pub fn run_replicated_with(
-        &self,
-        replications: usize,
-        parallelism: Parallelism,
-    ) -> Result<Aggregate, CoreError> {
+    /// Returns [`CoreError::InvalidSpec`] if `replications` is zero.
+    pub fn replication_jobs(&self, replications: usize) -> Result<Vec<ExperimentJob>, CoreError> {
         if replications == 0 {
             return Err(CoreError::InvalidSpec {
                 reason: "replications must be positive".to_owned(),
             });
         }
-        let jobs: Vec<ExperimentJob> = (0..replications)
-            .map(|r| ExperimentJob {
-                experiment: self.clone(),
-                seed: self.config.seed.wrapping_add(r as u64),
-            })
-            .collect();
-        let runs = run_experiment_jobs(jobs, parallelism)?;
+        let jobs = (0..replications).map(|r| ExperimentJob {
+            experiment: self.clone(),
+            seed: self.config.seed.wrapping_add(r as u64),
+        });
+        Ok(jobs.collect())
+    }
+
+    /// Runs `replications` times with seeds `seed, seed+1, ...` and
+    /// aggregates throughput and latency.
+    ///
+    /// Replications execute on the parallel experiment engine under
+    /// `parallelism`, through the `NOC_CACHE` experiment cache (see
+    /// [`run_jobs`]); results are identical to a sequential loop for
+    /// any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest-seed error encountered; requires
+    /// `replications > 0` ([`CoreError::InvalidSpec`] otherwise).
+    pub fn run_replicated(
+        &self,
+        replications: usize,
+        parallelism: Parallelism,
+    ) -> Result<Aggregate, CoreError> {
+        let jobs = self.replication_jobs(replications)?;
+        let runs = run_jobs(jobs, parallelism, &ExperimentCache::from_env())?;
         Ok(Aggregate::from_runs(runs))
     }
 }
+
+/// Builds the routing a simulation uses for a topology spec, e.g.
+/// [`TopologySpec::build_routing`] for its default.
+pub(crate) type RoutingFn = fn(&TopologySpec) -> Result<Box<dyn RoutingAlgorithm>, CoreError>;
 
 /// Mean and standard deviation over replicated runs.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -309,7 +332,7 @@ mod tests {
 
     #[test]
     fn replication_aggregates_have_spread() {
-        let agg = quick(0.2).run_replicated(4).unwrap();
+        let agg = quick(0.2).run_replicated(4, Parallelism::Auto).unwrap();
         assert_eq!(agg.runs.len(), 4);
         assert!(agg.throughput_mean > 0.0);
         assert!(agg.throughput_std >= 0.0);
@@ -326,7 +349,21 @@ mod tests {
     #[test]
     fn zero_replications_rejected() {
         assert!(matches!(
-            quick(0.1).run_replicated(0),
+            quick(0.1).run_replicated(0, Parallelism::Sequential),
+            Err(CoreError::InvalidSpec { .. })
+        ));
+    }
+
+    #[test]
+    fn replication_jobs_count_seeds_up_from_the_config() {
+        let mut exp = quick(0.1);
+        exp.config.seed = u64::MAX;
+        let jobs = exp.replication_jobs(3).unwrap();
+        let seeds: Vec<u64> = jobs.iter().map(|job| job.seed).collect();
+        assert_eq!(seeds, [u64::MAX, 0, 1]);
+        assert!(jobs.iter().all(|job| job.experiment == exp));
+        assert!(matches!(
+            exp.replication_jobs(0),
             Err(CoreError::InvalidSpec { .. })
         ));
     }

@@ -24,12 +24,13 @@
 //! [`Experiment`](crate::Experiment) cannot name. [`SETS`] groups the
 //! figures by the IDs `noc-cli figures` takes.
 
-use crate::parallel::{run_experiment_jobs, run_indexed, ExperimentJob, Parallelism};
+use crate::experiment::RoutingFn;
+use crate::parallel::{run_indexed, run_jobs, ExperimentJob, Parallelism};
 use crate::report::{FigureData, Point, Series};
 use crate::sweep::{sweep_jobs, validate_rates};
-use crate::{Aggregate, CoreError, RunResult, TopologySpec, TrafficSpec};
+use crate::{Aggregate, CoreError, ExperimentCache, RunResult, TopologySpec, TrafficSpec};
 use noc_routing::{RoutingAlgorithm, SpidergonAcrossLast};
-use noc_sim::{SimConfig, Simulation};
+use noc_sim::{NullProbe, SimConfig};
 use noc_topology::{analytical, metrics, real_mesh, IrregularMesh, RectMesh, Spidergon, Topology};
 use noc_traffic::PlacementScenario;
 use serde::{Deserialize, Serialize};
@@ -429,15 +430,16 @@ pub fn manifest(opts: &FigureOptions) -> Vec<ManifestEntry> {
 }
 
 /// The engine jobs of a series: point-major, replication-minor.
-fn series_jobs(opts: &FigureOptions, series: &ManifestSeries) -> Vec<ExperimentJob> {
-    let base = opts.base_config();
-    series
-        .points
-        .iter()
-        .flat_map(|&(_, topology, traffic, rate)| {
-            sweep_jobs(topology, traffic, &base, &[rate], opts.replications)
-        })
-        .collect()
+fn series_jobs(
+    opts: &FigureOptions,
+    series: &ManifestSeries,
+) -> Result<Vec<ExperimentJob>, CoreError> {
+    let (base, replications) = (opts.base_config(), opts.replications);
+    let mut jobs = Vec::new();
+    for &(_, topology, traffic, rate) in &series.points {
+        jobs.extend(sweep_jobs(topology, traffic, &base, &[rate], replications)?);
+    }
+    Ok(jobs)
 }
 
 /// Chunks an entry's runs (series-major, then [`series_jobs`] order) by
@@ -476,53 +478,35 @@ fn run_manifest(opts: &FigureOptions, id: &str) -> Result<Vec<FigureData>, CoreE
         .into_iter()
         .find(|entry| entry.outputs[0].id == id)
         .expect("the manifest lists every simulated sweep figure");
-    let jobs = entry
-        .series
-        .iter()
-        .flat_map(|series| series_jobs(opts, series));
-    let runs = run_experiment_jobs(jobs.collect(), Parallelism::default())?;
+    let mut jobs = Vec::new();
+    for series in &entry.series {
+        jobs.extend(series_jobs(opts, series)?);
+    }
+    let runs = run_jobs(jobs, Parallelism::default(), &ExperimentCache::from_env())?;
     Ok(assemble(&entry, opts.replications, runs))
 }
 
-/// Builds a series' routing in place of its spec's default.
-type RoutingFn = fn(&TopologySpec) -> Result<Box<dyn RoutingAlgorithm>, CoreError>;
-
 /// The custom-routing builder: runs `entry` like [`run_manifest`], but
 /// series `i` routes with `routing[i]`, which an
-/// [`Experiment`](crate::Experiment) cannot express. Its points
-/// therefore run on the generic engine, uncached (the cache key has no
-/// routing field).
+/// [`Experiment`](crate::Experiment) cannot express. Each point is one
+/// `Experiment::run_routed` call on the generic engine, uncached (the
+/// cache key has no routing field).
 fn run_routed(
     opts: &FigureOptions,
     entry: &ManifestEntry,
     routing: &[RoutingFn],
 ) -> Result<Vec<FigureData>, CoreError> {
     opts.validate()?;
-    let jobs: Vec<_> = entry
-        .series
-        .iter()
-        .zip(routing)
-        .flat_map(|(series, &routing)| {
-            let jobs = series_jobs(opts, series).into_iter();
-            jobs.map(move |job| (job, routing))
-        })
-        .map(|(ExperimentJob { experiment, seed }, routing)| {
-            move || -> Result<RunResult, CoreError> {
-                let mut config = experiment.config.clone();
-                config.seed = seed;
-                let spec = &experiment.topology;
-                let traffic = experiment.traffic.build(spec)?;
-                let mut sim = Simulation::new(spec.build()?, routing(spec)?, traffic, config)?;
-                Ok(RunResult {
-                    topology_label: sim.topology().label(),
-                    traffic_label: experiment.traffic.label(),
-                    injection_rate: experiment.config.injection_rate,
-                    seed,
-                    stats: sim.run()?,
-                })
-            }
-        })
-        .collect();
+    let mut jobs = Vec::new();
+    for (series, &routing) in entry.series.iter().zip(routing) {
+        for ExperimentJob { experiment, seed } in series_jobs(opts, series)? {
+            jobs.push(move || {
+                experiment
+                    .run_routed(seed, routing, NullProbe)
+                    .map(|run| run.0)
+            });
+        }
+    }
     let runs = run_indexed(jobs, Parallelism::default())
         .into_iter()
         .collect::<Result<_, _>>()?;
@@ -715,10 +699,11 @@ pub fn ext_link_heatmap(opts: &FigureOptions) -> Result<FigureData, CoreError> {
         "utilization (flits/cycle)",
     );
     let (base, hotspot) = (opts.base_config(), TrafficSpec::SingleHotspot { target: 0 });
-    let jobs = FAMILIES
-        .iter()
-        .flat_map(|(_, spec)| sweep_jobs(spec(n), hotspot, &base, &[0.3], 1));
-    let runs = run_experiment_jobs(jobs.collect(), Parallelism::default())?;
+    let mut jobs = Vec::new();
+    for (_, spec) in FAMILIES {
+        jobs.extend(sweep_jobs(spec(n), hotspot, &base, &[0.3], 1)?);
+    }
+    let runs = run_jobs(jobs, Parallelism::default(), &ExperimentCache::from_env())?;
     for ((family, _), run) in FAMILIES.iter().zip(runs) {
         let cycles = run.stats.measured_cycles.max(1) as f64;
         let links = run.stats.per_link.iter().enumerate();
@@ -922,17 +907,14 @@ mod tests {
         assert_eq!(entry.outputs[0].id, "fig6");
         let routing: Vec<RoutingFn> = vec![TopologySpec::build_routing; entry.series.len()];
         let routed = run_routed(&opts, &entry, &routing).unwrap();
-        let jobs = entry.series.iter().flat_map(|s| series_jobs(&opts, s));
-        let disabled = crate::ExperimentCache::disabled();
-        let runs = crate::parallel::run_experiment_jobs_with_cache(
-            jobs.collect(),
-            Parallelism::default(),
-            &disabled,
-        )
-        .unwrap();
+        let mut jobs = Vec::new();
+        for series in &entry.series {
+            jobs.extend(series_jobs(&opts, series).unwrap());
+        }
+        let runs = run_jobs(jobs, Parallelism::default(), &ExperimentCache::disabled()).unwrap();
         assert_eq!(routed, assemble(&entry, opts.replications, runs));
     }
 
-    // Simulation-backed figure tests live in the crate's integration
+    // Full-size simulated figure tests live in the crate's integration
     // tests (they need more runtime than a unit test should take).
 }

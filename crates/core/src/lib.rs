@@ -16,6 +16,7 @@
 //!   replications, sweeps and figure grids across cores (worker count
 //!   via [`Parallelism`] or the `NOC_THREADS` environment variable)
 //!   while keeping output bit-identical to a sequential run;
+//!   [`run_jobs`] runs every such grid through the experiment cache;
 //! * [`cache`] — content-addressed on-disk cache of run results
 //!   (enabled via `NOC_CACHE`), so warm reruns of sweeps and figures
 //!   only re-simulate points whose spec, seed or code version changed;
@@ -71,12 +72,10 @@ pub use conformance::{
 pub use error::CoreError;
 pub use experiment::{mean_std, Aggregate, Experiment, RunResult};
 pub use figures::FigureOptions;
-pub use parallel::{
-    run_experiment_jobs, run_experiment_jobs_with_cache, run_indexed, ExperimentJob, Parallelism,
-};
+pub use parallel::{run_indexed, run_jobs, ExperimentJob, Parallelism};
 pub use saturation::{saturation_point, SaturationPoint, DEFAULT_ACCEPTANCE_THRESHOLD};
 pub use spec::{TopologySpec, TrafficSpec};
-pub use sweep::{default_rate_grid, sweep_rates, sweep_rates_with, SweepPoint, SweepResult};
+pub use sweep::{default_rate_grid, sweep_rates, SweepPoint, SweepResult};
 
 // Re-export the component crates so downstream users need only one
 // dependency.

@@ -17,11 +17,16 @@
 //! lands, output is **bit-identical** to a sequential run for any
 //! worker count (asserted by `tests/parallel_determinism.rs`).
 //!
-//! Worker count comes from a [`Parallelism`] option. The default,
-//! [`Parallelism::Auto`], honors the `NOC_THREADS` environment variable
-//! and otherwise uses all available cores, so existing entry points
-//! parallelize without signature changes.
+//! [`run_jobs`] runs a list of [`ExperimentJob`]s this way through the
+//! experiment cache; replications, sweeps, figures, the conformance
+//! harness and `noc-cli` all run their grids through it.
+//!
+//! Worker count comes from a [`Parallelism`] option, the last argument
+//! of every run function. The default, [`Parallelism::Auto`], honors
+//! the `NOC_THREADS` environment variable and otherwise uses all
+//! available cores.
 
+use crate::cache::{record_counters, CacheCounters, ExperimentCache};
 use crate::{CoreError, Experiment, RunResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -139,36 +144,15 @@ impl ExperimentJob {
     }
 }
 
-/// Runs a flattened job list through the engine, returning run results
-/// in job order.
+/// Runs a flattened job list through the engine and the experiment
+/// cache, returning run results in job order: the one way an
+/// experiment grid becomes results.
 ///
-/// When the `NOC_CACHE` environment variable enables the experiment
-/// cache (see [`crate::cache::ExperimentCache::from_env`]), cached
-/// points are answered from disk and only the misses are simulated —
-/// every caller (`run_replicated`, `sweep_rates`, the figure
-/// functions) becomes incremental through this single funnel.
-///
-/// # Errors
-///
-/// If any job fails, returns the error of the **lowest-index** failing
-/// job — the same error a sequential loop would have stopped at, so
-/// error reporting is deterministic too.
-pub fn run_experiment_jobs(
-    jobs: Vec<ExperimentJob>,
-    parallelism: Parallelism,
-) -> Result<Vec<RunResult>, CoreError> {
-    run_experiment_jobs_with_cache(
-        jobs,
-        parallelism,
-        &crate::cache::ExperimentCache::from_env(),
-    )
-}
-
-/// The incremental scheduler behind [`run_experiment_jobs`]: every job
-/// runs on the parallel engine as one lookup-or-simulate step — a cache
-/// hit is decoded on the worker, a miss is simulated there. Back on the
-/// calling thread, fresh results are stored in job order for the next
-/// run, and all results are returned in job order.
+/// Every job runs on the parallel engine as one lookup-or-simulate
+/// step: a cache hit is decoded on the worker, a miss is simulated
+/// there. Back on the calling thread, fresh results are stored in job
+/// order for the next run. Callers that honour `NOC_CACHE` pass
+/// [`ExperimentCache::from_env`].
 ///
 /// Output is bit-identical to an uncached run: a hit is exactly the
 /// [`RunResult`] a fresh simulation would return (the conformance
@@ -180,12 +164,13 @@ pub fn run_experiment_jobs(
 ///
 /// # Errors
 ///
-/// Same contract as [`run_experiment_jobs`]: the lowest-index failing
-/// job's error.
-pub fn run_experiment_jobs_with_cache(
+/// If any job fails, returns the error of the **lowest-index** failing
+/// job — the same error a sequential loop would have stopped at, so
+/// error reporting is deterministic too.
+pub fn run_jobs(
     jobs: Vec<ExperimentJob>,
     parallelism: Parallelism,
-    cache: &crate::cache::ExperimentCache,
+    cache: &ExperimentCache,
 ) -> Result<Vec<RunResult>, CoreError> {
     // Closures borrow the jobs (run_indexed spawns scoped threads, so
     // non-'static borrows are fine): each job is needed again to store
@@ -201,7 +186,7 @@ pub fn run_experiment_jobs_with_cache(
             .collect(),
         parallelism,
     );
-    let mut counters = crate::cache::CacheCounters::default();
+    let mut counters = CacheCounters::default();
     let mut results = Vec::with_capacity(jobs.len());
     let mut first_error: Option<CoreError> = None;
     for (job, (hit, outcome)) in jobs.iter().zip(outcomes) {
@@ -231,7 +216,7 @@ pub fn run_experiment_jobs_with_cache(
         }
     }
     if cache.is_enabled() {
-        crate::cache::record_counters(counters);
+        record_counters(counters);
     }
     cache.enforce_env_limit();
     match first_error {
@@ -325,7 +310,8 @@ mod tests {
             },
         ];
         let expected = jobs[1].run().unwrap_err().to_string();
-        let err = run_experiment_jobs(jobs, Parallelism::Fixed(4)).unwrap_err();
+        let disabled = ExperimentCache::disabled();
+        let err = run_jobs(jobs, Parallelism::Fixed(4), &disabled).unwrap_err();
         assert_eq!(err.to_string(), expected);
     }
 }

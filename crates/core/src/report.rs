@@ -262,12 +262,11 @@ pub fn breakdown_table(breakdown: &noc_sim::LatencyBreakdown) -> String {
     out
 }
 
-/// Execution metadata for one run or sweep invocation, recorded so a
-/// result can be tied back to how it was produced. Thread count is
+/// Execution metadata for one run or sweep invocation, printed in the
+/// header of `noc-cli run`, `sweep` and `conformance`. Thread count is
 /// informational only — output is bit-identical for any worker count
 /// (see [`crate::parallel`]).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RunMetadata {
     /// Worker threads the parallel engine resolved to.
     pub threads: usize,
@@ -276,31 +275,6 @@ pub struct RunMetadata {
     pub policy: String,
     /// Cores available on the host that produced the result.
     pub host_cores: usize,
-    /// `git describe` of the producing tree, captured at run time
-    /// (`None` when git is unavailable).
-    pub git_describe: Option<String>,
-    /// Whether the producing tree had uncommitted changes (a
-    /// `-dirty` suffix in `git_describe`). Dirty results cannot be
-    /// reproduced from any commit, so they are flagged explicitly.
-    pub git_dirty: bool,
-    /// Experiment-cache hits during the run (0 when caching was off).
-    pub cache_hits: u64,
-    /// Experiment-cache misses — points actually simulated.
-    pub cache_misses: u64,
-}
-
-impl Default for RunMetadata {
-    fn default() -> Self {
-        RunMetadata {
-            threads: 1,
-            policy: "sequential".to_owned(),
-            host_cores: 1,
-            git_describe: None,
-            git_dirty: false,
-            cache_hits: 0,
-            cache_misses: 0,
-        }
-    }
 }
 
 impl RunMetadata {
@@ -316,38 +290,7 @@ impl RunMetadata {
             }
             .to_owned(),
             host_cores: crate::parallel::available_cores(),
-            ..RunMetadata::default()
         }
-    }
-
-    /// Fills the cache-counter fields from a counter snapshot.
-    #[must_use]
-    pub fn with_cache_counters(mut self, counters: crate::cache::CacheCounters) -> Self {
-        self.cache_hits = counters.hits;
-        self.cache_misses = counters.misses;
-        self
-    }
-}
-
-/// `git describe --always --dirty` of the current working directory,
-/// captured at call time, plus whether the tree was dirty. Returns
-/// `(None, false)` when git is missing or the directory is not a
-/// repository — provenance is best-effort, never a failure.
-pub fn git_provenance() -> (Option<String>, bool) {
-    let output = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output();
-    match output {
-        Ok(out) if out.status.success() => {
-            let describe = String::from_utf8_lossy(&out.stdout).trim().to_owned();
-            if describe.is_empty() {
-                (None, false)
-            } else {
-                let dirty = describe.ends_with("-dirty");
-                (Some(describe), dirty)
-            }
-        }
-        _ => (None, false),
     }
 }
 
@@ -357,18 +300,7 @@ impl std::fmt::Display for RunMetadata {
             f,
             "threads {} ({}), host cores {}",
             self.threads, self.policy, self.host_cores
-        )?;
-        if let Some(describe) = &self.git_describe {
-            write!(f, ", git {describe}")?;
-        }
-        if self.cache_hits > 0 || self.cache_misses > 0 {
-            write!(
-                f,
-                ", cache {} hit(s) / {} miss(es)",
-                self.cache_hits, self.cache_misses
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -466,51 +398,9 @@ mod tests {
         assert_eq!(m.threads, 3);
         assert_eq!(m.policy, "fixed");
         assert!(m.host_cores >= 1);
-        assert!(m.to_string().contains("fixed"));
-        let back: RunMetadata = serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap();
-        assert_eq!(back, m);
+        let header = format!("threads 3 (fixed), host cores {}", m.host_cores);
+        assert_eq!(m.to_string(), header);
         let seq = RunMetadata::for_parallelism(crate::Parallelism::Sequential);
         assert_eq!((seq.threads, seq.policy.as_str()), (1, "sequential"));
-    }
-
-    #[test]
-    fn run_metadata_provenance_and_cache_fields() {
-        let m = RunMetadata::for_parallelism(crate::Parallelism::Sequential).with_cache_counters(
-            crate::cache::CacheCounters {
-                hits: 5,
-                misses: 2,
-                stores: 2,
-            },
-        );
-        assert_eq!((m.cache_hits, m.cache_misses), (5, 2));
-        assert!(m.to_string().contains("cache 5 hit(s) / 2 miss(es)"));
-        // Old-format JSON (no git/cache fields) still deserializes.
-        let legacy: RunMetadata =
-            serde_json::from_str(r#"{"threads":2,"policy":"auto","host_cores":8}"#).unwrap();
-        assert_eq!(legacy.threads, 2);
-        assert_eq!(legacy.git_describe, None);
-        assert!(!legacy.git_dirty);
-        assert_eq!((legacy.cache_hits, legacy.cache_misses), (0, 0));
-        // Full round trip with every field set.
-        let full = RunMetadata {
-            git_describe: Some("abc1234-dirty".to_owned()),
-            git_dirty: true,
-            ..m
-        };
-        assert!(full.to_string().contains("git abc1234-dirty"));
-        let back: RunMetadata =
-            serde_json::from_str(&serde_json::to_string(&full).unwrap()).unwrap();
-        assert_eq!(back, full);
-    }
-
-    #[test]
-    fn git_provenance_marks_dirty_consistently() {
-        // Whatever the ambient tree looks like, the dirty flag must
-        // agree with the describe suffix.
-        let (describe, dirty) = git_provenance();
-        match describe {
-            Some(d) => assert_eq!(dirty, d.ends_with("-dirty"), "{d}"),
-            None => assert!(!dirty),
-        }
     }
 }

@@ -1,7 +1,8 @@
 //! Injection-rate sweeps: the x-axis of the paper's Figures 6-11.
 
-use crate::parallel::{run_experiment_jobs, ExperimentJob, Parallelism};
-use crate::{Aggregate, CoreError, Experiment, RunResult, TopologySpec, TrafficSpec};
+use crate::parallel::{run_jobs, ExperimentJob, Parallelism};
+use crate::{Aggregate, CoreError, Experiment, ExperimentCache, RunResult};
+use crate::{TopologySpec, TrafficSpec};
 use noc_sim::SimConfig;
 use serde::{Deserialize, Serialize};
 
@@ -66,15 +67,22 @@ impl SweepResult {
 /// Sweeps the injection rate over `rates` for a (topology, traffic)
 /// pair, running `replications` seeds per point.
 ///
+/// The whole rate × replication product is flattened into one job list
+/// for [`run_jobs`] under `parallelism`, through the `NOC_CACHE`
+/// experiment cache — with R rates and K replications, up to `R * K`
+/// simulations run concurrently, not just the K replications of one
+/// point at a time.
+///
 /// # Errors
 ///
 /// Returns the first build or simulation error. Rates must be given in
-/// ascending order (validated, [`CoreError::InvalidSpec`]).
+/// ascending order and `replications` must be positive (validated,
+/// [`CoreError::InvalidSpec`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use noc_core::{sweep_rates, TopologySpec, TrafficSpec};
+/// use noc_core::{sweep_rates, Parallelism, TopologySpec, TrafficSpec};
 /// use noc_sim::SimConfig;
 ///
 /// let base = SimConfig::builder()
@@ -87,6 +95,7 @@ impl SweepResult {
 ///     &base,
 ///     &[0.05, 0.1],
 ///     1,
+///     Parallelism::Auto,
 /// )?;
 /// assert_eq!(result.points.len(), 2);
 /// assert!(result.points[1].throughput_mean > result.points[0].throughput_mean);
@@ -98,43 +107,11 @@ pub fn sweep_rates(
     base_config: &SimConfig,
     rates: &[f64],
     replications: usize,
-) -> Result<SweepResult, CoreError> {
-    sweep_rates_with(
-        topology,
-        traffic,
-        base_config,
-        rates,
-        replications,
-        Parallelism::default(),
-    )
-}
-
-/// [`sweep_rates`] with an explicit parallelism policy.
-///
-/// The whole rate × replication product is flattened into one job list
-/// for the engine — with R rates and K replications, up to `R * K`
-/// simulations run concurrently, not just the K replications of one
-/// point at a time.
-///
-/// # Errors
-///
-/// See [`sweep_rates`].
-pub fn sweep_rates_with(
-    topology: TopologySpec,
-    traffic: TrafficSpec,
-    base_config: &SimConfig,
-    rates: &[f64],
-    replications: usize,
     parallelism: Parallelism,
 ) -> Result<SweepResult, CoreError> {
     validate_rates(rates)?;
-    if replications == 0 {
-        return Err(CoreError::InvalidSpec {
-            reason: "replications must be positive".to_owned(),
-        });
-    }
-    let jobs = sweep_jobs(topology, traffic, base_config, rates, replications);
-    let runs = run_experiment_jobs(jobs, parallelism)?;
+    let jobs = sweep_jobs(topology, traffic, base_config, rates, replications)?;
+    let runs = run_jobs(jobs, parallelism, &ExperimentCache::from_env())?;
     Ok(sweep_from_runs(rates, replications, runs))
 }
 
@@ -155,13 +132,17 @@ pub(crate) fn validate_rates(rates: &[f64]) -> Result<(), CoreError> {
 
 /// Flattens a sweep into engine jobs: rate-major, replication-minor —
 /// exactly the order the old nested loops ran in.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidSpec`] if `replications` is zero.
 pub(crate) fn sweep_jobs(
     topology: TopologySpec,
     traffic: TrafficSpec,
     base_config: &SimConfig,
     rates: &[f64],
     replications: usize,
-) -> Vec<ExperimentJob> {
+) -> Result<Vec<ExperimentJob>, CoreError> {
     let mut jobs = Vec::with_capacity(rates.len() * replications);
     for &rate in rates {
         let mut config = base_config.clone();
@@ -171,14 +152,9 @@ pub(crate) fn sweep_jobs(
             traffic,
             config,
         };
-        for r in 0..replications {
-            jobs.push(ExperimentJob {
-                seed: experiment.config.seed.wrapping_add(r as u64),
-                experiment: experiment.clone(),
-            });
-        }
+        jobs.extend(experiment.replication_jobs(replications)?);
     }
-    jobs
+    Ok(jobs)
 }
 
 /// Reassembles the in-order run results of [`sweep_jobs`] into a
@@ -258,6 +234,7 @@ mod tests {
             &base(),
             &[0.05, 0.1, 0.2],
             2,
+            Parallelism::Auto,
         )
         .unwrap();
         assert_eq!(result.topology_label, "spidergon-8");
@@ -279,6 +256,7 @@ mod tests {
             &base(),
             &[],
             1,
+            Parallelism::Auto,
         );
         assert!(matches!(e, Err(CoreError::InvalidSpec { .. })));
         let e = sweep_rates(
@@ -287,6 +265,7 @@ mod tests {
             &base(),
             &[0.2, 0.1],
             1,
+            Parallelism::Auto,
         );
         assert!(matches!(e, Err(CoreError::InvalidSpec { .. })));
     }
@@ -322,7 +301,7 @@ mod tests {
     #[test]
     fn sweep_with_fixed_threads_matches_sequential() {
         let run = |par| {
-            sweep_rates_with(
+            sweep_rates(
                 TopologySpec::Ring { nodes: 6 },
                 TrafficSpec::Uniform,
                 &base(),

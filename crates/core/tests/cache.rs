@@ -22,10 +22,11 @@
 //! * **store hygiene** — a store that fails leaves no tempfile behind.
 
 use noc_core::cache::{
-    self, canonical_key, code_version_token, fingerprint, fingerprint_with, run_cached,
-    unique_temp_dir, ExperimentCache, CACHE_SCHEMA,
+    self, canonical_key, code_version_token, fingerprint, fingerprint_with, unique_temp_dir,
+    ExperimentCache, CACHE_SCHEMA,
 };
-use noc_core::{Experiment, ExperimentJob, Parallelism, TopologySpec, TrafficSpec};
+use noc_core::{run_jobs, CoreError, Experiment, ExperimentJob, Parallelism, RunResult};
+use noc_core::{TopologySpec, TrafficSpec};
 use noc_sim::SimConfig;
 use proptest::prelude::*;
 
@@ -59,6 +60,20 @@ fn experiment(pick: u8, size: usize, hotspot: bool, rate: f64, seed: u64) -> Exp
             .build()
             .unwrap(),
     }
+}
+
+/// One point through the cached runner: lookup, simulate on a miss,
+/// store.
+fn run_one(
+    cache: &ExperimentCache,
+    experiment: &Experiment,
+    seed: u64,
+) -> Result<RunResult, CoreError> {
+    let job = ExperimentJob {
+        experiment: experiment.clone(),
+        seed,
+    };
+    Ok(run_jobs(vec![job], Parallelism::Sequential, cache)?.remove(0))
 }
 
 /// A fast experiment for tests that actually simulate.
@@ -235,7 +250,7 @@ fn truncated_record_is_rejected_recomputed_and_replaced() {
         // The corrupt entry was evicted on lookup; recompute and
         // re-store to restore the cache for the next iteration.
         assert!(!record.exists(), "corrupt record must be evicted");
-        let recomputed = run_cached(&cache, &exp, 7).unwrap();
+        let recomputed = run_one(&cache, &exp, 7).unwrap();
         assert_eq!(
             recomputed, fresh,
             "recomputed point must equal the original"
@@ -272,7 +287,7 @@ fn bit_flipped_record_is_rejected_recomputed_and_replaced() {
                 result == fresh
             );
         }
-        let recomputed = run_cached(&cache, &exp, 7).unwrap();
+        let recomputed = run_one(&cache, &exp, 7).unwrap();
         assert_eq!(recomputed, fresh);
         assert_eq!(std::fs::read(&record).unwrap(), full, "entry replaced");
     }
@@ -315,7 +330,7 @@ fn unparsable_payload_with_valid_checksum_is_evicted() {
     );
     assert!(cache.lookup(&exp, 7).is_none(), "damaged payload must miss");
     assert!(!record.exists(), "damaged record must be evicted");
-    assert_eq!(run_cached(&cache, &exp, 7).unwrap(), fresh);
+    assert_eq!(run_one(&cache, &exp, 7).unwrap(), fresh);
     assert_eq!(std::fs::read(&record).unwrap(), full, "entry replaced");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -360,7 +375,7 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
             .collect()
     };
     // Reference: no cache involved at all.
-    let reference = noc_core::run_experiment_jobs_with_cache(
+    let reference = run_jobs(
         jobs(),
         Parallelism::Sequential,
         &ExperimentCache::disabled(),
@@ -368,8 +383,7 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
     .unwrap();
 
     let before = cache::counters();
-    let cold =
-        noc_core::run_experiment_jobs_with_cache(jobs(), Parallelism::Fixed(4), &cache).unwrap();
+    let cold = run_jobs(jobs(), Parallelism::Fixed(4), &cache).unwrap();
     let cold_delta = cache::counters().since(&before);
     assert_eq!(cold, reference, "cold pass must equal uncached results");
     assert_eq!(
@@ -380,7 +394,7 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
     // Warm: every point answered from disk, same bytes, no simulation.
     for parallelism in [Parallelism::Sequential, Parallelism::Fixed(4)] {
         let before = cache::counters();
-        let warm = noc_core::run_experiment_jobs_with_cache(jobs(), parallelism, &cache).unwrap();
+        let warm = run_jobs(jobs(), parallelism, &cache).unwrap();
         let delta = cache::counters().since(&before);
         assert_eq!(warm, reference, "warm pass must equal uncached results");
         assert_eq!((delta.hits, delta.misses), (6, 0));
@@ -401,9 +415,7 @@ fn cold_then_warm_pass_is_incremental_and_bit_identical() {
         seed: 100,
     });
     let before = cache::counters();
-    let mixed =
-        noc_core::run_experiment_jobs_with_cache(extended.clone(), Parallelism::Fixed(2), &cache)
-            .unwrap();
+    let mixed = run_jobs(extended.clone(), Parallelism::Fixed(2), &cache).unwrap();
     let delta = cache::counters().since(&before);
     assert_eq!((delta.hits, delta.misses), (6, 2));
     for (job, result) in extended.iter().zip(&mixed) {
@@ -432,11 +444,10 @@ fn first_error_wins_with_hits_on_the_workers() {
         job(&small_experiment(0.3), 7),
     ];
     for hit in [&jobs[0], &jobs[2]] {
-        run_cached(&cache, &hit.experiment, hit.seed).unwrap();
+        run_one(&cache, &hit.experiment, hit.seed).unwrap();
     }
     let expected = jobs[1].run().unwrap_err().to_string();
-    let err = noc_core::run_experiment_jobs_with_cache(jobs.clone(), Parallelism::Fixed(4), &cache)
-        .unwrap_err();
+    let err = run_jobs(jobs.clone(), Parallelism::Fixed(4), &cache).unwrap_err();
     assert_eq!(err.to_string(), expected, "index 1's error must win");
     assert_eq!(
         cache.lookup(&jobs[4].experiment, jobs[4].seed),
@@ -464,7 +475,7 @@ fn stores_land_in_job_order() {
             }
         })
         .collect();
-    noc_core::run_experiment_jobs_with_cache(jobs.clone(), Parallelism::Fixed(4), &cache).unwrap();
+    run_jobs(jobs.clone(), Parallelism::Fixed(4), &cache).unwrap();
     let mtimes: Vec<_> = jobs
         .iter()
         .map(|job| {

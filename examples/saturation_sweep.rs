@@ -11,7 +11,8 @@
 
 use spidergon_noc::sim::SimConfig;
 use spidergon_noc::{
-    saturation_point, sweep_rates, TopologySpec, TrafficSpec, DEFAULT_ACCEPTANCE_THRESHOLD,
+    saturation_point, sweep_rates, Parallelism, TopologySpec, TrafficSpec,
+    DEFAULT_ACCEPTANCE_THRESHOLD,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("spidergon", TopologySpec::Spidergon { nodes: n }),
         ("mesh", TopologySpec::MeshBalanced { nodes: n }),
     ] {
-        let sweep = sweep_rates(spec, TrafficSpec::Uniform, &base, &rates, 2)?;
+        let sweep = sweep_rates(
+            spec,
+            TrafficSpec::Uniform,
+            &base,
+            &rates,
+            2,
+            Parallelism::Auto,
+        )?;
         match saturation_point(&sweep, DEFAULT_ACCEPTANCE_THRESHOLD) {
             Some(sat) => println!(
                 "{:>12}  {:>14.2}  {:>16.3}  {:>14.1}",

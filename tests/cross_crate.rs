@@ -5,7 +5,7 @@ use spidergon_noc::report::FigureData;
 use spidergon_noc::routing::{cdg::CdgAnalysis, validate::validate_all_routes};
 use spidergon_noc::sim::SimConfig;
 use spidergon_noc::topology::{metrics, IrregularMesh, RectMesh, Ring, Spidergon};
-use spidergon_noc::{figures, Experiment, TopologySpec, TrafficSpec};
+use spidergon_noc::{figures, Experiment, Parallelism, TopologySpec, TrafficSpec};
 
 /// Every (topology spec, default routing) pair in the harness is
 /// minimal and deadlock-free.
@@ -63,7 +63,7 @@ fn simulated_hops_match_graph_distances_for_all_families() {
                 .build()
                 .unwrap(),
         }
-        .run_replicated(2)
+        .run_replicated(2, Parallelism::Auto)
         .unwrap();
         let rel = (agg.mean_hops - expected).abs() / expected;
         assert!(
