@@ -176,9 +176,6 @@ fn cmd_run_audited(
     reps: usize,
     parallelism: Parallelism,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    if reps == 0 {
-        return Err("--reps must be a positive integer".into());
-    }
     let jobs = experiment.replication_jobs(reps)?;
     let audited = jobs
         .iter()

@@ -46,24 +46,6 @@ pub struct SweepResult {
     pub points: Vec<SweepPoint>,
 }
 
-impl SweepResult {
-    /// `(rate, throughput)` pairs for plotting.
-    pub fn throughput_xy(&self) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .map(|p| (p.rate, p.throughput_mean))
-            .collect()
-    }
-
-    /// `(rate, latency)` pairs for plotting.
-    pub fn latency_xy(&self) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .map(|p| (p.rate, p.latency_mean))
-            .collect()
-    }
-}
-
 /// Sweeps the injection rate over `rates` for a (topology, traffic)
 /// pair, running `replications` seeds per point.
 ///
@@ -240,8 +222,6 @@ mod tests {
         assert_eq!(result.topology_label, "spidergon-8");
         let tp: Vec<f64> = result.points.iter().map(|p| p.throughput_mean).collect();
         assert!(tp[0] < tp[1] && tp[1] < tp[2], "{tp:?}");
-        assert_eq!(result.throughput_xy().len(), 3);
-        assert_eq!(result.latency_xy().len(), 3);
         for p in &result.points {
             assert!(p.latency_p50 > 0);
             assert!(p.latency_p50 <= p.latency_p95 && p.latency_p95 <= p.latency_p99);

@@ -10,8 +10,8 @@
 use noc_core::figures::{fig6_7, FigureOptions};
 use noc_core::{sweep_rates, Experiment, Parallelism, TopologySpec, TrafficSpec};
 use noc_routing::SpidergonAcrossFirst;
-use noc_sim::{SimConfig, Simulation};
-use noc_topology::Spidergon;
+use noc_sim::{Recorder, SimConfig, Simulation};
+use noc_topology::{NodeId, Spidergon};
 use noc_traffic::UniformRandom;
 
 fn base_config(lambda: f64) -> SimConfig {
@@ -125,23 +125,29 @@ fn delivered_hop_counts_match_spidergon_distances() {
     let sg = Spidergon::new(12).unwrap();
     let routing = SpidergonAcrossFirst::new(&sg);
     let pattern = UniformRandom::new(12).unwrap();
-    let mut cfg = base_config(0.15);
-    cfg.record_deliveries = true;
     let distances = sg.clone();
-    let mut sim = Simulation::new(Box::new(sg), Box::new(routing), Box::new(pattern), cfg).unwrap();
+    let mut sim = Simulation::with_probe(
+        Box::new(sg),
+        Box::new(routing),
+        Box::new(pattern),
+        base_config(0.15),
+        Recorder::new(),
+    )
+    .unwrap();
     sim.run().unwrap();
+    let timings = sim.probe().packet_timings();
     assert!(
-        sim.deliveries().len() > 100,
+        timings.len() > 100,
         "too few deliveries ({}) for a meaningful check",
-        sim.deliveries().len()
+        timings.len()
     );
-    for d in sim.deliveries() {
+    for t in timings {
         assert_eq!(
-            d.hops,
-            distances.distance(d.src, d.dst) as u64,
+            t.hops,
+            distances.distance(NodeId::new(t.src), NodeId::new(t.dst)) as u64,
             "packet {} -> {} took a non-minimal hop count",
-            d.src,
-            d.dst
+            t.src,
+            t.dst
         );
     }
 }

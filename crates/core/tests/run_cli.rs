@@ -4,7 +4,8 @@
 //! the auditor and reports what it checked. A run that delivers nothing
 //! prints `mean hops -`, a rate that asks for more generated flits
 //! than the simulator's budget fails at once instead of running for
-//! hours, and configuration keys that were retired are ignored.
+//! hours, configuration keys that were retired are ignored, and zero
+//! replications fail with one message on every path.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -118,11 +119,12 @@ fn the_example_spec_still_runs() {
 
 #[test]
 fn retired_config_keys_are_ignored() {
-    // Specs written while `audit`, `audit_interval` and
-    // `compiled_routes` were configuration fields still run, with the
-    // same statistics as the spec without them.
+    // Specs written while `audit`, `audit_interval`, `compiled_routes`
+    // and `record_deliveries` were configuration fields still run, with
+    // the same statistics as the spec without them.
     let plain = run_with("measure_cycles", "500", &[]);
-    let retired = r#"500, "audit": true, "audit_interval": 0, "compiled_routes": false"#;
+    let retired = r#"500, "audit": true, "audit_interval": 0, "compiled_routes": false,
+        "record_deliveries": true"#;
     let old = run_with("measure_cycles", retired, &[]);
     assert!(plain.status.success(), "{plain:?}");
     assert!(old.status.success(), "{old:?}");
@@ -206,5 +208,32 @@ fn run_and_sweep_print_the_cache_summary() {
     assert_eq!(summary, "cache: 8 hit(s), 0 miss(es)");
     assert_eq!(warm, cold);
     assert_eq!(cold.lines().count(), 2 + 4, "{cold}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn zero_replications_fail_alike_on_every_path() {
+    // `run`, `run --audit` and `sweep` share one replication rule, so
+    // they reject `--reps 0` with one message.
+    let (dir, spec) = write_spec(&[]);
+    let spec = spec.to_str().unwrap();
+    for args in [
+        &["run", spec, "--reps", "0"][..],
+        &["run", spec, "--reps", "0", "--audit"],
+        &["sweep", spec, "--reps", "0"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+            .args(args)
+            .current_dir(&dir)
+            .env("NOC_CACHE", "0")
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: invalid experiment spec: replications must be positive\n",
+            "{args:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -79,9 +79,6 @@ pub struct SimConfig {
     /// Abort with [`SimError::Stalled`] if no flit moves for this many
     /// consecutive cycles while flits are in flight (deadlock watchdog).
     pub stall_threshold: u64,
-    /// Record a [`crate::Delivery`] for every packet consumed, warmup
-    /// included (off by default; the log grows with the packet count).
-    pub record_deliveries: bool,
     /// Sampling window (cycles) for the throughput time series used by
     /// [`crate::SimStats::throughput_ci`]; 0 disables sampling.
     pub sample_interval: u64,
@@ -96,11 +93,13 @@ pub struct SimConfig {
     /// overlapped pipelines.
     pub router_delay: u64,
     /// Sparse activity tracking (on by default): each cycle the
-    /// simulator visits only routers holding flits, with idle stretches
-    /// of the whole network fast-forwarded to the next scheduled
-    /// arrival. Sparse and dense stepping are bit-identical — disabling
-    /// this exists for the differential conformance harness and for
-    /// perf comparison, not for correctness.
+    /// simulator visits only routers holding flits, and while the whole
+    /// network is empty it skips the cycle phases up to the next
+    /// scheduled arrival (each skipped cycle still reaches the attached
+    /// probe). Sparse and dense stepping are bit-identical under every
+    /// probe — the dense core stays as the reference of the
+    /// differential conformance harness and for perf comparison, not
+    /// for correctness.
     pub sparse: bool,
 }
 
@@ -239,7 +238,6 @@ impl SimConfigBuilder {
                 measure_cycles: 10_000,
                 seed: 0xBAD5EED,
                 stall_threshold: 50_000,
-                record_deliveries: false,
                 sample_interval: 0,
                 router_delay: 0,
                 sparse: true,
@@ -304,12 +302,6 @@ impl SimConfigBuilder {
     /// Sets the deadlock watchdog threshold.
     pub fn stall_threshold(&mut self, cycles: u64) -> &mut Self {
         self.config.stall_threshold = cycles;
-        self
-    }
-
-    /// Enables or disables the per-packet delivery log.
-    pub fn record_deliveries(&mut self, enabled: bool) -> &mut Self {
-        self.config.record_deliveries = enabled;
         self
     }
 
@@ -541,14 +533,16 @@ mod tests {
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.packet_len, 6);
         assert_eq!(cfg.sample_interval, 0);
-        assert!(!cfg.record_deliveries);
         assert!(cfg.sparse, "old specs get the sparse core");
         // The retired `audit` keys are ignored: auditing is a probe
-        // (`crate::Auditor`), not part of the configuration. So is the
-        // retired `compiled_routes` switch: the simulator compiles a
-        // route table whenever the routing algorithm allows one.
+        // (`crate::Auditor`), not part of the configuration. So are the
+        // retired `compiled_routes` switch (the simulator compiles a
+        // route table whenever the routing algorithm allows one) and
+        // `record_deliveries` (a `crate::Recorder` keeps every packet's
+        // timing).
         let old: SimConfig = serde_json::from_str(
-            r#"{"audit": true, "audit_interval": 0, "compiled_routes": false, "seed": 9}"#,
+            r#"{"audit": true, "audit_interval": 0, "compiled_routes": false,
+                "record_deliveries": true, "seed": 9}"#,
         )
         .unwrap();
         assert_eq!(

@@ -356,7 +356,7 @@ impl PacketArena {
     }
 
     /// Reconstructs the flat [`Flit`] view of an in-network flit, for
-    /// the observability seams (probes, audit, deliveries).
+    /// the observability seams (probes and the auditor).
     #[inline]
     pub fn materialize(&self, flit: ArenaFlit) -> Flit {
         let i = self.check(flit.pkt);

@@ -68,7 +68,7 @@ pub use config::{
 };
 pub use error::SimError;
 pub use flit::{ArenaFlit, Flit, FlitKind, PacketArena, PacketId, PacketRef};
-pub use network::{Delivery, Network, Occupancy, Simulation};
+pub use network::{Network, Occupancy, Simulation};
 pub use probe::{
     BufferPeak, LatencyBreakdown, NetworkShape, NullProbe, PacketTiming, Probe, Recorder,
     TraceEvent, WindowSample,

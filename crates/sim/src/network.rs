@@ -93,7 +93,10 @@
 //! instead of stored, so an idle router needs no per-cycle pointer
 //! maintenance either. When the network holds no flits at all,
 //! [`Simulation::run`] fast-forwards the clock to the next scheduled
-//! arrival.
+//! arrival: it skips the four phases of each empty cycle, which would
+//! do nothing, and still runs that cycle's bookkeeping and
+//! [`Probe::on_cycle_end`], so a skipped cycle looks the same to the
+//! statistics and to every probe as a stepped one.
 //!
 //! Within an active router the core is **wake-on-change**. Past
 //! saturation most attempts fail on a full or foreign-owned queue and
@@ -276,7 +279,6 @@ pub struct Network {
     idle_cycles: u64,
     measuring: bool,
     stats: SimStats,
-    deliveries: Vec<Delivery>,
     /// Flits per link slot during the window (ejection slots stay 0);
     /// [`run`](Self::run) sums each link's VCs into `per_link`.
     link_counters: Vec<u64>,
@@ -433,25 +435,6 @@ impl Occupancy {
     pub fn in_network(&self) -> u64 {
         self.input_flits + self.output_flits + self.eject_flits
     }
-}
-
-/// One delivered packet, recorded when
-/// [`SimConfig::record_deliveries`] is enabled.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Delivery {
-    /// Cycle at which the tail flit was consumed by the sink.
-    pub cycle: u64,
-    /// The delivered packet.
-    pub packet: PacketId,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Latency in cycles (creation to tail consumption).
-    pub latency: u64,
-    /// Hops travelled by the head flit.
-    pub hops: u64,
 }
 
 impl Simulation {
@@ -728,7 +711,6 @@ impl Network {
             idle_cycles: 0,
             measuring: false,
             stats: SimStats::default(),
-            deliveries: Vec::new(),
             link_counters: Vec::new(),
             window_flits: 0,
             dir_scratch: Vec::new(),
@@ -829,12 +811,6 @@ impl Network {
         first..first + self.config.sink_rate
     }
 
-    /// Per-packet delivery log, warmup included (empty unless
-    /// [`SimConfig::record_deliveries`] is enabled).
-    pub fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
-    }
-
     /// Lifetime total of flits generated by sources (warmup included).
     pub fn total_flits_generated(&self) -> u64 {
         self.total_flits_generated
@@ -885,7 +861,7 @@ impl Network {
             if self.cycle == self.config.warmup_cycles {
                 self.begin_measurement();
             }
-            if self.try_fast_forward::<P>(total) {
+            if self.try_fast_forward(probe, total) {
                 continue;
             }
             self.step(probe)?;
@@ -916,20 +892,17 @@ impl Network {
         Ok(stats)
     }
 
-    /// Jumps the clock over a provably empty stretch: no flit anywhere
-    /// (network or source queues) means every cycle until the next
-    /// scheduled arrival is a no-op, including its statistics — the
-    /// only dense side effect, zero-valued throughput samples, is
-    /// replayed here. Never crosses the warmup boundary (so
-    /// measurement starts on time) and never fires under an active
-    /// probe (a recorder or an auditor), which observes every cycle.
+    /// Skips the phases of a provably empty stretch: with no flit
+    /// anywhere (network or source queues), generation, consumption,
+    /// link transfer and switch allocation do nothing in every cycle
+    /// before the next scheduled arrival. Each skipped cycle still runs
+    /// its bookkeeping and [`Probe::on_cycle_end`] at its own cycle
+    /// number, exactly as [`step`](Self::step) would. Never crosses
+    /// the warmup boundary, so measurement starts on time.
     ///
     /// Returns `true` if the clock advanced.
-    fn try_fast_forward<P: Probe>(&mut self, total: u64) -> bool {
-        if !self.config.sparse || P::ACTIVE {
-            return false;
-        }
-        if self.in_network != 0 || self.source_flits != 0 {
+    fn try_fast_forward<P: Probe>(&mut self, probe: &mut P, total: u64) -> bool {
+        if !self.config.sparse || self.in_network != 0 || self.source_flits != 0 {
             return false;
         }
         let mut target = self.arrivals.next_cycle().map_or(total, |c| c.min(total));
@@ -939,24 +912,11 @@ impl Network {
         if target <= self.cycle {
             return false;
         }
-        if self.measuring && self.config.sample_interval > 0 {
-            let w = self.config.warmup_cycles;
-            let i = self.config.sample_interval;
-            // A skipped cycle c emits a sample when (c + 1 - w) is a
-            // multiple of i. Nothing is delivered while skipping, but
-            // the first boundary may close a window that saw deliveries
-            // before the network drained — same formula as the dense
-            // path; every later window in the stretch samples zero.
-            for _ in ((self.cycle - w) / i)..((target - w) / i) {
-                let delivered_now = self.stats.flits_delivered;
-                let in_window = delivered_now - self.window_flits;
-                self.stats
-                    .throughput_samples
-                    .push(in_window as f64 / i as f64);
-                self.window_flits = delivered_now;
-            }
+        while self.cycle < target {
+            self.end_of_cycle_bookkeeping();
+            probe.on_cycle_end(self);
+            self.cycle += 1;
         }
-        self.cycle = target;
         true
     }
 
@@ -1138,16 +1098,6 @@ impl Network {
                             self.stats.packets_delivered += 1;
                             self.stats.total_hops += hops;
                             self.stats.latency.record(self.cycle - created);
-                        }
-                        if self.config.record_deliveries {
-                            self.deliveries.push(Delivery {
-                                cycle: self.cycle,
-                                packet: self.arena.packet_id(flit.pkt),
-                                src: self.arena.src(flit.pkt),
-                                dst: self.arena.dst(flit.pkt),
-                                latency: self.cycle - created,
-                                hops,
-                            });
                         }
                         self.arena.free(flit.pkt);
                     }
@@ -1862,26 +1812,57 @@ mod tests {
             .warmup_cycles(200)
             .measure_cycles(2_000)
             .seed(777)
-            .record_deliveries(true)
             .sparse(sparse)
             .build()
             .unwrap()
     }
 
+    /// A recorded spidergon-`n` uniform run under `config`: its
+    /// statistics and the recorder.
+    fn recorded_spidergon(n: usize, config: SimConfig) -> (SimStats, crate::Recorder) {
+        let topo = Spidergon::new(n).unwrap();
+        let routing = SpidergonAcrossFirst::new(&topo);
+        let pattern = UniformRandom::new(n).unwrap();
+        let mut sim = Simulation::with_probe(
+            Box::new(topo),
+            Box::new(routing),
+            Box::new(pattern),
+            config,
+            crate::Recorder::new(),
+        )
+        .unwrap();
+        assert!(sim.uses_compiled_routes());
+        let stats = sim.run().unwrap();
+        (stats, sim.into_probe())
+    }
+
+    /// Asserts that recorded sparse and dense runs agree on the
+    /// statistics, every packet's timing and every recorded event, and
+    /// that the plain sparse run has the same statistics.
+    fn assert_sparse_matches_dense(n: usize, config: &SimConfig) {
+        let mut dense_config = config.clone();
+        dense_config.sparse = false;
+        let (a, sparse) = recorded_spidergon(n, config.clone());
+        let (b, dense) = recorded_spidergon(n, dense_config);
+        assert_eq!(a, b, "stats diverged under {config:?}");
+        assert_eq!(
+            sparse.packet_timings(),
+            dense.packet_timings(),
+            "packet timings diverged under {config:?}"
+        );
+        assert_eq!(
+            sparse.digest(),
+            dense.digest(),
+            "recorded events diverged under {config:?}"
+        );
+        let plain = spidergon_sim_with(n, config.clone()).run().unwrap();
+        assert_eq!(plain, a, "recording changed the statistics");
+    }
+
     #[test]
     fn sparse_matches_dense_bit_for_bit() {
         for lambda in [0.02, 0.3] {
-            let mut sparse = spidergon_sim_with(12, variant_config(lambda, true));
-            let mut dense = spidergon_sim_with(12, variant_config(lambda, false));
-            let a = sparse.run().unwrap();
-            let b = dense.run().unwrap();
-            assert_eq!(a, b, "stats diverged at lambda {lambda}");
-            assert_eq!(
-                sparse.deliveries(),
-                dense.deliveries(),
-                "deliveries diverged at lambda {lambda}"
-            );
-            assert!(sparse.uses_compiled_routes());
+            assert_sparse_matches_dense(12, &variant_config(lambda, true));
         }
     }
 
@@ -2080,9 +2061,9 @@ mod tests {
     }
 
     #[test]
-    fn delivery_log_includes_warmup_deliveries() {
+    fn packet_timings_include_warmup_deliveries() {
         // One packet, delivered long before the measurement window
-        // opens: the log keeps it, the statistics do not count it.
+        // opens: the recorder keeps it, the statistics do not count it.
         let ring = Ring::new(8).unwrap();
         let entry = noc_traffic::TraceEntry {
             cycle: 0,
@@ -2093,7 +2074,6 @@ mod tests {
         let config = SimConfig::builder()
             .warmup_cycles(200)
             .measure_cycles(100)
-            .record_deliveries(true)
             .build()
             .unwrap();
         let mut sim = Simulation::with_trace(
@@ -2101,32 +2081,42 @@ mod tests {
             Box::new(RingShortestPath::new(&ring)),
             &trace,
             config,
-            NullProbe,
+            crate::Recorder::new(),
         )
         .unwrap();
         let stats = sim.run().unwrap();
         assert_eq!(stats.packets_delivered, 0);
-        let [delivery] = sim.deliveries() else {
-            panic!("expected one delivery, got {:?}", sim.deliveries());
+        let recorder = sim.into_probe();
+        let [timing] = recorder.packet_timings() else {
+            panic!("expected one packet, got {:?}", recorder.packet_timings());
         };
-        assert!(delivery.cycle < 200, "{delivery:?}");
+        assert!(timing.delivered < 200, "{timing:?}");
         assert_eq!(
-            (delivery.src, delivery.dst, delivery.hops),
-            (entry.src, entry.dst, 2)
+            (timing.src, timing.dst, timing.hops),
+            (entry.src.index(), entry.dst.index(), 2)
         );
+        // The rest of the run is empty and fast-forwarded, yet the
+        // recorder still sees every cycle.
+        assert_eq!(recorder.observed_cycles(), 300);
     }
 
     #[test]
-    fn fast_forward_replays_zero_throughput_samples() {
-        // Zero injection: sparse mode fast-forwards the whole run,
-        // dense mode steps every cycle; the sampled throughput series
-        // must come out identical anyway.
-        let sparse_stats = spidergon_sim_with(8, variant_config(0.0, true))
-            .run()
-            .unwrap();
-        let dense_stats = spidergon_sim_with(8, variant_config(0.0, false))
-            .run()
-            .unwrap();
-        assert_eq!(sparse_stats, dense_stats);
+    fn fast_forwarded_cycles_keep_throughput_samples() {
+        // Zero injection: sparse mode fast-forwards the whole run. At
+        // λ = 0.005 the network drains between packets, so skipped
+        // stretches close sampling windows that saw deliveries. Dense
+        // mode steps every cycle; the sampled throughput series and
+        // the recorded events must come out identical anyway.
+        for lambda in [0.0, 0.005] {
+            let mut config = variant_config(lambda, true);
+            config.sample_interval = 50;
+            assert_sparse_matches_dense(8, &config);
+            let stats = spidergon_sim_with(8, config).run().unwrap();
+            assert_eq!(stats.throughput_samples.len(), 40);
+            if lambda > 0.0 {
+                assert!(stats.throughput_samples.iter().any(|&s| s > 0.0));
+                assert!(stats.throughput_samples.contains(&0.0));
+            }
+        }
     }
 }

@@ -116,11 +116,11 @@ impl NetworkShape {
 pub trait Probe: sealed::Sealed + core::fmt::Debug {
     /// `true` for probes that observe events ([`Recorder`],
     /// [`Auditor`](crate::Auditor)), `false` for [`NullProbe`]. The
-    /// simulator uses this monomorphization-time constant to skip
-    /// materializing event payloads on the hot path and to disable the
-    /// sparse core's empty-network fast-forward, which would elide the
-    /// per-cycle [`on_cycle_end`](Probe::on_cycle_end) calls an active
-    /// probe depends on.
+    /// simulator uses this monomorphization-time constant only to skip
+    /// materializing event payloads on the hot path. Everything else
+    /// runs the same under every probe: the sparse core's empty-network
+    /// fast-forward skips only cycle phases that do nothing, and still
+    /// calls [`on_cycle_end`](Probe::on_cycle_end) for every cycle.
     const ACTIVE: bool;
 
     /// Called once, after assembly and before the first cycle.
@@ -189,7 +189,9 @@ pub trait Probe: sealed::Sealed + core::fmt::Debug {
         let _ = (cycle, node, channel, flit);
     }
 
-    /// All phases of cycle [`net.cycle()`](Network::cycle) have run.
+    /// All phases of cycle [`net.cycle()`](Network::cycle) have run,
+    /// or were skipped because the network was empty and they would
+    /// have done nothing. Called once for every cycle either way.
     #[inline]
     fn on_cycle_end(&mut self, net: &Network) {
         let _ = net;

@@ -370,14 +370,6 @@ impl SimStats {
         self.throughput_flits_per_cycle() / self.num_nodes as f64
     }
 
-    /// Packets delivered per cycle.
-    pub fn packet_throughput(&self) -> f64 {
-        if self.measured_cycles == 0 {
-            return 0.0;
-        }
-        self.packets_delivered as f64 / self.measured_cycles as f64
-    }
-
     /// Offered load actually generated, in flits per cycle (should track
     /// `num_sources * lambda` below saturation).
     pub fn offered_load(&self) -> f64 {
@@ -637,7 +629,6 @@ mod tests {
         };
         assert!((stats.throughput_flits_per_cycle() - 0.48).abs() < 1e-12);
         assert!((stats.throughput_per_node() - 0.06).abs() < 1e-12);
-        assert!((stats.packet_throughput() - 0.08).abs() < 1e-12);
         assert!((stats.offered_load() - 0.6).abs() < 1e-12);
         assert!((stats.acceptance_ratio() - 0.9).abs() < 1e-12);
         assert_eq!(stats.mean_hops(), Some(3.0));

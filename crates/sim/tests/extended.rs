@@ -1,8 +1,8 @@
-//! Tests for the extension features: trace replay, the delivery log,
-//! torus simulation and adaptive (West-First) routing.
+//! Tests for the extension features: trace replay with per-packet
+//! timings, torus simulation and adaptive (West-First) routing.
 
 use noc_routing::{MeshXY, RoutingAlgorithm, TorusXY, WestFirst};
-use noc_sim::{NullProbe, SimConfig, SimError, Simulation};
+use noc_sim::{NullProbe, Recorder, SimConfig, SimError, Simulation};
 use noc_topology::{NodeId, RectMesh, Torus};
 use noc_traffic::{SingleHotspot, Trace, TraceEntry, UniformRandom};
 
@@ -31,20 +31,24 @@ fn trace_replay_delivers_every_packet_once() {
     let cfg = SimConfig::builder()
         .warmup_cycles(0)
         .measure_cycles(1_000)
-        .record_deliveries(true)
         .build()
         .unwrap();
+    let recorder = Recorder::new();
     let mut sim =
-        Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg, NullProbe).unwrap();
+        Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg, recorder).unwrap();
     let stats = sim.run().unwrap();
     assert_eq!(stats.packets_generated, 50);
     assert_eq!(stats.packets_delivered, 50);
-    assert_eq!(sim.deliveries().len(), 50);
-    // Every delivery addressed the hot node.
-    assert!(sim.deliveries().iter().all(|d| d.dst == NodeId::new(8)));
+    let timings = sim.probe().packet_timings();
+    assert_eq!(timings.len(), 50);
+    // Every packet addressed the hot node, exactly once.
+    assert!(timings.iter().all(|t| t.dst == 8));
+    let mut packets: Vec<u64> = timings.iter().map(|t| t.packet).collect();
+    packets.sort_unstable();
+    assert_eq!(packets, (0..50).collect::<Vec<_>>());
     // Latencies and hops are plausible.
-    assert!(sim.deliveries().iter().all(|d| d.hops >= 1 && d.hops <= 4));
-    assert!(sim.deliveries().iter().all(|d| d.latency >= d.hops));
+    assert!(timings.iter().all(|t| t.hops >= 1 && t.hops <= 4));
+    assert!(timings.iter().all(|t| t.latency() >= t.hops));
 }
 
 #[test]
@@ -112,44 +116,29 @@ fn pipeline_trace_keeps_per_pair_fifo_order() {
     let cfg = SimConfig::builder()
         .warmup_cycles(0)
         .measure_cycles(2_000)
-        .record_deliveries(true)
         .build()
         .unwrap();
+    let recorder = Recorder::new();
     let mut sim =
-        Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg, NullProbe).unwrap();
+        Simulation::with_trace(Box::new(mesh), Box::new(routing), &trace, cfg, recorder).unwrap();
     let stats = sim.run().unwrap();
     assert_eq!(stats.packets_delivered as usize, trace.len());
     // Per (src, dst) pair: delivery order == packet-id order.
     use std::collections::HashMap;
-    let mut last: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-    for d in sim.deliveries() {
-        if let Some(&prev) = last.get(&(d.src, d.dst)) {
+    let mut last: HashMap<(usize, usize), u64> = HashMap::new();
+    let timings = sim.probe().packet_timings();
+    assert_eq!(timings.len(), trace.len());
+    for t in timings {
+        if let Some(&prev) = last.get(&(t.src, t.dst)) {
             assert!(
-                d.packet.raw() > prev,
+                t.packet > prev,
                 "out-of-order delivery for {}->{}",
-                d.src,
-                d.dst
+                t.src,
+                t.dst
             );
         }
-        last.insert((d.src, d.dst), d.packet.raw());
+        last.insert((t.src, t.dst), t.packet);
     }
-}
-
-#[test]
-fn delivery_log_off_by_default() {
-    let mesh = RectMesh::new(3, 3).unwrap();
-    let routing = MeshXY::new(&mesh);
-    let pattern = UniformRandom::new(9).unwrap();
-    let mut sim = Simulation::new(
-        Box::new(mesh),
-        Box::new(routing),
-        Box::new(pattern),
-        config(0.1),
-    )
-    .unwrap();
-    let stats = sim.run().unwrap();
-    assert!(stats.packets_delivered > 0);
-    assert!(sim.deliveries().is_empty());
 }
 
 #[test]

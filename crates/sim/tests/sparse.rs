@@ -4,19 +4,20 @@
 //! hot-spot traffic up to full saturation under any injection process,
 //! or a replayed trace; any buffer depth, sink rate and router delay),
 //! idle-router skipping, wake-on-change parking of stalled slots and
-//! clock fast-forward must never change `SimStats` or any recorded
-//! per-packet delivery (latency, hops, arrival cycle).
+//! clock fast-forward must never change `SimStats`, any packet's timing
+//! or any event a [`Recorder`] captures.
 
 use noc_routing::{
     MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst, TorusXY, WestFirst,
 };
-use noc_sim::{Delivery, SimConfig, SimStats, Simulation};
+use noc_sim::{NullProbe, Probe, Recorder, SimConfig, SimStats, Simulation};
 use noc_topology::{NodeId, RectMesh, Ring, Spidergon, Topology, Torus};
 use noc_traffic::{
     DoubleHotspot, InjectionProcess, SingleHotspot, Trace, TraceEntry, TrafficPattern,
     UniformRandom,
 };
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 /// Builds a (topology, routing) pair from a family selector and a size
 /// knob, both arbitrary. Family 4 is the West-First adaptive mesh, the
@@ -121,7 +122,9 @@ impl Case {
         }
     }
 
-    fn run(&self, sparse: bool) -> (SimStats, Vec<Delivery>) {
+    /// Runs the schedule sparse or dense with `probe` attached; returns
+    /// the statistics and the probe.
+    fn run<P: Probe>(&self, sparse: bool, probe: P) -> (SimStats, P) {
         let (topo, routing) = build_pair(self.pick, self.size);
         let n = topo.num_nodes();
         let cfg = SimConfig::builder()
@@ -136,24 +139,52 @@ impl Case {
             .router_delay(self.router_delay)
             .input_buffer_capacity(self.input_capacity)
             .output_buffer_capacity(self.output_capacity)
-            .record_deliveries(true)
             .sparse(sparse)
             .build()
             .unwrap();
-        let mut sim = Simulation::new(topo, routing, build_pattern(self.traffic, n), cfg).unwrap();
+        let pattern = build_pattern(self.traffic, n);
+        let mut sim = Simulation::with_probe(topo, routing, pattern, cfg, probe).unwrap();
         let stats = sim.run().unwrap();
-        (stats, sim.deliveries().to_vec())
+        (stats, sim.into_probe())
     }
 }
 
-/// Runs `case` sparse and dense and asserts identical stats and
-/// deliveries.
+/// Checks that sparse and dense runs agree, given `plain` (a run with
+/// no probe, sparse or dense) and `recorded` (the same run under a
+/// [`Recorder`]): the plain statistics, and the recorded statistics,
+/// every packet's timing and the digest of every recorded event. A
+/// recorded run must also have the plain run's statistics. Returns the
+/// sparse run's statistics.
+fn check_matches_dense(
+    plain: impl Fn(bool) -> SimStats,
+    recorded: impl Fn(bool) -> (SimStats, Recorder),
+) -> Result<SimStats, TestCaseError> {
+    let stats = plain(true);
+    prop_assert_eq!(&stats, &plain(false), "plain SimStats diverged");
+    let (sparse_stats, sparse) = recorded(true);
+    let (dense_stats, dense) = recorded(false);
+    prop_assert_eq!(&sparse_stats, &dense_stats, "recorded SimStats diverged");
+    prop_assert_eq!(&sparse_stats, &stats, "recording changed the SimStats");
+    prop_assert_eq!(
+        sparse.packet_timings(),
+        dense.packet_timings(),
+        "packet timings diverged"
+    );
+    prop_assert_eq!(sparse.digest(), dense.digest(), "recorded events diverged");
+    Ok(stats)
+}
+
+/// [`check_matches_dense`] over the sparse and dense runs of `case`.
+fn case_matches_dense(case: &Case) -> Result<SimStats, TestCaseError> {
+    check_matches_dense(
+        |sparse| case.run(sparse, NullProbe).0,
+        |sparse| case.run(sparse, Recorder::new()),
+    )
+}
+
+/// Runs `case` sparse and dense and asserts they agree.
 fn assert_matches_dense(case: &Case) -> SimStats {
-    let sparse = case.run(true);
-    let dense = case.run(false);
-    assert_eq!(sparse.0, dense.0, "SimStats diverged for {case:?}");
-    assert_eq!(sparse.1, dense.1, "deliveries diverged for {case:?}");
-    sparse.0
+    case_matches_dense(case).unwrap_or_else(|e| panic!("{case:?}: {e}"))
 }
 
 /// The named saturation case: spidergon-16 under a single hot-spot at
@@ -212,33 +243,28 @@ fn trace_replay_with_idle_gaps_matches_dense() {
         })
         .collect();
     let trace = Trace::new(16, entries).unwrap();
-    let run = |sparse: bool| {
+    fn run<P: Probe>(trace: &Trace, sparse: bool, probe: P) -> (SimStats, P) {
         let mesh = RectMesh::new(4, 4).unwrap();
         let routing = MeshXY::new(&mesh);
         let cfg = SimConfig::builder()
             .warmup_cycles(500)
             .measure_cycles(2_500)
             .sample_interval(64)
-            .record_deliveries(true)
             .sparse(sparse)
             .build()
             .unwrap();
-        let mut sim = Simulation::with_trace(
-            Box::new(mesh),
-            Box::new(routing),
-            &trace,
-            cfg,
-            noc_sim::NullProbe,
-        )
-        .unwrap();
+        let mut sim =
+            Simulation::with_trace(Box::new(mesh), Box::new(routing), trace, cfg, probe).unwrap();
         let stats = sim.run().unwrap();
-        (stats, sim.deliveries().to_vec())
-    };
-    let (sparse, dense) = (run(true), run(false));
-    assert_eq!(sparse.0, dense.0, "SimStats diverged");
-    assert_eq!(sparse.1, dense.1, "deliveries diverged");
-    assert_eq!(sparse.0.packets_generated, 30, "bursts after warmup");
-    assert_eq!(sparse.0.packets_delivered, 30);
+        (stats, sim.into_probe())
+    }
+    let stats = check_matches_dense(
+        |sparse| run(&trace, sparse, NullProbe).0,
+        |sparse| run(&trace, sparse, Recorder::new()),
+    )
+    .unwrap();
+    assert_eq!(stats.packets_generated, 30, "bursts after warmup");
+    assert_eq!(stats.packets_delivered, 30);
 }
 
 proptest! {
@@ -284,15 +310,13 @@ proptest! {
                 packet_len, seed,
             )
         };
-        let sparse = case.run(true);
-        let dense = case.run(false);
-        prop_assert_eq!(&sparse.0, &dense.0, "SimStats diverged");
-        prop_assert_eq!(&sparse.1, &dense.1, "per-packet deliveries diverged");
+        case_matches_dense(&case)?;
     }
 
     /// Idle-cycle skipping in isolation: low rates maximize
     /// fast-forward opportunities, so random short schedules here
-    /// stress the clock-jump resampling logic hardest.
+    /// stress the bookkeeping and probe calls of skipped cycles
+    /// hardest.
     #[test]
     fn idle_skipping_never_changes_latencies(
         pick in 0u8..5,
@@ -304,13 +328,6 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let case = Case::paper(pick, size, 0, lambda, warmup, measure, sample_interval, 4, seed);
-        let sparse = case.run(true);
-        let dense = case.run(false);
-        prop_assert_eq!(&sparse.0, &dense.0, "SimStats diverged");
-        for (a, b) in sparse.1.iter().zip(dense.1.iter()) {
-            prop_assert_eq!(a.latency, b.latency, "packet {:?} latency", a.packet);
-            prop_assert_eq!(a.hops, b.hops, "packet {:?} hops", a.packet);
-        }
-        prop_assert_eq!(sparse.1.len(), dense.1.len());
+        case_matches_dense(&case)?;
     }
 }

@@ -145,17 +145,6 @@ pub fn spidergon_link_count(n: usize) -> usize {
     3 * n
 }
 
-/// Torus network diameter: `floor(m/2) + floor(n/2)`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(noc_topology::analytical::torus_diameter(4, 4), 4);
-/// ```
-pub fn torus_diameter(m: usize, n: usize) -> usize {
-    m / 2 + n / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

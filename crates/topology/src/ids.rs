@@ -161,19 +161,6 @@ impl Direction {
             Direction::Local => 7,
         }
     }
-
-    /// Returns `true` for the directions used by ring-like topologies.
-    pub const fn is_ring_direction(self) -> bool {
-        matches!(self, Direction::Clockwise | Direction::CounterClockwise)
-    }
-
-    /// Returns `true` for the four mesh (cardinal) directions.
-    pub const fn is_mesh_direction(self) -> bool {
-        matches!(
-            self,
-            Direction::North | Direction::South | Direction::East | Direction::West
-        )
-    }
 }
 
 impl fmt::Display for Direction {
@@ -237,23 +224,6 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn direction_class_predicates_partition_link_directions() {
-        for dir in Direction::ALL {
-            let classes = [
-                dir.is_ring_direction(),
-                dir == Direction::Across,
-                dir.is_mesh_direction(),
-                dir == Direction::Local,
-            ];
-            assert_eq!(
-                classes.iter().filter(|&&c| c).count(),
-                1,
-                "{dir} must belong to exactly one class"
-            );
-        }
     }
 
     #[test]

@@ -96,18 +96,6 @@ impl IrregularMesh {
         self.num_nodes.div_ceil(self.cols)
     }
 
-    /// Number of nodes in the last row (equals `cols` when the grid is
-    /// a full rectangle).
-    #[inline]
-    pub fn last_row_len(&self) -> usize {
-        let rem = self.num_nodes % self.cols;
-        if rem == 0 {
-            self.cols
-        } else {
-            rem
-        }
-    }
-
     /// Returns `true` if the grid is actually a full rectangle.
     #[inline]
     pub fn is_full(&self) -> bool {
@@ -241,7 +229,6 @@ mod tests {
     fn partial_row_geometry() {
         let mesh = IrregularMesh::new(3, 7).unwrap();
         assert_eq!(mesh.rows(), 3);
-        assert_eq!(mesh.last_row_len(), 1);
         assert!(!mesh.is_full());
         assert_eq!(mesh.node_at(1, 2), None); // missing grid position
         assert_eq!(mesh.node_at(0, 2), Some(NodeId::new(6)));

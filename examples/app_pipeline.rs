@@ -5,7 +5,8 @@
 //! Four pipeline stages are mapped to IPs around the Spidergon; every
 //! `period` cycles an item enters stage 0, and each stage forwards its
 //! item to the next stage. The trace replays exactly (no stochastic
-//! sources), and the per-packet delivery log shows end-to-end behavior.
+//! sources), and a recorder's per-packet timings show end-to-end
+//! behavior.
 //!
 //! Run with:
 //!
@@ -14,7 +15,7 @@
 //! ```
 
 use spidergon_noc::routing::SpidergonAcrossFirst;
-use spidergon_noc::sim::{NullProbe, SimConfig, Simulation};
+use spidergon_noc::sim::{Recorder, SimConfig, Simulation};
 use spidergon_noc::topology::{NodeId, Spidergon};
 use spidergon_noc::traffic::Trace;
 
@@ -44,10 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SimConfig::builder()
         .warmup_cycles(0)
         .measure_cycles(trace.last_cycle().unwrap_or(0) + 500)
-        .record_deliveries(true)
         .build()?;
+    let recorder = Recorder::new();
     let mut sim =
-        Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, config, NullProbe)?;
+        Simulation::with_trace(Box::new(topo), Box::new(routing), &trace, config, recorder)?;
     let stats = sim.run()?;
 
     println!(
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.mean_hops().unwrap_or(f64::NAN),
     );
 
-    // Per-stage-link latency report from the delivery log.
+    // Per-stage-link latency report from the packet timings.
     println!();
     println!(
         "{:>12}  {:>8}  {:>12}  {:>10}",
@@ -66,15 +67,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for window in stages.windows(2) {
         let (src, dst) = (window[0], window[1]);
-        let deliveries: Vec<_> = sim
-            .deliveries()
+        let timings: Vec<_> = sim
+            .probe()
+            .packet_timings()
             .iter()
-            .filter(|d| d.src == src && d.dst == dst)
+            .filter(|t| t.src == src.index() && t.dst == dst.index())
             .collect();
-        let count = deliveries.len();
+        let count = timings.len();
         let lat: f64 =
-            deliveries.iter().map(|d| d.latency as f64).sum::<f64>() / count.max(1) as f64;
-        let hops: f64 = deliveries.iter().map(|d| d.hops as f64).sum::<f64>() / count.max(1) as f64;
+            timings.iter().map(|t| t.latency() as f64).sum::<f64>() / count.max(1) as f64;
+        let hops: f64 = timings.iter().map(|t| t.hops as f64).sum::<f64>() / count.max(1) as f64;
         println!(
             "{:>12}  {:>8}  {:>12.1}  {:>10.2}",
             format!("{src}->{dst}"),
