@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// and the stale records age out via [`ExperimentCache::gc`].
 /// Reordering `noc_topology::Direction::ALL` changes the payload
 /// layout too.
-pub const CACHE_SCHEMA: u32 = 3;
+pub const CACHE_SCHEMA: u32 = 4;
 
 /// Default store location, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "results/.cache";
@@ -790,14 +790,6 @@ mod tests {
             back.injection_rate.to_bits(),
             result.injection_rate.to_bits()
         );
-        let bits = |r: &RunResult| -> Vec<u64> {
-            r.stats
-                .throughput_samples
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        assert_eq!(bits(&back), bits(result));
         assert_eq!(encode_payload(&back), payload, "re-encoding is stable");
     }
 
@@ -824,13 +816,11 @@ mod tests {
                         .injection_rate(0.1 + 0.2)
                         .warmup_cycles(20)
                         .measure_cycles(300)
-                        .sample_interval(50)
                         .build()
                         .unwrap(),
                 };
                 let result = exp.run_with_seed(7).unwrap();
                 assert!(!result.stats.per_link.is_empty(), "{topology:?}");
-                assert_eq!(result.stats.throughput_samples.len(), 6);
                 assert_payload_round_trips(&result);
             }
         }

@@ -302,7 +302,6 @@ struct PacketTrack {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Auditor {
-    interval: u64,
     packet_len: usize,
     hop_budget: u64,
     /// Progress oracle enabled: preflight proved the algorithm minimal,
@@ -319,7 +318,6 @@ pub struct Auditor {
 impl fmt::Debug for Auditor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Auditor")
-            .field("interval", &self.interval)
             .field("minimal", &self.minimal)
             .field("report", &self.report)
             .finish_non_exhaustive()
@@ -335,21 +333,7 @@ impl Default for Auditor {
 impl Auditor {
     /// An auditor sweeping the whole network every cycle.
     pub fn new() -> Self {
-        Auditor::with_interval(1)
-    }
-
-    /// An auditor whose whole-network sweep (conservation, buffer
-    /// bounds, queue structure) runs every `interval`-th cycle, trading
-    /// coverage for speed. Per-flit checks (route legality, wormhole
-    /// ordering) still run on every event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval == 0`.
-    pub fn with_interval(interval: u64) -> Self {
-        assert!(interval > 0, "audit interval must be positive");
         Auditor {
-            interval,
             packet_len: 0,
             hop_budget: 0,
             minimal: false,
@@ -767,13 +751,9 @@ impl Probe for Auditor {
         }
     }
 
-    /// Per-cycle sweep (every `interval` cycles): conservation
-    /// identity, counter consistency, the arena bound, buffer bounds and
-    /// queue structure.
+    /// Per-cycle sweep: conservation identity, counter consistency, the
+    /// arena bound, buffer bounds and queue structure.
     fn on_cycle_end(&mut self, net: &Network) {
-        if !net.cycle().is_multiple_of(self.interval) {
-            return;
-        }
         let cycle = net.cycle();
         self.report.cycles_audited += 1;
         self.report.checks += 4;
@@ -1015,11 +995,5 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("flit-conservation"), "{text}");
         assert!(text.contains("cycle 42"), "{text}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_interval_rejected() {
-        let _ = Auditor::with_interval(0);
     }
 }

@@ -16,8 +16,10 @@
 //!   that many varints;
 //! * `per_link` as a length and one `(from, direction, flits)` triple
 //!   per link, the direction being its index in [`Direction::ALL`]
-//!   (so reordering that array changes the format);
-//! * `throughput_samples` as a length and that many floats.
+//!   (so reordering that array changes the format).
+//!
+//! [`SimStats`] holds no floats; [`put_f64`] and [`Reader::f64`] serve
+//! callers that frame the statistics with their own fields.
 //!
 //! [`Reader`] never panics and never allocates more than the bytes it
 //! has left could fill: a malformed, truncated or over-long input is a
@@ -247,7 +249,6 @@ impl SimStats {
             per_node_delivered,
             per_node_generated,
             per_link,
-            throughput_samples,
         } = self;
         put_u64(out, *measured_cycles);
         put_usize(out, *num_nodes);
@@ -285,10 +286,6 @@ impl SimStats {
             put_usize(out, link.from.index());
             put_usize(out, tag);
             put_u64(out, link.flits);
-        }
-        put_usize(out, throughput_samples.len());
-        for &sample in throughput_samples {
-            put_f64(out, sample);
         }
     }
 
@@ -330,11 +327,6 @@ impl SimStats {
                 flits,
             });
         }
-        let samples = r.length(8)?;
-        let mut throughput_samples = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            throughput_samples.push(r.f64()?);
-        }
         r.finish()?;
         Ok(SimStats {
             measured_cycles,
@@ -353,7 +345,6 @@ impl SimStats {
             per_node_delivered,
             per_node_generated,
             per_link,
-            throughput_samples,
         })
     }
 }
@@ -387,7 +378,6 @@ mod tests {
                     flits: 1 << (7 * i),
                 })
                 .collect(),
-            throughput_samples: vec![0.1, 0.2 + 0.1, f64::MIN_POSITIVE, -0.0, 1.0 / 3.0],
             ..SimStats::default()
         };
         for latency in [0, 1, 7, 7, 127, 128, 4095, 100_000, u64::MAX / 4] {
@@ -430,10 +420,6 @@ mod tests {
             let bytes = encode(&stats);
             let back = SimStats::decode(&bytes).unwrap();
             assert_eq!(back, stats);
-            let bits = |s: &SimStats| -> Vec<u64> {
-                s.throughput_samples.iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(&back), bits(&stats));
             assert_eq!(encode(&back), bytes, "re-encoding is byte-identical");
         }
     }
@@ -510,9 +496,9 @@ mod tests {
             ..SimStats::default()
         };
         let mut bytes = encode(&stats);
-        // The link triple is the last three bytes before the (empty)
-        // sample count: from, direction tag, flits.
-        let tag = bytes.len() - 3;
+        // The link triple is the last three bytes: from, direction tag,
+        // flits.
+        let tag = bytes.len() - 2;
         assert_eq!(bytes[tag], (Direction::ALL.len() - 1) as u8);
         bytes[tag] = Direction::ALL.len() as u8;
         let err = SimStats::decode(&bytes).unwrap_err();

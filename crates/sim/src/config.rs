@@ -79,9 +79,6 @@ pub struct SimConfig {
     /// Abort with [`SimError::Stalled`] if no flit moves for this many
     /// consecutive cycles while flits are in flight (deadlock watchdog).
     pub stall_threshold: u64,
-    /// Sampling window (cycles) for the throughput time series used by
-    /// [`crate::SimStats::throughput_ci`]; 0 disables sampling.
-    pub sample_interval: u64,
     /// Router pipeline depth in cycles: a flit arriving in an input
     /// buffer becomes eligible for switch allocation this many cycles
     /// later (0 = the paper's single-stage router; 2-3 models the
@@ -238,7 +235,6 @@ impl SimConfigBuilder {
                 measure_cycles: 10_000,
                 seed: 0xBAD5EED,
                 stall_threshold: 50_000,
-                sample_interval: 0,
                 router_delay: 0,
                 sparse: true,
             },
@@ -302,12 +298,6 @@ impl SimConfigBuilder {
     /// Sets the deadlock watchdog threshold.
     pub fn stall_threshold(&mut self, cycles: u64) -> &mut Self {
         self.config.stall_threshold = cycles;
-        self
-    }
-
-    /// Sets the throughput sampling window in cycles (0 disables).
-    pub fn sample_interval(&mut self, cycles: u64) -> &mut Self {
-        self.config.sample_interval = cycles;
         self
     }
 
@@ -532,17 +522,17 @@ mod tests {
         assert_eq!(cfg.injection_rate, 0.25);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.packet_len, 6);
-        assert_eq!(cfg.sample_interval, 0);
         assert!(cfg.sparse, "old specs get the sparse core");
         // The retired `audit` keys are ignored: auditing is a probe
         // (`crate::Auditor`), not part of the configuration. So are the
         // retired `compiled_routes` switch (the simulator compiles a
-        // route table whenever the routing algorithm allows one) and
+        // route table whenever the routing algorithm allows one),
         // `record_deliveries` (a `crate::Recorder` keeps every packet's
-        // timing).
+        // timing) and the throughput sampling interval (the recorder's
+        // windows are the one time series).
         let old: SimConfig = serde_json::from_str(
             r#"{"audit": true, "audit_interval": 0, "compiled_routes": false,
-                "record_deliveries": true, "seed": 9}"#,
+                "record_deliveries": true, "sample_interval": 50, "seed": 9}"#,
         )
         .unwrap();
         assert_eq!(

@@ -330,12 +330,6 @@ impl PacketArena {
         self.id[self.check(pkt)]
     }
 
-    /// Source node of the packet behind `pkt`.
-    #[inline]
-    pub fn src(&self, pkt: PacketRef) -> NodeId {
-        self.src[self.check(pkt)]
-    }
-
     /// Destination node of the packet behind `pkt`.
     #[inline]
     pub fn dst(&self, pkt: PacketRef) -> NodeId {
@@ -439,7 +433,6 @@ mod tests {
         let mut arena = PacketArena::new();
         let pkt = arena.alloc(PacketId::new(7), NodeId::new(2), NodeId::new(5), 42);
         assert_eq!(arena.packet_id(pkt), PacketId::new(7));
-        assert_eq!(arena.src(pkt), NodeId::new(2));
         assert_eq!(arena.dst(pkt), NodeId::new(5));
         assert_eq!(arena.created(pkt), 42);
         let mut flit = arena.flit(pkt, FlitKind::Tail);

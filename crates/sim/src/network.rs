@@ -282,8 +282,6 @@ pub struct Network {
     /// Flits per link slot during the window (ejection slots stay 0);
     /// [`run`](Self::run) sums each link's VCs into `per_link`.
     link_counters: Vec<u64>,
-    /// Delivered flits inside the current sampling window.
-    window_flits: u64,
     /// Reusable buffer for routing candidate directions (hot path:
     /// filled and drained every head-flit allocation attempt).
     dir_scratch: Vec<Direction>,
@@ -712,7 +710,6 @@ impl Network {
             measuring: false,
             stats: SimStats::default(),
             link_counters: Vec::new(),
-            window_flits: 0,
             dir_scratch: Vec::new(),
             route_scratch: Vec::new(),
             alloc_slot_counts,
@@ -926,7 +923,6 @@ impl Network {
         self.stats.per_node_delivered = vec![0; n];
         self.stats.per_node_generated = vec![0; n];
         self.link_counters = vec![0; self.link_dst.len()];
-        self.window_flits = 0;
         self.measuring = true;
         self.backlog_scan = true;
     }
@@ -1573,17 +1569,6 @@ impl Network {
     /// Phase 5: per-cycle statistics updates.
     #[inline]
     fn end_of_cycle_bookkeeping(&mut self) {
-        if self.measuring && self.config.sample_interval > 0 {
-            let elapsed = self.cycle + 1 - self.config.warmup_cycles;
-            if elapsed.is_multiple_of(self.config.sample_interval) {
-                let delivered_now = self.stats.flits_delivered;
-                let in_window = delivered_now - self.window_flits;
-                self.stats
-                    .throughput_samples
-                    .push(in_window as f64 / self.config.sample_interval as f64);
-                self.window_flits = delivered_now;
-            }
-        }
         if self.measuring {
             // A node's backlog only grows when it generates, so after
             // the first measured cycle only those nodes can raise the
@@ -1817,9 +1802,9 @@ mod tests {
             .unwrap()
     }
 
-    /// A recorded spidergon-`n` uniform run under `config`: its
-    /// statistics and the recorder.
-    fn recorded_spidergon(n: usize, config: SimConfig) -> (SimStats, crate::Recorder) {
+    /// A spidergon-`n` uniform run under `config`, recorded in windows
+    /// of `window` cycles: its statistics and the recorder.
+    fn recorded_spidergon(n: usize, config: SimConfig, window: u64) -> (SimStats, crate::Recorder) {
         let topo = Spidergon::new(n).unwrap();
         let routing = SpidergonAcrossFirst::new(&topo);
         let pattern = UniformRandom::new(n).unwrap();
@@ -1828,7 +1813,7 @@ mod tests {
             Box::new(routing),
             Box::new(pattern),
             config,
-            crate::Recorder::new(),
+            crate::Recorder::with_window(window),
         )
         .unwrap();
         assert!(sim.uses_compiled_routes());
@@ -1837,13 +1822,14 @@ mod tests {
     }
 
     /// Asserts that recorded sparse and dense runs agree on the
-    /// statistics, every packet's timing and every recorded event, and
-    /// that the plain sparse run has the same statistics.
-    fn assert_sparse_matches_dense(n: usize, config: &SimConfig) {
+    /// statistics, every packet's timing and every recorded event and
+    /// `window`-cycle time-series row, and that the plain sparse run has
+    /// the same statistics. Returns the sparse run's recorder.
+    fn assert_sparse_matches_dense(n: usize, config: &SimConfig, window: u64) -> crate::Recorder {
         let mut dense_config = config.clone();
         dense_config.sparse = false;
-        let (a, sparse) = recorded_spidergon(n, config.clone());
-        let (b, dense) = recorded_spidergon(n, dense_config);
+        let (a, sparse) = recorded_spidergon(n, config.clone(), window);
+        let (b, dense) = recorded_spidergon(n, dense_config, window);
         assert_eq!(a, b, "stats diverged under {config:?}");
         assert_eq!(
             sparse.packet_timings(),
@@ -1857,12 +1843,17 @@ mod tests {
         );
         let plain = spidergon_sim_with(n, config.clone()).run().unwrap();
         assert_eq!(plain, a, "recording changed the statistics");
+        sparse
     }
 
     #[test]
     fn sparse_matches_dense_bit_for_bit() {
         for lambda in [0.02, 0.3] {
-            assert_sparse_matches_dense(12, &variant_config(lambda, true));
+            assert_sparse_matches_dense(
+                12,
+                &variant_config(lambda, true),
+                crate::Recorder::DEFAULT_WINDOW,
+            );
         }
     }
 
@@ -2101,21 +2092,23 @@ mod tests {
     }
 
     #[test]
-    fn fast_forwarded_cycles_keep_throughput_samples() {
+    fn fast_forwarded_cycles_keep_recorder_windows() {
         // Zero injection: sparse mode fast-forwards the whole run. At
         // λ = 0.005 the network drains between packets, so skipped
-        // stretches close sampling windows that saw deliveries. Dense
-        // mode steps every cycle; the sampled throughput series and
+        // stretches close recorder windows that saw deliveries. Dense
+        // mode steps every cycle; the windowed throughput series and
         // the recorded events must come out identical anyway.
         for lambda in [0.0, 0.005] {
-            let mut config = variant_config(lambda, true);
-            config.sample_interval = 50;
-            assert_sparse_matches_dense(8, &config);
-            let stats = spidergon_sim_with(8, config).run().unwrap();
-            assert_eq!(stats.throughput_samples.len(), 40);
+            let config = variant_config(lambda, true);
+            let recorder = assert_sparse_matches_dense(8, &config, 50);
+            // The 50-cycle windows divide the 200-cycle warmup: the
+            // measured ones are those after the first four.
+            let measured = &recorder.windows()[4..];
+            assert_eq!(measured.len(), 40);
+            assert!(measured.iter().all(|w| w.cycles == 50));
             if lambda > 0.0 {
-                assert!(stats.throughput_samples.iter().any(|&s| s > 0.0));
-                assert!(stats.throughput_samples.contains(&0.0));
+                assert!(measured.iter().any(|w| w.delivered_flits > 0));
+                assert!(measured.iter().any(|w| w.delivered_flits == 0));
             }
         }
     }

@@ -232,8 +232,15 @@ pub struct LinkLoad {
 /// than two samples.
 ///
 /// `z` is the standard-normal quantile: 1.96 for 95%, 2.58 for 99%.
-/// For the long windows used here the batch means are approximately
-/// independent and normal, the textbook output-analysis setup.
+/// For long windows the batch means are approximately independent and
+/// normal, the textbook output-analysis setup.
+///
+/// A run's throughput series comes from a
+/// [`Recorder::with_window`](crate::Recorder::with_window) probe: take
+/// `delivered_flits / cycles` of each entry of
+/// [`Recorder::windows`](crate::Recorder::windows). Windows start at
+/// cycle 0, so when the window divides `warmup_cycles` the measured
+/// windows are those after the first `warmup_cycles / window`.
 ///
 /// # Panics
 ///
@@ -266,10 +273,11 @@ pub fn confidence_interval(samples: &[f64], z: f64) -> (f64, f64) {
 /// series: the prefix length `d` to discard so that the marginal
 /// standard error `s^2(d) / (n - d)` of the retained suffix is
 /// minimized. The standard data-driven warmup detector of simulation
-/// output analysis — run once with a long window and
-/// [`crate::SimConfig::sample_interval`] enabled, feed
-/// [`SimStats::throughput_samples`] here, and use the result (times the
-/// interval) as the warmup for production runs.
+/// output analysis — record one long run with
+/// [`Recorder::with_window`](crate::Recorder::with_window), feed the
+/// per-window throughput here (see [`confidence_interval`] for how to
+/// read it from [`Recorder::windows`](crate::Recorder::windows)), and
+/// use the result (times the window) as the warmup for production runs.
 ///
 /// Candidate truncations are limited to the first half of the series
 /// (the usual MSER-5 guard against degenerate all-but-tail cuts).
@@ -347,10 +355,6 @@ pub struct SimStats {
     /// Flits carried per unidirectional link during the window (link
     /// heat map; empty if the topology reported no links).
     pub per_link: Vec<LinkLoad>,
-    /// Delivered flits per sampling window (see
-    /// [`crate::SimConfig::sample_interval`]); empty when sampling is
-    /// disabled.
-    pub throughput_samples: Vec<f64>,
 }
 
 impl SimStats {
@@ -430,26 +434,6 @@ impl SimStats {
             .copied()
             .max_by_key(|l| l.flits)
             .filter(|l| l.flits > 0)
-    }
-
-    /// Batch-means confidence interval of the throughput samples:
-    /// `(mean flits/cycle, half-width)` at normal quantile `z`
-    /// (1.96 for 95%). Zero half-width when sampling was disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is not positive.
-    pub fn throughput_ci(&self, z: f64) -> (f64, f64) {
-        confidence_interval(&self.throughput_samples, z)
-    }
-
-    /// Mean link utilization: flits per cycle per unidirectional link,
-    /// given the topology's link count.
-    pub fn link_utilization(&self, num_links: usize) -> f64 {
-        if self.measured_cycles == 0 || num_links == 0 {
-            return 0.0;
-        }
-        self.link_traversals as f64 / (self.measured_cycles as f64 * num_links as f64)
     }
 }
 
@@ -632,7 +616,6 @@ mod tests {
         assert!((stats.offered_load() - 0.6).abs() < 1e-12);
         assert!((stats.acceptance_ratio() - 0.9).abs() < 1e-12);
         assert_eq!(stats.mean_hops(), Some(3.0));
-        assert!((stats.link_utilization(16) - 2000.0 / 16000.0).abs() < 1e-12);
     }
 
     #[test]
@@ -642,7 +625,6 @@ mod tests {
         assert_eq!(stats.throughput_per_node(), 0.0);
         assert_eq!(stats.acceptance_ratio(), 1.0);
         assert_eq!(stats.mean_hops(), None);
-        assert_eq!(stats.link_utilization(0), 0.0);
     }
 
     #[test]
@@ -668,6 +650,9 @@ mod tests {
         assert_eq!(confidence_interval(&[5.0], 1.96), (5.0, 0.0));
         let (m, hw) = confidence_interval(&[1.0, 1.0, 1.0], 1.96);
         assert_eq!((m, hw), (1.0, 0.0));
+        let (m, hw) = confidence_interval(&[1.0, 2.0, 3.0], 1.96);
+        assert!((m - 2.0).abs() < 1e-12);
+        assert!(hw > 0.0);
         // Wider spread, wider interval.
         let (_, hw_narrow) = confidence_interval(&[10.0, 10.1, 9.9, 10.0], 1.96);
         let (_, hw_wide) = confidence_interval(&[5.0, 15.0, 2.0, 18.0], 1.96);
@@ -681,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    fn hottest_link_and_samples() {
+    fn hottest_link_is_the_busiest() {
         let stats = SimStats {
             per_link: vec![
                 LinkLoad {
@@ -695,13 +680,9 @@ mod tests {
                     flits: 9,
                 },
             ],
-            throughput_samples: vec![1.0, 2.0, 3.0],
             ..SimStats::default()
         };
         assert_eq!(stats.hottest_link().unwrap().flits, 9);
-        let (m, hw) = stats.throughput_ci(1.96);
-        assert!((m - 2.0).abs() < 1e-12);
-        assert!(hw > 0.0);
         assert_eq!(SimStats::default().hottest_link(), None);
     }
 
@@ -798,15 +779,12 @@ mod tests {
     #[test]
     #[cfg(feature = "serde")]
     fn sim_stats_json_round_trip_is_bit_exact() {
-        // A JSON round trip must reproduce every field bit-for-bit,
-        // floats included (the vendored serde_json re-parses f64
-        // exactly).
+        // A JSON round trip must reproduce every field bit-for-bit.
         let mut stats = SimStats {
             measured_cycles: 1000,
             flits_injected: 123,
             flits_delivered: 120,
             packets_delivered: 20,
-            throughput_samples: vec![0.1, 0.2 + 0.1, f64::MIN_POSITIVE, 1.0 / 3.0],
             per_node_delivered: vec![5, 5, 10],
             ..SimStats::default()
         };

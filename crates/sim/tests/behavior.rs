@@ -2,7 +2,7 @@
 //! determinism, saturation behavior, and deadlock failure injection.
 
 use noc_routing::{MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst};
-use noc_sim::{SimConfig, SimError, Simulation};
+use noc_sim::{Recorder, SimConfig, SimError, Simulation};
 use noc_topology::{Direction, NodeId, RectMesh, Ring, Spidergon, Topology};
 use noc_traffic::{SingleHotspot, TrafficPattern, UniformRandom};
 
@@ -369,6 +369,15 @@ fn link_heat_map_identifies_hotspot_feeders() {
     assert_eq!(total, stats.link_traversals);
 }
 
+/// The throughput series of a recorded run: delivered flits per cycle
+/// of each completed window after the first `skip` (the warmup ones).
+fn windowed_throughput(recorder: &Recorder, skip: usize) -> Vec<f64> {
+    recorder.windows()[skip..]
+        .iter()
+        .map(|w| w.delivered_flits as f64 / w.cycles as f64)
+        .collect()
+}
+
 #[test]
 fn throughput_time_series_has_tight_ci_below_saturation() {
     let n = 8;
@@ -378,20 +387,23 @@ fn throughput_time_series_has_tight_ci_below_saturation() {
         .injection_rate(0.1)
         .warmup_cycles(500)
         .measure_cycles(8_000)
-        .sample_interval(500)
         .seed(23)
         .build()
         .unwrap();
-    let mut sim = Simulation::new(
+    let mut sim = Simulation::with_probe(
         Box::new(topo),
         Box::new(routing),
         Box::new(UniformRandom::new(n).unwrap()),
         cfg,
+        Recorder::with_window(500),
     )
     .unwrap();
     let stats = sim.run().unwrap();
-    assert_eq!(stats.throughput_samples.len(), 16);
-    let (mean, half_width) = stats.throughput_ci(1.96);
+    // The 500-cycle windows divide the warmup: all but the first are
+    // measured.
+    let samples = windowed_throughput(sim.probe(), 1);
+    assert_eq!(samples.len(), 16);
+    let (mean, half_width) = noc_sim::confidence_interval(&samples, 1.96);
     // CI brackets the overall throughput and is reasonably tight.
     let overall = stats.throughput_flits_per_cycle();
     assert!((mean - overall).abs() < 1e-9, "{mean} vs {overall}");
@@ -403,7 +415,7 @@ fn throughput_time_series_has_tight_ci_below_saturation() {
 
 #[test]
 fn mser_detects_cold_start_warmup_on_a_real_run() {
-    // Run with NO configured warmup but with sampling on: the MSER rule
+    // Run with NO configured warmup, recorded in windows: the MSER rule
     // must cut a nonzero cold-start prefix at high load, and the
     // post-truncation mean must sit at the saturated throughput.
     let n = 16;
@@ -418,29 +430,30 @@ fn mser_detects_cold_start_warmup_on_a_real_run() {
         .injection_rate(0.6)
         .warmup_cycles(0)
         .measure_cycles(20_000)
-        .sample_interval(20)
         .seed(41)
         .build()
         .unwrap();
-    let mut sim = Simulation::new(
+    let mut sim = Simulation::with_probe(
         Box::new(topo),
         Box::new(routing),
         Box::new(UniformRandom::new(n).unwrap()),
         cfg,
+        Recorder::with_window(20),
     )
     .unwrap();
     let stats = sim.run().unwrap();
+    let samples = windowed_throughput(sim.probe(), 0);
     // The raw series shows the cold start: the first sample (network
     // filling up) is below the steady-state mean.
     let all_mean = stats.throughput_flits_per_cycle();
     assert!(
-        stats.throughput_samples[0] < all_mean,
+        samples[0] < all_mean,
         "first window {} should be below the mean {all_mean}",
-        stats.throughput_samples[0]
+        samples[0]
     );
-    let cut = noc_sim::mser_truncation(&stats.throughput_samples);
-    assert!(cut <= stats.throughput_samples.len() / 2);
-    let tail = &stats.throughput_samples[cut..];
+    let cut = noc_sim::mser_truncation(&samples);
+    assert!(cut <= samples.len() / 2);
+    let tail = &samples[cut..];
     let tail_mean: f64 = tail.iter().sum::<f64>() / tail.len() as f64;
     assert!(
         tail_mean >= all_mean - 1e-9,

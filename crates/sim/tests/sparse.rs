@@ -80,7 +80,8 @@ struct Case {
     process: InjectionProcess,
     warmup: u64,
     measure: u64,
-    sample_interval: u64,
+    /// Recorder time-series window in cycles (0 is taken as 1).
+    window: u64,
     packet_len: usize,
     seed: u64,
     sink_rate: usize,
@@ -100,7 +101,7 @@ impl Case {
         lambda: f64,
         warmup: u64,
         measure: u64,
-        sample_interval: u64,
+        window: u64,
         packet_len: usize,
         seed: u64,
     ) -> Self {
@@ -112,7 +113,7 @@ impl Case {
             process: InjectionProcess::Poisson,
             warmup,
             measure,
-            sample_interval,
+            window,
             packet_len,
             seed,
             sink_rate: 1,
@@ -133,7 +134,6 @@ impl Case {
             .packet_len(self.packet_len)
             .warmup_cycles(self.warmup)
             .measure_cycles(self.measure)
-            .sample_interval(self.sample_interval)
             .seed(self.seed)
             .sink_rate(self.sink_rate)
             .router_delay(self.router_delay)
@@ -178,7 +178,7 @@ fn check_matches_dense(
 fn case_matches_dense(case: &Case) -> Result<SimStats, TestCaseError> {
     check_matches_dense(
         |sparse| case.run(sparse, NullProbe).0,
-        |sparse| case.run(sparse, Recorder::new()),
+        |sparse| case.run(sparse, Recorder::with_window(case.window.max(1))),
     )
 }
 
@@ -226,7 +226,7 @@ fn west_first_mesh_saturation_matches_dense() {
 /// A 4×4-mesh trace replay whose bursts (five packets in one cycle,
 /// several from one source) are 300 cycles apart, far longer than the
 /// network takes to drain: the sparse core fast-forwards the clock to
-/// the next trace entry, through the warmup boundary and over sampling
+/// the next trace entry, through the warmup boundary and over recorder
 /// windows, while the dense reference steps every cycle.
 #[test]
 fn trace_replay_with_idle_gaps_matches_dense() {
@@ -249,7 +249,6 @@ fn trace_replay_with_idle_gaps_matches_dense() {
         let cfg = SimConfig::builder()
             .warmup_cycles(500)
             .measure_cycles(2_500)
-            .sample_interval(64)
             .sparse(sparse)
             .build()
             .unwrap();
@@ -260,7 +259,7 @@ fn trace_replay_with_idle_gaps_matches_dense() {
     }
     let stats = check_matches_dense(
         |sparse| run(&trace, sparse, NullProbe).0,
-        |sparse| run(&trace, sparse, Recorder::new()),
+        |sparse| run(&trace, sparse, Recorder::with_window(64)),
     )
     .unwrap();
     assert_eq!(stats.packets_generated, 30, "bursts after warmup");
@@ -286,7 +285,7 @@ proptest! {
         process in 0usize..3,
         warmup in 0u64..200,
         measure in 50u64..600,
-        sample_interval in 0u64..80,
+        window in 0u64..80,
         packet_len in 1usize..6,
         seed in 0u64..1_000,
         sink_rate in 1usize..4,
@@ -306,7 +305,7 @@ proptest! {
             input_capacity,
             output_capacity,
             ..Case::paper(
-                pick, size, traffic, lambda, warmup, measure, sample_interval,
+                pick, size, traffic, lambda, warmup, measure, window,
                 packet_len, seed,
             )
         };
@@ -324,10 +323,10 @@ proptest! {
         lambda in 0.0f64..0.1,
         warmup in 0u64..150,
         measure in 100u64..800,
-        sample_interval in 1u64..60,
+        window in 1u64..60,
         seed in 0u64..1_000,
     ) {
-        let case = Case::paper(pick, size, 0, lambda, warmup, measure, sample_interval, 4, seed);
+        let case = Case::paper(pick, size, 0, lambda, warmup, measure, window, 4, seed);
         case_matches_dense(&case)?;
     }
 }
