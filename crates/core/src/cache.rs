@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// and the stale records age out via [`ExperimentCache::gc`].
 /// Reordering `noc_topology::Direction::ALL` changes the payload
 /// layout too.
-pub const CACHE_SCHEMA: u32 = 4;
+pub const CACHE_SCHEMA: u32 = 5;
 
 /// Default store location, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "results/.cache";

@@ -71,7 +71,8 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns a [`CoreError`] if the specs are invalid or the run
-    /// stalls (deadlock watchdog).
+    /// deadlocks: the watchdog reports a stall once no flit has moved
+    /// for `max(router_delay, 1)` cycles with flits in the network.
     pub fn run(&self) -> Result<RunResult, CoreError> {
         self.run_with_seed(self.config.seed)
     }

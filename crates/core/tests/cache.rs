@@ -194,7 +194,7 @@ fn fingerprint_is_stable_across_processes() {
     let again = fingerprint_with(2, "test-token", &exp, 42);
     assert_eq!(fp, again);
     assert_eq!(fp.hex().len(), 32);
-    assert_eq!(fp.hex(), "31e9a3ab7f3fd4dac76f2dac64657f62");
+    assert_eq!(fp.hex(), "7dd92cb2ae702ce8251459f733088873");
 }
 
 #[test]

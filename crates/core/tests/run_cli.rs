@@ -120,12 +120,13 @@ fn the_example_spec_still_runs() {
 #[test]
 fn retired_config_keys_are_ignored() {
     // Specs written while `audit`, `audit_interval`, `compiled_routes`,
-    // `record_deliveries` and the throughput sampling interval were
-    // configuration fields still run, with the same statistics as the
-    // spec without them.
+    // `record_deliveries`, the throughput sampling interval and the
+    // stall threshold were configuration fields still run, with the
+    // same statistics as the spec without them (a zero stall threshold
+    // was once rejected).
     let plain = run_with("measure_cycles", "500", &[]);
     let retired = r#"500, "audit": true, "audit_interval": 0, "compiled_routes": false,
-        "record_deliveries": true, "sample_interval": 50"#;
+        "record_deliveries": true, "sample_interval": 50, "stall_threshold": 0"#;
     let old = run_with("measure_cycles", retired, &[]);
     assert!(plain.status.success(), "{plain:?}");
     assert!(old.status.success(), "{old:?}");

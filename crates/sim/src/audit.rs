@@ -27,11 +27,12 @@
 //!   (checked against an independent BFS distance matrix), and no flit
 //!   exceeds the `4·N + 4` hop budget of
 //!   [`noc_routing::validate::walk_route`];
-//! * **Progress** — when the stall watchdog fires, the wait-for graph
-//!   of blocked virtual channels is inspected to distinguish a true
-//!   circular wait (deadlock, with a witness cycle) from starvation;
-//!   saturation alone never trips the watchdog because flits keep
-//!   moving.
+//! * **Progress** — when the stall watchdog fires (no flit moved for
+//!   `max(router_delay, 1)` cycles, so every flit in the network is
+//!   eligible and blocked), the wait-for graph of blocked virtual
+//!   channels is inspected to distinguish a true circular wait
+//!   (deadlock, with a witness cycle) from starvation; saturation alone
+//!   never trips the watchdog because flits keep moving.
 //!
 //! On attach the auditor also runs a **preflight** cross-check of the
 //! routing algorithm through [`noc_routing::validate`] and the channel

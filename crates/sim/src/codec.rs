@@ -245,7 +245,6 @@ impl SimStats {
             total_hops,
             link_traversals,
             backlog_flits,
-            max_source_backlog,
             per_node_delivered,
             per_node_generated,
             per_link,
@@ -263,12 +262,7 @@ impl SimStats {
             put_u64(out, *value);
         }
         latency.encode_into(out);
-        for value in [
-            total_hops,
-            link_traversals,
-            backlog_flits,
-            max_source_backlog,
-        ] {
+        for value in [total_hops, link_traversals, backlog_flits] {
             put_u64(out, *value);
         }
         for values in [per_node_delivered, per_node_generated] {
@@ -310,7 +304,6 @@ impl SimStats {
         let total_hops = r.u64()?;
         let link_traversals = r.u64()?;
         let backlog_flits = r.u64()?;
-        let max_source_backlog = r.u64()?;
         let per_node_delivered = r.vec_u64()?;
         let per_node_generated = r.vec_u64()?;
         let links = r.length(3)?;
@@ -341,7 +334,6 @@ impl SimStats {
             total_hops,
             link_traversals,
             backlog_flits,
-            max_source_backlog,
             per_node_delivered,
             per_node_generated,
             per_link,
@@ -366,7 +358,6 @@ mod tests {
             total_hops: 61,
             link_traversals: 366,
             backlog_flits: 10,
-            max_source_backlog: 12,
             per_node_delivered: vec![60, 0, 120, 0],
             per_node_generated: vec![0, 14, 13, 13],
             per_link: Direction::ALL

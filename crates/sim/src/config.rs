@@ -76,9 +76,6 @@ pub struct SimConfig {
     pub measure_cycles: u64,
     /// RNG seed; equal seeds give bit-identical runs.
     pub seed: u64,
-    /// Abort with [`SimError::Stalled`] if no flit moves for this many
-    /// consecutive cycles while flits are in flight (deadlock watchdog).
-    pub stall_threshold: u64,
     /// Router pipeline depth in cycles: a flit arriving in an input
     /// buffer becomes eligible for switch allocation this many cycles
     /// later (0 = the paper's single-stage router; 2-3 models the
@@ -124,8 +121,8 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a zero packet length,
-    /// sink rate, measurement window or stall threshold; a packet
-    /// length above [`MAX_PACKET_LEN`];
+    /// sink rate or measurement window; a packet length above
+    /// [`MAX_PACKET_LEN`];
     /// a negative or non-finite injection rate; a
     /// [`Bernoulli`](InjectionProcess::Bernoulli) rate above one packet
     /// per cycle (`packet_len` flits); buffer capacities outside
@@ -176,8 +173,6 @@ impl SimConfig {
                 self.router_delay,
                 self.total_cycles()
             )
-        } else if self.stall_threshold == 0 {
-            "stall_threshold must be positive".to_owned()
         } else {
             return Ok(());
         };
@@ -234,7 +229,6 @@ impl SimConfigBuilder {
                 warmup_cycles: 1_000,
                 measure_cycles: 10_000,
                 seed: 0xBAD5EED,
-                stall_threshold: 50_000,
                 router_delay: 0,
                 sparse: true,
             },
@@ -292,12 +286,6 @@ impl SimConfigBuilder {
     /// Sets the RNG seed.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Sets the deadlock watchdog threshold.
-    pub fn stall_threshold(&mut self, cycles: u64) -> &mut Self {
-        self.config.stall_threshold = cycles;
         self
     }
 
@@ -510,11 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_zero_stall_threshold() {
-        assert!(rejection(|c| c.stall_threshold = 0).contains("stall_threshold"));
-    }
-
-    #[test]
     fn partial_json_configs_fill_defaults() {
         // Specs written before a field existed must still parse.
         let cfg: SimConfig =
@@ -528,11 +511,14 @@ mod tests {
         // retired `compiled_routes` switch (the simulator compiles a
         // route table whenever the routing algorithm allows one),
         // `record_deliveries` (a `crate::Recorder` keeps every packet's
-        // timing) and the throughput sampling interval (the recorder's
-        // windows are the one time series).
+        // timing), the throughput sampling interval (the recorder's
+        // windows are the one time series) and the stall threshold (the
+        // watchdog derives its wait from `router_delay`; zero was once
+        // rejected).
         let old: SimConfig = serde_json::from_str(
             r#"{"audit": true, "audit_interval": 0, "compiled_routes": false,
-                "record_deliveries": true, "sample_interval": 50, "seed": 9}"#,
+                "record_deliveries": true, "sample_interval": 50,
+                "stall_threshold": 0, "seed": 9}"#,
         )
         .unwrap();
         assert_eq!(

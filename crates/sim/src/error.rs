@@ -24,7 +24,7 @@ pub enum SimError {
         reason: String,
     },
     /// The deadlock watchdog fired: flits were in flight but none moved
-    /// for the configured number of cycles.
+    /// for `max(router_delay, 1)` consecutive cycles, so none ever will.
     Stalled {
         /// Cycle at which the stall was declared.
         cycle: u64,

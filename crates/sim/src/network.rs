@@ -94,9 +94,8 @@
 //! maintenance either. When the network holds no flits at all,
 //! [`Simulation::run`] fast-forwards the clock to the next scheduled
 //! arrival: it skips the four phases of each empty cycle, which would
-//! do nothing, and still runs that cycle's bookkeeping and
-//! [`Probe::on_cycle_end`], so a skipped cycle looks the same to the
-//! statistics and to every probe as a stepped one.
+//! do nothing, and still calls [`Probe::on_cycle_end`] for that cycle,
+//! so a skipped cycle looks the same to every probe as a stepped one.
 //!
 //! Within an active router the core is **wake-on-change**. Past
 //! saturation most attempts fail on a full or foreign-owned queue and
@@ -128,6 +127,20 @@
 //! router and retries every slot every cycle, parks nothing and keeps no
 //! skip, so it stays an independent oracle for the differential
 //! conformance checks; both modes produce bit-identical results.
+//!
+//! # Deadlock watchdog
+//!
+//! A step reports [`SimError::Stalled`] once no flit has moved for
+//! `max(router_delay, 1)` consecutive cycles while flits are in the
+//! network. The wait is exact: a flit that crosses a link at cycle `t`
+//! is eligible for switch allocation at `t + router_delay`, and one
+//! placed in an output queue or ejection channel can leave it the next
+//! cycle, so after that wait every flit is eligible. An idle cycle in
+//! which every flit is eligible means each waits on a full or
+//! foreign-owned buffer or queue that only another stuck flit can free;
+//! the cycle changed no state, so every later cycle fails the same way,
+//! and new packets only add flits. A run that is not deadlocked never
+//! idles for `max(router_delay, 1)` cycles with flits in the network.
 
 use crate::arrivals::Arrivals;
 use crate::buffer::{InputRings, OutputRings, SlotRoute};
@@ -276,6 +289,7 @@ pub struct Network {
     /// Lifetime totals (warmup included), for conservation checks.
     total_flits_generated: u64,
     total_flits_consumed: u64,
+    /// Consecutive cycles with flits in the network and no move.
     idle_cycles: u64,
     measuring: bool,
     stats: SimStats,
@@ -291,14 +305,6 @@ pub struct Network {
     /// Distinct allocation-slot counts over all routers: switch
     /// allocation takes `cycle % count` once per cycle for each.
     alloc_slot_counts: Vec<usize>,
-    /// Nodes whose source backlog grew this cycle (generation is the
-    /// only thing that grows one), so the measured maximum backlog
-    /// only needs to look at them.
-    backlog_grew: Vec<usize>,
-    /// Set at the start of measurement: the first measured cycle takes
-    /// the maximum over every active node, since backlog carried over
-    /// from the warmup was never looked at.
-    backlog_scan: bool,
     /// `active_mask[v]` ⟺ `v` is in the worklist (on `active_nodes` or
     /// `pending_active`). Invariant at every cycle boundary:
     /// `active_mask[v] ⟺ node_flits[v].total() > 0`. Dense mode pins
@@ -713,8 +719,6 @@ impl Network {
             dir_scratch: Vec::new(),
             route_scratch: Vec::new(),
             alloc_slot_counts,
-            backlog_grew: Vec::new(),
-            backlog_scan: false,
             active_mask,
             active_nodes,
             pending_active: Vec::new(),
@@ -892,10 +896,10 @@ impl Network {
     /// Skips the phases of a provably empty stretch: with no flit
     /// anywhere (network or source queues), generation, consumption,
     /// link transfer and switch allocation do nothing in every cycle
-    /// before the next scheduled arrival. Each skipped cycle still runs
-    /// its bookkeeping and [`Probe::on_cycle_end`] at its own cycle
-    /// number, exactly as [`step`](Self::step) would. Never crosses
-    /// the warmup boundary, so measurement starts on time.
+    /// before the next scheduled arrival. Each skipped cycle still calls
+    /// [`Probe::on_cycle_end`] at its own cycle number, exactly as
+    /// [`step`](Self::step) would. Never crosses the warmup boundary,
+    /// so measurement starts on time.
     ///
     /// Returns `true` if the clock advanced.
     fn try_fast_forward<P: Probe>(&mut self, probe: &mut P, total: u64) -> bool {
@@ -910,7 +914,6 @@ impl Network {
             return false;
         }
         while self.cycle < target {
-            self.end_of_cycle_bookkeeping();
             probe.on_cycle_end(self);
             self.cycle += 1;
         }
@@ -924,7 +927,6 @@ impl Network {
         self.stats.per_node_generated = vec![0; n];
         self.link_counters = vec![0; self.link_dst.len()];
         self.measuring = true;
-        self.backlog_scan = true;
     }
 
     /// Puts router `v` on the active worklist if it is not already
@@ -988,13 +990,12 @@ impl Network {
         self.merge_pending();
         moved |= self.allocate_switches(probe);
         self.active_node_cycles += self.active_nodes.len() as u64;
-        self.end_of_cycle_bookkeeping();
         probe.on_cycle_end(self);
         self.retire_idle();
 
         if !moved && self.in_network > 0 {
             self.idle_cycles += 1;
-            if self.idle_cycles >= self.config.stall_threshold {
+            if self.idle_cycles >= self.config.router_delay.max(1) {
                 // Before reporting the stall, let the probe inspect the
                 // network (the auditor tells deadlock from starvation).
                 probe.on_stall(self);
@@ -1032,9 +1033,6 @@ impl Network {
                 created: self.cycle,
             });
             self.node_flits[v].source += len as u32;
-            if self.measuring {
-                self.backlog_grew.push(v);
-            }
             self.activate(v);
         }
     }
@@ -1565,29 +1563,6 @@ impl Network {
         }
         true
     }
-
-    /// Phase 5: per-cycle statistics updates.
-    #[inline]
-    fn end_of_cycle_bookkeeping(&mut self) {
-        if self.measuring {
-            // A node's backlog only grows when it generates, so after
-            // the first measured cycle only those nodes can raise the
-            // maximum. Only active routers can hold source backlog
-            // (backlogged flits keep their router on the worklist).
-            let nodes = if std::mem::take(&mut self.backlog_scan) {
-                &self.active_nodes
-            } else {
-                &self.backlog_grew
-            };
-            let max_backlog = nodes
-                .iter()
-                .map(|&v| u64::from(self.node_flits[v].source))
-                .max()
-                .unwrap_or(0);
-            self.stats.max_source_backlog = self.stats.max_source_backlog.max(max_backlog);
-            self.backlog_grew.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1756,7 +1731,6 @@ mod tests {
         let stats = sim.run().unwrap();
         assert!(stats.acceptance_ratio() < 1.0, "{stats}");
         assert!(stats.backlog_flits > 0);
-        assert!(stats.max_source_backlog > 0);
     }
 
     #[test]
@@ -1871,76 +1845,6 @@ mod tests {
             (dense_ratio - 1.0).abs() < 1e-12,
             "dense ratio {dense_ratio}"
         );
-    }
-
-    #[test]
-    fn max_source_backlog_matches_a_full_scan() {
-        // Only nodes that generated are checked after the first
-        // measured cycle; a full scan every cycle must agree, backlog
-        // carried over from the warmup included.
-        for seed in [3, 17, 2006] {
-            let config = SimConfig::builder()
-                .injection_rate(0.8)
-                .warmup_cycles(300)
-                .measure_cycles(400)
-                .seed(seed)
-                .build()
-                .unwrap();
-            let ring = Ring::new(16).unwrap();
-            let mesh = RectMesh::new(4, 4).unwrap();
-            let spidergon = Spidergon::new(16).unwrap();
-            let sims = [
-                (
-                    "ring",
-                    Simulation::new(
-                        Box::new(ring.clone()),
-                        Box::new(RingShortestPath::new(&ring)),
-                        Box::new(UniformRandom::new(16).unwrap()),
-                        config.clone(),
-                    ),
-                ),
-                (
-                    "mesh",
-                    Simulation::new(
-                        Box::new(mesh.clone()),
-                        Box::new(MeshXY::new(&mesh)),
-                        Box::new(UniformRandom::new(16).unwrap()),
-                        config.clone(),
-                    ),
-                ),
-                (
-                    "spidergon",
-                    Simulation::new(
-                        Box::new(spidergon.clone()),
-                        Box::new(SpidergonAcrossFirst::new(&spidergon)),
-                        Box::new(SingleHotspot::new(16, NodeId::new(0)).unwrap()),
-                        config.clone(),
-                    ),
-                ),
-            ];
-            for (label, sim) in sims {
-                let mut sim = sim.unwrap();
-                let mut expected = 0;
-                while sim.cycle() < config.total_cycles() {
-                    if sim.cycle() == config.warmup_cycles {
-                        sim.net.begin_measurement();
-                    }
-                    sim.step().unwrap();
-                    if sim.cycle() <= config.warmup_cycles {
-                        continue;
-                    }
-                    let now = sim.node_flits.iter().map(|f| u64::from(f.source)).max();
-                    expected = expected.max(now.unwrap());
-                    assert_eq!(
-                        sim.stats.max_source_backlog,
-                        expected,
-                        "{label}, seed {seed}, cycle {}",
-                        sim.cycle() - 1
-                    );
-                }
-                assert!(expected > 0, "{label}, seed {seed}: never backlogged");
-            }
-        }
     }
 
     #[test]

@@ -191,15 +191,17 @@ pub trait Probe: sealed::Sealed + core::fmt::Debug {
 
     /// All phases of cycle [`net.cycle()`](Network::cycle) have run,
     /// or were skipped because the network was empty and they would
-    /// have done nothing. Called once for every cycle either way.
+    /// have done nothing. Called once for every cycle either way, and
+    /// the only work a skipped cycle does.
     #[inline]
     fn on_cycle_end(&mut self, net: &Network) {
         let _ = net;
     }
 
     /// The stall watchdog fired ([`SimError::Stalled`](crate::SimError)
-    /// follows): no flit moved for `stall_threshold` cycles while flits
-    /// were in flight.
+    /// follows): no flit moved for `max(router_delay, 1)` consecutive
+    /// cycles while flits were in flight, so every one of them is
+    /// eligible to move and blocked for good.
     #[inline]
     fn on_stall(&mut self, net: &Network) {
         let _ = net;

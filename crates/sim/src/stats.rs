@@ -344,9 +344,6 @@ pub struct SimStats {
     pub link_traversals: u64,
     /// Flits waiting in source queues when the run ended.
     pub backlog_flits: u64,
-    /// Largest single-source queue length (in flits) seen at any cycle
-    /// end during the window.
-    pub max_source_backlog: u64,
     /// Flits consumed per node during the window (destination load
     /// map; hot spots show up as spikes).
     pub per_node_delivered: Vec<u64>,

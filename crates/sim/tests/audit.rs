@@ -229,7 +229,6 @@ fn single_vc_ring_deadlock_is_diagnosed() {
         .injection_rate(1.0)
         .warmup_cycles(0)
         .measure_cycles(50_000)
-        .stall_threshold(1_000)
         .seed(11)
         .build()
         .unwrap();

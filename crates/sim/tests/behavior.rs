@@ -2,7 +2,7 @@
 //! determinism, saturation behavior, and deadlock failure injection.
 
 use noc_routing::{MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst};
-use noc_sim::{Recorder, SimConfig, SimError, Simulation};
+use noc_sim::{Recorder, SimConfig, SimError, Simulation, TraceEvent};
 use noc_topology::{Direction, NodeId, RectMesh, Ring, Spidergon, Topology};
 use noc_traffic::{SingleHotspot, TrafficPattern, UniformRandom};
 
@@ -183,7 +183,6 @@ fn deadlock_watchdog_fires_without_dateline_vcs() {
         .injection_rate(0.9)
         .warmup_cycles(0)
         .measure_cycles(60_000)
-        .stall_threshold(2_000)
         .seed(4242)
         .build()
         .unwrap();
@@ -215,7 +214,6 @@ fn dateline_vcs_prevent_the_same_deadlock() {
         .injection_rate(0.9)
         .warmup_cycles(0)
         .measure_cycles(60_000)
-        .stall_threshold(2_000)
         .seed(4242)
         .build()
         .unwrap();
@@ -228,6 +226,60 @@ fn dateline_vcs_prevent_the_same_deadlock() {
     .unwrap();
     let stats = sim.run().unwrap();
     assert!(stats.packets_delivered > 1_000);
+}
+
+#[test]
+fn deadlock_is_declared_max_router_delay_one_cycles_after_the_last_move() {
+    // Once `max(router_delay, 1)` cycles pass with no move, every flit
+    // in the network is eligible and stuck, so the watchdog fires right
+    // then: one idle cycle later at delays 0 and 1, `router_delay`
+    // cycles later beyond.
+    for router_delay in 0..=3u64 {
+        let n = 8;
+        let topo = Ring::new(n).unwrap();
+        let routing = SingleVcRing(RingShortestPath::new(&topo));
+        let cfg = SimConfig::builder()
+            .injection_rate(0.9)
+            .router_delay(router_delay)
+            .warmup_cycles(0)
+            .measure_cycles(60_000)
+            .seed(4242)
+            .build()
+            .unwrap();
+        let mut sim = Simulation::with_probe(
+            Box::new(topo),
+            Box::new(routing),
+            Box::new(UniformRandom::new(n).unwrap()),
+            cfg,
+            Recorder::new(),
+        )
+        .unwrap();
+        let stalled_at = match sim.run() {
+            Err(SimError::Stalled { cycle, .. }) => cycle,
+            other => panic!("router_delay {router_delay}: expected a stall, got {other:?}"),
+        };
+        let last_move = sim
+            .probe()
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Inject { .. }
+                        | TraceEvent::BufferExit { .. }
+                        | TraceEvent::LinkTraverse { .. }
+                        | TraceEvent::Deliver { .. }
+                )
+            })
+            .map(TraceEvent::cycle)
+            .max()
+            .expect("flits moved before the deadlock");
+        assert_eq!(
+            stalled_at,
+            last_move + router_delay.max(1),
+            "router_delay {router_delay}: last move at cycle {last_move}"
+        );
+    }
 }
 
 #[test]

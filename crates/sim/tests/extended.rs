@@ -194,7 +194,6 @@ fn torus_under_heavy_load_does_not_deadlock() {
         .injection_rate(1.0)
         .warmup_cycles(0)
         .measure_cycles(20_000)
-        .stall_threshold(2_000)
         .seed(5)
         .build()
         .unwrap();
@@ -234,7 +233,6 @@ fn west_first_survives_heavy_congestion_without_deadlock() {
         .injection_rate(0.8)
         .warmup_cycles(0)
         .measure_cycles(20_000)
-        .stall_threshold(2_000)
         .seed(6)
         .build()
         .unwrap();

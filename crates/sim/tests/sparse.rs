@@ -314,8 +314,7 @@ proptest! {
 
     /// Idle-cycle skipping in isolation: low rates maximize
     /// fast-forward opportunities, so random short schedules here
-    /// stress the bookkeeping and probe calls of skipped cycles
-    /// hardest.
+    /// stress the probe calls of skipped cycles hardest.
     #[test]
     fn idle_skipping_never_changes_latencies(
         pick in 0u8..5,

@@ -321,8 +321,12 @@ fn golden_scenarios_match_reference() {
                 path.display()
             )
         });
-        // A field rename/removal fails right here, in deserialization;
-        // numeric drift is caught below with the offending path.
+        // A field added to or renamed in `RunResult` fails right here:
+        // deserialization errors on a field the golden file lacks
+        // (`SimConfig` aside, whose missing fields take their defaults).
+        // A removed field passes silently, since unknown keys are
+        // ignored, so the golden file may keep a stale key. Numeric
+        // drift is caught below with the offending path.
         let expected: spidergon_noc::RunResult = serde_json::from_str(&golden)
             .unwrap_or_else(|e| panic!("{file}: golden file no longer matches RunResult: {e}"));
         if let Some(diff) = json_diff(&result.to_value(), &expected.to_value(), file, 1e-9) {
