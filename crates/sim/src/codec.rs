@@ -11,7 +11,11 @@
 //! * [`LatencyStats`] as `count, sum, min, max`, then the number of
 //!   non-zero bins and one `(gap, count)` pair per such bin, where the
 //!   bin index is the previous non-zero index plus one plus `gap`
-//!   (the first index is `gap` itself);
+//!   (the first index is `gap` itself). These are the summary's
+//!   in-memory `(bin, count)` pairs, so decoding pushes each pair as
+//!   read; it rejects an empty bin, an index past the overflow bin,
+//!   counts that do not add up to `count` and a last bin other than
+//!   the maximum's;
 //! * `per_node_delivered` and `per_node_generated` as a length and
 //!   that many varints;
 //! * `per_link` as a length and one `(from, direction, flits)` triple
@@ -92,6 +96,13 @@ impl<'a> Reader<'a> {
     ///
     /// Fails at the end of input or when the value exceeds `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        // Most values fit in one byte.
+        if let Some((&byte, rest)) = self.rest.split_first() {
+            if byte < 0x80 {
+                self.rest = rest;
+                return Ok(u64::from(byte));
+            }
+        }
         let mut value = 0u64;
         for shift in (0..64).step_by(7) {
             let byte = self.take(1)?[0];
@@ -183,12 +194,12 @@ impl LatencyStats {
         for value in [count, sum, min, max] {
             put_u64(out, *value);
         }
-        put_usize(out, bins.iter().filter(|&&n| n > 0).count());
+        put_usize(out, bins.len());
         let mut next = 0;
-        for (index, &n) in bins.iter().enumerate().filter(|&(_, &n)| n > 0) {
-            put_usize(out, index - next);
+        for &(bin, n) in bins {
+            put_u64(out, bin - next);
             put_u64(out, n);
-            next = index + 1;
+            next = bin + 1;
         }
     }
 
@@ -199,30 +210,21 @@ impl LatencyStats {
         out.min = r.u64()?;
         out.max = r.u64()?;
         let pairs = r.length(2)?;
-        let (mut next, mut binned) = (0usize, 0u64);
+        out.bins.reserve_exact(pairs);
+        let mut next = 0u64;
         for _ in 0..pairs {
-            let index = next
-                .checked_add(r.usize()?)
-                .filter(|&index| index < Self::HISTOGRAM_BINS)
+            let bin = next
+                .checked_add(r.u64()?)
+                .filter(|&bin| bin < Self::HISTOGRAM_BINS as u64)
                 .ok_or(DecodeError("bin index out of range"))?;
             let n = r.u64()?;
             if n == 0 {
                 return Err(DecodeError("empty bin listed"));
             }
-            binned = binned
-                .checked_add(n)
-                .ok_or(DecodeError("bin counts overflow"))?;
-            out.bins.resize(index, 0);
-            out.bins.push(n);
-            next = index + 1;
+            out.bins.push((bin, n));
+            next = bin + 1;
         }
-        if binned != out.count {
-            return Err(DecodeError("bin counts disagree with the sample count"));
-        }
-        let top = out.max.min(Self::HISTOGRAM_BINS as u64 - 1) as usize + 1;
-        if out.count > 0 && out.bins.len() != top {
-            return Err(DecodeError("last bin disagrees with the maximum"));
-        }
+        out.check_bins().map_err(DecodeError)?;
         Ok(out)
     }
 }
@@ -288,8 +290,9 @@ impl SimStats {
     /// # Errors
     ///
     /// Fails on truncated or trailing input, a bin index at or above
-    /// [`LatencyStats::HISTOGRAM_BINS`], bin counts that do not add up
-    /// to the sample count, or a direction outside [`Direction::ALL`].
+    /// [`LatencyStats::HISTOGRAM_BINS`], an empty bin, bin counts that
+    /// do not add up to the sample count, a last bin other than the
+    /// maximum's, or a direction outside [`Direction::ALL`].
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes);
         let measured_cycles = r.u64()?;

@@ -146,7 +146,7 @@ use crate::arrivals::Arrivals;
 use crate::buffer::{InputRings, OutputRings, SlotRoute};
 use crate::flit::{ArenaFlit, FlitKind, PacketArena, PacketRef};
 use crate::probe::{NetworkShape, NullProbe, Probe};
-use crate::stats::LinkLoad;
+use crate::stats::{LatencyTally, LinkLoad};
 use crate::{PacketId, SimConfig, SimError, SimStats};
 use noc_routing::{CompiledRoutes, RoutingAlgorithm};
 use noc_topology::{Direction, NodeId, Topology};
@@ -296,6 +296,9 @@ pub struct Network {
     /// Flits per link slot during the window (ejection slots stay 0);
     /// [`run`](Self::run) sums each link's VCs into `per_link`.
     link_counters: Vec<u64>,
+    /// Packet latencies during the window, counted densely;
+    /// [`run`](Self::run) folds them into `latency`.
+    latency: LatencyTally,
     /// Reusable buffer for routing candidate directions (hot path:
     /// filled and drained every head-flit allocation attempt).
     dir_scratch: Vec<Direction>,
@@ -716,6 +719,7 @@ impl Network {
             measuring: false,
             stats: SimStats::default(),
             link_counters: Vec::new(),
+            latency: LatencyTally::default(),
             dir_scratch: Vec::new(),
             route_scratch: Vec::new(),
             alloc_slot_counts,
@@ -873,6 +877,7 @@ impl Network {
         stats.num_sources = self.num_sources;
         stats.backlog_flits = self.source_backlog();
         if self.measuring {
+            stats.latency = self.latency.summary();
             let (vcs, counters) = (self.vcs, &self.link_counters);
             stats.per_link = self
                 .nodes
@@ -926,6 +931,7 @@ impl Network {
         self.stats.per_node_delivered = vec![0; n];
         self.stats.per_node_generated = vec![0; n];
         self.link_counters = vec![0; self.link_dst.len()];
+        self.latency = LatencyTally::default();
         self.measuring = true;
     }
 
@@ -1091,7 +1097,7 @@ impl Network {
                         if self.measuring {
                             self.stats.packets_delivered += 1;
                             self.stats.total_hops += hops;
-                            self.stats.latency.record(self.cycle - created);
+                            self.latency.record(self.cycle - created);
                         }
                         self.arena.free(flit.pkt);
                     }

@@ -14,9 +14,11 @@ use noc_topology::{Direction, NodeId};
 ///
 /// Latencies up to [`LatencyStats::HISTOGRAM_BINS`]` - 1` cycles are
 /// binned exactly; larger values share the overflow bin (percentiles
-/// then saturate, min/max/mean stay exact). The bins are stored only up
-/// to the largest sample's, so a summary of short latencies stays
-/// small.
+/// then saturate, min/max/mean stay exact). Only the non-zero bins are
+/// stored, as ascending `(bin, count)` pairs: a summary costs memory in
+/// proportion to the distinct latencies it saw, however large they are.
+/// Recording a sample is a binary search and at worst one insert;
+/// merging two summaries is a linear merge of their pairs.
 ///
 /// # Examples
 ///
@@ -39,14 +41,18 @@ pub struct LatencyStats {
     pub(crate) sum: u64,
     pub(crate) min: u64,
     pub(crate) max: u64,
-    /// Counts per latency, ending at the largest sample's bin (empty
-    /// when `count` is 0), so equal summaries have equal vectors.
-    pub(crate) bins: Vec<u64>,
+    /// The non-zero bins as `(bin, count)` pairs in ascending bin
+    /// order (empty when `count` is 0), so equal summaries have equal
+    /// vectors.
+    pub(crate) bins: Vec<(u64, u64)>,
 }
 
 impl LatencyStats {
     /// Number of exact histogram bins.
     pub const HISTOGRAM_BINS: usize = 4096;
+
+    /// The overflow bin, shared by every latency at or above it.
+    const LAST_BIN: u64 = Self::HISTOGRAM_BINS as u64 - 1;
 
     /// Creates an empty summary.
     pub fn new() -> Self {
@@ -61,15 +67,20 @@ impl LatencyStats {
 
     /// Records one latency sample in cycles.
     pub fn record(&mut self, latency: u64) {
+        self.record_moments(latency);
+        let bin = latency.min(Self::LAST_BIN);
+        match self.bins.binary_search_by_key(&bin, |&(b, _)| b) {
+            Ok(at) => self.bins[at].1 += 1,
+            Err(at) => self.bins.insert(at, (bin, 1)),
+        }
+    }
+
+    /// Adds a sample to `count`, `sum`, `min` and `max` only.
+    fn record_moments(&mut self, latency: u64) {
         self.count += 1;
         self.sum += latency;
         self.min = self.min.min(latency);
         self.max = self.max.max(latency);
-        let bin = (latency as usize).min(Self::HISTOGRAM_BINS - 1);
-        if bin >= self.bins.len() {
-            self.bins.resize(bin + 1, 0);
-        }
-        self.bins[bin] += 1;
     }
 
     /// Number of samples.
@@ -105,13 +116,13 @@ impl LatencyStats {
         }
         let threshold = (p / 100.0 * self.count as f64).ceil() as u64;
         let mut seen = 0;
-        for (value, &n) in self.bins.iter().enumerate() {
+        for &(bin, n) in &self.bins {
             seen += n;
             if seen >= threshold {
-                return Some(value as u64);
+                return Some(bin);
             }
         }
-        Some((Self::HISTOGRAM_BINS - 1) as u64)
+        Some(Self::LAST_BIN)
     }
 
     /// Merges another summary into this one (used to combine
@@ -123,12 +134,49 @@ impl LatencyStats {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-        if other.bins.len() > self.bins.len() {
-            self.bins.resize(other.bins.len(), 0);
+        if other.bins.is_empty() {
+            return;
         }
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
+        if self.bins.is_empty() {
+            self.bins.clone_from(&other.bins);
+            return;
         }
+        let (ours, theirs) = (&self.bins, &other.bins);
+        let mut merged = Vec::with_capacity(ours.len() + theirs.len());
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&(a, n)), Some(&(b, m))) = (ours.get(i), theirs.get(j)) {
+            if a <= b {
+                merged.push((a, if a == b { n + m } else { n }));
+                i += 1;
+                j += usize::from(a == b);
+            } else {
+                merged.push((b, m));
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&ours[i..]);
+        merged.extend_from_slice(&theirs[j..]);
+        self.bins = merged;
+    }
+
+    /// Checks the bins against the sample count and maximum: their
+    /// counts must add up to `count`, and the last bin must be the
+    /// maximum's (clamped to the overflow bin). The bins themselves
+    /// must already be ascending and non-zero.
+    pub(crate) fn check_bins(&self) -> Result<(), &'static str> {
+        let binned = self
+            .bins
+            .iter()
+            .try_fold(0u64, |total, &(_, n)| total.checked_add(n))
+            .ok_or("bin counts overflow")?;
+        if binned != self.count {
+            return Err("bin counts disagree with the sample count");
+        }
+        let top = self.max.min(Self::LAST_BIN);
+        if self.count > 0 && self.bins.last().map(|&(bin, _)| bin) != Some(top) {
+            return Err("last bin disagrees with the maximum");
+        }
+        Ok(())
     }
 }
 
@@ -138,12 +186,47 @@ impl Default for LatencyStats {
     }
 }
 
-// Hand-written serialization with a *sparse* histogram: at realistic
-// sample counts the dense 4096-bin vector is overwhelmingly zeros, so
-// the wire format carries only the non-zero bins as `[index, count]`
-// pairs. Scalar counters keep their dense meaning; a round trip is
-// exact. (This keeps serialized `SimStats` roughly an order of
-// magnitude smaller than the dense encoding.)
+/// The simulation kernel's latency record during a measurement window.
+///
+/// Counting into a dense per-bin vector keeps the per-packet cost O(1);
+/// [`summary`](Self::summary) folds it into the sparse
+/// [`LatencyStats`] once, at the end of the run.
+#[derive(Debug, Default)]
+pub(crate) struct LatencyTally {
+    /// `count`, `sum`, `min` and `max`; its bins stay empty.
+    moments: LatencyStats,
+    /// Samples per bin, ending at the largest sample's bin.
+    dense: Vec<u64>,
+}
+
+impl LatencyTally {
+    /// Records one latency sample in cycles.
+    pub(crate) fn record(&mut self, latency: u64) {
+        self.moments.record_moments(latency);
+        let bin = latency.min(LatencyStats::LAST_BIN) as usize;
+        if bin >= self.dense.len() {
+            self.dense.resize(bin + 1, 0);
+        }
+        self.dense[bin] += 1;
+    }
+
+    /// The samples so far as a [`LatencyStats`].
+    pub(crate) fn summary(&self) -> LatencyStats {
+        LatencyStats {
+            bins: (0u64..)
+                .zip(&self.dense)
+                .filter(|&(_, &n)| n > 0)
+                .map(|(bin, &n)| (bin, n))
+                .collect(),
+            ..self.moments.clone()
+        }
+    }
+}
+
+// Hand-written serialization with a *sparse* histogram: the wire
+// format carries the non-zero bins as `[index, count]` pairs, exactly
+// as they are held in memory. Scalar counters keep their meaning; a
+// round trip is exact.
 #[cfg(feature = "serde")]
 impl serde::Serialize for LatencyStats {
     fn to_value(&self) -> serde::Value {
@@ -151,9 +234,7 @@ impl serde::Serialize for LatencyStats {
         let bins: Vec<Value> = self
             .bins
             .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| Value::Array(vec![(i as u64).to_value(), n.to_value()]))
+            .map(|&(bin, n)| Value::Array(vec![bin.to_value(), n.to_value()]))
             .collect();
         Value::Object(vec![
             ("count".to_owned(), self.count.to_value()),
@@ -165,6 +246,10 @@ impl serde::Serialize for LatencyStats {
     }
 }
 
+// Accepts the pairs in any order and listed empty bins, but holds the
+// bins to the binary decoder's rules (see `codec`): no index twice, no
+// index past the overflow bin, counts that add up to `count`, and a
+// last bin that is the maximum's.
 #[cfg(feature = "serde")]
 impl serde::Deserialize for LatencyStats {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
@@ -183,6 +268,7 @@ impl serde::Deserialize for LatencyStats {
                 "LatencyStats: `bins` must be an array, got {bins}"
             )));
         };
+        let mut listed = Vec::with_capacity(pairs.len());
         for pair in pairs {
             let Value::Array(pair) = pair else {
                 return Err(DeError::custom(
@@ -194,21 +280,26 @@ impl serde::Deserialize for LatencyStats {
                     "LatencyStats: each bin must be an [index, count] pair",
                 ));
             };
-            let index = u64::from_value(index)? as usize;
-            if index >= Self::HISTOGRAM_BINS {
+            let index = u64::from_value(index)?;
+            if index > Self::LAST_BIN {
                 return Err(DeError::custom(format!(
                     "LatencyStats: bin index {index} out of range (< {})",
                     Self::HISTOGRAM_BINS
                 )));
             }
-            let count = u64::from_value(count)?;
-            if count > 0 {
-                if index >= out.bins.len() {
-                    out.bins.resize(index + 1, 0);
-                }
-                out.bins[index] = count;
-            }
+            listed.push((index, u64::from_value(count)?));
         }
+        listed.sort_unstable_by_key(|&(index, _)| index);
+        if let Some(twice) = listed.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(DeError::custom(format!(
+                "LatencyStats: bin index {} listed twice",
+                twice[0].0
+            )));
+        }
+        listed.retain(|&(_, n)| n > 0);
+        out.bins = listed;
+        out.check_bins()
+            .map_err(|why| DeError::custom(format!("LatencyStats: {why}")))?;
         Ok(out)
     }
 }
@@ -509,8 +600,8 @@ mod tests {
 
     #[test]
     fn merged_and_recorded_summaries_are_equal() {
-        // Bins end at the largest sample's, in whatever order the
-        // samples and merges arrive.
+        // The same non-zero bins, in whatever order the samples and
+        // merges arrive.
         let (short, long) = ([3u64, 9, 9], [40u64, 10_000, 2]);
         let mut all = LatencyStats::new();
         for v in short.iter().chain(&long) {
@@ -523,7 +614,7 @@ mod tests {
             a.merge(&b);
             assert_eq!(a, all);
         }
-        assert_eq!(all.bins.len(), LatencyStats::HISTOGRAM_BINS);
+        assert_eq!(all.bins.len(), 5);
         assert!(LatencyStats::new().bins.is_empty());
     }
 
@@ -760,6 +851,12 @@ mod tests {
             ("[[1,2,3]]", "long pair"),
             ("[7]", "non-pair element"),
             ("7", "non-array bins"),
+            ("[]", "no bins for a sample"),
+            ("[[1,2]]", "counts above the sample count"),
+            ("[[0,1]]", "last bin below the maximum"),
+            ("[[0,1],[4,0],[2,0]]", "empty bins past the maximum"),
+            ("[[1,0],[1,1]]", "repeated index"),
+            ("[[18446744073709551615,1]]", "index far out of range"),
         ] {
             let json = base.replace("BINS", bins);
             assert!(

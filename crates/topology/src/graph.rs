@@ -118,29 +118,62 @@ impl Graph {
         let n = self.num_nodes();
         assert!(src < n, "source {src} out of range (n = {n})");
         let mut dist = vec![UNREACHABLE; n];
-        let mut queue = std::collections::VecDeque::with_capacity(n);
+        self.bfs_into(src, &mut dist, &mut Vec::with_capacity(n));
+        dist
+    }
+
+    /// BFS from `src` into `dist`, which must hold [`UNREACHABLE`] for
+    /// every node. `queue` is scratch space; passing the same one to
+    /// every call saves an allocation per source.
+    fn bfs_into(&self, src: usize, dist: &mut [u32], queue: &mut Vec<usize>) {
+        queue.clear();
         dist[src] = 0;
-        queue.push_back(src);
-        while let Some(v) = queue.pop_front() {
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
             let dv = dist[v];
             for &u in self.neighbors(v) {
                 if dist[u] == UNREACHABLE {
                     dist[u] = dv + 1;
-                    queue.push_back(u);
+                    queue.push(u);
                 }
             }
         }
-        dist
     }
 
     /// All-pairs shortest-path distances (one BFS per node).
     pub fn all_pairs_distances(&self) -> DistanceMatrix {
         let n = self.num_nodes();
-        let mut data = Vec::with_capacity(n * n);
-        for src in 0..n {
-            data.extend_from_slice(&self.bfs_distances(src));
+        let mut data = vec![UNREACHABLE; n * n];
+        let mut queue = Vec::with_capacity(n);
+        for (src, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
+            self.bfs_into(src, row, &mut queue);
         }
         DistanceMatrix { n, data }
+    }
+
+    /// The diameter and the sum of distances over ordered pairs, reduced
+    /// from one BFS per source without storing the `n x n` matrix of
+    /// [`all_pairs_distances`](Self::all_pairs_distances). The diameter
+    /// of an empty graph is `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is disconnected.
+    pub(crate) fn distance_totals(&self) -> (Option<u32>, u64) {
+        let n = self.num_nodes();
+        let (mut dist, mut queue) = (vec![UNREACHABLE; n], Vec::with_capacity(n));
+        let (mut diameter, mut total) = (None, 0u64);
+        for src in 0..n {
+            dist.fill(UNREACHABLE);
+            self.bfs_into(src, &mut dist, &mut queue);
+            let eccentricity = dist.iter().copied().max().expect("nonempty row");
+            assert_ne!(eccentricity, UNREACHABLE, "graph is disconnected");
+            diameter = diameter.max(Some(eccentricity));
+            total += dist.iter().map(|&d| u64::from(d)).sum::<u64>();
+        }
+        (diameter, total)
     }
 
     /// Returns `true` if every node is reachable from node 0 (or the
@@ -263,10 +296,7 @@ impl DistanceMatrix {
     ///
     /// Returns 0 for graphs with fewer than two nodes.
     pub fn mean_distance(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        self.total_distance() as f64 / (self.n * (self.n - 1)) as f64
+        mean_distance(self.total_distance(), self.n)
     }
 
     /// The paper's normalization of average distance: per-source distance
@@ -276,11 +306,26 @@ impl DistanceMatrix {
     /// `sum_dist_from_any_node / N`, the convention used in the paper's
     /// `E[D]` formulas.
     pub fn mean_distance_paper(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        self.total_distance() as f64 / (self.n * self.n) as f64
+        mean_distance_paper(self.total_distance(), self.n)
     }
+}
+
+/// [`DistanceMatrix::mean_distance`] from the distance sum of `n`
+/// nodes.
+pub(crate) fn mean_distance(total: u64, n: usize) -> f64 {
+    if n < 2 {
+        return 0.0;
+    }
+    total as f64 / (n * (n - 1)) as f64
+}
+
+/// [`DistanceMatrix::mean_distance_paper`] from the distance sum of `n`
+/// nodes.
+pub(crate) fn mean_distance_paper(total: u64, n: usize) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    total as f64 / (n * n) as f64
 }
 
 impl fmt::Debug for DistanceMatrix {

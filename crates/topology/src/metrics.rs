@@ -6,7 +6,7 @@
 //! here is computed from the actual graph so it also works for irregular
 //! topologies with no closed form.
 
-use crate::graph::DistanceMatrix;
+use crate::graph::{self, DistanceMatrix};
 use crate::Topology;
 
 /// Summary of the exact distance structure of a topology.
@@ -94,17 +94,17 @@ impl TopologyMetrics {
 /// # Ok::<(), noc_topology::TopologyError>(())
 /// ```
 pub fn diameter<T: Topology + ?Sized>(topo: &T) -> u32 {
-    topo.graph().all_pairs_distances().diameter()
+    topo.graph().distance_totals().0.expect("nonempty graph")
 }
 
 /// Average network distance `E[D]` over ordered pairs (`src != dst`).
 pub fn average_distance<T: Topology + ?Sized>(topo: &T) -> f64 {
-    topo.graph().all_pairs_distances().mean_distance()
+    graph::mean_distance(topo.graph().distance_totals().1, topo.num_nodes())
 }
 
 /// Average network distance with the paper's `sum / N` normalization.
 pub fn average_distance_paper<T: Topology + ?Sized>(topo: &T) -> f64 {
-    topo.graph().all_pairs_distances().mean_distance_paper()
+    graph::mean_distance_paper(topo.graph().distance_totals().1, topo.num_nodes())
 }
 
 /// Number of unidirectional links of a topology.
@@ -239,11 +239,20 @@ mod tests {
 
     #[test]
     fn helper_functions_agree_with_struct() {
-        let topo = RectMesh::new(3, 4).unwrap();
-        let m = TopologyMetrics::compute(&topo);
-        assert_eq!(diameter(&topo), m.diameter);
-        assert_eq!(average_distance(&topo), m.mean_distance);
-        assert_eq!(average_distance_paper(&topo), m.mean_distance_paper);
-        assert_eq!(link_count(&topo), m.num_links);
+        // The helpers reduce over one BFS at a time; the struct reads
+        // the full distance matrix.
+        let topologies: [Box<dyn Topology>; 4] = [
+            Box::new(RectMesh::new(3, 4).unwrap()),
+            Box::new(Spidergon::new(10).unwrap()),
+            Box::new(Ring::new(7).unwrap()),
+            Box::new(IrregularMesh::realistic(11).unwrap()),
+        ];
+        for topo in &topologies {
+            let m = TopologyMetrics::compute(&**topo);
+            assert_eq!(diameter(&**topo), m.diameter);
+            assert_eq!(average_distance(&**topo), m.mean_distance);
+            assert_eq!(average_distance_paper(&**topo), m.mean_distance_paper);
+            assert_eq!(link_count(&**topo), m.num_links);
+        }
     }
 }
