@@ -14,8 +14,10 @@
 //!   (the first index is `gap` itself). These are the summary's
 //!   in-memory `(bin, count)` pairs, so decoding pushes each pair as
 //!   read; it rejects an empty bin, an index past the overflow bin,
-//!   counts that do not add up to `count` and a last bin other than
-//!   the maximum's;
+//!   counts that do not add up to `count`, and, when `count > 0`, a
+//!   first bin other than the minimum's, a last bin other than the
+//!   maximum's, `min > max` and a `sum` outside
+//!   `[count·min, count·max]`;
 //! * `per_node_delivered` and `per_node_generated` as a length and
 //!   that many varints;
 //! * `per_link` as a length and one `(from, direction, flits)` triple
@@ -480,6 +482,42 @@ mod tests {
         assert!(decode_latency(&one_bin(7, 0)).is_err(), "empty bin");
         assert!(decode_latency(&one_bin(7, 2)).is_err(), "counts disagree");
         assert!(decode_latency(&one_bin(6, 1)).is_err(), "bin below max");
+        let summary = |count, sum, min, max, bins: &[(u64, u64)]| {
+            let mut bytes = Vec::new();
+            let bins = bins.to_vec();
+            LatencyStats {
+                count,
+                sum,
+                min,
+                max,
+                bins,
+            }
+            .encode_into(&mut bytes);
+            decode_latency(&bytes)
+        };
+        let (five, six) = ((5, 1), (6, 1));
+        assert!(summary(2, 11, 5, 6, &[five, six]).is_ok());
+        assert!(
+            summary(2, 11, 4, 6, &[five, six]).is_err(),
+            "first bin above min"
+        );
+        assert!(
+            summary(2, 9, 5, 6, &[five, six]).is_err(),
+            "sum below count·min"
+        );
+        assert!(
+            summary(2, 13, 5, 6, &[five, six]).is_err(),
+            "sum above count·max"
+        );
+        assert!(
+            summary(1, 4700, 5000, 4500, &[(4095, 1)]).is_err(),
+            "min above max"
+        );
+        let max = u64::MAX;
+        assert!(
+            summary(2, max, max, max, &[(4095, 2)]).is_err(),
+            "count·min past u64"
+        );
 
         let stats = SimStats {
             per_link: vec![LinkLoad {

@@ -79,15 +79,21 @@
 //!
 //! # Sparse active-set core
 //!
-//! Phases 2–4 iterate an **active-router worklist** instead of all
-//! nodes: a router is on the list exactly while it holds at least one
-//! flit in any of its queues (source, input, output, ejection —
-//! tracked by a per-node flit counter). A flitless router is a proven
-//! no-op in every phase — its queues are empty and any lingering
-//! wormhole allocation belongs to a packet whose remaining flits are
-//! still upstream — so skipping it is bit-exact. The list is kept
-//! sorted ascending, so phase side effects (probe events, audit
-//! checks, statistics) fire in the same order as a dense `0..n` scan.
+//! Phases 2–4 walk bitsets of routers instead of all nodes, one bit
+//! per router in `u64` words. A router's bit in the **active set** is
+//! set exactly while it holds at least one flit in any of its queues
+//! (source, input, output, ejection — tracked by a per-node flit
+//! counter): the flit that makes a router non-empty sets it at once,
+//! and it is cleared at the end of the cycle in which the router
+//! empties. A flitless router is a proven no-op in every phase — its
+//! queues are empty and any lingering wormhole allocation belongs to a
+//! packet whose remaining flits are still upstream — so skipping it is
+//! bit-exact. Consumption walks the smaller **ejecting set**, the
+//! routers holding ejected flits, and link transfer walks each router's
+//! non-empty, unparked output VCs link by link. Set bits are walked
+//! word by word, lowest first, which is ascending router order, so phase
+//! side effects (probe events, audit checks, statistics) fire in the
+//! same order as a dense `0..n` scan.
 //! Round-robin pointers that previously advanced unconditionally every
 //! cycle (`eject_rr`, `rr_offset`) are derived from the cycle counter
 //! instead of stored, so an idle router needs no per-cycle pointer
@@ -123,9 +129,10 @@
 //! tries this cycle. A spurious wake costs one more failing attempt; a
 //! missed one would change the results.
 //!
-//! `SimConfig::sparse` disables all of this: the dense scan visits every
-//! router and retries every slot every cycle, parks nothing and keeps no
-//! skip, so it stays an independent oracle for the differential
+//! `SimConfig::sparse` disables all of this: the dense scan keeps every
+//! router's active bit set, visits every router, link and slot every
+//! cycle, parks nothing and keeps no skip, so it stays an independent
+//! oracle for the differential
 //! conformance checks; both modes produce bit-identical results.
 //!
 //! # Deadlock watchdog
@@ -308,20 +315,18 @@ pub struct Network {
     /// Distinct allocation-slot counts over all routers: switch
     /// allocation takes `cycle % count` once per cycle for each.
     alloc_slot_counts: Vec<usize>,
-    /// `active_mask[v]` ⟺ `v` is in the worklist (on `active_nodes` or
-    /// `pending_active`). Invariant at every cycle boundary:
-    /// `active_mask[v] ⟺ node_flits[v].total() > 0`. Dense mode pins
-    /// every entry `true`.
-    active_mask: Vec<bool>,
-    /// The active-router worklist, sorted ascending so sparse phase
-    /// iteration replays the dense `0..n` event order.
-    active_nodes: Vec<usize>,
-    /// Routers activated mid-phase (generation, link arrival), merged
-    /// into `active_nodes` before the next phase that must see them.
-    pending_active: Vec<usize>,
+    /// The active set: router `v` is bit `v % 64` of word `v / 64`, and
+    /// bits past the last router stay 0. Set at once by
+    /// [`activate`](Self::activate); at every cycle boundary bit `v` is
+    /// set ⟺ `node_flits[v].total() > 0`. Dense mode sets every router's
+    /// bit for good.
+    active: Vec<u64>,
+    /// The ejecting set, laid out like `active`: bit `v` set ⟺
+    /// `node_flits[v].eject > 0`. Sparse consumption walks it.
+    ejecting: Vec<u64>,
     /// Flits resident at each node, split by buffer class and
     /// maintained incrementally at every flit movement. The total
-    /// gates worklist retirement; the per-class fields let each phase
+    /// clears a router's active bit; the per-class fields let each phase
     /// skip a node with one counter load instead of scanning its
     /// queues (an active router rarely participates in all three
     /// phases the same cycle).
@@ -372,6 +377,18 @@ impl NodeFlits {
     fn total(self) -> u32 {
         self.source + self.input + self.output + self.eject
     }
+}
+
+/// The set bits of `word`, lowest first.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 /// Upper bound on ports per router: every non-local [`Direction`] plus
@@ -686,13 +703,13 @@ impl Network {
         alloc_slot_counts.dedup();
 
         let compiled = CompiledRoutes::compile(routing.as_ref(), topology.as_ref());
-        // Dense mode keeps every router permanently on the worklist;
-        // sparse mode starts empty (no flits anywhere yet).
-        let (active_mask, active_nodes) = if config.sparse {
-            (vec![false; n], Vec::new())
-        } else {
-            (vec![true; n], (0..n).collect())
-        };
+        // Dense mode keeps every router permanently active; sparse mode
+        // starts empty (no flits anywhere yet).
+        let words = n.div_ceil(64);
+        let mut active = vec![0u64; words];
+        if !config.sparse {
+            (0..n).for_each(|v| active[v / 64] |= 1 << (v % 64));
+        }
 
         Network {
             topo: topology,
@@ -723,9 +740,8 @@ impl Network {
             dir_scratch: Vec::new(),
             route_scratch: Vec::new(),
             alloc_slot_counts,
-            active_mask,
-            active_nodes,
-            pending_active: Vec::new(),
+            active,
+            ejecting: vec![0; words],
             node_flits: vec![NodeFlits::default(); n],
             active_node_cycles: 0,
             out_slots: vec![0; n],
@@ -935,67 +951,37 @@ impl Network {
         self.measuring = true;
     }
 
-    /// Puts router `v` on the active worklist if it is not already
-    /// there. Activations land on `pending_active` and are merged (in
-    /// node order) before the next phase that must see them.
+    /// Sets router `v`'s bit in the active set; the phases after this
+    /// one see it at once.
     #[inline]
     fn activate(&mut self, v: usize) {
-        if !self.active_mask[v] {
-            self.active_mask[v] = true;
-            self.pending_active.push(v);
-        }
+        self.active[v / 64] |= 1 << (v % 64);
     }
 
-    /// Folds `pending_active` into the sorted worklist.
-    #[inline]
-    fn merge_pending(&mut self) {
-        if self.pending_active.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending_active);
-        pending.sort_unstable();
-        for v in pending.drain(..) {
-            if let Err(pos) = self.active_nodes.binary_search(&v) {
-                self.active_nodes.insert(pos, v);
-            }
-        }
-        self.pending_active = pending;
-    }
-
-    /// Drops routers whose flit count hit zero from the worklist
+    /// Clears the active bits of routers whose flit count hit zero
     /// (sparse mode only; dense mode keeps everyone).
     #[inline]
     fn retire_idle(&mut self) {
         if !self.config.sparse {
             return;
         }
-        let Network {
-            active_nodes,
-            active_mask,
-            node_flits,
-            ..
-        } = self;
-        active_nodes.retain(|&v| {
-            if node_flits[v].total() > 0 {
-                true
-            } else {
-                active_mask[v] = false;
-                false
+        for w in 0..self.active.len() {
+            for b in set_bits(self.active[w]) {
+                if self.node_flits[w * 64 + b].total() == 0 {
+                    self.active[w] &= !(1 << b);
+                }
             }
-        });
+        }
     }
 
     fn step<P: Probe>(&mut self, probe: &mut P) -> Result<(), SimError> {
         let mut moved = false;
         self.generate(probe);
-        self.merge_pending();
         moved |= self.consume(probe);
         moved |= self.transfer_links(probe);
-        // Link arrivals can enable same-cycle switch allocation at the
-        // receiver (zero router delay), so merge before allocating.
-        self.merge_pending();
         moved |= self.allocate_switches(probe);
-        self.active_node_cycles += self.active_nodes.len() as u64;
+        let active: u64 = self.active.iter().map(|w| u64::from(w.count_ones())).sum();
+        self.active_node_cycles += active;
         probe.on_cycle_end(self);
         self.retire_idle();
 
@@ -1053,61 +1039,66 @@ impl Network {
         // cycle counter — derived here instead of stored, which keeps
         // idle routers entirely untouched.
         let start = (self.cycle % channels as u64) as usize;
-        let sparse = self.config.sparse;
-        let active = std::mem::take(&mut self.active_nodes);
-        for &v in &active {
+        for w in 0..self.active.len() {
             // Dense-identical skip: a node with no ejected flits pops
-            // nothing from any channel.
-            if sparse && self.node_flits[v].eject == 0 {
-                continue;
-            }
-            let first = self.eject_slot(v, 0);
-            let mut budget = self.config.sink_rate;
-            'outer: for k in 0..channels {
-                let mut q = start + k;
-                if q >= channels {
-                    q -= channels;
-                }
-                while budget > 0 {
-                    let Some(flit) = self.outputs.pop(first + q) else {
-                        break;
-                    };
-                    self.wake(v, first + q);
-                    budget -= 1;
-                    moved = true;
-                    self.in_network -= 1;
-                    self.node_flits[v].eject -= 1;
-                    self.total_flits_consumed += 1;
-                    if P::ACTIVE {
-                        let full = self.arena.materialize(flit);
-                        probe.on_consume(self.cycle, v, q, &full);
+            // nothing from any channel, so the sparse core walks the
+            // ejecting set. This phase only clears its bits.
+            let word = if self.config.sparse {
+                self.ejecting[w]
+            } else {
+                self.active[w]
+            };
+            for v in set_bits(word).map(|b| w * 64 + b) {
+                let first = self.eject_slot(v, 0);
+                let mut budget = self.config.sink_rate;
+                'outer: for k in 0..channels {
+                    let mut q = start + k;
+                    if q >= channels {
+                        q -= channels;
                     }
-                    if self.measuring {
-                        self.stats.flits_delivered += 1;
-                        self.stats.per_node_delivered[v] += 1;
-                    }
-                    if flit.kind.is_tail() {
-                        // The tail crossed exactly the links the head
-                        // did (wormhole), so its own counter is the
-                        // packet's hop count; and it is the last flit
-                        // of its packet to leave the network, so its
-                        // arena slot can be recycled here.
-                        let hops = u64::from(flit.hops);
-                        let created = self.arena.created(flit.pkt);
-                        if self.measuring {
-                            self.stats.packets_delivered += 1;
-                            self.stats.total_hops += hops;
-                            self.latency.record(self.cycle - created);
+                    while budget > 0 {
+                        let Some(flit) = self.outputs.pop(first + q) else {
+                            break;
+                        };
+                        self.wake(v, first + q);
+                        budget -= 1;
+                        moved = true;
+                        self.in_network -= 1;
+                        self.node_flits[v].eject -= 1;
+                        self.total_flits_consumed += 1;
+                        if P::ACTIVE {
+                            let full = self.arena.materialize(flit);
+                            probe.on_consume(self.cycle, v, q, &full);
                         }
-                        self.arena.free(flit.pkt);
+                        if self.measuring {
+                            self.stats.flits_delivered += 1;
+                            self.stats.per_node_delivered[v] += 1;
+                        }
+                        if flit.kind.is_tail() {
+                            // The tail crossed exactly the links the head
+                            // did (wormhole), so its own counter is the
+                            // packet's hop count; and it is the last flit
+                            // of its packet to leave the network, so its
+                            // arena slot can be recycled here.
+                            let hops = u64::from(flit.hops);
+                            let created = self.arena.created(flit.pkt);
+                            if self.measuring {
+                                self.stats.packets_delivered += 1;
+                                self.stats.total_hops += hops;
+                                self.latency.record(self.cycle - created);
+                            }
+                            self.arena.free(flit.pkt);
+                        }
+                    }
+                    if budget == 0 {
+                        break 'outer;
                     }
                 }
-                if budget == 0 {
-                    break 'outer;
+                if self.node_flits[v].eject == 0 {
+                    self.ejecting[w] &= !(1 << (v % 64));
                 }
             }
         }
-        self.active_nodes = active;
         moved
     }
 
@@ -1131,74 +1122,76 @@ impl Network {
         let sparse = self.config.sparse;
         let vcs = self.vcs;
         let vc_mask = ((1u64 << vcs) - 1) as u32;
-        let active = std::mem::take(&mut self.active_nodes);
-        for &v in &active {
-            // Snapshot: bits only clear during this node's turn (pushes
-            // happen in the allocation phase), so a stale set bit just
-            // re-checks an emptied queue. `link_blocked` is all zero in
-            // dense mode.
-            let slot_mask = self.out_slots[v] & !self.link_blocked[v];
-            // Dense-identical skip: every output queue of this node is
-            // empty or parked, so none of its links transfers anything.
-            if sparse && slot_mask == 0 {
-                continue;
-            }
-            let base = self.nodes[v].base;
-            for d in 0..self.nodes[v].dirs.len() {
-                if sparse && slot_mask & (vc_mask << (d * vcs)) == 0 {
-                    continue;
-                }
-                let first = base + d * vcs;
-                let start = usize::from(self.link_rr[first]);
-                for k in 0..vcs {
-                    let mut vc = start + k;
-                    if vc >= vcs {
-                        vc -= vcs;
-                    }
-                    let bit = 1 << (d * vcs + vc);
-                    if sparse && slot_mask & bit == 0 {
-                        continue;
-                    }
-                    let s = first + vc;
-                    if self.outputs.is_empty(s) {
-                        continue;
-                    }
-                    let dst = self.link_dst[s];
-                    let (t, peer) = (dst.input as usize, dst.node as usize);
-                    if !self.inputs.has_space(t) {
-                        if sparse {
-                            self.link_blocked[v] |= bit;
+        for w in 0..self.active.len() {
+            // A router this phase activates holds one input flit and no
+            // output flit, so whether the walk meets it changes nothing.
+            for v in set_bits(self.active[w]).map(|b| w * 64 + b) {
+                // Dense-identical skip: the sparse core visits only the links
+                // with a non-empty, unparked output VC; dense mode takes every
+                // VC of every link. The snapshot is safe: bits only clear
+                // during this node's turn (pushes happen in the allocation
+                // phase), so a stale set bit just re-checks an emptied queue.
+                let slot_mask = if sparse {
+                    self.out_slots[v] & !self.link_blocked[v]
+                } else {
+                    ((1u64 << (self.nodes[v].dirs.len() * vcs)) - 1) as u32
+                };
+                let base = self.nodes[v].base;
+                let mut links = slot_mask;
+                while links != 0 {
+                    let d = usize::from(self.slot_port[base + links.trailing_zeros() as usize].0);
+                    links &= !(vc_mask << (d * vcs));
+                    let first = base + d * vcs;
+                    let start = usize::from(self.link_rr[first]);
+                    for k in 0..vcs {
+                        let mut vc = start + k;
+                        if vc >= vcs {
+                            vc -= vcs;
                         }
-                        continue;
+                        let bit = 1 << (d * vcs + vc);
+                        if slot_mask & bit == 0 {
+                            continue;
+                        }
+                        let s = first + vc;
+                        if self.outputs.is_empty(s) {
+                            continue;
+                        }
+                        let dst = self.link_dst[s];
+                        let (t, peer) = (dst.input as usize, dst.node as usize);
+                        if !self.inputs.has_space(t) {
+                            if sparse {
+                                self.link_blocked[v] |= bit;
+                            }
+                            continue;
+                        }
+                        let mut flit = self.outputs.pop(s).expect("checked above");
+                        self.wake(v, s);
+                        // `vcs` fits a byte: it is at most the 32 bits of a
+                        // router's occupancy word.
+                        self.link_rr[first] = if vc + 1 == vcs { 0 } else { vc as u8 + 1 };
+                        flit.hops += 1;
+                        if P::ACTIVE {
+                            let full = self.arena.materialize(flit);
+                            probe.on_link_traverse(self, v, d, vc, &full);
+                        }
+                        self.inputs.receive(t, flit, eligible);
+                        self.in_slots[peer] |= dst.bit;
+                        if self.outputs.is_empty(s) {
+                            self.out_slots[v] &= !bit;
+                        }
+                        self.node_flits[v].output -= 1;
+                        self.node_flits[peer].input += 1;
+                        self.activate(peer);
+                        if self.measuring {
+                            self.stats.link_traversals += 1;
+                            self.link_counters[s] += 1;
+                        }
+                        moved = true;
+                        break;
                     }
-                    let mut flit = self.outputs.pop(s).expect("checked above");
-                    self.wake(v, s);
-                    // `vcs` fits a byte: it is at most the 32 bits of a
-                    // router's occupancy word.
-                    self.link_rr[first] = if vc + 1 == vcs { 0 } else { vc as u8 + 1 };
-                    flit.hops += 1;
-                    if P::ACTIVE {
-                        let full = self.arena.materialize(flit);
-                        probe.on_link_traverse(self, v, d, vc, &full);
-                    }
-                    self.inputs.receive(t, flit, eligible);
-                    self.in_slots[peer] |= dst.bit;
-                    if self.outputs.is_empty(s) {
-                        self.out_slots[v] &= !bit;
-                    }
-                    self.node_flits[v].output -= 1;
-                    self.node_flits[peer].input += 1;
-                    self.activate(peer);
-                    if self.measuring {
-                        self.stats.link_traversals += 1;
-                        self.link_counters[s] += 1;
-                    }
-                    moved = true;
-                    break;
                 }
             }
         }
-        self.active_nodes = active;
         moved
     }
 
@@ -1214,18 +1207,18 @@ impl Network {
         for &count in &self.alloc_slot_counts {
             rotation[count] = (self.cycle % count as u64) as u8;
         }
-        let active = std::mem::take(&mut self.active_nodes);
-        for &v in &active {
-            // Dense-identical skip: every occupied slot (source queue,
-            // input buffer) is parked, or there is none, so every
-            // attempt would return without touching state.
-            if sparse && self.occupied_slots(v) & !self.blocked[v] == 0 {
-                continue;
+        for w in 0..self.active.len() {
+            for v in set_bits(self.active[w]).map(|b| w * 64 + b) {
+                // Dense-identical skip: every occupied slot (source queue,
+                // input buffer) is parked, or there is none, so every
+                // attempt would return without touching state.
+                if sparse && self.occupied_slots(v) & !self.blocked[v] == 0 {
+                    continue;
+                }
+                let nslots = 1 + self.nodes[v].dirs.len() * self.vcs;
+                moved |= self.allocate_node(v, nslots, rotation[nslots].into(), probe);
             }
-            let nslots = 1 + self.nodes[v].dirs.len() * self.vcs;
-            moved |= self.allocate_node(v, nslots, rotation[nslots].into(), probe);
         }
-        self.active_nodes = active;
         moved
     }
 
@@ -1421,6 +1414,7 @@ impl Network {
         self.wake(v, route.out);
         if port == self.nodes[v].dirs.len() {
             self.node_flits[v].eject += 1;
+            self.ejecting[v / 64] |= 1 << (v % 64);
         } else {
             self.node_flits[v].output += 1;
             self.out_slots[v] |= 1 << (route.out - self.nodes[v].base);
@@ -1851,6 +1845,29 @@ mod tests {
             (dense_ratio - 1.0).abs() < 1e-12,
             "dense ratio {dense_ratio}"
         );
+    }
+
+    #[test]
+    fn active_router_ratio_of_a_multi_word_run_is_pinned() {
+        // 130 routers fill three words of the active set. The pin holds
+        // the moment at which active routers are counted: after switch
+        // allocation, before the routers that emptied this cycle retire.
+        let ring = Ring::new(130).unwrap();
+        let mut sim = Simulation::new(
+            Box::new(ring.clone()),
+            Box::new(RingShortestPath::new(&ring)),
+            Box::new(UniformRandom::new(130).unwrap()),
+            variant_config(0.02, true),
+        )
+        .unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.active_node_cycles, 167_497);
+        assert_eq!(sim.active_router_ratio().to_bits(), 0x3fe2_bdad_2280_3c7f);
+        for v in 0..3 * 64 {
+            let set = sim.active[v / 64] & (1 << (v % 64)) != 0;
+            let held = sim.node_flits.get(v).is_some_and(|f| f.total() > 0);
+            assert_eq!(set, held, "router {v}");
+        }
     }
 
     #[test]

@@ -159,10 +159,12 @@ impl LatencyStats {
         self.bins = merged;
     }
 
-    /// Checks the bins against the sample count and maximum: their
-    /// counts must add up to `count`, and the last bin must be the
-    /// maximum's (clamped to the overflow bin). The bins themselves
-    /// must already be ascending and non-zero.
+    /// Checks the bins against the sample count, minimum and maximum,
+    /// and the moments against each other: the bin counts must add up
+    /// to `count`, and a non-empty summary must have the minimum's bin
+    /// first and the maximum's last (each clamped to the overflow bin),
+    /// `min <= max` and `count·min <= sum <= count·max`. The bins
+    /// themselves must already be ascending and non-zero.
     pub(crate) fn check_bins(&self) -> Result<(), &'static str> {
         let binned = self
             .bins
@@ -172,9 +174,21 @@ impl LatencyStats {
         if binned != self.count {
             return Err("bin counts disagree with the sample count");
         }
-        let top = self.max.min(Self::LAST_BIN);
-        if self.count > 0 && self.bins.last().map(|&(bin, _)| bin) != Some(top) {
+        if self.count == 0 {
+            return Ok(());
+        }
+        if self.bins.first().map(|&(bin, _)| bin) != Some(self.min.min(Self::LAST_BIN)) {
+            return Err("first bin disagrees with the minimum");
+        }
+        if self.bins.last().map(|&(bin, _)| bin) != Some(self.max.min(Self::LAST_BIN)) {
             return Err("last bin disagrees with the maximum");
+        }
+        if self.min > self.max {
+            return Err("minimum above the maximum");
+        }
+        let (count, sum) = (u128::from(self.count), u128::from(self.sum));
+        if sum < count * u128::from(self.min) || sum > count * u128::from(self.max) {
+            return Err("sum outside count times the minimum and maximum");
         }
         Ok(())
     }
@@ -863,6 +877,37 @@ mod tests {
                 serde_json::from_str::<LatencyStats>(&json).is_err(),
                 "{what} must be rejected: {json}"
             );
+        }
+        // Non-empty summaries whose bins disagree with `min`, or whose
+        // moments disagree with each other.
+        for (json, why) in [
+            (
+                r#"{"count":2,"sum":4,"min":1,"max":3,"bins":[[2,1],[3,1]]}"#,
+                "first bin disagrees",
+            ),
+            (
+                r#"{"count":2,"sum":4,"min":2,"max":3,"bins":[[1,1],[3,1]]}"#,
+                "first bin disagrees",
+            ),
+            (
+                r#"{"count":1,"sum":4700,"min":5000,"max":4500,"bins":[[4095,1]]}"#,
+                "minimum above the maximum",
+            ),
+            (
+                r#"{"count":2,"sum":2,"min":2,"max":3,"bins":[[2,1],[3,1]]}"#,
+                "sum outside",
+            ),
+            (
+                r#"{"count":2,"sum":7,"min":2,"max":3,"bins":[[2,1],[3,1]]}"#,
+                "sum outside",
+            ),
+            (
+                r#"{"count":2,"sum":18446744073709551615,"min":18446744073709551615,"max":18446744073709551615,"bins":[[4095,2]]}"#,
+                "sum outside",
+            ),
+        ] {
+            let err = serde_json::from_str::<LatencyStats>(json).unwrap_err();
+            assert!(err.to_string().contains(why), "{json}: {err}");
         }
         assert!(
             serde_json::from_str::<LatencyStats>(r#"{"count":1,"sum":1,"min":1,"max":1}"#).is_err(),

@@ -20,18 +20,19 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 
 /// Builds a (topology, routing) pair from a family selector and a size
-/// knob, both arbitrary. Family 4 is the West-First adaptive mesh, the
-/// only one with several candidate routes per head flit.
+/// knob. Family 4 is the West-First adaptive mesh, the only one with
+/// several candidate routes per head flit; family 5 is a `size × size`
+/// mesh under XY routing.
 fn build_pair(pick: u8, size: usize) -> (Box<dyn Topology>, Box<dyn RoutingAlgorithm>) {
-    match pick % 5 {
+    match pick {
         0 => {
-            let n = size.clamp(3, 24);
+            let n = size.max(3);
             let t = Ring::new(n).unwrap();
             let r = RingShortestPath::new(&t);
             (Box::new(t), Box::new(r))
         }
         1 => {
-            let n = (size.clamp(2, 12)) * 2;
+            let n = size.max(2) * 2;
             let t = Spidergon::new(n).unwrap();
             let r = SpidergonAcrossFirst::new(&t);
             (Box::new(t), Box::new(r))
@@ -50,11 +51,16 @@ fn build_pair(pick: u8, size: usize) -> (Box<dyn Topology>, Box<dyn RoutingAlgor
             let r = TorusXY::new(&t);
             (Box::new(t), Box::new(r))
         }
-        _ => {
+        4 => {
             let m = (size % 3) + 2;
             let n = (size % 4) + 2;
             let t = RectMesh::new(m, n).unwrap();
             let r = WestFirst::new(&t);
+            (Box::new(t), Box::new(r))
+        }
+        _ => {
+            let t = RectMesh::new(size, size).unwrap();
+            let r = MeshXY::new(&t);
             (Box::new(t), Box::new(r))
         }
     }
@@ -221,6 +227,33 @@ fn west_first_mesh_saturation_matches_dense() {
             assert!(stats.backlog_flits > 0, "λ = 0.8 saturates the mesh");
         }
     }
+}
+
+/// Networks of more than 64 routers, whose active and ejecting sets
+/// span several words: ring-130 below and past saturation, spidergon-66
+/// under a hot spot past saturation (single- and two-stage routers), and
+/// a 9×9 mesh past uniform saturation with a two-channel sink.
+#[test]
+fn multi_word_networks_match_dense() {
+    for lambda in [0.02, 0.2] {
+        let stats = assert_matches_dense(&Case::paper(0, 130, 0, lambda, 200, 1_000, 100, 6, 5));
+        assert_eq!(stats.num_nodes, 130);
+        assert!(stats.packets_delivered > 100, "{stats}");
+    }
+    for router_delay in 0..=1 {
+        let stats = assert_matches_dense(&Case {
+            router_delay,
+            ..Case::paper(1, 33, 1, 0.2, 200, 1_000, 100, 6, 11)
+        });
+        assert_eq!(stats.num_nodes, 66);
+        assert!(stats.backlog_flits > 0, "λ = 0.2 saturates the hot spot");
+    }
+    let stats = assert_matches_dense(&Case {
+        sink_rate: 2,
+        ..Case::paper(5, 9, 0, 0.6, 200, 1_000, 100, 6, 17)
+    });
+    assert_eq!(stats.num_nodes, 81);
+    assert!(stats.backlog_flits > 0, "λ = 0.6 saturates the mesh");
 }
 
 /// A 4×4-mesh trace replay whose bursts (five packets in one cycle,
