@@ -18,16 +18,17 @@
 //!    and the bumpable [`CACHE_SCHEMA`] constant, so any semantics
 //!    change invalidates every prior key cleanly.
 //! 2. **Store** — [`ExperimentCache`] keeps one record per fingerprint
-//!    under a two-level sharded directory (`results/.cache/ab/cd/…​.noc`
-//!    by default). Records are versioned binary envelopes carrying the
-//!    full canonical key (collision proof: the key is compared on read,
-//!    not just the hash), an FNV-1a-64 checksum over key + payload, and
-//!    the `RunResult` as a binary payload: the two labels as
-//!    length-prefixed UTF-8, the injection rate as its `f64` bits, the
-//!    seed as a LEB128 varint, then the statistics in
-//!    [`noc_sim::codec`]'s layout (varints, sparse `(gap, count)`
-//!    latency bins, `per_link` as `(from, index in Direction::ALL,
-//!    flits)`). Writes go through a tempfile + atomic rename; corrupt,
+//!    in one of 16 shard directories named by its first hex digit
+//!    (`results/.cache/a/a3…​.noc` by default). Records are versioned
+//!    binary envelopes carrying the full canonical key (collision
+//!    proof: the key is compared on read, not just the hash), an
+//!    FNV-1a-64 checksum over key + payload, and the `RunResult` as a
+//!    binary payload: the two labels as length-prefixed UTF-8, the
+//!    injection rate as its `f64` bits, the seed as a LEB128 varint,
+//!    then the statistics in [`noc_sim::codec`]'s layout (varints,
+//!    sparse `(gap, count)` latency bins, `per_link` as `(from, index
+//!    in Direction::ALL, flits)`). Writes go through a tempfile + atomic rename, and a
+//!    shard is created only when a write finds it missing; corrupt,
 //!    stale-schema or mismatched records are evicted and treated as
 //!    misses, never trusted. [`ExperimentCache::gc`] bounds the
 //!    store's size, removing oldest-modified records first.
@@ -258,7 +259,7 @@ enum RecordFault {
     ChecksumMismatch,
     KeyMismatch,
     BadPayload(String),
-    MisfiledKey,
+    Misfiled,
 }
 
 impl std::fmt::Display for RecordFault {
@@ -273,7 +274,7 @@ impl std::fmt::Display for RecordFault {
             RecordFault::ChecksumMismatch => write!(f, "checksum mismatch"),
             RecordFault::KeyMismatch => write!(f, "stored key differs from the requested key"),
             RecordFault::BadPayload(reason) => write!(f, "payload does not parse: {reason}"),
-            RecordFault::MisfiledKey => write!(f, "file name does not match the stored key"),
+            RecordFault::Misfiled => write!(f, "misfiled: not at the record path of its key"),
         }
     }
 }
@@ -362,16 +363,13 @@ fn parse_record(bytes: &[u8]) -> Result<(&[u8], &[u8]), RecordFault> {
 }
 
 /// Fully validates a record for `verify`: envelope, checksum, payload
-/// parse, and that the file sits where its embedded key hashes to.
-fn audit_record(path: &Path, bytes: &[u8]) -> Result<(), RecordFault> {
+/// parse, and that the file sits at the record path of its embedded key
+/// in the store rooted at `dir`.
+fn audit_record(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), RecordFault> {
     let (key, payload) = parse_record(bytes)?;
     decode_payload(payload)?;
-    let stem = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or_default();
-    if stem != Fingerprint(fnv1a_128(key)).hex() {
-        return Err(RecordFault::MisfiledKey);
+    if path != ExperimentCache::record_path(dir, &Fingerprint(fnv1a_128(key))) {
+        return Err(RecordFault::Misfiled);
     }
     Ok(())
 }
@@ -474,13 +472,13 @@ impl ExperimentCache {
         self.dir.as_deref()
     }
 
-    /// The record path for a fingerprint: two hex shard levels, then
-    /// the full fingerprint as the file stem.
+    /// The record path for a fingerprint: one of 16 shards named by the
+    /// first hex digit, then the full fingerprint as the file stem.
+    /// A store creates at most these 16 directories; every other store
+    /// writes into one that exists.
     fn record_path(dir: &Path, fp: &Fingerprint) -> PathBuf {
         let hex = fp.hex();
-        dir.join(&hex[0..2])
-            .join(&hex[2..4])
-            .join(format!("{hex}.{RECORD_EXT}"))
+        dir.join(&hex[0..1]).join(format!("{hex}.{RECORD_EXT}"))
     }
 
     /// Looks up a cached result for (experiment, seed). A hit requires
@@ -513,6 +511,10 @@ impl ExperimentCache {
 
     /// Stores a result under (experiment, seed), atomically (tempfile
     /// then rename, so readers never observe a half-written record).
+    /// The tempfile is written before anything else: only when that
+    /// write finds the shard missing are the shard (and the root)
+    /// created, so a store into an existing shard is one create and one
+    /// rename.
     ///
     /// # Errors
     ///
@@ -531,13 +533,18 @@ impl ExperimentCache {
         let bytes = encode_record(key.as_bytes(), &encode_payload(result));
         let path = Self::record_path(dir, &Fingerprint(fnv1a_128(key.as_bytes())));
         let shard = path.parent().expect("record path has a parent");
-        std::fs::create_dir_all(shard)?;
         let tmp = shard.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        let written = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path));
+        let written = match std::fs::write(&tmp, &bytes) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(shard).and_then(|()| std::fs::write(&tmp, &bytes))
+            }
+            first => first,
+        }
+        .and_then(|()| std::fs::rename(&tmp, &path));
         if written.is_err() {
             // Best effort: a stranded tempfile is invisible to `stats`
             // and `gc`, so nothing else would ever remove it.
@@ -629,8 +636,10 @@ impl ExperimentCache {
     }
 
     /// Validates every record end to end (envelope, checksum, payload
-    /// parse, file placement). With `fix`, rejected records are
-    /// deleted so the next run recomputes them.
+    /// parse, file placement). A record anywhere but at the record path
+    /// of its key, such as one of an older shard layout, is misfiled.
+    /// With `fix`, rejected records are deleted so the next run
+    /// recomputes them, and directories they leave empty are removed.
     ///
     /// # Errors
     ///
@@ -638,9 +647,14 @@ impl ExperimentCache {
     /// unreadable records are reported in the outcome instead.
     pub fn verify(&self, fix: bool) -> std::io::Result<VerifyOutcome> {
         let mut outcome = VerifyOutcome::default();
+        let Some(dir) = self.dir.as_deref() else {
+            return Ok(outcome);
+        };
         for (path, _, _) in self.walk()? {
             let fault = match std::fs::read(&path) {
-                Ok(bytes) => audit_record(&path, &bytes).err().map(|f| f.to_string()),
+                Ok(bytes) => audit_record(dir, &path, &bytes)
+                    .err()
+                    .map(|f| f.to_string()),
                 Err(e) => Some(format!("unreadable: {e}")),
             };
             match fault {
@@ -649,6 +663,14 @@ impl ExperimentCache {
                     if fix {
                         std::fs::remove_file(&path)?;
                         outcome.removed += 1;
+                        // Drop the directories this leaves empty, such
+                        // as old-layout shards; one that still holds
+                        // anything stays.
+                        for parent in path.ancestors().skip(1).take_while(|p| *p != dir) {
+                            if std::fs::remove_dir(parent).is_err() {
+                                break;
+                            }
+                        }
                     }
                     outcome.corrupt.push((path, reason));
                 }

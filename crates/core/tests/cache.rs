@@ -19,7 +19,10 @@
 //!   bit-identically, sequential or parallel; with hits answered on
 //!   the workers, the lowest-index error still wins and stores land in
 //!   job order;
-//! * **store hygiene** — a store that fails leaves no tempfile behind.
+//! * **store hygiene** — a store that fails leaves no tempfile behind;
+//! * **layout** — records sit one directory below the root, in at most
+//!   16 shards that a store creates only when it finds them missing;
+//!   a record anywhere else is misfiled, and `verify --fix` removes it.
 
 use noc_core::cache::{
     self, canonical_key, code_version_token, fingerprint, fingerprint_with, unique_temp_dir,
@@ -501,6 +504,114 @@ fn failed_store_leaves_no_tempfile() {
 }
 
 #[test]
+fn store_into_a_missing_root_creates_the_root_and_one_shard() {
+    let dir = unique_temp_dir("noc-cache-fresh-root");
+    let cache = ExperimentCache::at(&dir);
+    let exp = small_experiment(0.2);
+    assert!(!dir.exists());
+    assert!(cache
+        .store(&exp, 7, &exp.run_with_seed(7).unwrap())
+        .unwrap());
+    let record = record_path(&cache, &exp, 7);
+    let shard = record.parent().unwrap();
+    assert_eq!(
+        entry_names(&dir),
+        [shard.file_name().unwrap().to_string_lossy()]
+    );
+    assert_eq!(
+        entry_names(shard),
+        [record.file_name().unwrap().to_string_lossy()]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_recreates_a_deleted_shard() {
+    let dir = unique_temp_dir("noc-cache-deleted-shard");
+    let cache = ExperimentCache::at(&dir);
+    let exp = small_experiment(0.2);
+    let fresh = exp.run_with_seed(7).unwrap();
+    cache.store(&exp, 7, &fresh).unwrap();
+    let record = record_path(&cache, &exp, 7);
+    std::fs::remove_dir_all(record.parent().unwrap()).unwrap();
+    assert!(cache.store(&exp, 7, &fresh).unwrap());
+    assert_eq!(cache.lookup(&exp, 7), Some(fresh));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_under_a_file_root_fails_and_leaves_no_tempfile() {
+    let base = unique_temp_dir("noc-cache-file-root");
+    std::fs::create_dir_all(&base).unwrap();
+    let root = base.join("store");
+    std::fs::write(&root, b"not a directory").unwrap();
+    let cache = ExperimentCache::at(&root);
+    let exp = small_experiment(0.2);
+    assert!(cache
+        .store(&exp, 7, &exp.run_with_seed(7).unwrap())
+        .is_err());
+    assert_eq!(entry_names(&base), ["store"]);
+    assert_eq!(std::fs::read(&root).unwrap(), b"not a directory");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn records_lie_one_level_below_the_root() {
+    let dir = unique_temp_dir("noc-cache-one-level");
+    let cache = ExperimentCache::at(&dir);
+    let jobs: Vec<ExperimentJob> = (0..40u64)
+        .map(|seed| ExperimentJob {
+            experiment: small_experiment(0.2),
+            seed,
+        })
+        .collect();
+    run_jobs(jobs.clone(), Parallelism::Fixed(2), &cache).unwrap();
+    let records = record_paths(&cache);
+    assert_eq!(records.len(), jobs.len());
+    for record in &records {
+        let shard = record.parent().unwrap();
+        assert_eq!(shard.parent().unwrap(), dir, "{record:?}");
+        let stem = record.file_stem().unwrap().to_string_lossy();
+        assert_eq!(shard.file_name().unwrap().to_string_lossy(), stem[..1]);
+    }
+    let shards = entry_names(&dir);
+    assert!(shards.len() <= 16, "{shards:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn old_layout_record_is_misfiled_and_fixed() {
+    // The two-level layout this store used before kept a record at
+    // `<dir>/<hex[0..2]>/<hex[2..4]>/<hex>.noc`. Lookups never read it.
+    let dir = unique_temp_dir("noc-cache-old-layout");
+    let cache = ExperimentCache::at(&dir);
+    let exp = small_experiment(0.2);
+    let fresh = exp.run_with_seed(7).unwrap();
+    cache.store(&exp, 7, &fresh).unwrap();
+    let record = record_path(&cache, &exp, 7);
+    let hex = fingerprint(&exp, 7).hex();
+    let old_shard = dir.join(&hex[0..2]).join(&hex[2..4]);
+    std::fs::create_dir_all(&old_shard).unwrap();
+    let old = old_shard.join(format!("{hex}.noc"));
+    std::fs::copy(&record, &old).unwrap();
+
+    let report = cache.verify(false).unwrap();
+    assert_eq!((report.ok, report.corrupt.len()), (1, 1), "{report:?}");
+    assert_eq!(report.corrupt[0].0, old);
+    assert!(report.corrupt[0].1.starts_with("misfiled"), "{report:?}");
+
+    let fixed = cache.verify(true).unwrap();
+    assert_eq!((fixed.ok, fixed.removed), (1, 1), "{fixed:?}");
+    assert!(!old.exists());
+    assert!(!dir.join(&hex[0..2]).exists(), "emptied old shards go too");
+    assert_eq!(record_paths(&cache), [record]);
+    assert_eq!(cache.lookup(&exp, 7), Some(fresh));
+    let clean = cache.verify(false).unwrap();
+    assert_eq!((clean.ok, clean.corrupt.len()), (1, 0), "{clean:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn gc_keeps_newest_records_within_budget() {
     let dir = unique_temp_dir("noc-cache-gc");
     let cache = ExperimentCache::at(&dir);
@@ -543,16 +654,25 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Where the store keeps the record of (experiment, seed): two hex
-/// shard levels, then the fingerprint as the file stem.
+/// Where the store keeps the record of (experiment, seed): the shard
+/// named by the first hex digit, then the fingerprint as the file stem.
 fn record_path(cache: &ExperimentCache, experiment: &Experiment, seed: u64) -> std::path::PathBuf {
     let hex = fingerprint(experiment, seed).hex();
     cache
         .dir()
         .unwrap()
-        .join(&hex[0..2])
-        .join(&hex[2..4])
+        .join(&hex[0..1])
         .join(format!("{hex}.noc"))
+}
+
+/// The names of a directory's entries, sorted.
+fn entry_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 /// All record files in the store, sorted.
