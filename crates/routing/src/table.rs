@@ -40,8 +40,9 @@ pub struct TableRouting {
 }
 
 impl TableRouting {
-    /// Builds the next-hop table for `topo` by running one BFS per
-    /// destination.
+    /// Builds the next-hop table for `topo` from its all-pairs distance
+    /// matrix, which is held while the table is built (4 bytes per node
+    /// pair, on top of the table's 1).
     ///
     /// The resulting algorithm requests 1 virtual channel; general
     /// table routing is **not** automatically deadlock-free — check
@@ -65,34 +66,30 @@ impl TableRouting {
     pub fn with_vcs<T: Topology + ?Sized>(topo: &T, vcs: usize) -> Self {
         assert!(vcs > 0, "at least one virtual channel is required");
         let n = topo.num_nodes();
-        let graph = topo.graph();
+        let apd = topo.graph().all_pairs_distances();
         let mut table = vec![Direction::Local; n * n];
-        for dest in 0..n {
-            // BFS from the destination gives distance-to-dest for every
-            // node; each node picks its best neighbor.
-            let dist = graph.bfs_distances(dest);
-            for current in 0..n {
-                if current == dest {
-                    continue;
-                }
+        for current in 0..n {
+            let cur = NodeId::new(current);
+            // Each node picks, per destination, its lowest-index direction
+            // to a neighbor one hop closer.
+            let mut links: Vec<(Direction, &[u32])> = topo
+                .directions(cur)
+                .into_iter()
+                .filter_map(|d| Some((d, apd.row(topo.neighbor(cur, d)?.index()))))
+                .collect();
+            links.sort_by_key(|&(d, _)| d.index());
+            let dist = apd.row(current);
+            for dest in (0..n).filter(|&dest| dest != current) {
                 assert_ne!(
-                    dist[current],
+                    dist[dest],
                     noc_topology::graph::UNREACHABLE,
                     "topology is disconnected"
                 );
-                let cur = NodeId::new(current);
-                let mut chosen: Option<Direction> = None;
-                for d in topo.directions(cur) {
-                    if let Some(nb) = topo.neighbor(cur, d) {
-                        if dist[nb.index()] + 1 == dist[current]
-                            && chosen.is_none_or(|c| d.index() < c.index())
-                        {
-                            chosen = Some(d);
-                        }
-                    }
-                }
-                table[current * n + dest] =
-                    chosen.expect("connected graph always has a closer neighbor");
+                let (chosen, _) = links
+                    .iter()
+                    .find(|(_, row)| row[dest] == dist[dest] - 1)
+                    .expect("connected graph always has a closer neighbor");
+                table[current * n + dest] = *chosen;
             }
         }
         TableRouting {
@@ -162,6 +159,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The table as built before the all-pairs matrix: one BFS from
+    /// each destination, each node taking its lowest-index direction to
+    /// a neighbor one hop closer.
+    fn per_destination_bfs_table<T: Topology>(topo: &T) -> Vec<Direction> {
+        let n = topo.num_nodes();
+        let graph = topo.graph();
+        let mut table = vec![Direction::Local; n * n];
+        for dest in 0..n {
+            let dist = graph.bfs_distances(dest);
+            for current in (0..n).filter(|&c| c != dest) {
+                let cur = NodeId::new(current);
+                table[current * n + dest] = topo
+                    .directions(cur)
+                    .into_iter()
+                    .filter(|&d| {
+                        topo.neighbor(cur, d)
+                            .is_some_and(|nb| dist[nb.index()] + 1 == dist[current])
+                    })
+                    .min_by_key(|d| d.index())
+                    .unwrap();
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn table_matches_per_destination_bfs_on_meshes() {
+        for n in 2..=70 {
+            let irregular = IrregularMesh::realistic(n).unwrap();
+            let table = TableRouting::from_topology(&irregular).table;
+            assert_eq!(table, per_destination_bfs_table(&irregular), "n={n}");
+            let rect = RectMesh::balanced(n).unwrap();
+            let table = TableRouting::from_topology(&rect).table;
+            assert_eq!(table, per_destination_bfs_table(&rect), "n={n}");
+        }
+    }
+
+    /// Two separate East-West pairs, `0 - 1` and `2 - 3`.
+    #[derive(Debug)]
+    struct Split;
+
+    impl Topology for Split {
+        fn num_nodes(&self) -> usize {
+            4
+        }
+        fn kind(&self) -> noc_topology::TopologyKind {
+            noc_topology::TopologyKind::Mesh
+        }
+        fn directions(&self, node: NodeId) -> Vec<Direction> {
+            vec![[Direction::East, Direction::West][node.index() % 2]]
+        }
+        fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
+            self.directions(node)
+                .contains(&dir)
+                .then(|| NodeId::new(node.index() ^ 1))
+        }
+        fn label(&self) -> String {
+            "split-4".to_owned()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "topology is disconnected")]
+    fn disconnected_topology_is_rejected() {
+        let _ = TableRouting::from_topology(&Split);
     }
 
     #[test]

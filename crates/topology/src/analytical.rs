@@ -148,7 +148,7 @@ pub fn spidergon_link_count(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RectMesh, Ring, Spidergon, Topology};
+    use crate::{metrics, RectMesh, Ring, Spidergon, Topology};
 
     #[test]
     fn ring_formulas_match_bfs() {
@@ -207,6 +207,45 @@ mod tests {
                 "n={n}"
             );
             assert_eq!(sg.num_links(), spidergon_link_count(n));
+        }
+    }
+
+    /// Checks the matrix and the matrix-free metrics of `topo` against a
+    /// closed-form diameter and paper-normalized average distance.
+    fn check_closed_forms<T: Topology>(topo: &T, diameter: usize, average: f64) {
+        let apd = topo.graph().all_pairs_distances();
+        let label = topo.label();
+        assert_eq!(apd.diameter() as usize, diameter, "{label}");
+        assert_eq!(metrics::diameter(topo) as usize, diameter, "{label}");
+        assert!(
+            (apd.mean_distance_paper() - average).abs() < 1e-9,
+            "{label}"
+        );
+        let swept = metrics::average_distance_paper(topo);
+        assert!((swept - average).abs() < 1e-9, "{label}");
+    }
+
+    #[test]
+    fn closed_forms_hold_across_sweep_blocks() {
+        // The distance sweep takes sources in blocks of 64; these sizes
+        // end exactly on, just before and just after block boundaries.
+        for n in [63usize, 64, 65, 128, 129, 200] {
+            let ring = Ring::new(n).unwrap();
+            check_closed_forms(&ring, ring_diameter(n), ring_average_distance(n));
+        }
+        for n in [64usize, 66, 128, 130, 256] {
+            let sg = Spidergon::new(n).unwrap();
+            check_closed_forms(&sg, spidergon_diameter(n), spidergon_average_distance(n));
+            let sum: u32 = sg.graph().all_pairs_distances().row(n - 1).iter().sum();
+            assert_eq!(sum as usize, spidergon_distance_sum(n), "n={n}");
+        }
+        for (m, n) in [(8usize, 8usize), (9, 9), (10, 13), (16, 16)] {
+            let mesh = RectMesh::new(m, n).unwrap();
+            check_closed_forms(
+                &mesh,
+                mesh_diameter(m, n),
+                mesh_average_distance_paper(m, n),
+            );
         }
     }
 

@@ -5,6 +5,13 @@
 //! closed-form counterparts live in [`crate::analytical`]; everything
 //! here is computed from the actual graph so it also works for irregular
 //! topologies with no closed form.
+//!
+//! Every distance comes from the graph's one bit-parallel multi-source
+//! BFS (see [`crate::graph`]), which takes the sources 64 at a time.
+//! [`diameter`], [`average_distance`] and [`average_distance_paper`]
+//! reduce its levels to a maximum and a sum without storing any
+//! distances; [`TopologyMetrics::compute`] builds the full matrix with
+//! [`Graph::all_pairs_distances`](crate::graph::Graph::all_pairs_distances).
 
 use crate::graph::{self, DistanceMatrix};
 use crate::Topology;
@@ -45,7 +52,8 @@ pub struct TopologyMetrics {
 }
 
 impl TopologyMetrics {
-    /// Computes exact metrics for `topo` via all-pairs BFS.
+    /// Computes exact metrics for `topo` from its all-pairs distance
+    /// matrix.
     ///
     /// # Panics
     ///
@@ -57,7 +65,7 @@ impl TopologyMetrics {
     }
 
     /// Computes metrics from a precomputed distance matrix (avoids
-    /// repeating the all-pairs BFS when the caller already has one).
+    /// sweeping the graph again when the caller already has one).
     ///
     /// # Panics
     ///
