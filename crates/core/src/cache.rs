@@ -16,7 +16,11 @@
 //!    substituted, field order fixed by declaration) with FNV-1a-128,
 //!    salted with a code-version token (the workspace crate versions)
 //!    and the bumpable [`CACHE_SCHEMA`] constant, so any semantics
-//!    change invalidates every prior key cleanly.
+//!    change invalidates every prior key cleanly. The key borrows the
+//!    token and its derived `write_json` streams the JSON straight into
+//!    one buffer, with no `serde::Value` tree on the way; the bytes are
+//!    the same as those of the tree, which the pinned fingerprints in
+//!    the tests hold.
 //! 2. **Store** — [`ExperimentCache`] keeps one record per fingerprint
 //!    in one of 16 shard directories named by its first hex digit
 //!    (`results/.cache/a/a3…​.noc` by default). Records are versioned
@@ -137,9 +141,9 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// The canonical key serialized (in declaration order) for hashing and
 /// for embedding into records.
 #[derive(Serialize)]
-struct CacheKey {
+struct CacheKey<'a> {
     schema: u32,
-    code_version: String,
+    code_version: &'a str,
     topology: crate::TopologySpec,
     traffic: crate::TrafficSpec,
     config: noc_sim::SimConfig,
@@ -161,7 +165,7 @@ pub fn canonical_key_with(
     config.seed = seed;
     let key = CacheKey {
         schema,
-        code_version: code_version.to_owned(),
+        code_version,
         topology: experiment.topology,
         traffic: experiment.traffic,
         config,

@@ -749,6 +749,44 @@ pub const SETS: [(&str, FigureSetFn); 8] = [
 mod tests {
     use super::*;
 
+    /// One line per job of the quick manifest, in runner order: the
+    /// entry's first figure, the series, λ, the seed and the job's cache
+    /// fingerprint.
+    fn quick_manifest_fingerprints() -> String {
+        use std::fmt::Write as _;
+        let opts = FigureOptions::quick();
+        let mut lines = String::new();
+        for entry in manifest(&opts) {
+            for series in &entry.series {
+                for job in series_jobs(&opts, series).unwrap() {
+                    let _ = writeln!(
+                        lines,
+                        "{} {} {} {} {}",
+                        entry.outputs[0].id,
+                        series.label,
+                        job.experiment.config.injection_rate,
+                        job.seed,
+                        crate::cache::fingerprint(&job.experiment, job.seed),
+                    );
+                }
+            }
+        }
+        lines
+    }
+
+    /// A store filled by an earlier build stays warm only while every
+    /// quick-manifest job keeps its fingerprint. The list moves only
+    /// with `CACHE_SCHEMA`, a crate version or the manifest itself.
+    #[test]
+    fn quick_manifest_fingerprints_are_pinned() {
+        let pinned = include_str!("../../../tests/golden/quick-fingerprints.txt");
+        let actual = quick_manifest_fingerprints();
+        for (i, (want, got)) in pinned.lines().zip(actual.lines()).enumerate() {
+            assert_eq!(got, want, "quick-manifest job {i}");
+        }
+        assert_eq!(actual.lines().count(), pinned.lines().count());
+    }
+
     #[test]
     fn fig2_has_all_families_and_known_values() {
         let fig = fig2(32);

@@ -125,31 +125,50 @@ impl FigureData {
     /// Renders an aligned ASCII table: one row per x value, one column
     /// per series (empty cells where a series has no point).
     pub fn to_ascii_table(&self) -> String {
-        let mut out = String::new();
+        // Every cell, header row first, is formatted once into `cells`;
+        // cell `i` spans `bounds[i]..bounds[i + 1]`.
+        let cols = self.series.len() + 1;
+        let mut cells = String::new();
+        let mut bounds = vec![0];
+        cells.push_str(&self.x_label);
+        bounds.push(cells.len());
+        for s in &self.series {
+            cells.push_str(&s.label);
+            bounds.push(cells.len());
+        }
+        for x in self.x_values() {
+            write_number(&mut cells, x);
+            bounds.push(cells.len());
+            for s in &self.series {
+                if let Some(y) = s.y_at(x) {
+                    write_number(&mut cells, y);
+                }
+                bounds.push(cells.len());
+            }
+        }
+        let count = bounds.len() - 1;
+        let cell = |i: usize| &cells[bounds[i]..bounds[i + 1]];
+        let mut widths = vec![0; cols];
+        for i in 0..count {
+            widths[i % cols] = widths[i % cols].max(cell(i).len());
+        }
+        let mut out = String::with_capacity(cells.len() + count * 4);
         let _ = writeln!(out, "# {}: {}", self.id, self.title);
         let _ = writeln!(out, "# y = {}", self.y_label);
-        let mut header = vec![self.x_label.clone()];
-        header.extend(self.series.iter().map(|s| s.label.clone()));
-        let xs = self.x_values();
-        let mut rows: Vec<Vec<String>> = vec![header];
-        for &x in &xs {
-            let mut row = vec![format_number(x)];
-            for s in &self.series {
-                row.push(s.y_at(x).map(format_number).unwrap_or_default());
+        for i in 0..count {
+            let text = cell(i);
+            if i % cols > 0 {
+                out.push_str("  ");
             }
-            rows.push(row);
-        }
-        let cols = rows[0].len();
-        let widths: Vec<usize> = (0..cols)
-            .map(|c| rows.iter().map(|r| r[c].len()).max().unwrap_or(0))
-            .collect();
-        for row in &rows {
-            let line: Vec<String> = row
-                .iter()
-                .zip(&widths)
-                .map(|(cell, w)| format!("{cell:>w$}"))
-                .collect();
-            let _ = writeln!(out, "{}", line.join("  "));
+            // Right-aligned like `{:>w$}`: the width counts bytes, the
+            // padding characters.
+            for _ in text.chars().count()..widths[i % cols] {
+                out.push(' ');
+            }
+            out.push_str(text);
+            if i % cols == cols - 1 {
+                out.push('\n');
+            }
         }
         out
     }
@@ -186,12 +205,14 @@ impl FigureData {
     }
 }
 
-fn format_number(v: f64) -> String {
-    if (v - v.round()).abs() < 1e-9 && v.abs() < 1e12 {
-        format!("{}", v.round() as i64)
+/// Writes a table cell: whole numbers without a fraction, anything
+/// else to four decimals.
+fn write_number(out: &mut String, v: f64) {
+    let _ = if (v - v.round()).abs() < 1e-9 && v.abs() < 1e12 {
+        write!(out, "{}", v.round() as i64)
     } else {
-        format!("{v:.4}")
-    }
+        write!(out, "{v:.4}")
+    };
 }
 
 /// One-line latency summary of a run: mean plus the p50/p95/p99 order
@@ -357,6 +378,11 @@ mod tests {
 
     #[test]
     fn number_formatting() {
+        let format_number = |v| {
+            let mut out = String::new();
+            write_number(&mut out, v);
+            out
+        };
         assert_eq!(format_number(4.0), "4");
         assert_eq!(format_number(0.12345), "0.1235"); // {:.4} rounds
     }

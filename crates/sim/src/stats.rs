@@ -937,4 +937,32 @@ mod tests {
         // byte-identical.
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
+
+    #[test]
+    fn streamed_json_equals_the_value_tree() {
+        // `LatencyStats` gives only `to_value`; the derived `SimStats`
+        // around it streams and must print the same bytes as its tree.
+        let mut stats = SimStats {
+            per_node_delivered: vec![5, 0, 10],
+            ..SimStats::default()
+        };
+        for v in [3u64, 9, 9, 400, 70_000] {
+            stats.latency.record(v);
+        }
+        for pretty in [false, true] {
+            let mut tree = String::new();
+            let mut w = if pretty {
+                serde::Writer::pretty(&mut tree)
+            } else {
+                serde::Writer::compact(&mut tree)
+            };
+            w.value(&serde::Serialize::to_value(&stats));
+            let streamed = if pretty {
+                serde_json::to_string_pretty(&stats)
+            } else {
+                serde_json::to_string(&stats)
+            };
+            assert_eq!(streamed.unwrap(), tree);
+        }
+    }
 }

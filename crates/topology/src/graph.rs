@@ -77,15 +77,17 @@ pub struct Graph {
 impl Graph {
     /// Builds a graph with `n` nodes from a neighbor function.
     ///
-    /// `neighbors_of(v)` must return the adjacency list of node `v`;
-    /// entries must be valid node indices.
+    /// `neighbors_of(v)` must yield the adjacency list of node `v`;
+    /// entries must be valid node indices. The lists go straight into
+    /// the CSR arrays, so an iterator costs no allocation per node.
     ///
     /// # Panics
     ///
     /// Panics if a neighbor index is `>= n`.
-    pub fn from_neighbors<F>(n: usize, neighbors_of: F) -> Self
+    pub fn from_neighbors<F, I>(n: usize, neighbors_of: F) -> Self
     where
-        F: Fn(usize) -> Vec<usize>,
+        F: Fn(usize) -> I,
+        I: IntoIterator<Item = usize>,
     {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut edges = Vec::new();
@@ -114,7 +116,7 @@ impl Graph {
             adj[u].push(v);
             adj[v].push(u);
         }
-        Graph::from_neighbors(n, |v| adj[v].clone())
+        Graph::from_neighbors(n, |v| adj[v].iter().copied())
     }
 
     /// Number of nodes.

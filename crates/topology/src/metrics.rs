@@ -8,10 +8,11 @@
 //!
 //! Every distance comes from the graph's one bit-parallel multi-source
 //! BFS (see [`crate::graph`]), which takes the sources 64 at a time.
-//! [`diameter`], [`average_distance`] and [`average_distance_paper`]
-//! reduce its levels to a maximum and a sum without storing any
-//! distances; [`TopologyMetrics::compute`] builds the full matrix with
-//! [`Graph::all_pairs_distances`](crate::graph::Graph::all_pairs_distances).
+//! [`diameter`], [`average_distance`], [`average_distance_paper`] and
+//! [`TopologyMetrics::compute`] reduce its levels to a maximum and a sum
+//! without storing any distances; only
+//! [`TopologyMetrics::from_distances`] reads a full matrix, one the
+//! caller already holds.
 
 use crate::graph::{self, DistanceMatrix};
 use crate::Topology;
@@ -52,16 +53,18 @@ pub struct TopologyMetrics {
 }
 
 impl TopologyMetrics {
-    /// Computes exact metrics for `topo` from its all-pairs distance
-    /// matrix.
+    /// Computes exact metrics for `topo` from one matrix-free sweep of
+    /// its graph: the diameter and distance sum, never the `n x n`
+    /// distances.
     ///
     /// # Panics
     ///
     /// Panics if the topology is disconnected (all [`Topology`]
-    /// implementations in this crate are connected by construction).
+    /// implementations in this crate are connected by construction) or
+    /// empty.
     pub fn compute<T: Topology + ?Sized>(topo: &T) -> Self {
-        let apd = topo.graph().all_pairs_distances();
-        Self::from_distances(topo, &apd)
+        let (diameter, total) = topo.graph().distance_totals();
+        Self::from_totals(topo, diameter.expect("nonempty graph"), total)
     }
 
     /// Computes metrics from a precomputed distance matrix (avoids
@@ -77,14 +80,21 @@ impl TopologyMetrics {
             topo.num_nodes(),
             "distance matrix does not match topology"
         );
+        Self::from_totals(topo, apd.diameter(), apd.total_distance())
+    }
+
+    /// The metrics of `topo` given its diameter and the distance sum
+    /// over ordered pairs of its nodes.
+    fn from_totals<T: Topology + ?Sized>(topo: &T, diameter: u32, total: u64) -> Self {
+        let n = topo.num_nodes();
         let degrees: Vec<usize> = topo.node_ids().map(|v| topo.degree(v)).collect();
         TopologyMetrics {
             label: topo.label(),
-            num_nodes: topo.num_nodes(),
+            num_nodes: n,
             num_links: topo.num_links(),
-            diameter: apd.diameter(),
-            mean_distance: apd.mean_distance(),
-            mean_distance_paper: apd.mean_distance_paper(),
+            diameter,
+            mean_distance: graph::mean_distance(total, n),
+            mean_distance_paper: graph::mean_distance_paper(total, n),
             min_degree: degrees.iter().copied().min().unwrap_or(0),
             max_degree: degrees.iter().copied().max().unwrap_or(0),
         }

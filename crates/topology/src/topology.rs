@@ -156,13 +156,19 @@ pub trait Topology: fmt::Debug {
 
     /// Builds the undirected adjacency [`Graph`] of this topology, used
     /// for BFS-based exact metrics.
+    ///
+    /// Each node's edges go straight into the CSR arrays in
+    /// [`Direction::ALL`] order, the canonical order every family lists
+    /// its [`directions`](Self::directions) in, so the graph's
+    /// adjacency lists equal [`neighbors`](Self::neighbors) without
+    /// building them.
     fn graph(&self) -> Graph {
-        let n = self.num_nodes();
-        Graph::from_neighbors(n, |v| {
-            self.neighbors(NodeId::new(v))
+        Graph::from_neighbors(self.num_nodes(), |v| {
+            let node = NodeId::new(v);
+            Direction::ALL
                 .into_iter()
+                .filter_map(move |d| self.neighbor(node, d))
                 .map(NodeId::index)
-                .collect()
         })
     }
 }
@@ -218,6 +224,7 @@ impl ExactSizeIterator for NodeIds {}
 pub fn check_topology_invariants<T: Topology + ?Sized>(topo: &T) {
     let n = topo.num_nodes();
     assert!(n > 0, "topology must have at least one node");
+    let graph = topo.graph();
     for v in topo.node_ids() {
         let dirs = topo.directions(v);
         // No duplicate directions, no Local in the link set.
@@ -235,6 +242,13 @@ pub fn check_topology_invariants<T: Topology + ?Sized>(topo: &T) {
                 "link {v} -[{d}]-> {u} is not symmetric"
             );
         }
+        // The graph lists the neighbors in the same order.
+        let neighbors: Vec<usize> = topo.neighbors(v).into_iter().map(NodeId::index).collect();
+        assert_eq!(
+            graph.neighbors(v.index()),
+            neighbors,
+            "{v}: graph adjacency differs from neighbors()"
+        );
         // Directions not listed must have no neighbor.
         for d in Direction::ALL {
             if d != Direction::Local && !dirs.contains(&d) {
@@ -246,7 +260,7 @@ pub fn check_topology_invariants<T: Topology + ?Sized>(topo: &T) {
             }
         }
     }
-    assert!(topo.graph().is_connected(), "topology must be connected");
+    assert!(graph.is_connected(), "topology must be connected");
 }
 
 #[cfg(test)]
