@@ -10,11 +10,9 @@
 //! BFS (see [`crate::graph`]), which takes the sources 64 at a time.
 //! [`diameter`], [`average_distance`], [`average_distance_paper`] and
 //! [`TopologyMetrics::compute`] reduce its levels to a maximum and a sum
-//! without storing any distances; only
-//! [`TopologyMetrics::from_distances`] reads a full matrix, one the
-//! caller already holds.
+//! without storing any distances.
 
-use crate::graph::{self, DistanceMatrix};
+use crate::graph;
 use crate::Topology;
 
 /// Summary of the exact distance structure of a topology.
@@ -64,35 +62,13 @@ impl TopologyMetrics {
     /// empty.
     pub fn compute<T: Topology + ?Sized>(topo: &T) -> Self {
         let (diameter, total) = topo.graph().distance_totals();
-        Self::from_totals(topo, diameter.expect("nonempty graph"), total)
-    }
-
-    /// Computes metrics from a precomputed distance matrix (avoids
-    /// sweeping the graph again when the caller already has one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `apd` has a different node count than `topo`, or the
-    /// graph is disconnected.
-    pub fn from_distances<T: Topology + ?Sized>(topo: &T, apd: &DistanceMatrix) -> Self {
-        assert_eq!(
-            apd.num_nodes(),
-            topo.num_nodes(),
-            "distance matrix does not match topology"
-        );
-        Self::from_totals(topo, apd.diameter(), apd.total_distance())
-    }
-
-    /// The metrics of `topo` given its diameter and the distance sum
-    /// over ordered pairs of its nodes.
-    fn from_totals<T: Topology + ?Sized>(topo: &T, diameter: u32, total: u64) -> Self {
         let n = topo.num_nodes();
         let degrees: Vec<usize> = topo.node_ids().map(|v| topo.degree(v)).collect();
         TopologyMetrics {
             label: topo.label(),
             num_nodes: n,
             num_links: topo.num_links(),
-            diameter,
+            diameter: diameter.expect("nonempty graph"),
             mean_distance: graph::mean_distance(total, n),
             mean_distance_paper: graph::mean_distance_paper(total, n),
             min_degree: degrees.iter().copied().min().unwrap_or(0),
@@ -211,21 +187,24 @@ mod tests {
     }
 
     #[test]
-    fn from_distances_matches_compute() {
-        let sg = Spidergon::new(10).unwrap();
-        let apd = sg.graph().all_pairs_distances();
-        assert_eq!(
-            TopologyMetrics::from_distances(&sg, &apd),
-            TopologyMetrics::compute(&sg)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn from_distances_rejects_mismatched_matrix() {
-        let sg = Spidergon::new(10).unwrap();
-        let other = Ring::new(5).unwrap().graph().all_pairs_distances();
-        let _ = TopologyMetrics::from_distances(&sg, &other);
+    fn compute_matches_the_distance_matrix() {
+        // One block of sources, and sizes past one and two blocks.
+        let topos: [Box<dyn Topology>; 4] = [
+            Box::new(Spidergon::new(10).unwrap()),
+            Box::new(Ring::new(65).unwrap()),
+            Box::new(RectMesh::balanced(130).unwrap()),
+            Box::new(IrregularMesh::realistic(70).unwrap()),
+        ];
+        for topo in &topos {
+            let apd = topo.graph().all_pairs_distances();
+            let m = TopologyMetrics::compute(&**topo);
+            assert_eq!(m.diameter, apd.diameter(), "{}", m.label);
+            assert_eq!(m.mean_distance.to_bits(), apd.mean_distance().to_bits());
+            assert_eq!(
+                m.mean_distance_paper.to_bits(),
+                apd.mean_distance_paper().to_bits()
+            );
+        }
     }
 
     #[test]
