@@ -13,10 +13,12 @@
 //!                                    a latency decomposition table
 //! noc-cli conformance --nodes 16 --reps 2 --threads 4
 //!                                    differential conformance harness
-//! noc-cli cache stats [DIR]          entry count / bytes of the store
+//! noc-cli cache stats [DIR]          packs / records / bytes of the store
 //! noc-cli cache gc [DIR] --max-bytes B
-//!                                    shrink the store, oldest first
-//! noc-cli cache verify [DIR] [--fix] validate records, delete bad ones
+//!                                    shrink the store, oldest pack first
+//! noc-cli cache verify [DIR] [--fix] validate records; drop bad ones and
+//!                                    pack one-record files of earlier
+//!                                    layouts
 //! noc-cli figures [ID...]            regenerate paper figures: ASCII
 //!                                    table + plot on stdout, CSV/JSON
 //!                                    under results/ (no ID: every
@@ -428,18 +430,17 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     match action {
         "stats" => {
             let stats = cache.stats()?;
-            let entries = entries(stats.entries);
-            println!("{}: {entries}, {} bytes", dir.display(), stats.total_bytes);
+            println!("{}: {}", dir.display(), contents(&stats));
         }
         "gc" => {
             let outcome = cache.gc(max_bytes)?;
             println!(
-                "{}: removed {} record(s), freed {} bytes; {} / {} bytes remain (limit {})",
+                "{}: removed {} pack(s) holding {} record(s), freed {} bytes; {} remain (limit {} bytes)",
                 dir.display(),
+                outcome.removed_packs,
                 outcome.removed,
                 outcome.freed_bytes,
-                entries(outcome.remaining.entries),
-                outcome.remaining.total_bytes,
+                contents(&outcome.remaining),
                 max_bytes
             );
         }
@@ -449,14 +450,18 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 println!("corrupt: {} ({reason})", path.display());
             }
             println!(
-                "{}: {} ok, {} corrupt, {} removed",
+                "{}: {} ok, {} corrupt, {} removed, {} moved into a pack",
                 dir.display(),
                 outcome.ok,
                 outcome.corrupt.len(),
-                outcome.removed
+                outcome.removed,
+                outcome.migrated
             );
             if !outcome.corrupt.is_empty() && !fix {
-                return Err("corrupt records found (rerun with --fix to delete them)".into());
+                return Err(
+                    "corrupt or unpacked records found (rerun with --fix to drop or pack them)"
+                        .into(),
+                );
             }
         }
         other => return Err(format!("unknown cache action {other}").into()),
@@ -464,9 +469,12 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// `n entry` or `n entries`.
-fn entries(n: usize) -> String {
-    format!("{n} entr{}", if n == 1 { "y" } else { "ies" })
+/// `P pack(s), R record(s), B bytes`.
+fn contents(stats: &noc_core::CacheStats) -> String {
+    format!(
+        "{} pack(s), {} record(s), {} bytes",
+        stats.packs, stats.entries, stats.total_bytes
+    )
 }
 
 /// Directory `figures` writes its CSV/JSON dumps into (relative to the

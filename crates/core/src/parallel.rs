@@ -150,9 +150,9 @@ impl ExperimentJob {
 ///
 /// Every job runs on the parallel engine as one lookup-or-simulate
 /// step: a cache hit is decoded on the worker, a miss is simulated
-/// there. Back on the calling thread, fresh results are stored in job
-/// order for the next run. Callers that honour `NOC_CACHE` pass
-/// [`ExperimentCache::from_env`].
+/// there. Back on the calling thread, the fresh results are stored for
+/// the next run as one pack, in job order (each key once). Callers
+/// that honour `NOC_CACHE` pass [`ExperimentCache::from_env`].
 ///
 /// Output is bit-identical to an uncached run: a hit is exactly the
 /// [`RunResult`] a fresh simulation would return (the conformance
@@ -188,6 +188,8 @@ pub fn run_jobs(
     );
     let mut counters = CacheCounters::default();
     let mut results = Vec::with_capacity(jobs.len());
+    // Each fresh result's job, with its position in `results`.
+    let mut fresh = Vec::new();
     let mut first_error: Option<CoreError> = None;
     for (job, (hit, outcome)) in jobs.iter().zip(outcomes) {
         if hit {
@@ -197,16 +199,8 @@ pub fn run_jobs(
         }
         match outcome {
             Ok(result) => {
-                // Stores stay on this thread, in job order, so record
-                // mtimes (the GC's eviction order) do not depend on the
-                // schedule. Best-effort: successes are worth keeping
-                // even when a sibling job failed the overall call.
-                if !hit
-                    && cache
-                        .store(&job.experiment, job.seed, &result)
-                        .unwrap_or(false)
-                {
-                    counters.stores += 1;
+                if !hit {
+                    fresh.push((job, results.len()));
                 }
                 results.push(result);
             }
@@ -215,6 +209,14 @@ pub fn run_jobs(
             }
         }
     }
+    // One pack for the whole call, written on this thread with its
+    // records in job order, so the store does not depend on the
+    // schedule. Best-effort: successes are worth keeping even when a
+    // sibling job failed the overall call.
+    let batch = fresh
+        .iter()
+        .map(|&(job, at)| (&job.experiment, job.seed, &results[at]));
+    counters.stores = cache.store_all(batch).unwrap_or(0) as u64;
     if cache.is_enabled() {
         record_counters(counters);
     }

@@ -9,20 +9,26 @@
 //!   state to vary);
 //! * **invalidation** — bumping `CACHE_SCHEMA` or changing the
 //!   code-version token re-keys every point;
-//! * **corruption robustness** — truncated and bit-flipped records are
-//!   rejected by the checksum, a payload that passes the checksum but
-//!   does not decode is rejected by the decoder, the point is
-//!   recomputed, the bad entry is replaced, and nothing ever panics or
-//!   returns a wrong result;
+//! * **corruption robustness** — truncated packs and bit-flipped
+//!   spans are rejected by the checksums, a payload that passes the
+//!   checksum but does not decode is rejected by the decoder; the point
+//!   misses, is recomputed into a newer pack that answers the next
+//!   lookup, `verify` reports the old span and `verify --fix` drops it,
+//!   and nothing ever panics or returns a wrong result;
 //! * **incremental scheduling** — a cold pass simulates and stores
 //!   every point, a warm pass answers all of them from disk
 //!   bit-identically, sequential or parallel; with hits answered on
-//!   the workers, the lowest-index error still wins and stores land in
-//!   job order;
+//!   the workers, the lowest-index error still wins and a pack indexes
+//!   its records in job order;
+//! * **one file per call** — a cold call with misses creates exactly
+//!   one file in the store and a warm call none, and a property test
+//!   over interleaved batches (duplicate keys, corrupted spans, `gc`)
+//!   checks that every lookup misses or equals the fresh result and
+//!   that `stats().entries` counts the distinct live keys;
 //! * **store hygiene** — a store that fails leaves no tempfile behind;
-//! * **layout** — records sit one directory below the root, in at most
-//!   16 shards that a store creates only when it finds them missing;
-//!   a record anywhere else is misfiled, and `verify --fix` removes it.
+//! * **layout** — a store holds one `packs` directory of `.nocp` files;
+//!   `verify --fix` moves the one-record `.noc` files of earlier
+//!   layouts into a pack.
 
 use noc_core::cache::{
     self, canonical_key, code_version_token, fingerprint, fingerprint_with, unique_temp_dir,
@@ -32,6 +38,7 @@ use noc_core::{run_jobs, CoreError, Experiment, ExperimentJob, Parallelism, RunR
 use noc_core::{TopologySpec, TrafficSpec};
 use noc_sim::SimConfig;
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 fn topology(pick: u8, size: usize) -> TopologySpec {
     match pick % 3 {
@@ -224,52 +231,62 @@ fn schema_bump_and_code_version_invalidate_all_keys() {
 }
 
 #[test]
-fn truncated_record_is_rejected_recomputed_and_replaced() {
+fn truncated_pack_misses_and_a_newer_pack_answers() {
     let dir = unique_temp_dir("noc-cache-truncate");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
     let fresh = exp.run_with_seed(7).unwrap();
     cache.store(&exp, 7, &fresh).unwrap();
-    let record = record_paths(&cache)[0].clone();
-    let full = std::fs::read(&record).unwrap();
+    let full = std::fs::read(&pack_paths(&dir)[0]).unwrap();
 
-    // Truncate at several depths, including inside the header.
+    // Truncate at several depths, including inside the first record's
+    // header and inside the trailer.
     for keep in [0usize, 10, 24, full.len() / 2, full.len() - 1] {
-        std::fs::write(&record, &full[..keep]).unwrap();
+        let pack = newest_pack(&dir);
+        std::fs::write(&pack, &full[..keep]).unwrap();
         assert!(
-            cache.lookup(&exp, 7).is_none(),
+            ExperimentCache::at(&dir).lookup(&exp, 7).is_none(),
             "truncated to {keep} bytes must miss"
         );
-        // The corrupt entry was evicted on lookup; recompute and
-        // re-store to restore the cache for the next iteration.
-        assert!(!record.exists(), "corrupt record must be evicted");
+        // The recomputed point goes into a newer pack, which answers
+        // the next lookup.
         let recomputed = run_one(&cache, &exp, 7).unwrap();
         assert_eq!(
             recomputed, fresh,
             "recomputed point must equal the original"
         );
-        assert_eq!(std::fs::read(&record).unwrap(), full, "entry replaced");
+        assert_eq!(
+            std::fs::read(newest_pack(&dir)).unwrap(),
+            full,
+            "entry replaced"
+        );
+        assert_eq!(
+            ExperimentCache::at(&dir).lookup(&exp, 7),
+            Some(fresh.clone())
+        );
+        assert_old_pack_reported_and_fixed(&cache, &pack);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn bit_flipped_record_is_rejected_recomputed_and_replaced() {
+fn bit_flipped_span_misses_and_a_newer_pack_answers() {
     let dir = unique_temp_dir("noc-cache-bitflip");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
     let fresh = exp.run_with_seed(7).unwrap();
     cache.store(&exp, 7, &fresh).unwrap();
-    let record = record_paths(&cache)[0].clone();
-    let full = std::fs::read(&record).unwrap();
+    let full = std::fs::read(&pack_paths(&dir)[0]).unwrap();
+    let (_, _, span_len) = pack_index(&pack_paths(&dir)[0])[0].clone();
 
     // Flip one bit in the magic, the header lengths, the checksum, the
     // key and the payload — every region must be caught.
-    for position in [0usize, 9, 17, 30, full.len() - 3] {
+    for position in [0usize, 9, 17, 30, span_len - 3] {
+        let pack = newest_pack(&dir);
         let mut damaged = full.clone();
         damaged[position] ^= 0x10;
-        std::fs::write(&record, &damaged).unwrap();
-        let looked_up = cache.lookup(&exp, 7);
+        std::fs::write(&pack, &damaged).unwrap();
+        let looked_up = ExperimentCache::at(&dir).lookup(&exp, 7);
         // Either rejected outright (None) or — only if the flipped
         // byte is outside every checked region — identical anyway;
         // a *different* result must never come back.
@@ -282,39 +299,46 @@ fn bit_flipped_record_is_rejected_recomputed_and_replaced() {
         }
         let recomputed = run_one(&cache, &exp, 7).unwrap();
         assert_eq!(recomputed, fresh);
-        assert_eq!(std::fs::read(&record).unwrap(), full, "entry replaced");
+        assert_eq!(
+            std::fs::read(newest_pack(&dir)).unwrap(),
+            full,
+            "entry replaced"
+        );
+        assert_old_pack_reported_and_fixed(&cache, &pack);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn unparsable_payload_with_valid_checksum_is_evicted() {
+fn unparsable_payload_with_valid_checksum_misses_and_is_fixed() {
     // A payload the checksum vouches for can still fail to decode (a
     // writer bug, say). Append one byte to the payload and recompute
-    // the envelope's length and checksum: only the payload decoder can
-    // reject it.
+    // the envelope's length and checksum and the pack's index: only
+    // the payload decoder can reject it.
     let dir = unique_temp_dir("noc-cache-payload");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
     let fresh = exp.run_with_seed(7).unwrap();
     cache.store(&exp, 7, &fresh).unwrap();
-    let record = record_paths(&cache)[0].clone();
+    let record = pack_paths(&dir)[0].clone();
     let full = std::fs::read(&record).unwrap();
+    let (hex, _, span_len) = pack_index(&record)[0].clone();
+    let span = &full[..span_len];
 
-    let word = |at: usize| u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize;
+    let word = |at: usize| u32::from_le_bytes(span[at..at + 4].try_into().unwrap()) as usize;
     let (key_len, payload_len) = (word(8), word(12));
-    let key = &full[24..24 + key_len];
-    let mut payload = full[24 + key_len..].to_vec();
+    let key = &span[24..24 + key_len];
+    let mut payload = span[24 + key_len..].to_vec();
     assert_eq!(payload.len(), payload_len);
     payload.push(0);
-    let mut damaged = full[..24].to_vec();
+    let mut damaged = span[..24].to_vec();
     damaged[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     let checksum = fnv1a_64(key) ^ fnv1a_64(&payload).rotate_left(1);
     damaged[16..24].copy_from_slice(&checksum.to_le_bytes());
     damaged.extend_from_slice(key);
     damaged.extend_from_slice(&payload);
 
-    std::fs::write(&record, &damaged).unwrap();
+    write_pack(&record, &[(hex, damaged)]);
     let report = cache.verify(false).unwrap();
     assert_eq!((report.ok, report.corrupt.len()), (0, 1), "{report:?}");
     assert!(
@@ -322,14 +346,19 @@ fn unparsable_payload_with_valid_checksum_is_evicted() {
         "{report:?}"
     );
     assert!(cache.lookup(&exp, 7).is_none(), "damaged payload must miss");
-    assert!(!record.exists(), "damaged record must be evicted");
     assert_eq!(run_one(&cache, &exp, 7).unwrap(), fresh);
-    assert_eq!(std::fs::read(&record).unwrap(), full, "entry replaced");
+    assert_eq!(
+        std::fs::read(newest_pack(&dir)).unwrap(),
+        full,
+        "entry replaced"
+    );
+    assert_old_pack_reported_and_fixed(&cache, &record);
+    assert!(!record.exists(), "damaged record must be evicted");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn previous_schema_record_is_reported_and_evicted() {
+fn previous_schema_span_is_reported_and_fixed() {
     // No reader for older layouts is kept: a record stamped with the
     // previous schema is stale, whatever its payload.
     let dir = unique_temp_dir("noc-cache-schema");
@@ -338,7 +367,7 @@ fn previous_schema_record_is_reported_and_evicted() {
     cache
         .store(&exp, 7, &exp.run_with_seed(7).unwrap())
         .unwrap();
-    let record = record_paths(&cache)[0].clone();
+    let record = pack_paths(&dir)[0].clone();
     let mut stale = std::fs::read(&record).unwrap();
     stale[4..8].copy_from_slice(&(CACHE_SCHEMA - 1).to_le_bytes());
     std::fs::write(&record, &stale).unwrap();
@@ -348,6 +377,8 @@ fn previous_schema_record_is_reported_and_evicted() {
         format!("schema {} != {CACHE_SCHEMA}", CACHE_SCHEMA - 1)
     );
     assert!(cache.lookup(&exp, 7).is_none());
+    let fixed = cache.verify(true).unwrap();
+    assert_eq!(fixed.removed, 1, "{fixed:?}");
     assert!(!record.exists(), "stale record must be evicted");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -447,15 +478,15 @@ fn first_error_wins_with_hits_on_the_workers() {
         Some(jobs[4].run().unwrap()),
         "the new point must be stored although a sibling failed"
     );
-    assert_eq!(record_paths(&cache).len(), 3);
+    assert_eq!(cache.stats().unwrap().entries, 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn stores_land_in_job_order() {
+fn a_pack_indexes_its_records_in_job_order() {
     // Most expensive first, so with four workers the cheap jobs finish
-    // before the dear ones: a store made on the worker would stamp a
-    // later job with an earlier mtime.
+    // before the dear ones: a pack written in completion order would
+    // index a later job before an earlier one.
     let dir = unique_temp_dir("noc-cache-store-order");
     let cache = ExperimentCache::at(&dir);
     let jobs: Vec<ExperimentJob> = (0..8u64)
@@ -469,16 +500,20 @@ fn stores_land_in_job_order() {
         })
         .collect();
     run_jobs(jobs.clone(), Parallelism::Fixed(4), &cache).unwrap();
-    let mtimes: Vec<_> = jobs
+    let packs = pack_paths(&dir);
+    assert_eq!(packs.len(), 1, "one pack per call: {packs:?}");
+    let index = pack_index(&packs[0]);
+    let indexed: Vec<&str> = index.iter().map(|(hex, _, _)| hex.as_str()).collect();
+    let expected: Vec<String> = jobs
         .iter()
-        .map(|job| {
-            let path = record_path(&cache, &job.experiment, job.seed);
-            std::fs::metadata(path).unwrap().modified().unwrap()
-        })
+        .map(|job| fingerprint(&job.experiment, job.seed).hex())
         .collect();
+    assert_eq!(indexed, expected, "the index must follow job order");
     assert!(
-        mtimes.windows(2).all(|pair| pair[0] <= pair[1]),
-        "record mtimes must follow job order: {mtimes:?}"
+        index
+            .windows(2)
+            .all(|pair| pair[0].1 + pair[0].2 == pair[1].1),
+        "records must lie back to back in job order: {index:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -488,15 +523,24 @@ fn failed_store_leaves_no_tempfile() {
     let dir = unique_temp_dir("noc-cache-tempfile");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
-    let record = record_path(&cache, &exp, 7);
-    // A directory squatting on the record's path makes the rename fail.
-    std::fs::create_dir_all(&record).unwrap();
-    let shard = record.parent().unwrap();
     let fresh = exp.run_with_seed(7).unwrap();
-    assert!(cache.store(&exp, 7, &fresh).is_err());
-    let leftovers: Vec<_> = std::fs::read_dir(shard)
-        .unwrap()
-        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+    cache.store(&exp, 7, &fresh).unwrap();
+    // Restamp the pack far ahead: a handle that has read it names its
+    // next pack one stamp later, so that name is known in advance.
+    let packs = dir.join("packs");
+    let stamp: u64 = 0xf000_0000_0000_0000;
+    std::fs::rename(
+        &pack_paths(&dir)[0],
+        packs.join(format!("{stamp:016x}-0.nocp")),
+    )
+    .unwrap();
+    assert_eq!(cache.lookup(&exp, 7), Some(fresh.clone()));
+    // A directory squatting on the pack's path makes the rename fail.
+    let next = format!("{:016x}-{:08x}.nocp", stamp + 1, std::process::id());
+    std::fs::create_dir(packs.join(next)).unwrap();
+    assert!(cache.store(&exp, 8, &fresh).is_err());
+    let leftovers: Vec<_> = entry_names(&packs)
+        .into_iter()
         .filter(|name| name.starts_with(".tmp-"))
         .collect();
     assert!(leftovers.is_empty(), "stranded tempfiles: {leftovers:?}");
@@ -504,7 +548,7 @@ fn failed_store_leaves_no_tempfile() {
 }
 
 #[test]
-fn store_into_a_missing_root_creates_the_root_and_one_shard() {
+fn store_into_a_missing_root_creates_the_root_and_one_pack() {
     let dir = unique_temp_dir("noc-cache-fresh-root");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
@@ -512,28 +556,21 @@ fn store_into_a_missing_root_creates_the_root_and_one_shard() {
     assert!(cache
         .store(&exp, 7, &exp.run_with_seed(7).unwrap())
         .unwrap());
-    let record = record_path(&cache, &exp, 7);
-    let shard = record.parent().unwrap();
-    assert_eq!(
-        entry_names(&dir),
-        [shard.file_name().unwrap().to_string_lossy()]
-    );
-    assert_eq!(
-        entry_names(shard),
-        [record.file_name().unwrap().to_string_lossy()]
-    );
+    assert_eq!(entry_names(&dir), ["packs"]);
+    let packs = entry_names(&dir.join("packs"));
+    assert_eq!(packs.len(), 1, "{packs:?}");
+    assert!(packs[0].ends_with(".nocp"), "{packs:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn store_recreates_a_deleted_shard() {
-    let dir = unique_temp_dir("noc-cache-deleted-shard");
+fn store_recreates_a_deleted_packs_directory() {
+    let dir = unique_temp_dir("noc-cache-deleted-packs");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
     let fresh = exp.run_with_seed(7).unwrap();
     cache.store(&exp, 7, &fresh).unwrap();
-    let record = record_path(&cache, &exp, 7);
-    std::fs::remove_dir_all(record.parent().unwrap()).unwrap();
+    std::fs::remove_dir_all(dir.join("packs")).unwrap();
     assert!(cache.store(&exp, 7, &fresh).unwrap());
     assert_eq!(cache.lookup(&exp, 7), Some(fresh));
     std::fs::remove_dir_all(&dir).ok();
@@ -556,8 +593,8 @@ fn store_under_a_file_root_fails_and_leaves_no_tempfile() {
 }
 
 #[test]
-fn records_lie_one_level_below_the_root() {
-    let dir = unique_temp_dir("noc-cache-one-level");
+fn one_call_stores_one_pack() {
+    let dir = unique_temp_dir("noc-cache-one-pack");
     let cache = ExperimentCache::at(&dir);
     let jobs: Vec<ExperimentJob> = (0..40u64)
         .map(|seed| ExperimentJob {
@@ -566,21 +603,64 @@ fn records_lie_one_level_below_the_root() {
         })
         .collect();
     run_jobs(jobs.clone(), Parallelism::Fixed(2), &cache).unwrap();
-    let records = record_paths(&cache);
-    assert_eq!(records.len(), jobs.len());
-    for record in &records {
-        let shard = record.parent().unwrap();
-        assert_eq!(shard.parent().unwrap(), dir, "{record:?}");
-        let stem = record.file_stem().unwrap().to_string_lossy();
-        assert_eq!(shard.file_name().unwrap().to_string_lossy(), stem[..1]);
-    }
-    let shards = entry_names(&dir);
-    assert!(shards.len() <= 16, "{shards:?}");
+    assert_eq!(entry_names(&dir), ["packs"]);
+    let packs = entry_names(&dir.join("packs"));
+    assert_eq!(packs.len(), 1, "{packs:?}");
+    assert_eq!(pack_index(&pack_paths(&dir)[0]).len(), jobs.len());
+    let stats = cache.stats().unwrap();
+    assert_eq!((stats.packs, stats.entries), (1, jobs.len()), "{stats:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn old_layout_record_is_misfiled_and_fixed() {
+fn a_cold_call_creates_one_file_and_a_warm_call_none() {
+    let dir = unique_temp_dir("noc-cache-file-count");
+    let jobs = |seeds: &[u64]| -> Vec<ExperimentJob> {
+        seeds
+            .iter()
+            .map(|&seed| ExperimentJob {
+                experiment: small_experiment(0.2),
+                seed,
+            })
+            .collect()
+    };
+    // Five misses, one of them asked for twice.
+    let cold = jobs(&[1, 2, 3, 2, 4, 5]);
+    let before = cache::counters();
+    run_jobs(
+        cold.clone(),
+        Parallelism::Fixed(2),
+        &ExperimentCache::at(&dir),
+    )
+    .unwrap();
+    let delta = cache::counters().since(&before);
+    assert_eq!((delta.misses, delta.stores), (6, 5));
+    let filled = store_files(&dir);
+    assert_eq!(filled.len(), 1, "{filled:?}");
+
+    for parallelism in [Parallelism::Sequential, Parallelism::Fixed(2)] {
+        let before = cache::counters();
+        run_jobs(cold.clone(), parallelism, &ExperimentCache::at(&dir)).unwrap();
+        assert_eq!(cache::counters().since(&before).misses, 0);
+        assert_eq!(store_files(&dir), filled, "a warm call creates no file");
+    }
+
+    // Partly warm: two misses, one new file.
+    run_jobs(
+        jobs(&[1, 6, 2, 7]),
+        Parallelism::Fixed(2),
+        &ExperimentCache::at(&dir),
+    )
+    .unwrap();
+    let grown = store_files(&dir);
+    assert_eq!(grown.len(), 2, "{grown:?}");
+    assert!(filled.iter().all(|file| grown.contains(file)));
+    assert_eq!(ExperimentCache::at(&dir).stats().unwrap().entries, 7);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn old_layout_record_is_unpacked_and_fixed() {
     // The two-level layout this store used before kept a record at
     // `<dir>/<hex[0..2]>/<hex[2..4]>/<hex>.noc`. Lookups never read it.
     let dir = unique_temp_dir("noc-cache-old-layout");
@@ -588,23 +668,25 @@ fn old_layout_record_is_misfiled_and_fixed() {
     let exp = small_experiment(0.2);
     let fresh = exp.run_with_seed(7).unwrap();
     cache.store(&exp, 7, &fresh).unwrap();
-    let record = record_path(&cache, &exp, 7);
+    let record = pack_paths(&dir)[0].clone();
     let hex = fingerprint(&exp, 7).hex();
     let old_shard = dir.join(&hex[0..2]).join(&hex[2..4]);
     std::fs::create_dir_all(&old_shard).unwrap();
     let old = old_shard.join(format!("{hex}.noc"));
-    std::fs::copy(&record, &old).unwrap();
+    std::fs::write(&old, span_bytes(&record, 0)).unwrap();
 
     let report = cache.verify(false).unwrap();
     assert_eq!((report.ok, report.corrupt.len()), (1, 1), "{report:?}");
     assert_eq!(report.corrupt[0].0, old);
-    assert!(report.corrupt[0].1.starts_with("misfiled"), "{report:?}");
+    assert!(report.corrupt[0].1.starts_with("unpacked"), "{report:?}");
 
+    // Its key is already in a pack, so the fix drops it.
     let fixed = cache.verify(true).unwrap();
     assert_eq!((fixed.ok, fixed.removed), (1, 1), "{fixed:?}");
+    assert_eq!(fixed.migrated, 0, "{fixed:?}");
     assert!(!old.exists());
     assert!(!dir.join(&hex[0..2]).exists(), "emptied old shards go too");
-    assert_eq!(record_paths(&cache), [record]);
+    assert_eq!(pack_paths(&dir), [record]);
     assert_eq!(cache.lookup(&exp, 7), Some(fresh));
     let clean = cache.verify(false).unwrap();
     assert_eq!((clean.ok, clean.corrupt.len()), (1, 0), "{clean:?}");
@@ -612,23 +694,167 @@ fn old_layout_record_is_misfiled_and_fixed() {
 }
 
 #[test]
-fn gc_keeps_newest_records_within_budget() {
+fn shard_layout_store_moves_into_one_pack() {
+    // The 16-shard layout kept each record at `<dir>/<hex[0]>/<hex>.noc`,
+    // the two-level one at `<dir>/<hex[0..2]>/<hex[2..4]>/<hex>.noc`.
+    let seeds = [1u64, 2, 3];
+    let jobs: Vec<ExperimentJob> = seeds
+        .iter()
+        .map(|&seed| ExperimentJob {
+            experiment: small_experiment(0.2),
+            seed,
+        })
+        .collect();
+    let packed = unique_temp_dir("noc-cache-packed");
+    let fresh = run_jobs(
+        jobs.clone(),
+        Parallelism::Sequential,
+        &ExperimentCache::at(&packed),
+    )
+    .unwrap();
+    let source = pack_paths(&packed)[0].clone();
+
+    let dir = unique_temp_dir("noc-cache-shards");
+    let mut legacy = Vec::new();
+    for (at, (hex, _, _)) in pack_index(&source).into_iter().enumerate() {
+        let path = if at == 2 {
+            dir.join(&hex[0..2])
+                .join(&hex[2..4])
+                .join(format!("{hex}.noc"))
+        } else {
+            dir.join(&hex[0..1]).join(format!("{hex}.noc"))
+        };
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, span_bytes(&source, at)).unwrap();
+        legacy.push(path);
+    }
+    // A damaged record cannot be moved; the fix deletes it.
+    let mut damaged = span_bytes(&source, 0);
+    let last = damaged.len() - 1;
+    damaged[last] ^= 0x01;
+    std::fs::create_dir_all(dir.join("e")).unwrap();
+    std::fs::write(dir.join("e").join("damaged.noc"), &damaged).unwrap();
+
+    let cache = ExperimentCache::at(&dir);
+    assert!(cache.lookup(&jobs[0].experiment, jobs[0].seed).is_none());
+    let report = cache.verify(false).unwrap();
+    assert_eq!((report.ok, report.corrupt.len()), (0, 4), "{report:?}");
+    let unpacked = report
+        .corrupt
+        .iter()
+        .filter(|(_, why)| why.starts_with("unpacked"))
+        .count();
+    assert_eq!(unpacked, 3, "{report:?}");
+
+    let fixed = cache.verify(true).unwrap();
+    assert_eq!((fixed.migrated, fixed.removed), (3, 1), "{fixed:?}");
+    assert_eq!(entry_names(&dir), ["packs"], "the old shards are gone");
+    assert_eq!(pack_paths(&dir).len(), 1);
+    assert_eq!(cache.stats().unwrap().entries, 3);
+    let before = cache::counters();
+    let warm = run_jobs(jobs, Parallelism::Fixed(2), &cache).unwrap();
+    assert_eq!(warm, fresh);
+    assert_eq!(cache::counters().since(&before).misses, 0);
+    let clean = cache.verify(false).unwrap();
+    assert_eq!((clean.ok, clean.corrupt.len()), (3, 0), "{clean:?}");
+    std::fs::remove_dir_all(&packed).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `noc-cli` in `dir` on the quick figure grid with the store at
+/// `dir/store`; returns its stdout, or panics if its exit status is not
+/// `success`.
+fn noc_cli(dir: &Path, args: &[&str], success: bool) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+        .args(args)
+        .current_dir(dir)
+        .env("NOC_FIGURE_MODE", "quick")
+        .env("NOC_CACHE", "store")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.success(), success, "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// The `cache: H hit(s), M miss(es)` line of a run's output.
+fn cache_line(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find(|line| line.starts_with("cache: "))
+        .expect("a cached run ends with its cache line")
+}
+
+#[test]
+fn a_shard_layout_store_answers_warm_figures_after_fix() {
+    let dir = unique_temp_dir("noc-cli-migrate");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cold = noc_cli(&dir, &["figures"], true);
+    let (hits, misses) = cache_line(&cold)
+        .strip_prefix("cache: ")
+        .and_then(|rest| rest.strip_suffix(" miss(es)"))
+        .and_then(|rest| rest.split_once(" hit(s), "))
+        .map(|(h, m)| (h.parse::<usize>().unwrap(), m.parse::<usize>().unwrap()))
+        .unwrap();
+    assert!(misses > 0, "{cold}");
+
+    // Rewrite the store in the 16-shard layout, one file per record at
+    // `<hex[0]>/<hex>.noc`.
+    let store = dir.join("store");
+    for pack in pack_paths(&store) {
+        for (at, (hex, _, _)) in pack_index(&pack).into_iter().enumerate() {
+            let shard = store.join(&hex[0..1]);
+            std::fs::create_dir_all(&shard).unwrap();
+            std::fs::write(shard.join(format!("{hex}.noc")), span_bytes(&pack, at)).unwrap();
+        }
+    }
+    std::fs::remove_dir_all(store.join("packs")).unwrap();
+
+    let listed = noc_cli(&dir, &["cache", "verify"], false);
+    let unpacked = listed.lines().filter(|l| l.contains("(unpacked")).count();
+    assert_eq!(unpacked, misses, "{listed}");
+    let fixed = noc_cli(&dir, &["cache", "verify", "--fix"], true);
+    assert!(
+        fixed.ends_with(&format!(
+            "0 ok, {misses} corrupt, 0 removed, {misses} moved into a pack\n"
+        )),
+        "{fixed}"
+    );
+    let stats = noc_cli(&dir, &["cache", "stats"], true);
+    assert!(
+        stats.contains(&format!(": 1 pack(s), {misses} record(s), ")),
+        "{stats}"
+    );
+
+    let warm = noc_cli(&dir, &["figures"], true);
+    assert_eq!(
+        cache_line(&warm),
+        format!("cache: {} hit(s), 0 miss(es)", hits + misses)
+    );
+    let gc = noc_cli(&dir, &["cache", "gc", "--max-bytes", "0"], true);
+    assert!(
+        gc.contains(&format!("removed 1 pack(s) holding {misses} record(s)")),
+        "{gc}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn gc_keeps_newest_packs_within_budget() {
     let dir = unique_temp_dir("noc-cache-gc");
     let cache = ExperimentCache::at(&dir);
     let exp = small_experiment(0.2);
     let mut sizes = Vec::new();
     for seed in 0..4u64 {
         let result = exp.run_with_seed(seed).unwrap();
+        // One pack per store, each named after the last.
         cache.store(&exp, seed, &result).unwrap();
-        // Space out mtimes so "oldest first" is well defined even on
-        // coarse filesystem clocks.
-        std::thread::sleep(std::time::Duration::from_millis(20));
         sizes.push(cache.stats().unwrap().total_bytes);
     }
     let total = *sizes.last().unwrap();
     let budget = total - 1; // force at least one eviction
     let outcome = cache.gc(budget).unwrap();
     assert!(outcome.removed >= 1);
+    assert_eq!(outcome.removed_packs, outcome.removed, "{outcome:?}");
     assert!(outcome.remaining.total_bytes <= budget);
     assert_eq!(
         outcome.remaining.entries,
@@ -647,26 +873,271 @@ fn gc_keeps_newest_records_within_budget() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// FNV-1a, 64-bit: the record checksum's hash.
+/// The store's state in a property test: its packs, oldest first, as
+/// (path, keys in index order, keys whose span was damaged).
+#[derive(Debug, Default)]
+struct Model {
+    packs: Vec<(std::path::PathBuf, Vec<usize>, Vec<usize>)>,
+}
+
+impl Model {
+    /// Whether the newest span of `key` is intact: a lookup must hit.
+    fn answers(&self, key: usize) -> bool {
+        self.packs
+            .iter()
+            .rev()
+            .find(|(_, keys, _)| keys.contains(&key))
+            .is_some_and(|(_, _, damaged)| !damaged.contains(&key))
+    }
+
+    /// Distinct keys some pack indexes.
+    fn live(&self) -> usize {
+        let mut keys: Vec<usize> = self.packs.iter().flat_map(|(_, k, _)| k.clone()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len()
+    }
+}
+
+/// One step of the property test.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Run these keys (duplicates allowed) as one engine call.
+    Batch(Vec<usize>),
+    /// Flip a payload byte of one span: (pack pick, entry pick).
+    Corrupt(usize, usize),
+    /// Collect down to this share (percent) of the store's bytes.
+    Gc(u64),
+}
+
+impl Step {
+    /// Decodes one drawn tuple: kinds 0–2 are batches, 3 a damaged
+    /// span, 4 a collection.
+    fn from_draw((kind, keys, pack, entry, share): (u8, Vec<usize>, usize, usize, u64)) -> Self {
+        match kind {
+            0..=2 => Step::Batch(keys),
+            3 => Step::Corrupt(pack, entry),
+            _ => Step::Gc(share),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Interleaved batches, damaged spans and collections: every lookup
+    /// misses or equals the fresh result, each call with misses writes
+    /// one pack of its distinct keys, and `stats().entries` counts the
+    /// distinct keys the remaining packs hold.
+    #[test]
+    fn interleaved_batches_corruption_and_gc(
+        draws in proptest::collection::vec(
+            (0u8..5, proptest::collection::vec(0usize..6, 1..6), 0usize..8, 0usize..8, 0u64..100),
+            1..12,
+        ),
+    ) {
+        let point = |key: usize| {
+            let mut experiment = experiment(0, 4, key % 2 == 1, 0.2, 0);
+            experiment.config.measure_cycles = 40;
+            (experiment, key as u64)
+        };
+        let fresh: Vec<RunResult> = (0..6)
+            .map(|key| {
+                let (experiment, seed) = point(key);
+                experiment.run_with_seed(seed).unwrap()
+            })
+            .collect();
+        let dir = unique_temp_dir("noc-cache-prop");
+        let cache = ExperimentCache::at(&dir);
+        let mut model = Model::default();
+        for step in draws.into_iter().map(Step::from_draw) {
+            match step {
+                Step::Batch(keys) => {
+                    let jobs: Vec<ExperimentJob> = keys
+                        .iter()
+                        .map(|&key| {
+                            let (experiment, seed) = point(key);
+                            ExperimentJob { experiment, seed }
+                        })
+                        .collect();
+                    let before = cache::counters();
+                    let results = run_jobs(jobs, Parallelism::Fixed(2), &cache).unwrap();
+                    let delta = cache::counters().since(&before);
+                    for (key, result) in keys.iter().zip(&results) {
+                        prop_assert_eq!(result, &fresh[*key]);
+                    }
+                    let missed: Vec<usize> =
+                        keys.iter().copied().filter(|&key| !model.answers(key)).collect();
+                    prop_assert_eq!(delta.misses, missed.len() as u64);
+                    let mut stored = Vec::new();
+                    for key in missed {
+                        if !stored.contains(&key) {
+                            stored.push(key);
+                        }
+                    }
+                    let packs = pack_paths(&dir);
+                    let known = model.packs.len();
+                    if stored.is_empty() {
+                        prop_assert_eq!(packs.len(), known, "a warm call writes no pack");
+                    } else {
+                        prop_assert_eq!(packs.len(), known + 1, "one pack per call");
+                        let newest = packs.last().unwrap().clone();
+                        let indexed: Vec<String> =
+                            pack_index(&newest).into_iter().map(|(hex, _, _)| hex).collect();
+                        let expected: Vec<String> = stored
+                            .iter()
+                            .map(|&key| {
+                                let (experiment, seed) = point(key);
+                                fingerprint(&experiment, seed).hex()
+                            })
+                            .collect();
+                        prop_assert_eq!(indexed, expected);
+                        model.packs.push((newest, stored, Vec::new()));
+                    }
+                }
+                Step::Corrupt(pack, entry) => {
+                    if model.packs.is_empty() {
+                        continue;
+                    }
+                    let (path, keys, damaged) = {
+                        let at = pack % model.packs.len();
+                        &mut model.packs[at]
+                    };
+                    let at = entry % keys.len();
+                    if damaged.contains(&keys[at]) {
+                        // A second flip would undo the first.
+                        continue;
+                    }
+                    let (_, offset, len) = pack_index(path)[at].clone();
+                    let mut bytes = std::fs::read(&*path).unwrap();
+                    bytes[offset + len - 1] ^= 0x20;
+                    std::fs::write(&*path, &bytes).unwrap();
+                    damaged.push(keys[at]);
+                }
+                Step::Gc(share) => {
+                    let sizes: Vec<u64> = model
+                        .packs
+                        .iter()
+                        .map(|(path, _, _)| std::fs::metadata(path).unwrap().len())
+                        .collect();
+                    let total: u64 = sizes.iter().sum();
+                    let budget = total * share / 100;
+                    let outcome = cache.gc(budget).unwrap();
+                    let mut left = total;
+                    for size in sizes {
+                        if left <= budget {
+                            break;
+                        }
+                        let (path, _, _) = model.packs.remove(0);
+                        left -= size;
+                        prop_assert!(!path.exists(), "gc must evict the oldest pack first");
+                    }
+                    prop_assert_eq!(outcome.remaining.total_bytes, left);
+                }
+            }
+            let stats = ExperimentCache::at(&dir).stats().unwrap();
+            prop_assert_eq!(stats.entries, model.live());
+            prop_assert_eq!(stats.packs, model.packs.len());
+            let reader = ExperimentCache::at(&dir);
+            for (key, expected) in fresh.iter().enumerate() {
+                let (experiment, seed) = point(key);
+                let found = reader.lookup(&experiment, seed);
+                prop_assert_eq!(found.is_some(), model.answers(key), "key {}: {:?}", key, model);
+                if let Some(found) = found {
+                    prop_assert_eq!(&found, expected);
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// FNV-1a, 64-bit: the record and index checksums' hash.
 fn fnv1a_64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf29ce484222325, |hash, &byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x00000100000001b3)
     })
 }
 
-/// Where the store keeps the record of (experiment, seed): the shard
-/// named by the first hex digit, then the fingerprint as the file stem.
-fn record_path(cache: &ExperimentCache, experiment: &Experiment, seed: u64) -> std::path::PathBuf {
-    let hex = fingerprint(experiment, seed).hex();
-    cache
-        .dir()
-        .unwrap()
-        .join(&hex[0..1])
-        .join(format!("{hex}.noc"))
+/// The store's packs, oldest first (their names start with a stamp).
+fn pack_paths(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir.join("packs")) {
+        Ok(entries) => entries
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|e| e == "nocp"))
+            .collect(),
+        Err(_) => Vec::new(),
+    };
+    paths.sort();
+    paths
+}
+
+/// The store's newest pack, which answers before any older one.
+fn newest_pack(dir: &Path) -> PathBuf {
+    pack_paths(dir).pop().expect("the store holds a pack")
+}
+
+/// A pack's index as (fingerprint hex, offset, length) per record. The
+/// pack ends with the index, 28 bytes per record (fingerprint `u128`,
+/// offset `u64`, length `u32`), then the trailer `count u32 |
+/// fnv64(index) u64 | version u32 | NOCP`.
+fn pack_index(path: &Path) -> Vec<(String, usize, usize)> {
+    let bytes = std::fs::read(path).unwrap();
+    let trailer = &bytes[bytes.len() - 20..];
+    assert_eq!(&trailer[16..], b"NOCP");
+    let count = u32::from_le_bytes(trailer[0..4].try_into().unwrap()) as usize;
+    let index = &bytes[bytes.len() - 20 - 28 * count..bytes.len() - 20];
+    index
+        .chunks_exact(28)
+        .map(|raw| {
+            let fingerprint = u128::from_le_bytes(raw[0..16].try_into().unwrap());
+            let offset = u64::from_le_bytes(raw[16..24].try_into().unwrap());
+            let len = u32::from_le_bytes(raw[24..28].try_into().unwrap());
+            (format!("{fingerprint:032x}"), offset as usize, len as usize)
+        })
+        .collect()
+}
+
+/// The envelope bytes of a pack's `at`-th record.
+fn span_bytes(path: &Path, at: usize) -> Vec<u8> {
+    let (_, offset, len) = pack_index(path)[at].clone();
+    std::fs::read(path).unwrap()[offset..offset + len].to_vec()
+}
+
+/// Writes a pack of `records` (fingerprint hex, envelope bytes) at
+/// `path`, in the layout [`pack_index`] reads.
+fn write_pack(path: &Path, records: &[(String, Vec<u8>)]) {
+    let (mut bytes, mut index) = (Vec::new(), Vec::new());
+    for (hex, record) in records {
+        index.extend_from_slice(&u128::from_str_radix(hex, 16).unwrap().to_le_bytes());
+        index.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        index.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(record);
+    }
+    let checksum = fnv1a_64(&index);
+    bytes.extend_from_slice(&index);
+    bytes.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(b"NOCP");
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// `verify` reports `pack`, whose record a newer pack now holds, and
+/// `verify --fix` drops it, leaving one clean record.
+fn assert_old_pack_reported_and_fixed(cache: &ExperimentCache, pack: &Path) {
+    let report = cache.verify(false).unwrap();
+    assert_eq!((report.ok, report.corrupt.len()), (1, 1), "{report:?}");
+    assert_eq!(report.corrupt[0].0, pack, "{report:?}");
+    let fixed = cache.verify(true).unwrap();
+    assert_eq!((fixed.ok, fixed.removed), (1, 1), "{fixed:?}");
+    assert!(!pack.exists(), "corrupt record must be evicted");
+    let clean = cache.verify(false).unwrap();
+    assert_eq!((clean.ok, clean.corrupt.len()), (1, 0), "{clean:?}");
 }
 
 /// The names of a directory's entries, sorted.
-fn entry_names(dir: &std::path::Path) -> Vec<String> {
+fn entry_names(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
         .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
@@ -675,20 +1146,21 @@ fn entry_names(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
-/// All record files in the store, sorted.
-fn record_paths(cache: &ExperimentCache) -> Vec<std::path::PathBuf> {
-    let mut paths = Vec::new();
-    let mut stack = vec![cache.dir().unwrap().to_path_buf()];
+/// Every file below `dir` with its modification time, sorted.
+fn store_files(dir: &Path) -> Vec<(PathBuf, std::time::SystemTime)> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
     while let Some(current) = stack.pop() {
         for entry in std::fs::read_dir(&current).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "noc") {
-                paths.push(path);
+            let entry = entry.unwrap();
+            let meta = entry.metadata().unwrap();
+            if meta.is_dir() {
+                stack.push(entry.path());
+            } else {
+                files.push((entry.path(), meta.modified().unwrap()));
             }
         }
     }
-    paths.sort();
-    paths
+    files.sort();
+    files
 }
