@@ -52,7 +52,9 @@ impl Arrivals {
             pattern,
         };
         for v in sources.pattern.sources() {
-            sources.schedule_after(0.0, v.index());
+            if let Some(first) = sources.next_after(0.0, v.index()) {
+                sources.pending.push(first);
+            }
         }
         Arrivals::Stochastic(sources)
     }
@@ -87,33 +89,43 @@ impl Arrivals {
 }
 
 impl Sources {
+    /// Fires the earliest pending arrival if it is due by the end of
+    /// `cycle`. The source's next arrival overwrites it at the top of
+    /// the heap (one sift-down instead of a pop and a push); keys are
+    /// unique, so the heap yields the same order either way.
     fn pop_due(&mut self, cycle: u64) -> Option<(NodeId, NodeId)> {
         let &Reverse((bits, _, v)) = self.pending.peek()?;
         let time = f64::from_bits(bits);
         if time >= (cycle + 1) as f64 {
             return None;
         }
-        self.pending.pop();
         let src = NodeId::new(v);
         let dst = self.pattern.pick_destination(src, &mut self.rng);
-        self.schedule_after(time, v);
+        match self.next_after(time, v) {
+            Some(next) => *self.pending.peek_mut().expect("peeked above") = next,
+            None => {
+                self.pending.pop();
+            }
+        }
         Some((src, dst))
     }
 
-    /// Schedules node `v`'s next arrival one drawn interarrival time
-    /// after `now`; a source of rate zero never arrives.
-    fn schedule_after(&mut self, now: f64, v: usize) {
+    /// Draws node `v`'s next arrival one interarrival time after `now`
+    /// and gives it the next schedule order; `None` for a source of
+    /// rate zero, which never arrives.
+    fn next_after(&mut self, now: f64, v: usize) -> Option<Reverse<(u64, u64, usize)>> {
         let dt = self.process.interarrival(&mut self.rng, self.rate);
-        if dt.is_finite() {
-            let time = now + dt;
-            assert!(
-                time.is_finite() && time.is_sign_positive(),
-                "arrival time {time} must be finite and non-negative to order by its bits"
-            );
-            self.pending
-                .push(Reverse((time.to_bits(), self.scheduled, v)));
-            self.scheduled += 1;
+        if !dt.is_finite() {
+            return None;
         }
+        let time = now + dt;
+        assert!(
+            time.is_finite() && time.is_sign_positive(),
+            "arrival time {time} must be finite and non-negative to order by its bits"
+        );
+        let order = self.scheduled;
+        self.scheduled += 1;
+        Some(Reverse((time.to_bits(), order, v)))
     }
 }
 
@@ -194,6 +206,66 @@ mod tests {
             .collect();
         assert_eq!(order, expected);
         assert!(fired.iter().all(|&(_, v, dst)| v != dst));
+    }
+
+    #[test]
+    fn first_arrivals_are_pinned() {
+        // The first 4,096 `(cycle, src, dst)` arrivals of 16-node
+        // schedules, FNV-1a over their little-endian bytes: any change
+        // to the heap order, the tie-break or the RNG draw order moves
+        // these digests.
+        use noc_traffic::DoubleHotspot;
+        use InjectionProcess::{Bernoulli, Cbr, Poisson};
+        let uniform = || -> Box<dyn TrafficPattern> { Box::new(UniformRandom::new(16).unwrap()) };
+        let hotspots = || -> Box<dyn TrafficPattern> {
+            Box::new(DoubleHotspot::new(16, [NodeId::new(0), NodeId::new(8)]).unwrap())
+        };
+        type Pattern<'a> = &'a dyn Fn() -> Box<dyn TrafficPattern>;
+        let schedules: [(&str, Pattern, [u64; 3]); 2] = [
+            (
+                "uniform",
+                &uniform,
+                [
+                    0xeac1_f2dc_1021_343a,
+                    0x1bee_b73a_4144_52e0,
+                    0x7d41_9612_d927_af6b,
+                ],
+            ),
+            (
+                "double hot-spot",
+                &hotspots,
+                [
+                    0x464c_e7c2_62c3_574a,
+                    0xe7f3_9238_1018_6242,
+                    0x3ca5_d7f7_751a_2978,
+                ],
+            ),
+        ];
+        for (what, pattern, pins) in schedules {
+            for (process, pinned) in [Poisson, Bernoulli, Cbr].into_iter().zip(pins) {
+                let mut arrivals = Arrivals::stochastic(pattern(), &config(0.6, process));
+                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                let mut fired = 0;
+                'fill: for cycle in 0.. {
+                    while let Some((src, dst)) = arrivals.pop_due(cycle) {
+                        for word in [cycle, src.index() as u64, dst.index() as u64] {
+                            for byte in word.to_le_bytes() {
+                                hash ^= u64::from(byte);
+                                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                            }
+                        }
+                        fired += 1;
+                        if fired == 4_096 {
+                            break 'fill;
+                        }
+                    }
+                }
+                assert_eq!(
+                    hash, pinned,
+                    "{what} {process:?}: arrival order changed: {hash:#018x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -90,6 +90,17 @@ impl<T: Copy> Rings<T> {
     /// Panics if the ring is full.
     #[inline]
     pub(crate) fn push_back(&mut self, s: usize, item: T) {
+        *self.push_back_cell(s) = item;
+    }
+
+    /// Appends a cell to ring `s` and returns it, holding whatever the
+    /// storage held there, for the caller to fill field by field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring is full.
+    #[inline]
+    pub(crate) fn push_back_cell(&mut self, s: usize) -> &mut T {
         let c = &mut self.cursor[s];
         let len = usize::from(c.len);
         assert!(len < self.cap, "ring slot {s} overrun");
@@ -98,7 +109,7 @@ impl<T: Copy> Rings<T> {
             at -= self.cap;
         }
         c.len += 1;
-        self.items[s * self.cap + at] = item;
+        &mut self.items[s * self.cap + at]
     }
 
     /// Removes and returns the oldest item of ring `s`.
@@ -284,9 +295,11 @@ impl InputRings {
         self.flits.len(s) < self.flits.capacity()
     }
 
-    /// Stores an arriving flit in slot `s` that becomes eligible for
-    /// switch allocation at cycle `eligible_at` (arrival cycle plus the
-    /// router pipeline delay).
+    /// Stores `flit`, which has just crossed the link into slot `s`,
+    /// with one more hop counted; it becomes eligible for switch
+    /// allocation at cycle `eligible_at` (arrival cycle plus the router
+    /// pipeline delay). The cell is written field by field, so the
+    /// stored flit is never assembled on the stack and reloaded whole.
     ///
     /// # Panics
     ///
@@ -295,7 +308,11 @@ impl InputRings {
     #[inline]
     pub(crate) fn receive(&mut self, s: usize, flit: ArenaFlit, eligible_at: u64) {
         assert!(self.has_space(s), "input buffer {s} overrun by {flit:?}");
-        self.flits.push_back(s, (flit, eligible_at));
+        let (cell, at) = self.flits.push_back_cell(s);
+        cell.pkt = flit.pkt;
+        cell.kind = flit.kind;
+        cell.hops = flit.hops + 1;
+        *at = eligible_at;
     }
 
     /// The oldest flit of slot `s` if it has cleared the router
@@ -339,6 +356,14 @@ mod tests {
     use super::*;
     use crate::{FlitKind, PacketArena, PacketId};
     use noc_topology::NodeId;
+
+    /// `flit` after one more link crossing, as an input buffer stores it.
+    fn crossed(flit: ArenaFlit) -> ArenaFlit {
+        ArenaFlit {
+            hops: flit.hops + 1,
+            ..flit
+        }
+    }
 
     /// Flit sequence of one `len`-flit packet, allocated in `arena`.
     fn packet(arena: &mut PacketArena, id: u64, len: usize) -> Vec<ArenaFlit> {
@@ -440,8 +465,8 @@ mod tests {
         assert!(!buf.has_space(0));
         assert!(buf.has_space(1), "slots are independent");
         assert_eq!(buf.len(0), 1);
-        assert_eq!(buf.front_ready(0, 0), Some(a[0]));
-        assert_eq!(buf.pop(0), Some(a[0]));
+        assert_eq!(buf.front_ready(0, 0), Some(crossed(a[0])));
+        assert_eq!(buf.pop(0), Some(crossed(a[0])));
         assert!(buf.has_space(0));
         assert_eq!(buf.front_ready(0, 0), None);
         assert_eq!(buf.pop(0), None);
@@ -455,7 +480,7 @@ mod tests {
         buf.receive(0, a[0], 5);
         assert_eq!(buf.front_ready(0, 4), None, "not yet through the pipeline");
         assert_eq!(buf.len(0), 1, "flit still occupies the buffer");
-        assert_eq!(buf.front_ready(0, 5), Some(a[0]));
+        assert_eq!(buf.front_ready(0, 5), Some(crossed(a[0])));
     }
 
     #[test]
@@ -467,6 +492,7 @@ mod tests {
             buf.receive(0, *f, 0);
         }
         assert!(!buf.has_space(0));
+        let a: Vec<ArenaFlit> = a.into_iter().map(crossed).collect();
         assert_eq!(buf.iter(0).copied().collect::<Vec<_>>(), a);
         let drained: Vec<ArenaFlit> = std::iter::from_fn(|| buf.pop(0)).collect();
         assert_eq!(drained, a);

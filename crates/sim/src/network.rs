@@ -69,9 +69,10 @@
 //!
 //! Every flit enters an output queue or ejection channel through one
 //! primitive, `place`, which offers it to one queue and answers
-//! `Placed` (pushed: waiters woken, counters updated, the crossbar
-//! port's write spent), `PortBusy` (that port was already written this
-//! cycle) or `Refused` (the queue is full or owned by another packet).
+//! `Placed` (pushed: counters updated, the crossbar port's write spent,
+//! and a tail's release handed on to the heads waiting for it),
+//! `PortBusy` (that port was already written this cycle) or `Refused`
+//! (the queue is full or owned by another packet).
 //! Body and tail flits follow their packet's wormhole allocation, and a
 //! head routed by the precompiled table has one candidate: each calls
 //! `place` once. A head routed by an adaptive algorithm tries its
@@ -111,11 +112,18 @@
 //!
 //! * an allocation slot (bit 0 the source queue, bit `1 + d * vcs + vc`
 //!   an input buffer) whose attempt failed on output-queue state is set
-//!   in the router's `blocked` mask, and its bit is added to the
-//!   `waiters` mask of every queue the attempt could have used — all
-//!   candidates of an adaptive head, every ejection channel for a head
-//!   bound for the sink (it takes the first that accepts it). Any push
-//!   or pop of such a queue clears its waiters from `blocked`;
+//!   in the router's `blocked` mask, and its bit is filed with every
+//!   queue the attempt could have used — all candidates of an adaptive
+//!   head, every ejection channel for a head bound for the sink (it
+//!   takes the first that accepts it). Each queue files it by what
+//!   refused it. A head refused by a queue another packet owns goes into
+//!   that queue's `release_waiters`: only the owner's tail push makes the
+//!   queue claimable, and it clears them from `blocked` if the queue
+//!   still has space, or moves them into `waiters` if the tail filled
+//!   it. Everything else waits on a full queue (a head on a full unowned
+//!   one, a body or tail flit on its own packet's) and goes into its
+//!   `waiters`, which the queue's next pop clears from `blocked`. Head
+//!   and body pushes wake nobody;
 //! * a link VC whose downstream input buffer was full is set in the
 //!   router's `link_blocked` mask until that buffer pops. Each input
 //!   buffer has exactly one feeding VC, so the precomputed upstream map
@@ -309,9 +317,9 @@ pub struct Network {
     /// Reusable buffer for routing candidate directions (hot path:
     /// filled and drained every head-flit allocation attempt).
     dir_scratch: Vec<Direction>,
-    /// Reusable buffer for the candidate (port, VC) allocations of a
-    /// head routed by the dynamic algorithm.
-    route_scratch: Vec<SlotRoute>,
+    /// Reusable buffer for the candidate output slots of a head routed
+    /// by the dynamic algorithm.
+    route_scratch: Vec<usize>,
     /// Distinct allocation-slot counts over all routers: switch
     /// allocation takes `cycle % count` once per cycle for each.
     alloc_slot_counts: Vec<usize>,
@@ -346,11 +354,18 @@ pub struct Network {
     /// Bit `k` set ⟺ allocation slot `k` of the router (0 = source
     /// queue, `1 + d * vcs + vc` = input buffer) is parked: its last
     /// attempt failed on the state of output queues, and none of them
-    /// has been pushed or popped since. Sparse mode only.
+    /// has changed since in a way that could let it succeed. Sparse
+    /// mode only.
     blocked: Vec<u64>,
     /// Per output slot id: the allocation slots of its router parked
-    /// on it (bit layout of `blocked`), woken by its next push or pop.
+    /// on it while it was full (bit layout of `blocked`), woken by its
+    /// next pop.
     waiters: Vec<u64>,
+    /// Per output slot id: the heads of its router parked on it while
+    /// another packet owned it (bit layout of `blocked`). The owner's
+    /// tail push wakes them if the queue still has space, and otherwise
+    /// moves them into [`waiters`](Self::waiters).
+    release_waiters: Vec<u64>,
     /// Bit `d * vcs + vc` set ⟺ the link VC `(v, d, vc)` found its
     /// downstream input buffer full and that buffer has not popped
     /// since. Sparse mode only.
@@ -748,6 +763,7 @@ impl Network {
             in_slots: vec![0; n],
             blocked: vec![0; n],
             waiters: vec![0; slots],
+            release_waiters: vec![0; slots],
             link_blocked: vec![0; n],
             config,
         }
@@ -1164,14 +1180,17 @@ impl Network {
                             }
                             continue;
                         }
-                        let mut flit = self.outputs.pop(s).expect("checked above");
+                        let flit = self.outputs.pop(s).expect("checked above");
                         self.wake(v, s);
                         // `vcs` fits a byte: it is at most the 32 bits of a
                         // router's occupancy word.
                         self.link_rr[first] = if vc + 1 == vcs { 0 } else { vc as u8 + 1 };
-                        flit.hops += 1;
                         if P::ACTIVE {
-                            let full = self.arena.materialize(flit);
+                            let crossed = ArenaFlit {
+                                hops: flit.hops + 1,
+                                ..flit
+                            };
+                            let full = self.arena.materialize(crossed);
                             probe.on_link_traverse(self, v, d, vc, &full);
                         }
                         self.inputs.receive(t, flit, eligible);
@@ -1286,8 +1305,8 @@ impl Network {
 
     /// Routes the head flit `flit` of allocation slot `slot` at router
     /// `v`, which arrived on virtual channel `in_vc`, and places it in
-    /// the first candidate output queue that accepts it; returns the
-    /// route taken. Deterministic algorithms yield exactly one
+    /// the first candidate output queue that accepts it; returns that
+    /// queue's slot id. Deterministic algorithms yield exactly one
     /// candidate, served from the precompiled table when available;
     /// adaptive ones several, in the routing algorithm's preference
     /// order.
@@ -1299,7 +1318,7 @@ impl Network {
         flit: &ArenaFlit,
         in_vc: usize,
         used: &mut [usize],
-    ) -> Option<SlotRoute> {
+    ) -> Option<usize> {
         let here = NodeId::new(v);
         let dst = self.arena.dst(flit.pkt);
         if let Some(table) = &self.compiled {
@@ -1312,11 +1331,7 @@ impl Network {
                 debug_assert!(port < self.nodes[v].dirs.len(), "compiled absent port");
                 self.link_slot(v, port, usize::from(hop.out_vc[in_vc]))
             };
-            let route = SlotRoute {
-                out,
-                packet: flit.pkt,
-            };
-            return self.place_first(v, slot, flit, std::slice::from_ref(&route), used);
+            return self.place_first(v, slot, flit, &[out], used);
         }
         // Reuse the scratch buffers (taken so the routing call can
         // borrow `self`); head flits retry until they are placed (or
@@ -1340,10 +1355,7 @@ impl Network {
                 assert!(vc < self.vcs, "routing chose VC {vc} of {}", self.vcs);
                 self.link_slot(v, port, vc)
             };
-            routes.push(SlotRoute {
-                out,
-                packet: flit.pkt,
-            });
+            routes.push(out);
         }
         self.dir_scratch = dirs;
         let taken = self.place_first(v, slot, flit, &routes, used);
@@ -1362,8 +1374,9 @@ impl Network {
             .unwrap_or(first)
     }
 
-    /// Places `flit` of allocation slot `slot` with the first of
-    /// `routes` whose queue accepts it, and returns that route.
+    /// Places `flit` of allocation slot `slot` in the first of the
+    /// output slots `routes` whose queue accepts it, and returns that
+    /// slot id.
     ///
     /// In sparse mode a failure is remembered when it can only repeat:
     /// if every queue refused the flit, the slot is parked on all of
@@ -1375,13 +1388,13 @@ impl Network {
         v: usize,
         slot: usize,
         flit: &ArenaFlit,
-        routes: &[SlotRoute],
+        routes: &[usize],
         used: &mut [usize],
-    ) -> Option<SlotRoute> {
+    ) -> Option<usize> {
         let mut transient = false;
-        for &route in routes {
-            match self.place(v, flit, route, used) {
-                Placement::Placed => return Some(route),
+        for &out in routes {
+            match self.place(v, flit, out, used) {
+                Placement::Placed => return Some(out),
                 Placement::PortBusy => transient = true,
                 Placement::Refused => {}
             }
@@ -1392,32 +1405,28 @@ impl Network {
         None
     }
 
-    /// Offers `flit` at router `v` to the output queue of `route`: the
-    /// one place a flit enters an output queue or ejection channel.
-    /// On success it wakes the queue's waiters, counts the flit at the
-    /// router and spends one write of the queue's crossbar port.
+    /// Offers `flit` at router `v` to the output queue of slot `out`:
+    /// the one place a flit enters an output queue or ejection channel.
+    /// On success it counts the flit at the router, spends one write of
+    /// the queue's crossbar port and, for a tail, releases the queue.
     #[inline]
-    fn place(
-        &mut self,
-        v: usize,
-        flit: &ArenaFlit,
-        route: SlotRoute,
-        used: &mut [usize],
-    ) -> Placement {
-        let port = usize::from(self.slot_port[route.out].0);
+    fn place(&mut self, v: usize, flit: &ArenaFlit, out: usize, used: &mut [usize]) -> Placement {
+        let port = usize::from(self.slot_port[out].0);
         if used[port] == 0 {
             return Placement::PortBusy;
         }
-        if !self.outputs.try_push(route.out, *flit) {
+        if !self.outputs.try_push(out, *flit) {
             return Placement::Refused;
         }
-        self.wake(v, route.out);
+        if flit.kind.is_tail() {
+            self.release(v, out);
+        }
         if port == self.nodes[v].dirs.len() {
             self.node_flits[v].eject += 1;
             self.ejecting[v / 64] |= 1 << (v % 64);
         } else {
             self.node_flits[v].output += 1;
-            self.out_slots[v] |= 1 << (route.out - self.nodes[v].base);
+            self.out_slots[v] |= 1 << (out - self.nodes[v].base);
         }
         used[port] -= 1;
         Placement::Placed
@@ -1426,28 +1435,54 @@ impl Network {
     /// Parks allocation slot `slot` of router `v` on every queue its
     /// failed attempt could have used. A head bound for the sink waits
     /// on all ejection channels, since it takes whichever accepts it
-    /// first. Waking too often only costs one more failing attempt;
-    /// missing a wake would change the results.
-    fn park(&mut self, v: usize, slot: usize, flit: &ArenaFlit, routes: &[SlotRoute]) {
+    /// first. A head waits on a queue another packet owns until that
+    /// packet's tail is pushed, and on a full unowned queue until it
+    /// pops; a body or tail flit waits on its own packet's full queue
+    /// until it pops. Waking too often only costs one more failing
+    /// attempt; missing a wake would change the results.
+    fn park(&mut self, v: usize, slot: usize, flit: &ArenaFlit, routes: &[usize]) {
         let bit = 1 << slot;
         self.blocked[v] |= bit;
-        for route in routes {
-            if flit.kind.is_head() && route.out >= self.eject_slot(v, 0) {
-                for s in self.eject_slots(v) {
+        for &out in routes {
+            if !flit.kind.is_head() {
+                self.waiters[out] |= bit;
+                continue;
+            }
+            let queues = if out >= self.eject_slot(v, 0) {
+                self.eject_slots(v)
+            } else {
+                out..out + 1
+            };
+            for s in queues {
+                if self.outputs.owner(s).is_some() {
+                    self.release_waiters[s] |= bit;
+                } else {
                     self.waiters[s] |= bit;
                 }
-            } else {
-                self.waiters[route.out] |= bit;
             }
         }
     }
 
     /// Un-parks every allocation slot of router `v` waiting on output
-    /// slot `s`, which was just pushed or popped.
+    /// slot `s`, which was just popped.
     #[inline]
     fn wake(&mut self, v: usize, s: usize) {
         let waiting = std::mem::take(&mut self.waiters[s]);
         self.blocked[v] &= !waiting;
+    }
+
+    /// Hands on the heads of router `v` waiting for output slot `s` to
+    /// be released, now that its owner's tail was pushed: they are
+    /// un-parked if the queue still has space, and wait for its next
+    /// pop otherwise.
+    #[inline]
+    fn release(&mut self, v: usize, s: usize) {
+        let waiting = std::mem::take(&mut self.release_waiters[s]);
+        if self.outputs.len(s) < self.outputs.capacity() {
+            self.blocked[v] &= !waiting;
+        } else {
+            self.waiters[s] |= waiting;
+        }
     }
 
     /// Tries to move the head-of-line flit of the input buffer behind
@@ -1478,13 +1513,13 @@ impl Network {
                 .route(s)
                 .expect("body/tail flit with no wormhole allocation");
             assert_eq!(r.packet, flit.pkt, "stale wormhole allocation");
-            self.place_first(v, slot, &flit, std::slice::from_ref(&r), used)
+            self.place_first(v, slot, &flit, &[r.out], used)
         };
-        let Some(route) = placed else {
+        let Some(out) = placed else {
             return false;
         };
         if P::ACTIVE {
-            let (port, out_vc) = self.slot_port[route.out];
+            let (port, out_vc) = self.slot_port[out];
             let out_port = (usize::from(port) != self.nodes[v].dirs.len()).then_some(port.into());
             let full = self.arena.materialize(flit);
             probe.on_buffer_exit(
@@ -1498,6 +1533,10 @@ impl Network {
             );
         }
         self.inputs.pop(s);
+        let route = SlotRoute {
+            out,
+            packet: flit.pkt,
+        };
         self.inputs
             .set_route(s, (!flit.kind.is_tail()).then_some(route));
         if self.inputs.len(s) == 0 {
@@ -1535,13 +1574,13 @@ impl Network {
                 .source_route
                 .expect("injecting body/tail with no allocation");
             assert_eq!(r.packet, flit.pkt, "stale injection allocation");
-            self.place_first(v, 0, &flit, std::slice::from_ref(&r), used)
+            self.place_first(v, 0, &flit, &[r.out], used)
         };
-        let Some(route) = placed else {
+        let Some(out) = placed else {
             return false;
         };
         if P::ACTIVE {
-            let (port, out_vc) = self.slot_port[route.out];
+            let (port, out_vc) = self.slot_port[out];
             let full = self.arena.materialize(flit);
             probe.on_inject(self.cycle, v, port.into(), out_vc.into(), &full);
         }
@@ -1553,7 +1592,10 @@ impl Network {
             node.source_route = None;
         } else {
             node.source_sent += 1;
-            node.source_route = Some(route);
+            node.source_route = Some(SlotRoute {
+                out,
+                packet: flit.pkt,
+            });
         }
         self.node_flits[v].source -= 1;
         self.in_network += 1;
@@ -1893,6 +1935,88 @@ mod tests {
                 assert!(sim.waiters.iter().all(|&w| w == 0));
             }
         }
+    }
+
+    #[test]
+    fn a_head_behind_a_foreign_worm_waits_for_its_tail() {
+        // Router 0's first link VC, three flits deep, is claimed by
+        // packet `a`; the head of packet `b`, in allocation slot 1, is
+        // refused there and parks.
+        let ring = Ring::new(8).unwrap();
+        let trace = Trace::new(8, Vec::new()).unwrap();
+        let routing = Box::new(RingShortestPath::new(&ring));
+        let config = quick_config(0.0);
+        let mut sim =
+            Simulation::with_trace(Box::new(ring), routing, &trace, config, NullProbe).unwrap();
+        let net = &mut sim.net;
+        let s = net.link_slot(0, 0, 0);
+        let bit = 1 << 1;
+        let mut packet = |id| {
+            let pkt = net
+                .arena
+                .alloc(PacketId::new(id), NodeId::new(0), NodeId::new(1), 0);
+            move |kind| ArenaFlit { pkt, kind, hops: 0 }
+        };
+        let (a, b) = (packet(0), packet(1));
+        let push = |net: &mut Network, flit| {
+            let placed = net.place(0, &flit, s, &mut [1; MAX_PORTS]);
+            assert!(matches!(placed, Placement::Placed), "{flit:?}: {placed:?}");
+        };
+        let pop = |net: &mut Network| {
+            net.outputs.pop(s).unwrap();
+            net.wake(0, s);
+        };
+        let park_head = |net: &mut Network| {
+            let taken = net.place_first(0, 1, &b(FlitKind::Head), &[s], &mut [1; MAX_PORTS]);
+            assert_eq!(taken, None);
+        };
+        let parked = |net: &Network| {
+            (
+                net.blocked[0] & bit != 0,
+                net.release_waiters[s] & bit != 0,
+                net.waiters[s] & bit != 0,
+            )
+        };
+
+        // The tail is pushed with space left: the head is woken.
+        push(net, a(FlitKind::Head));
+        park_head(net);
+        assert_eq!(parked(net), (true, true, false), "waits for the release");
+        for _ in 0..2 {
+            push(net, a(FlitKind::Body));
+            pop(net);
+            assert_eq!(parked(net), (true, true, false), "a body pop frees nothing");
+        }
+        pop(net);
+        push(net, a(FlitKind::Tail));
+        assert_eq!(parked(net), (false, false, false), "the tail releases it");
+
+        // The tail fills the queue: the head now waits for a pop.
+        pop(net);
+        push(net, a(FlitKind::Head));
+        park_head(net);
+        push(net, a(FlitKind::Body));
+        push(net, a(FlitKind::Tail));
+        assert_eq!(net.outputs.len(s), 3);
+        assert_eq!(
+            parked(net),
+            (true, false, true),
+            "released into a full queue"
+        );
+        pop(net);
+        assert_eq!(parked(net), (false, false, false), "the pop makes room");
+
+        // A full unowned queue: the head waits for a pop from the start.
+        while !net.outputs.is_empty(s) {
+            pop(net);
+        }
+        for _ in 0..3 {
+            push(net, a(FlitKind::HeadTail));
+        }
+        park_head(net);
+        assert_eq!(parked(net), (true, false, true), "full, not owned");
+        pop(net);
+        assert_eq!(parked(net), (false, false, false));
     }
 
     #[test]

@@ -229,6 +229,36 @@ fn west_first_mesh_saturation_matches_dense() {
     }
 }
 
+/// Hot spots far past saturation, where most parked heads sit behind
+/// another packet's worm and wait for its tail: single and double hot
+/// spot at λ = 0.9 on every topology and routing pick, West-First
+/// included, over 1- and 3-flit output queues, sink rates 1–3 and
+/// packet lengths 1, 2 and 6. A tail that fills its queue hands those
+/// heads on to the queue's next pop; single-flit packets never own a
+/// queue, so their heads only ever wait for a pop.
+#[test]
+fn hotspots_past_saturation_match_dense() {
+    let mut seed = 0;
+    for pick in 0..5 {
+        for traffic in [1, 2] {
+            for output_capacity in [1, 3] {
+                for sink_rate in 1..=3 {
+                    for packet_len in [1, 2, 6] {
+                        seed += 1;
+                        let stats = assert_matches_dense(&Case {
+                            sink_rate,
+                            output_capacity,
+                            ..Case::paper(pick, 5, traffic, 0.9, 100, 400, 50, packet_len, seed)
+                        });
+                        assert!(stats.packets_delivered > 0, "{stats}");
+                        assert!(stats.backlog_flits > 0, "λ = 0.9 saturates the hot spots");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Networks of more than 64 routers, whose active and ejecting sets
 /// span several words: ring-130 below and past saturation, spidergon-66
 /// under a hot spot past saturation (single- and two-stage routers), and
