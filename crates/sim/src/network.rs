@@ -52,9 +52,10 @@
 //! land (the input slot, the receiving router and that buffer's bit in
 //! the router's input-occupancy word), and an input slot to its one
 //! feeding link VC. A link's VC round-robin pointer sits at the slot id
-//! of its VC 0. Link traversals are counted per link slot and summed
-//! over each link's VCs when a run reports
-//! [`SimStats::per_link`](crate::SimStats::per_link).
+//! of its VC 0. Link traversals are counted per link slot only; a run
+//! sums each link's VCs into
+//! [`SimStats::per_link`](crate::SimStats::per_link) and all of them into
+//! [`SimStats::link_traversals`](crate::SimStats::link_traversals).
 //!
 //! # Switch allocation
 //!
@@ -73,22 +74,35 @@
 //! and a tail's release handed on to the heads waiting for it),
 //! `PortBusy` (that port was already written this cycle) or `Refused`
 //! (the queue is full or owned by another packet).
-//! Body and tail flits follow their packet's wormhole allocation, and a
-//! head routed by the precompiled table has one candidate: each calls
-//! `place` once. A head routed by an adaptive algorithm tries its
-//! candidates in preference order until one is placed.
+//!
+//! Two paths lead to it. The **one-route path**, `place_one`, serves
+//! every flit that has exactly one output queue: body and tail flits,
+//! which follow their packet's wormhole allocation, and heads routed by
+//! the precompiled table. It calls `place` once and parks the slot on
+//! that queue if it was refused. The **candidate-list path**,
+//! `place_first`, serves only heads routed by an adaptive algorithm: it
+//! tries their candidates in preference order until one is placed, and
+//! parks the slot on all of them if every one refused. A head bound for
+//! the sink checks the ejection port's write budget before it scans the
+//! ejection channels for one to claim: a spent port fails every channel
+//! alike.
+//!
+//! The wormhole allocation of an input buffer (or of the source queue)
+//! is written by its packet's head and cleared by its tail; body flits
+//! only read it.
 //!
 //! # Sparse active-set core
 //!
 //! Phases 2–4 walk bitsets of routers instead of all nodes, one bit
 //! per router in `u64` words. A router's bit in the **active set** is
 //! set exactly while it holds at least one flit in any of its queues
-//! (source, input, output, ejection — tracked by a per-node flit
-//! counter): the flit that makes a router non-empty sets it at once,
-//! and it is cleared at the end of the cycle in which the router
-//! empties. A flitless router is a proven no-op in every phase — its
-//! queues are empty and any lingering wormhole allocation belongs to a
-//! packet whose remaining flits are still upstream — so skipping it is
+//! (source and ejection flits are counted per node, and input buffers
+//! and output queues have a bit each in the router's occupancy words):
+//! the flit that makes a router non-empty sets it at once, and it is
+//! cleared at the end of the cycle in which the router empties. A
+//! flitless router is a proven no-op in every phase — its queues are
+//! empty and any lingering wormhole allocation belongs to a packet
+//! whose remaining flits are still upstream — so skipping it is
 //! bit-exact. Consumption walks the smaller **ejecting set**, the
 //! routers holding ejected flits, and link transfer walks each router's
 //! non-empty, unparked output VCs link by link. Set bits are walked
@@ -326,18 +340,16 @@ pub struct Network {
     /// The active set: router `v` is bit `v % 64` of word `v / 64`, and
     /// bits past the last router stay 0. Set at once by
     /// [`activate`](Self::activate); at every cycle boundary bit `v` is
-    /// set ⟺ `node_flits[v].total() > 0`. Dense mode sets every router's
-    /// bit for good.
+    /// set ⟺ [`holds_flits`](Self::holds_flits)`(v)`. Dense mode sets
+    /// every router's bit for good.
     active: Vec<u64>,
     /// The ejecting set, laid out like `active`: bit `v` set ⟺
     /// `node_flits[v].eject > 0`. Sparse consumption walks it.
     ejecting: Vec<u64>,
-    /// Flits resident at each node, split by buffer class and
-    /// maintained incrementally at every flit movement. The total
-    /// clears a router's active bit; the per-class fields let each phase
-    /// skip a node with one counter load instead of scanning its
-    /// queues (an active router rarely participates in all three
-    /// phases the same cycle).
+    /// Source-queue and ejection flits at each node, maintained
+    /// incrementally as flits enter and leave those queues. With
+    /// `in_slots` and `out_slots` they say whether a router holds any
+    /// flit, which clears its active bit.
     node_flits: Vec<NodeFlits>,
     /// Σ over stepped cycles of the active-set size; with the cycle
     /// count this yields [`active_router_ratio`](Self::active_router_ratio).
@@ -372,26 +384,15 @@ pub struct Network {
     link_blocked: Vec<u32>,
 }
 
-/// Per-node flit occupancy by buffer class. Kept in one 16-byte struct
-/// so a phase's skip check and the retirement total stay on a single
-/// cache line per node.
+/// Per-node flit counts of the two buffer classes that no per-buffer
+/// occupancy word covers: input buffers and output queues have a bit
+/// each in `in_slots` and `out_slots` instead.
 #[derive(Clone, Copy, Default, Debug)]
 struct NodeFlits {
     /// Flits waiting in the source (injection) queue.
     source: u32,
-    /// Flits held in input buffers.
-    input: u32,
-    /// Flits held in output VC queues.
-    output: u32,
     /// Flits held in ejection queues.
     eject: u32,
-}
-
-impl NodeFlits {
-    /// Flits at the node across all classes; zero ⟺ skippable.
-    fn total(self) -> u32 {
-        self.source + self.input + self.output + self.eject
-    }
 }
 
 /// The set bits of `word`, lowest first.
@@ -910,6 +911,7 @@ impl Network {
         stats.backlog_flits = self.source_backlog();
         if self.measuring {
             stats.latency = self.latency.summary();
+            stats.link_traversals = self.link_counters.iter().sum();
             let (vcs, counters) = (self.vcs, &self.link_counters);
             stats.per_link = self
                 .nodes
@@ -974,7 +976,15 @@ impl Network {
         self.active[v / 64] |= 1 << (v % 64);
     }
 
-    /// Clears the active bits of routers whose flit count hit zero
+    /// Whether router `v` holds a flit in any of its queues: source,
+    /// input, output or ejection.
+    #[inline]
+    fn holds_flits(&self, v: usize) -> bool {
+        let f = self.node_flits[v];
+        f.source | f.eject | self.in_slots[v] | self.out_slots[v] != 0
+    }
+
+    /// Clears the active bits of routers that hold no flit any more
     /// (sparse mode only; dense mode keeps everyone).
     #[inline]
     fn retire_idle(&mut self) {
@@ -983,7 +993,7 @@ impl Network {
         }
         for w in 0..self.active.len() {
             for b in set_bits(self.active[w]) {
-                if self.node_flits[w * 64 + b].total() == 0 {
+                if !self.holds_flits(w * 64 + b) {
                     self.active[w] &= !(1 << b);
                 }
             }
@@ -1198,11 +1208,8 @@ impl Network {
                         if self.outputs.is_empty(s) {
                             self.out_slots[v] &= !bit;
                         }
-                        self.node_flits[v].output -= 1;
-                        self.node_flits[peer].input += 1;
                         self.activate(peer);
                         if self.measuring {
-                            self.stats.link_traversals += 1;
                             self.link_counters[s] += 1;
                         }
                         moved = true;
@@ -1228,14 +1235,22 @@ impl Network {
         }
         for w in 0..self.active.len() {
             for v in set_bits(self.active[w]).map(|b| w * 64 + b) {
-                // Dense-identical skip: every occupied slot (source queue,
-                // input buffer) is parked, or there is none, so every
-                // attempt would return without touching state.
-                if sparse && self.occupied_slots(v) & !self.blocked[v] == 0 {
-                    continue;
-                }
                 let nslots = 1 + self.nodes[v].dirs.len() * self.vcs;
-                moved |= self.allocate_node(v, nslots, rotation[nslots].into(), probe);
+                // Dense-identical slot skips: an empty source queue or
+                // input buffer makes its slot a no-op, and a router whose
+                // occupied slots are all parked, or that has none, would
+                // return from every attempt without touching state. Dense
+                // mode tries every slot.
+                let occupied = if sparse {
+                    let occupied = self.occupied_slots(v);
+                    if occupied & !self.blocked[v] == 0 {
+                        continue;
+                    }
+                    occupied
+                } else {
+                    (1 << nslots) - 1
+                };
+                moved |= self.allocate_node(v, occupied, rotation[nslots].into(), probe);
             }
         }
         moved
@@ -1248,14 +1263,14 @@ impl Network {
         (u64::from(self.in_slots[v]) << 1) | u64::from(self.node_flits[v].source > 0)
     }
 
-    /// Runs switch allocation for one router with `nslots` allocation
-    /// slots: rotating priority over the source queue and every (input
-    /// port, VC), starting at slot `start`, one write per output port
-    /// per cycle.
+    /// Runs switch allocation for router `v` over the allocation slots
+    /// set in `occupied`: rotating priority over the source queue and
+    /// every (input port, VC), starting at slot `start`, one write per
+    /// output port per cycle.
     fn allocate_node<P: Probe>(
         &mut self,
         v: usize,
-        nslots: usize,
+        occupied: u64,
         start: usize,
         probe: &mut P,
     ) -> bool {
@@ -1268,19 +1283,11 @@ impl Network {
         let mut used = [1usize; MAX_PORTS];
         used[num_dirs] = self.config.sink_rate;
         let mut moved = false;
-        // Dense-identical slot skips: an empty source queue or input
-        // buffer makes its slot a no-op. The snapshot is safe — bits
-        // only clear during this node's allocation, and a stale set bit
-        // just re-runs the cheap empty check. Dense mode tries every
-        // slot.
-        let occupied = if self.config.sparse {
-            self.occupied_slots(v)
-        } else {
-            (1 << nslots) - 1
-        };
-        // The rotated order `start, .., nslots - 1, 0, .., start - 1`
-        // is the set bits at or above `start`, then those below it,
-        // each ascending.
+        // `occupied` is a snapshot taken before the turn. That is safe:
+        // bits only clear during this node's allocation, and a stale set
+        // bit just re-runs the cheap empty check. The rotated order
+        // `start, .., nslots - 1, 0, .., start - 1` is the set bits at
+        // or above `start`, then those below it, each ascending.
         let below = (1 << start) - 1;
         for mut bits in [occupied & !below, occupied & below] {
             while bits != 0 {
@@ -1306,10 +1313,10 @@ impl Network {
     /// Routes the head flit `flit` of allocation slot `slot` at router
     /// `v`, which arrived on virtual channel `in_vc`, and places it in
     /// the first candidate output queue that accepts it; returns that
-    /// queue's slot id. Deterministic algorithms yield exactly one
-    /// candidate, served from the precompiled table when available;
-    /// adaptive ones several, in the routing algorithm's preference
-    /// order.
+    /// queue's slot id. A head routed by the precompiled table has one
+    /// candidate and goes through [`place_one`](Self::place_one); an
+    /// adaptive algorithm's candidates, in its preference order,
+    /// through [`place_first`](Self::place_first).
     #[inline]
     fn place_head(
         &mut self,
@@ -1325,13 +1332,13 @@ impl Network {
             let hop = table.hop(here, dst);
             let out = if hop.dir == Direction::Local {
                 assert!(slot != 0, "packet addressed to its own source");
-                self.eject_route(v, flit)
+                self.eject_route(v, flit, used)
             } else {
                 let port = usize::from(self.nodes[v].port_of[hop.dir.index()]);
                 debug_assert!(port < self.nodes[v].dirs.len(), "compiled absent port");
                 self.link_slot(v, port, usize::from(hop.out_vc[in_vc]))
             };
-            return self.place_first(v, slot, flit, &[out], used);
+            return self.place_one(v, slot, flit, out, used).then_some(out);
         }
         // Reuse the scratch buffers (taken so the routing call can
         // borrow `self`); head flits retry until they are placed (or
@@ -1344,7 +1351,7 @@ impl Network {
         for &dir in &dirs {
             let out = if dir == Direction::Local {
                 assert!(slot != 0, "packet addressed to its own source");
-                self.eject_route(v, flit)
+                self.eject_route(v, flit, used)
             } else {
                 let port = self.nodes[v]
                     .dirs
@@ -1365,17 +1372,53 @@ impl Network {
 
     /// The ejection channel a head flit bound for router `v`'s sink
     /// claims: the first that can accept it (wormhole ownership: one
-    /// packet per channel), or channel 0 to fail on if none can.
-    fn eject_route(&self, v: usize, flit: &ArenaFlit) -> usize {
+    /// packet per channel), or channel 0 to fail on if none can. With
+    /// the ejection port's writes spent this cycle, every channel fails
+    /// the same transient way, so channel 0 is returned unscanned.
+    #[inline]
+    fn eject_route(&self, v: usize, flit: &ArenaFlit, used: &[usize]) -> usize {
         let mut channels = self.eject_slots(v);
         let first = channels.start;
+        if used[self.nodes[v].dirs.len()] == 0 {
+            return first;
+        }
         channels
             .find(|&s| self.outputs.can_accept(s, flit))
             .unwrap_or(first)
     }
 
-    /// Places `flit` of allocation slot `slot` in the first of the
-    /// output slots `routes` whose queue accepts it, and returns that
+    /// Places `flit` of allocation slot `slot` in output slot `out`,
+    /// its only route: a body or tail flit's wormhole allocation, or a
+    /// head's entry in the precompiled table. Returns whether it was
+    /// placed.
+    ///
+    /// In sparse mode a refusal can only repeat until the queue
+    /// changes, so the slot is parked on it; a crossbar port already
+    /// written this cycle is a transient failure and parks nothing.
+    #[inline]
+    fn place_one(
+        &mut self,
+        v: usize,
+        slot: usize,
+        flit: &ArenaFlit,
+        out: usize,
+        used: &mut [usize],
+    ) -> bool {
+        match self.place(v, flit, out, used) {
+            Placement::Placed => true,
+            Placement::PortBusy => false,
+            Placement::Refused => {
+                if self.config.sparse {
+                    self.park(v, slot, flit, &[out]);
+                }
+                false
+            }
+        }
+    }
+
+    /// Places the head `flit` of allocation slot `slot` in the first of
+    /// the candidate output slots `routes` (an adaptive algorithm's,
+    /// in preference order) whose queue accepts it, and returns that
     /// slot id.
     ///
     /// In sparse mode a failure is remembered when it can only repeat:
@@ -1425,7 +1468,6 @@ impl Network {
             self.node_flits[v].eject += 1;
             self.ejecting[v / 64] |= 1 << (v % 64);
         } else {
-            self.node_flits[v].output += 1;
             self.out_slots[v] |= 1 << (out - self.nodes[v].base);
         }
         used[port] -= 1;
@@ -1513,7 +1555,7 @@ impl Network {
                 .route(s)
                 .expect("body/tail flit with no wormhole allocation");
             assert_eq!(r.packet, flit.pkt, "stale wormhole allocation");
-            self.place_first(v, slot, &flit, &[r.out], used)
+            self.place_one(v, slot, &flit, r.out, used).then_some(r.out)
         };
         let Some(out) = placed else {
             return false;
@@ -1533,16 +1575,23 @@ impl Network {
             );
         }
         self.inputs.pop(s);
-        let route = SlotRoute {
-            out,
-            packet: flit.pkt,
-        };
-        self.inputs
-            .set_route(s, (!flit.kind.is_tail()).then_some(route));
+        // The head sets the slot's wormhole allocation and the tail
+        // clears it; body flits only read it, and a single-flit packet
+        // never holds one.
+        match flit.kind {
+            FlitKind::Head => {
+                let route = SlotRoute {
+                    out,
+                    packet: flit.pkt,
+                };
+                self.inputs.set_route(s, Some(route));
+            }
+            FlitKind::Tail => self.inputs.set_route(s, None),
+            FlitKind::Body | FlitKind::HeadTail => {}
+        }
         if self.inputs.len(s) == 0 {
             self.in_slots[v] &= !(1 << (slot - 1));
         }
-        self.node_flits[v].input -= 1;
         // The buffer has space again: un-park its one feeding link VC.
         let (u, bit) = self.upstream[s];
         self.link_blocked[u as usize] &= !bit;
@@ -1574,7 +1623,7 @@ impl Network {
                 .source_route
                 .expect("injecting body/tail with no allocation");
             assert_eq!(r.packet, flit.pkt, "stale injection allocation");
-            self.place_first(v, 0, &flit, &[r.out], used)
+            self.place_one(v, 0, &flit, r.out, used).then_some(r.out)
         };
         let Some(out) = placed else {
             return false;
@@ -1592,10 +1641,13 @@ impl Network {
             node.source_route = None;
         } else {
             node.source_sent += 1;
-            node.source_route = Some(SlotRoute {
-                out,
-                packet: flit.pkt,
-            });
+            // As on the forward path, only the head sets the allocation.
+            if flit.kind.is_head() {
+                node.source_route = Some(SlotRoute {
+                    out,
+                    packet: flit.pkt,
+                });
+            }
         }
         self.node_flits[v].source -= 1;
         self.in_network += 1;
@@ -1610,6 +1662,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceEvent;
     use noc_routing::{MeshXY, RingShortestPath, SpidergonAcrossFirst};
     use noc_topology::{RectMesh, Ring, Spidergon};
     use noc_traffic::{SingleHotspot, UniformRandom};
@@ -1905,9 +1958,14 @@ mod tests {
         sim.run().unwrap();
         assert_eq!(sim.active_node_cycles, 167_497);
         assert_eq!(sim.active_router_ratio().to_bits(), 0x3fe2_bdad_2280_3c7f);
+        // A router's bit is set exactly while it holds a flit: counted
+        // in its source queue or ejection channels, or marked in its
+        // input-buffer or output-queue occupancy word.
         for v in 0..3 * 64 {
             let set = sim.active[v / 64] & (1 << (v % 64)) != 0;
-            let held = sim.node_flits.get(v).is_some_and(|f| f.total() > 0);
+            let held = sim.node_flits.get(v).is_some_and(|f| {
+                f.source > 0 || f.eject > 0 || sim.in_slots[v] != 0 || sim.out_slots[v] != 0
+            });
             assert_eq!(set, held, "router {v}");
         }
     }
@@ -1967,8 +2025,8 @@ mod tests {
             net.wake(0, s);
         };
         let park_head = |net: &mut Network| {
-            let taken = net.place_first(0, 1, &b(FlitKind::Head), &[s], &mut [1; MAX_PORTS]);
-            assert_eq!(taken, None);
+            let placed = net.place_one(0, 1, &b(FlitKind::Head), s, &mut [1; MAX_PORTS]);
+            assert!(!placed);
         };
         let parked = |net: &Network| {
             (
@@ -2017,6 +2075,144 @@ mod tests {
         assert_eq!(parked(net), (true, false, true), "full, not owned");
         pop(net);
         assert_eq!(parked(net), (false, false, false));
+    }
+
+    #[test]
+    fn a_sink_bound_head_at_a_spent_ejection_port_neither_moves_nor_parks() {
+        // Ring-8 router 0 with two ejection channels: the head of a
+        // packet for router 0 waits in allocation slot 1.
+        let ring = Ring::new(8).unwrap();
+        let trace = Trace::new(8, Vec::new()).unwrap();
+        let routing = Box::new(RingShortestPath::new(&ring));
+        let mut config = quick_config(0.0);
+        config.sink_rate = 2;
+        let mut sim =
+            Simulation::with_trace(Box::new(ring), routing, &trace, config, NullProbe).unwrap();
+        let net = &mut sim.net;
+        assert!(net.uses_compiled_routes());
+        let eject = net.eject_slots(0);
+        let port = net.nodes[0].dirs.len();
+        let mut head = |id| {
+            let pkt = net
+                .arena
+                .alloc(PacketId::new(id), NodeId::new(1), NodeId::new(0), 0);
+            ArenaFlit {
+                pkt,
+                kind: FlitKind::Head,
+                hops: 1,
+            }
+        };
+        let (a, b) = (head(0), head(1));
+        let untouched = |net: &Network| {
+            net.blocked[0] == 0
+                && eject
+                    .clone()
+                    .all(|s| net.waiters[s] == 0 && net.release_waiters[s] == 0)
+        };
+        let mut spent = [1; MAX_PORTS];
+        spent[port] = 0;
+
+        // Both channels free, port spent: a transient failure.
+        assert_eq!(net.place_head(0, 1, &a, 0, &mut spent), None);
+        assert!(untouched(net));
+        assert!(eject.clone().all(|s| net.outputs.is_empty(s)));
+
+        // Channel 0 claimed by `a`, port spent: still nothing parks,
+        // although no scan ran to find channel 1 free.
+        let mut budget = [1; MAX_PORTS];
+        budget[port] = 2;
+        assert_eq!(net.place_head(0, 1, &a, 0, &mut budget), Some(eject.start));
+        assert_eq!(net.place_head(0, 2, &b, 0, &mut spent), None);
+        assert!(untouched(net));
+
+        // With a write left, the scan finds channel 1.
+        assert_eq!(
+            net.place_head(0, 2, &b, 0, &mut budget),
+            Some(eject.start + 1)
+        );
+        assert_eq!(budget[port], 0);
+        assert!(untouched(net));
+    }
+
+    #[test]
+    fn the_head_sets_a_wormhole_allocation_and_the_tail_clears_it() {
+        // One 6-flit packet from router 0 to router 3 of a ring: follow
+        // the allocation of router 0's source and of the router-1 input
+        // buffer the worm crosses after every flit that leaves them.
+        let ring = Ring::new(8).unwrap();
+        let entry = noc_traffic::TraceEntry {
+            cycle: 0,
+            src: NodeId::new(0),
+            dst: NodeId::new(3),
+        };
+        let trace = Trace::new(8, vec![entry]).unwrap();
+        let config = SimConfig::builder()
+            .warmup_cycles(0)
+            .measure_cycles(100)
+            .build()
+            .unwrap();
+        let mut sim = Simulation::with_trace(
+            Box::new(ring.clone()),
+            Box::new(RingShortestPath::new(&ring)),
+            &trace,
+            config,
+            crate::Recorder::new(),
+        )
+        .unwrap();
+        // Per flit leaving, in order: its kind, the output slot it
+        // entered and the allocation just after it left. A source
+        // injects, and an input buffer forwards, at most one flit per
+        // cycle, so the state at the end of that cycle is the state
+        // right after the move.
+        let (mut source, mut input) = (Vec::new(), Vec::new());
+        assert_eq!(sim.nodes[0].source_route, None);
+        let mut seen = 0;
+        while input.len() < 6 {
+            assert!(sim.cycle() < 100, "the worm never crossed router 1");
+            sim.step().unwrap();
+            let events = &sim.probe().events()[seen..];
+            seen += events.len();
+            for event in events {
+                match *event {
+                    TraceEvent::Inject {
+                        node: 0,
+                        port,
+                        vc,
+                        kind,
+                        ..
+                    } => source.push((kind, sim.link_slot(0, port, vc), sim.nodes[0].source_route)),
+                    TraceEvent::BufferExit {
+                        node: 1,
+                        in_port,
+                        in_vc,
+                        out_port: Some(port),
+                        out_vc,
+                        kind,
+                        ..
+                    } => input.push((
+                        kind,
+                        sim.link_slot(1, port, out_vc),
+                        sim.inputs.route(sim.link_slot(1, in_port, in_vc)),
+                    )),
+                    _ => {}
+                }
+            }
+        }
+        for moves in [&source, &input] {
+            let kinds: Vec<_> = moves.iter().map(|m| m.0).collect();
+            let worm: Vec<_> = (0..6).map(|i| FlitKind::at(i, 6)).collect();
+            assert_eq!(kinds, worm);
+            let (_, out, route) = moves[0];
+            let held = route.expect("the head sets the allocation");
+            assert_eq!(held.out, out);
+            for &(kind, out, route) in &moves[1..5] {
+                assert_eq!(out, held.out, "{kind:?} follows the worm");
+                assert_eq!(route, Some(held), "a {kind:?} flit leaves it as it was");
+            }
+            let (_, out, route) = moves[5];
+            assert_eq!(out, held.out);
+            assert_eq!(route, None, "the tail clears it");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Cross-module behavioral tests of the simulator: conservation,
 //! determinism, saturation behavior, and deadlock failure injection.
 
-use noc_routing::{MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst};
+use noc_routing::{MeshXY, RingShortestPath, RoutingAlgorithm, SpidergonAcrossFirst, WestFirst};
 use noc_sim::{Recorder, SimConfig, SimError, Simulation, TraceEvent};
 use noc_topology::{Direction, NodeId, RectMesh, Ring, Spidergon, Topology};
-use noc_traffic::{SingleHotspot, TrafficPattern, UniformRandom};
+use noc_traffic::{DoubleHotspot, SingleHotspot, TrafficPattern, UniformRandom};
 
 fn config(lambda: f64, seed: u64) -> SimConfig {
     SimConfig::builder()
@@ -419,6 +419,72 @@ fn link_heat_map_identifies_hotspot_feeders() {
     // Conservation: per-link total equals the aggregate counter.
     let total: u64 = stats.per_link.iter().map(|l| l.flits).sum();
     assert_eq!(total, stats.link_traversals);
+}
+
+/// A 16-node network: ring, spidergon, XY mesh or West-First mesh.
+fn network_16(family: &str) -> (Box<dyn Topology>, Box<dyn RoutingAlgorithm>) {
+    match family {
+        "ring" => {
+            let t = Ring::new(16).unwrap();
+            let r = RingShortestPath::new(&t);
+            (Box::new(t), Box::new(r))
+        }
+        "spidergon" => {
+            let t = Spidergon::new(16).unwrap();
+            let r = SpidergonAcrossFirst::new(&t);
+            (Box::new(t), Box::new(r))
+        }
+        "mesh" => {
+            let t = RectMesh::new(4, 4).unwrap();
+            let r = MeshXY::new(&t);
+            (Box::new(t), Box::new(r))
+        }
+        "west-first mesh" => {
+            let t = RectMesh::new(4, 4).unwrap();
+            let r = WestFirst::new(&t);
+            (Box::new(t), Box::new(r))
+        }
+        _ => unreachable!("no family {family}"),
+    }
+}
+
+#[test]
+fn link_traversals_equal_the_per_link_sum_in_every_family() {
+    // The aggregate is summed from the per-link counters at the end of
+    // a run; it must equal the per-link loads for every family, for
+    // table-routed XY and adaptive West-First meshes, under uniform and
+    // double hot-spot traffic, below and past saturation, in both cores.
+    let n = 16;
+    for label in ["ring", "spidergon", "mesh", "west-first mesh"] {
+        for hotspots in [false, true] {
+            for lambda in [0.05, 0.6] {
+                for sparse in [true, false] {
+                    let (topo, routing) = network_16(label);
+                    let pattern: Box<dyn TrafficPattern> = if hotspots {
+                        Box::new(
+                            DoubleHotspot::new(n, [NodeId::new(0), NodeId::new(n / 2)]).unwrap(),
+                        )
+                    } else {
+                        Box::new(UniformRandom::new(n).unwrap())
+                    };
+                    let cfg = SimConfig::builder()
+                        .injection_rate(lambda)
+                        .warmup_cycles(200)
+                        .measure_cycles(1_000)
+                        .seed(29)
+                        .sparse(sparse)
+                        .build()
+                        .unwrap();
+                    let stats = build(topo, routing, pattern, cfg).run().unwrap();
+                    let total: u64 = stats.per_link.iter().map(|l| l.flits).sum();
+                    let case =
+                        format!("{label}, hot-spots {hotspots}, λ {lambda}, sparse {sparse}");
+                    assert!(stats.link_traversals > 0, "{case}");
+                    assert_eq!(stats.link_traversals, total, "{case}");
+                }
+            }
+        }
+    }
 }
 
 /// The throughput series of a recorded run: delivered flits per cycle

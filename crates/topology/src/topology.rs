@@ -157,15 +157,14 @@ pub trait Topology: fmt::Debug {
     /// Builds the undirected adjacency [`Graph`] of this topology, used
     /// for BFS-based exact metrics.
     ///
-    /// Each node's edges go straight into the CSR arrays in
-    /// [`Direction::ALL`] order, the canonical order every family lists
-    /// its [`directions`](Self::directions) in, so the graph's
+    /// Each node's edges go straight into the CSR arrays in the order of
+    /// its own [`directions`](Self::directions), so the graph's
     /// adjacency lists equal [`neighbors`](Self::neighbors) without
-    /// building them.
+    /// collecting them.
     fn graph(&self) -> Graph {
         Graph::from_neighbors(self.num_nodes(), |v| {
             let node = NodeId::new(v);
-            Direction::ALL
+            self.directions(node)
                 .into_iter()
                 .filter_map(move |d| self.neighbor(node, d))
                 .map(NodeId::index)
