@@ -251,7 +251,7 @@ thread_local! {
 }
 
 /// Snapshot of the calling thread's cache counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheCounters {
     /// Points answered from the store.
     pub hits: u64,

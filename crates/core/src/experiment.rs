@@ -39,7 +39,7 @@ pub struct Experiment {
 }
 
 /// Outcome of one experiment run.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub struct RunResult {
     /// Label of the simulated topology (e.g. `"spidergon-16"`).
     pub topology_label: String,
@@ -219,7 +219,7 @@ impl Experiment {
 pub(crate) type RoutingFn = fn(&TopologySpec) -> Result<Box<dyn RoutingAlgorithm>, CoreError>;
 
 /// Mean and standard deviation over replicated runs.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Aggregate {
     /// The individual runs (in seed order).
     pub runs: Vec<RunResult>,
@@ -237,13 +237,10 @@ pub struct Aggregate {
     pub mean_hops: f64,
     /// Median packet latency over the merged histogram of all runs
     /// (0 when nothing was delivered).
-    #[serde(default)]
     pub latency_p50: u64,
     /// 95th-percentile packet latency over the merged histogram.
-    #[serde(default)]
     pub latency_p95: u64,
     /// 99th-percentile packet latency over the merged histogram.
-    #[serde(default)]
     pub latency_p99: u64,
 }
 
@@ -435,5 +432,42 @@ mod tests {
         let json = serde_json::to_string(&exp).unwrap();
         let back: Experiment = serde_json::from_str(&json).unwrap();
         assert_eq!(back, exp);
+    }
+
+    /// The spec `noc-cli example` prints.
+    const EXAMPLE: &str = include_str!("../../../tests/golden/example-spec.json");
+
+    #[test]
+    fn truncated_specs_fail_to_parse() {
+        assert!(serde_json::from_str::<Experiment>(EXAMPLE).is_ok());
+        let end = EXAMPLE.rfind('}').unwrap();
+        for cut in 0..=end {
+            assert!(
+                serde_json::from_str::<Experiment>(&EXAMPLE[..cut]).is_err(),
+                "the first {cut} bytes parsed"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_specs_fail_to_parse() {
+        let nodes = "\"nodes\": 16";
+        for (from, to) in [
+            (nodes, "\"nodes\": -1"),
+            (nodes, "\"nodes\": 18446744073709551616"),
+            (nodes, "\"nodes\": 1e400"),
+            ("\"Spidergon\"", "\"Hypercube\""),
+            ("0.2", "NaN"),
+            ("\"Poisson\"", "\"\\ud800\""),
+            ("\"Poisson\"", "\"\\u12\""),
+            ("{", "\u{feff}{"),
+        ] {
+            let spec = EXAMPLE.replacen(from, to, 1);
+            assert_ne!(spec, EXAMPLE, "no {from} in the example");
+            assert!(
+                serde_json::from_str::<Experiment>(&spec).is_err(),
+                "{to} parsed"
+            );
+        }
     }
 }

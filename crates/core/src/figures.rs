@@ -33,10 +33,9 @@ use noc_routing::{RoutingAlgorithm, SpidergonAcrossLast};
 use noc_sim::{NullProbe, SimConfig};
 use noc_topology::{analytical, metrics, real_mesh, IrregularMesh, RectMesh, Spidergon, Topology};
 use noc_traffic::PlacementScenario;
-use serde::{Deserialize, Serialize};
 
 /// Quality knobs for the simulation-based figures.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FigureOptions {
     /// Warmup cycles per run.
     pub warmup_cycles: u64,

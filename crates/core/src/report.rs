@@ -5,11 +5,11 @@
 //! from, so `cargo run --bin fig10` output can be compared with the
 //! paper directly.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// One point of a series.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize)]
 pub struct Point {
     /// X coordinate (injection rate, node count, ...).
     pub x: f64,
@@ -20,7 +20,7 @@ pub struct Point {
 }
 
 /// A labelled curve of a figure.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub struct Series {
     /// Curve label, e.g. `"spidergon-24"`.
     pub label: String,
@@ -62,7 +62,7 @@ impl Series {
 /// assert!(table.contains("ring"));
 /// assert!(fig.to_csv().starts_with("x,"));
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub struct FigureData {
     /// Identifier, e.g. `"fig6"`.
     pub id: String,
@@ -363,8 +363,8 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let fig = sample();
-        let back: FigureData = serde_json::from_str(&fig.to_json()).unwrap();
-        assert_eq!(back, fig);
+        let back: serde::Value = serde_json::from_str(&fig.to_json()).unwrap();
+        assert_eq!(back, fig.to_value());
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! load.
 
 use crate::SweepResult;
-use serde::{Deserialize, Serialize};
 
 /// Estimated saturation point of a sweep.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SaturationPoint {
     /// The injection rate (flits/cycle per source) at which saturation
     /// was declared.

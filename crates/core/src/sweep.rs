@@ -4,10 +4,9 @@ use crate::parallel::{run_jobs, ExperimentJob, Parallelism};
 use crate::{Aggregate, CoreError, Experiment, ExperimentCache, RunResult};
 use crate::{TopologySpec, TrafficSpec};
 use noc_sim::SimConfig;
-use serde::{Deserialize, Serialize};
 
 /// One measured point of an injection-rate sweep.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SweepPoint {
     /// Injection rate lambda in flits/cycle per source.
     pub rate: f64,
@@ -25,18 +24,15 @@ pub struct SweepPoint {
     pub mean_hops: f64,
     /// Median packet latency over the merged histogram of all
     /// replications at this rate (0 when nothing was delivered).
-    #[serde(default)]
     pub latency_p50: u64,
     /// 95th-percentile packet latency over the merged histogram.
-    #[serde(default)]
     pub latency_p95: u64,
     /// 99th-percentile packet latency over the merged histogram.
-    #[serde(default)]
     pub latency_p99: u64,
 }
 
 /// Result of sweeping one (topology, traffic) pair over several rates.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SweepResult {
     /// Label of the topology swept.
     pub topology_label: String,

@@ -1,8 +1,7 @@
 //! The parallel engine's core guarantee: output is **bit-identical**
 //! to a sequential run for any worker count. Results are compared via
-//! their `serde_json` serialization, which covers every public field
-//! (including f64 bit patterns — `1e-9`-style tolerances would hide
-//! reassembly bugs).
+//! their `Debug` rendering, which covers every field (including f64 bit
+//! patterns — `1e-9`-style tolerances would hide reassembly bugs).
 //!
 //! Also holds the hop-count regression test for the flit hop counter
 //! that replaced the per-packet hop table in the simulator hot path.
@@ -24,9 +23,9 @@ fn base_config(lambda: f64) -> SimConfig {
         .unwrap()
 }
 
-/// Serializes a value so two results can be compared field-for-field.
-fn json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap()
+/// Renders a value so two results can be compared field-for-field.
+fn debug<T: std::fmt::Debug>(value: &T) -> String {
+    format!("{value:?}")
 }
 
 #[test]
@@ -54,8 +53,8 @@ fn sweep_is_bit_identical_across_worker_counts() {
         )
         .unwrap();
         assert_eq!(
-            json(&parallel),
-            json(&sequential),
+            debug(&parallel),
+            debug(&sequential),
             "sweep output diverged at {workers} workers"
         );
     }
@@ -75,7 +74,7 @@ fn replicated_runs_are_bit_identical_across_worker_counts() {
         let parallel = experiment
             .run_replicated(3, Parallelism::Fixed(workers))
             .unwrap();
-        assert_eq!(json(&parallel), json(&sequential));
+        assert_eq!(debug(&parallel), debug(&sequential));
     }
 }
 
@@ -103,8 +102,8 @@ fn auto_policy_honors_noc_threads_and_figures_stay_bit_identical() {
     std::env::set_var("NOC_THREADS", "4");
     assert_eq!(Parallelism::Auto.worker_count(), 4);
     let (tp_par, lat_par) = fig6_7(&opts).unwrap();
-    assert_eq!(json(&tp_par), json(&tp_seq));
-    assert_eq!(json(&lat_par), json(&lat_seq));
+    assert_eq!(debug(&tp_par), debug(&tp_seq));
+    assert_eq!(debug(&lat_par), debug(&lat_seq));
 
     // Garbage values fall back to the host core count.
     std::env::set_var("NOC_THREADS", "zero");

@@ -4,8 +4,9 @@
 //! the auditor and reports what it checked. A run that delivers nothing
 //! prints `mean hops -`, a rate that asks for more generated flits
 //! than the simulator's budget fails at once instead of running for
-//! hours, configuration keys that were retired are ignored, and zero
-//! replications fail with one message on every path.
+//! hours, configuration keys that were retired are ignored, zero
+//! replications fail with one message on every path, and a spec nested
+//! too deep to parse is an error, not a stack overflow.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -238,4 +239,25 @@ fn zero_replications_fail_alike_on_every_path() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_deeply_nested_spec_is_an_error() {
+    let dir = noc_core::cache::unique_temp_dir("noc-cli-deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("spec.json");
+    std::fs::write(&path, "[".repeat(100_000)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+        .arg("run")
+        .arg(&path)
+        .current_dir(&dir)
+        .env("NOC_CACHE", "0")
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).starts_with("error:"),
+        "{out:?}"
+    );
 }

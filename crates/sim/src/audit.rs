@@ -74,7 +74,6 @@ const PREFLIGHT_MAX_NODES: usize = 512;
 
 /// The invariant classes the auditor checks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Invariant {
     /// `generated = consumed + source backlog + in network`, the
     /// incremental counters agree with the buffer-derived occupancy, and
@@ -114,7 +113,6 @@ impl fmt::Display for Invariant {
 
 /// Which buffer class of the node model a violation points at.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BufferClass {
     /// The NI source (injection) queue.
     Source,
@@ -142,7 +140,6 @@ impl fmt::Display for BufferClass {
 
 /// Identifies one buffer (or link) of the node model.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferRef {
     /// The node the buffer belongs to.
     pub node: NodeId,
@@ -167,7 +164,6 @@ impl fmt::Display for BufferRef {
 /// which invariant, at which cycle, at which node and buffer, and which
 /// packet's flits were involved.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AuditViolation {
     /// The invariant that was violated.
     pub invariant: Invariant,
@@ -203,7 +199,6 @@ impl fmt::Display for AuditViolation {
 /// Outcome of the wait-for-graph inspection run when the stall watchdog
 /// fires: was the stall a true deadlock or mere starvation?
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StallDiagnosis {
     /// A circular wait among blocked virtual channels: the witness
     /// cycle, as the chain of buffers each waiting on the next.
@@ -219,10 +214,9 @@ pub enum StallDiagnosis {
 /// Aggregated findings of one audited simulation run.
 ///
 /// Obtained from [`Auditor::report`] or [`Auditor::into_report`].
-/// Reports are plain data (`PartialEq`, serde) so replicated sweeps can
+/// Reports are plain data (`PartialEq`) so replicated sweeps can
 /// compare and aggregate them deterministically across workers.
 #[derive(Clone, PartialEq, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AuditReport {
     /// Violations found, in detection order (capped; see `truncated`).
     pub violations: Vec<AuditViolation>,

@@ -217,13 +217,16 @@ impl OutputRings {
         if !self.can_accept(s, &flit) {
             return false;
         }
+        // Pushed before `owner` is written: the compiler cannot tell
+        // that store from one to the ring cursors, so pushing after it
+        // would load the length `can_accept` just read a second time.
+        self.flits.push_back(s, flit);
         if flit.kind.is_head() {
             self.owner[s] = Some(flit.pkt);
         }
         if flit.kind.is_tail() {
             self.owner[s] = None;
         }
-        self.flits.push_back(s, flit);
         true
     }
 

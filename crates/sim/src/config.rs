@@ -46,11 +46,10 @@ pub const MAX_EXPECTED_FLITS: u64 = 1 << 30;
 /// assert_eq!(cfg.output_buffer_capacity, 3);
 /// # Ok::<(), noc_sim::SimError>(())
 /// ```
-#[derive(Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
 // Missing fields in serialized configs (e.g. specs written before a
 // field existed) fall back to the paper defaults.
-#[cfg_attr(feature = "serde", serde(default))]
+#[serde(default)]
 #[non_exhaustive]
 pub struct SimConfig {
     /// Packet length in flits (paper: 6).

@@ -11,7 +11,6 @@ use noc_topology::NodeId;
 
 /// Unique identifier of a packet within one simulation run.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketId(u64);
 
 impl PacketId {
@@ -34,7 +33,6 @@ impl fmt::Display for PacketId {
 
 /// Position of a flit within its packet.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FlitKind {
     /// First flit: carries routing information, opens the wormhole path.
     Head,
@@ -84,7 +82,6 @@ impl FlitKind {
 
 /// One flow-control digit travelling through the network.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Flit {
     /// Packet this flit belongs to.
     pub packet: PacketId,

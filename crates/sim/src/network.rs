@@ -458,7 +458,6 @@ struct QueuedPacket {
 /// Produced by [`Network::occupancy`]; the sum of the router-side
 /// fields equals [`Network::flits_in_network`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Occupancy {
     /// Flits waiting in source (injection) queues.
     pub source_flits: u64,

@@ -456,7 +456,6 @@ impl TraceEvent {
 
 /// One completed packet's timing record.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketTiming {
     /// Raw packet id.
     pub packet: u64,
@@ -488,7 +487,6 @@ impl PacketTiming {
 
 /// Per-component latency histograms over all delivered packets.
 #[derive(Clone, PartialEq, Default, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyBreakdown {
     /// Source-queuing component.
     pub source_queuing: LatencyStats,
@@ -503,7 +501,6 @@ pub struct LatencyBreakdown {
 /// One window of the recorded time-series. All fields are raw integer
 /// counts; rates are derived at export time.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowSample {
     /// First cycle of the window.
     pub start: u64,
@@ -529,7 +526,6 @@ pub struct WindowSample {
 
 /// Peak occupancy of one buffer over the whole recorded run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferPeak {
     /// Which buffer class (source / input / output / ejection).
     pub class: BufferClass,

@@ -109,17 +109,11 @@ proptest! {
     }
 
     #[test]
-    fn json_and_codec_round_trips_are_exact(
+    fn codec_round_trips_are_exact(
         drawn in proptest::collection::vec((0u64..5000, 0u8..10), 0..200),
     ) {
-        let latency = recorded(&samples(&drawn));
-        let json = serde_json::to_string(&latency).unwrap();
-        let back: LatencyStats = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(&back, &latency);
-        prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
-
         let mut stats = SimStats::default();
-        stats.latency = latency;
+        stats.latency = recorded(&samples(&drawn));
         let mut bytes = Vec::new();
         stats.encode_into(&mut bytes);
         let decoded = SimStats::decode(&bytes).unwrap();

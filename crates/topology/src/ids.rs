@@ -24,9 +24,8 @@ use core::fmt;
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(n.to_string(), "n3");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize)]
+#[serde(transparent)]
 pub struct NodeId(usize);
 
 impl NodeId {
@@ -94,8 +93,7 @@ impl fmt::Display for NodeId {
 /// assert_eq!(Direction::Across.opposite(), Some(Direction::Across));
 /// assert_eq!(Direction::Local.opposite(), None);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize)]
 pub enum Direction {
     /// Towards the next node along the ring (increasing node id).
     Clockwise,

@@ -28,7 +28,6 @@ use crate::Topology;
 /// # Ok::<(), noc_topology::TopologyError>(())
 /// ```
 #[derive(Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TopologyMetrics {
     /// Human-readable topology label.
     pub label: String,

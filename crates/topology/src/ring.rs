@@ -24,7 +24,6 @@ use crate::{Direction, NodeId, Topology, TopologyError, TopologyKind};
 /// # Ok::<(), noc_topology::TopologyError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ring {
     num_nodes: usize,
 }

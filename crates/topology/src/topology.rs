@@ -18,7 +18,6 @@ use core::fmt;
 /// # Ok::<(), noc_topology::TopologyError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TopologyKind {
     /// Bidirectional ring.
     Ring,

@@ -30,7 +30,6 @@ use rand::RngCore;
 /// # Ok::<(), noc_traffic::TrafficError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transpose {
     side: usize,
 }
@@ -98,7 +97,6 @@ impl TrafficPattern for Transpose {
 /// is both a source and a destination (for even `N`; with odd `N` the
 /// middle node is excluded).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Complement {
     num_nodes: usize,
 }
@@ -166,7 +164,6 @@ impl TrafficPattern for Complement {
 /// "parallel local communication" case where the paper notes NoC
 /// architectures shine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NearestNeighbor {
     num_nodes: usize,
 }

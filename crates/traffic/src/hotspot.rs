@@ -27,7 +27,6 @@ use crate::UniformRandom;
 /// # Ok::<(), noc_traffic::TrafficError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SingleHotspot {
     num_nodes: usize,
     target: NodeId,
@@ -109,7 +108,6 @@ impl TrafficPattern for SingleHotspot {
 /// # Ok::<(), noc_traffic::TrafficError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DoubleHotspot {
     num_nodes: usize,
     targets: [NodeId; 2],
@@ -293,7 +291,6 @@ mod tests {
 /// # Ok::<(), noc_traffic::TrafficError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MixedHotspot {
     uniform: UniformRandom,
     target: NodeId,

@@ -18,8 +18,7 @@ use crate::TrafficError;
 use noc_topology::NodeId;
 
 /// Where the two hot-spot targets sit (paper scenarios A, B, C).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub enum PlacementScenario {
     /// Scenario A: maximally separated targets — opposite mesh corners,
     /// or North/South ring positions.

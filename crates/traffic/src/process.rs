@@ -29,8 +29,9 @@ use rand::Rng;
 ///     / 10_000.0;
 /// assert!((mean - 20.0).abs() < 1.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Clone, Copy, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
+)]
 pub enum InjectionProcess {
     /// Poisson arrivals: exponential interarrival times (the paper's
     /// process).

@@ -13,7 +13,6 @@ use noc_topology::NodeId;
 
 /// One packet injection of a trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceEntry {
     /// Cycle at which the packet is created at its source.
     pub cycle: u64,
@@ -45,7 +44,6 @@ pub struct TraceEntry {
 /// # Ok::<(), noc_traffic::TrafficError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     num_nodes: usize,
     entries: Vec<TraceEntry>,

@@ -25,7 +25,6 @@ use rand::{Rng, RngCore};
 /// # Ok::<(), noc_traffic::TrafficError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UniformRandom {
     num_nodes: usize,
 }
