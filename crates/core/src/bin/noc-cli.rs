@@ -347,33 +347,32 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     apply_cache_flag(cache_flag);
     let counters_before = noc_core::cache::counters();
     let experiment: Experiment = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-    let rates: Vec<f64> = (1..=steps).map(|i| max * i as f64 / steps as f64).collect();
     let sweep = noc_core::sweep_rates(
         experiment.topology,
         experiment.traffic,
         &experiment.config,
-        &rates,
+        &noc_core::rate_grid(max, steps),
         reps,
         parallelism,
     )?;
     println!(
         "# {} / {} ({})",
-        sweep.topology_label,
-        sweep.traffic_label,
+        sweep[0].runs[0].topology_label,
+        sweep[0].runs[0].traffic_label,
         RunMetadata::for_parallelism(parallelism)
     );
     println!(
         "rate,throughput,throughput_std,latency,latency_std,acceptance,mean_hops,latency_p50,latency_p95,latency_p99"
     );
-    for p in &sweep.points {
+    for p in &sweep {
         println!(
             "{},{},{},{},{},{},{},{},{},{}",
-            p.rate,
+            p.injection_rate(),
             p.throughput_mean,
             p.throughput_std,
             p.latency_mean,
             p.latency_std,
-            p.acceptance,
+            p.acceptance_mean,
             p.mean_hops,
             p.latency_p50,
             p.latency_p95,

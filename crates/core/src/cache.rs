@@ -59,8 +59,9 @@
 //! is one lookup-or-simulate step on the parallel engine's workers, and
 //! the calling thread stores the call's fresh results as one pack, in
 //! job order — so
-//! `run_replicated`, `sweep_rates`, every cached figure function and
-//! `noc-cli` become incremental through one code path.
+//! `run_points` (behind `run_replicated`, `sweep_rates` and every cached
+//! figure function) and `noc-cli` become incremental through one code
+//! path.
 
 use crate::{Experiment, RunResult};
 use noc_sim::codec::{self, DecodeError, Reader};

@@ -192,26 +192,59 @@ impl Experiment {
     }
 
     /// Runs `replications` times with seeds `seed, seed+1, ...` and
-    /// aggregates throughput and latency.
-    ///
-    /// Replications execute on the parallel experiment engine under
-    /// `parallelism`, through the `NOC_CACHE` experiment cache (see
-    /// [`run_jobs`]); results are identical to a sequential loop for
-    /// any worker count.
+    /// aggregates throughput and latency: the one-point case of
+    /// [`run_points`].
     ///
     /// # Errors
     ///
-    /// Returns the lowest-seed error encountered; requires
-    /// `replications > 0` ([`CoreError::InvalidSpec`] otherwise).
+    /// See [`run_points`].
     pub fn run_replicated(
         &self,
         replications: usize,
         parallelism: Parallelism,
     ) -> Result<Aggregate, CoreError> {
-        let jobs = self.replication_jobs(replications)?;
-        let runs = run_jobs(jobs, parallelism, &ExperimentCache::from_env())?;
-        Ok(Aggregate::from_runs(runs))
+        let mut aggregates = run_points(std::slice::from_ref(self), replications, parallelism)?;
+        Ok(aggregates.remove(0))
     }
+}
+
+/// Runs every point `replications` times, with seeds `seed, seed + 1,
+/// ...` of its config, and returns one [`Aggregate`] per point, in
+/// point order: the grid runner behind replications, rate sweeps and
+/// the figures.
+///
+/// The whole point × replication grid is one [`run_jobs`] call under
+/// `parallelism`, through the `NOC_CACHE` experiment cache, so up to
+/// `points.len() * replications` simulations run concurrently; results
+/// are identical to a sequential loop for any worker count.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidSpec`] if `replications` is zero, else
+/// the error of the lowest failing job.
+pub fn run_points(
+    points: &[Experiment],
+    replications: usize,
+    parallelism: Parallelism,
+) -> Result<Vec<Aggregate>, CoreError> {
+    let mut jobs = Vec::new();
+    for point in points {
+        jobs.extend(point.replication_jobs(replications)?);
+    }
+    let runs = run_jobs(jobs, parallelism, &ExperimentCache::from_env())?;
+    Ok(aggregate_each(replications, runs))
+}
+
+/// Splits in-order runs into one [`Aggregate`] per `replications`
+/// consecutive runs: the one place runs become per-point aggregates.
+pub(crate) fn aggregate_each(replications: usize, runs: Vec<RunResult>) -> Vec<Aggregate> {
+    let mut runs = runs.into_iter().peekable();
+    let mut aggregates = Vec::new();
+    while runs.peek().is_some() {
+        let point = runs.by_ref().take(replications).collect();
+        aggregates.push(Aggregate::from_runs(point));
+    }
+    aggregates
 }
 
 /// Builds the routing a simulation uses for a topology spec, e.g.
@@ -245,6 +278,11 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
+    /// The injection rate the runs used (flits/cycle per source).
+    pub fn injection_rate(&self) -> f64 {
+        self.runs[0].injection_rate
+    }
+
     /// Computes aggregates from a nonempty set of runs.
     ///
     /// # Panics

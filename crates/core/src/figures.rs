@@ -21,14 +21,14 @@
 //! results into [`FigureData`], so both figures of a pair (`_7`, `_9`,
 //! `_11`) cost one set of simulations. `ext_adaptive` and
 //! `ext_spidergon_routing` run manifest-shaped entries with routing an
-//! [`Experiment`](crate::Experiment) cannot name. [`SETS`] groups the
+//! [`Experiment`] cannot name. [`SETS`] groups the
 //! figures by the IDs `noc-cli figures` takes.
 
-use crate::experiment::RoutingFn;
-use crate::parallel::{run_indexed, run_jobs, ExperimentJob, Parallelism};
+use crate::experiment::{aggregate_each, RoutingFn};
+use crate::parallel::{run_indexed, ExperimentJob, Parallelism};
 use crate::report::{FigureData, Point, Series};
-use crate::sweep::{sweep_jobs, validate_rates};
-use crate::{Aggregate, CoreError, ExperimentCache, RunResult, TopologySpec, TrafficSpec};
+use crate::sweep::{at_rate, validate_rates};
+use crate::{rate_grid, run_points, Aggregate, CoreError, Experiment, TopologySpec, TrafficSpec};
 use noc_routing::{RoutingAlgorithm, SpidergonAcrossLast};
 use noc_sim::{NullProbe, SimConfig};
 use noc_topology::{analytical, metrics, real_mesh, IrregularMesh, RectMesh, Spidergon, Topology};
@@ -82,11 +82,10 @@ impl FigureOptions {
         }
     }
 
-    /// The injection-rate grid implied by `max_rate` / `rate_steps`.
+    /// The injection-rate grid implied by `max_rate` / `rate_steps`
+    /// ([`rate_grid`]).
     pub fn rates(&self) -> Vec<f64> {
-        (1..=self.rate_steps)
-            .map(|i| self.max_rate * i as f64 / self.rate_steps as f64)
-            .collect()
+        rate_grid(self.max_rate, self.rate_steps)
     }
 
     fn base_config(&self) -> SimConfig {
@@ -428,34 +427,26 @@ pub fn manifest(opts: &FigureOptions) -> Vec<ManifestEntry> {
     ]
 }
 
-/// The engine jobs of a series: point-major, replication-minor.
-fn series_jobs(
-    opts: &FigureOptions,
-    series: &ManifestSeries,
-) -> Result<Vec<ExperimentJob>, CoreError> {
-    let (base, replications) = (opts.base_config(), opts.replications);
-    let mut jobs = Vec::new();
-    for &(_, topology, traffic, rate) in &series.points {
-        jobs.extend(sweep_jobs(topology, traffic, &base, &[rate], replications)?);
-    }
-    Ok(jobs)
+/// Every point of `entry` as an experiment on the options' base
+/// configuration: series-major, then in x order.
+fn points(opts: &FigureOptions, entry: &ManifestEntry) -> Vec<Experiment> {
+    let base = opts.base_config();
+    let points = entry.series.iter().flat_map(|series| &series.points);
+    points
+        .map(|&(_, topology, traffic, rate)| at_rate(topology, traffic, &base, rate))
+        .collect()
 }
 
-/// Chunks an entry's runs (series-major, then [`series_jobs`] order) by
-/// replication and draws its output figures.
-fn assemble(entry: &ManifestEntry, replications: usize, runs: Vec<RunResult>) -> Vec<FigureData> {
-    let mut runs = runs.into_iter();
-    let mut aggregate = || Aggregate::from_runs(runs.by_ref().take(replications).collect());
-    let aggregates: Vec<Vec<Aggregate>> = entry
-        .series
-        .iter()
-        .map(|series| series.points.iter().map(|_| aggregate()).collect())
-        .collect();
+/// Draws an entry's output figures from one aggregate per point, in
+/// [`points`] order.
+fn assemble(entry: &ManifestEntry, aggregates: &[Aggregate]) -> Vec<FigureData> {
     let figure = |out: &FigureOutput| {
         let y_label = out.statistic.axis_label();
         let mut fig = FigureData::new(out.id, out.title, entry.x_label, y_label);
-        for (series, aggs) in entry.series.iter().zip(&aggregates) {
-            let points = series.points.iter().zip(aggs).map(|(&(x, ..), agg)| {
+        let mut aggregates = aggregates.iter();
+        for series in &entry.series {
+            let points = series.points.iter().zip(aggregates.by_ref());
+            let points = points.map(|(&(x, ..), agg)| {
                 let (y, std) = out.statistic.of(agg);
                 Point { x, y, std }
             });
@@ -477,17 +468,14 @@ fn run_manifest(opts: &FigureOptions, id: &str) -> Result<Vec<FigureData>, CoreE
         .into_iter()
         .find(|entry| entry.outputs[0].id == id)
         .expect("the manifest lists every simulated sweep figure");
-    let mut jobs = Vec::new();
-    for series in &entry.series {
-        jobs.extend(series_jobs(opts, series)?);
-    }
-    let runs = run_jobs(jobs, Parallelism::default(), &ExperimentCache::from_env())?;
-    Ok(assemble(&entry, opts.replications, runs))
+    let points = points(opts, &entry);
+    let aggregates = run_points(&points, opts.replications, Parallelism::default())?;
+    Ok(assemble(&entry, &aggregates))
 }
 
 /// The custom-routing builder: runs `entry` like [`run_manifest`], but
 /// series `i` routes with `routing[i]`, which an
-/// [`Experiment`](crate::Experiment) cannot express. Each point is one
+/// [`Experiment`] cannot express. Each point is one
 /// `Experiment::run_routed` call on the generic engine, uncached (the
 /// cache key has no routing field).
 fn run_routed(
@@ -496,9 +484,11 @@ fn run_routed(
     routing: &[RoutingFn],
 ) -> Result<Vec<FigureData>, CoreError> {
     opts.validate()?;
+    let routing = entry.series.iter().zip(routing);
+    let routing = routing.flat_map(|(series, &routing)| series.points.iter().map(move |_| routing));
     let mut jobs = Vec::new();
-    for (series, &routing) in entry.series.iter().zip(routing) {
-        for ExperimentJob { experiment, seed } in series_jobs(opts, series)? {
+    for (point, routing) in points(opts, entry).iter().zip(routing) {
+        for ExperimentJob { experiment, seed } in point.replication_jobs(opts.replications)? {
             jobs.push(move || {
                 experiment
                     .run_routed(seed, routing, NullProbe)
@@ -509,7 +499,7 @@ fn run_routed(
     let runs = run_indexed(jobs, Parallelism::default())
         .into_iter()
         .collect::<Result<_, _>>()?;
-    Ok(assemble(entry, opts.replications, runs))
+    Ok(assemble(entry, &aggregate_each(opts.replications, runs)))
 }
 
 /// Splits a two-output entry's figures into (throughput, latency).
@@ -698,12 +688,10 @@ pub fn ext_link_heatmap(opts: &FigureOptions) -> Result<FigureData, CoreError> {
         "utilization (flits/cycle)",
     );
     let (base, hotspot) = (opts.base_config(), TrafficSpec::SingleHotspot { target: 0 });
-    let mut jobs = Vec::new();
-    for (_, spec) in FAMILIES {
-        jobs.extend(sweep_jobs(spec(n), hotspot, &base, &[0.3], 1)?);
-    }
-    let runs = run_jobs(jobs, Parallelism::default(), &ExperimentCache::from_env())?;
-    for ((family, _), run) in FAMILIES.iter().zip(runs) {
+    let points = FAMILIES.map(|(_, spec)| at_rate(spec(n), hotspot, &base, 0.3));
+    let aggregates = run_points(&points, 1, Parallelism::default())?;
+    for ((family, _), agg) in FAMILIES.iter().zip(aggregates) {
+        let run = &agg.runs[0];
         let cycles = run.stats.measured_cycles.max(1) as f64;
         let links = run.stats.per_link.iter().enumerate();
         fig.push_series(Series::from_xy(
@@ -756,13 +744,17 @@ mod tests {
         let opts = FigureOptions::quick();
         let mut lines = String::new();
         for entry in manifest(&opts) {
-            for series in &entry.series {
-                for job in series_jobs(&opts, series).unwrap() {
+            let labels = entry
+                .series
+                .iter()
+                .flat_map(|s| s.points.iter().map(|_| &s.label));
+            for (label, point) in labels.zip(points(&opts, &entry)) {
+                for job in point.replication_jobs(opts.replications).unwrap() {
                     let _ = writeln!(
                         lines,
                         "{} {} {} {} {}",
                         entry.outputs[0].id,
-                        series.label,
+                        label,
                         job.experiment.config.injection_rate,
                         job.seed,
                         crate::cache::fingerprint(&job.experiment, job.seed),
@@ -944,12 +936,7 @@ mod tests {
         assert_eq!(entry.outputs[0].id, "fig6");
         let routing: Vec<RoutingFn> = vec![TopologySpec::build_routing; entry.series.len()];
         let routed = run_routed(&opts, &entry, &routing).unwrap();
-        let mut jobs = Vec::new();
-        for series in &entry.series {
-            jobs.extend(series_jobs(&opts, series).unwrap());
-        }
-        let runs = run_jobs(jobs, Parallelism::default(), &ExperimentCache::disabled()).unwrap();
-        assert_eq!(routed, assemble(&entry, opts.replications, runs));
+        assert_eq!(routed, run_manifest(&opts, "fig6").unwrap());
     }
 
     // Full-size simulated figure tests live in the crate's integration

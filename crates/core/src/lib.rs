@@ -10,8 +10,11 @@
 //! * [`TopologySpec`] / [`TrafficSpec`] — serializable experiment specs;
 //! * [`Experiment`] — one (topology, traffic, config) run, with seed
 //!   replication ([`Experiment::run_replicated`]);
-//! * [`sweep_rates`] — injection-rate sweeps (the x-axis of the paper's
-//!   Figures 6-11);
+//! * [`run_points`] — the grid runner: any list of experiments times
+//!   their replication seeds, one [`Aggregate`] (mean ± std) per point;
+//! * [`sweep_rates`] — injection-rate sweeps over [`rate_grid`] or any
+//!   ascending rates (the x-axis of the paper's Figures 6-11), one
+//!   [`Aggregate`] per rate;
 //! * [`parallel`] — deterministic scoped-thread engine that fans out
 //!   replications, sweeps and figure grids across cores (worker count
 //!   via [`Parallelism`] or the `NOC_THREADS` environment variable)
@@ -22,7 +25,8 @@
 //!   only re-simulate points whose spec, seed or code version changed;
 //! * [`figures`] — one function per paper figure, returning
 //!   [`report::FigureData`] ready to print as an ASCII table or CSV;
-//! * [`saturation_point`] — quantitative saturation detection;
+//! * [`saturation_point`] — quantitative saturation detection: the
+//!   first [`Aggregate`] of a sweep that stops accepting the load;
 //! * [`plot`] — ASCII line plots of any figure for the terminal.
 //!
 //! # Quick start
@@ -70,12 +74,12 @@ pub use conformance::{
     matched_size_cases, run_conformance, CaseOutcome, ConformanceCase, ConformanceReport,
 };
 pub use error::CoreError;
-pub use experiment::{mean_std, Aggregate, Experiment, RunResult};
+pub use experiment::{mean_std, run_points, Aggregate, Experiment, RunResult};
 pub use figures::FigureOptions;
 pub use parallel::{run_indexed, run_jobs, ExperimentJob, Parallelism};
-pub use saturation::{saturation_point, SaturationPoint, DEFAULT_ACCEPTANCE_THRESHOLD};
+pub use saturation::{saturation_point, DEFAULT_ACCEPTANCE_THRESHOLD};
 pub use spec::{TopologySpec, TrafficSpec};
-pub use sweep::{default_rate_grid, sweep_rates, SweepPoint, SweepResult};
+pub use sweep::{rate_grid, sweep_rates};
 
 // Re-export the component crates so downstream users need only one
 // dependency.

@@ -18,8 +18,9 @@
 //! worker count (asserted by `tests/parallel_determinism.rs`).
 //!
 //! [`run_jobs`] runs a list of [`ExperimentJob`]s this way through the
-//! experiment cache; replications, sweeps, figures, the conformance
-//! harness and `noc-cli` all run their grids through it.
+//! experiment cache; [`run_points`](crate::run_points) (behind
+//! replications, sweeps and figures), the conformance harness and
+//! `noc-cli` all run their grids through it.
 //!
 //! Worker count comes from a [`Parallelism`] option, the last argument
 //! of every run function. The default, [`Parallelism::Auto`], honors

@@ -6,25 +6,16 @@
 //! first swept rate at which the network stops accepting the offered
 //! load.
 
-use crate::SweepResult;
-
-/// Estimated saturation point of a sweep.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SaturationPoint {
-    /// The injection rate (flits/cycle per source) at which saturation
-    /// was declared.
-    pub rate: f64,
-    /// Throughput measured at that rate (the saturation throughput).
-    pub throughput: f64,
-    /// Latency measured at that rate.
-    pub latency: f64,
-}
+use crate::Aggregate;
 
 /// Acceptance-ratio threshold below which a point counts as saturated.
 pub const DEFAULT_ACCEPTANCE_THRESHOLD: f64 = 0.95;
 
-/// Finds the first swept point whose acceptance ratio falls below
-/// `threshold`; `None` if the sweep never saturates.
+/// Finds the first point of a sweep (one [`Aggregate`] per rate, in
+/// ascending rate order) whose acceptance ratio falls below
+/// `threshold`; `None` if the sweep never saturates. Its
+/// [`injection_rate`](Aggregate::injection_rate) is the saturation rate
+/// and its throughput the saturation throughput.
 ///
 /// # Panics
 ///
@@ -50,58 +41,51 @@ pub const DEFAULT_ACCEPTANCE_THRESHOLD: f64 = 0.95;
 /// )?;
 /// // A 16-node ring saturates well below 0.9 flits/cycle/node.
 /// let sat = saturation_point(&sweep, 0.95).expect("ring saturates");
-/// assert!(sat.rate <= 0.9);
+/// assert!(sat.injection_rate() <= 0.9);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn saturation_point(sweep: &SweepResult, threshold: f64) -> Option<SaturationPoint> {
+pub fn saturation_point(sweep: &[Aggregate], threshold: f64) -> Option<&Aggregate> {
     assert!(
         threshold > 0.0 && threshold <= 1.0,
         "threshold must be in (0, 1]"
     );
-    sweep
-        .points
-        .iter()
-        .find(|p| p.acceptance < threshold)
-        .map(|p| SaturationPoint {
-            rate: p.rate,
-            throughput: p.throughput_mean,
-            latency: p.latency_mean,
-        })
+    sweep.iter().find(|p| p.acceptance_mean < threshold)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SweepPoint;
+    use crate::RunResult;
+    use noc_sim::SimStats;
 
-    fn fake_sweep(acceptances: &[f64]) -> SweepResult {
-        SweepResult {
-            topology_label: "test".into(),
-            traffic_label: "uniform".into(),
-            points: acceptances
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| SweepPoint {
-                    rate: 0.1 * (i + 1) as f64,
-                    throughput_mean: 1.0,
-                    throughput_std: 0.0,
-                    latency_mean: 10.0,
-                    latency_std: 0.0,
-                    acceptance: a,
-                    mean_hops: 2.0,
-                    latency_p50: 10,
-                    latency_p95: 10,
-                    latency_p99: 10,
-                })
-                .collect(),
-        }
+    /// One aggregate per acceptance ratio, at rates 0.1, 0.2, ...
+    fn fake_sweep(acceptances: &[f64]) -> Vec<Aggregate> {
+        let point = |(i, &acceptance_mean)| Aggregate {
+            runs: vec![RunResult {
+                topology_label: "test".into(),
+                traffic_label: "uniform".into(),
+                injection_rate: 0.1 * (i + 1) as f64,
+                seed: 0,
+                stats: SimStats::default(),
+            }],
+            throughput_mean: 1.0,
+            throughput_std: 0.0,
+            latency_mean: 10.0,
+            latency_std: 0.0,
+            acceptance_mean,
+            mean_hops: 2.0,
+            latency_p50: 10,
+            latency_p95: 10,
+            latency_p99: 10,
+        };
+        acceptances.iter().enumerate().map(point).collect()
     }
 
     #[test]
     fn finds_first_saturated_point() {
         let sweep = fake_sweep(&[1.0, 0.99, 0.7, 0.4]);
         let sat = saturation_point(&sweep, 0.95).unwrap();
-        assert!((sat.rate - 0.3).abs() < 1e-12);
+        assert!((sat.injection_rate() - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -120,10 +104,11 @@ mod tests {
     #[test]
     fn single_point_sweep_saturated_or_not() {
         // One saturated point: declared at that point's rate.
-        let sat = saturation_point(&fake_sweep(&[0.5]), 0.95).unwrap();
-        assert!((sat.rate - 0.1).abs() < 1e-12);
-        assert!((sat.throughput - 1.0).abs() < 1e-12);
-        assert!((sat.latency - 10.0).abs() < 1e-12);
+        let sweep = fake_sweep(&[0.5]);
+        let sat = saturation_point(&sweep, 0.95).unwrap();
+        assert!((sat.injection_rate() - 0.1).abs() < 1e-12);
+        assert!((sat.throughput_mean - 1.0).abs() < 1e-12);
+        assert!((sat.latency_mean - 10.0).abs() < 1e-12);
         // One accepting point: no saturation anywhere in the sweep.
         assert!(saturation_point(&fake_sweep(&[1.0]), 0.95).is_none());
         // Empty sweep trivially never saturates.
@@ -136,14 +121,15 @@ mod tests {
         // even though later points are saturated too.
         let sweep = fake_sweep(&[0.9, 0.8, 0.3]);
         let sat = saturation_point(&sweep, 0.95).unwrap();
-        assert!((sat.rate - 0.1).abs() < 1e-12);
+        assert!((sat.injection_rate() - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn boundary_acceptance_is_not_saturated() {
         // `acceptance == threshold` counts as accepting (strict <).
         assert!(saturation_point(&fake_sweep(&[0.95, 0.95]), 0.95).is_none());
-        let sat = saturation_point(&fake_sweep(&[0.95, 0.9499]), 0.95).unwrap();
-        assert!((sat.rate - 0.2).abs() < 1e-12);
+        let sweep = fake_sweep(&[0.95, 0.9499]);
+        let sat = saturation_point(&sweep, 0.95).unwrap();
+        assert!((sat.injection_rate() - 0.2).abs() < 1e-12);
     }
 }

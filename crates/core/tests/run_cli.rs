@@ -6,7 +6,9 @@
 //! than the simulator's budget fails at once instead of running for
 //! hours, configuration keys that were retired are ignored, zero
 //! replications fail with one message on every path, and a spec nested
-//! too deep to parse is an error, not a stack overflow.
+//! too deep to parse, or starting with a byte-order mark, is an error,
+//! not a stack overflow. The aggregate lines of `run --reps 3` and
+//! `sweep` on the example spec are pinned in `tests/golden/`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -259,5 +261,56 @@ fn a_deeply_nested_spec_is_an_error() {
     assert!(
         String::from_utf8_lossy(&out.stderr).starts_with("error:"),
         "{out:?}"
+    );
+}
+
+#[test]
+fn a_spec_starting_with_a_byte_order_mark_names_it() {
+    let (dir, path) = write_spec(&[]);
+    let spec = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, format!("\u{feff}{spec}")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+        .arg("run")
+        .arg(&path)
+        .current_dir(&dir)
+        .env("NOC_CACHE", "0")
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unexpected character U+FEFF at byte 0\n"
+    );
+}
+
+/// The stdout of `noc-cli <args>` on the example spec, uncached, after
+/// its first line (which names the worker count and host cores).
+fn example_output(args: &[&str]) -> String {
+    let (dir, spec) = write_spec(&[]);
+    let out = Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+        .arg(args[0])
+        .arg(&spec)
+        .args(&args[1..])
+        .current_dir(&dir)
+        .env("NOC_CACHE", "0")
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let (_, rest) = stdout.split_once('\n').unwrap();
+    rest.to_owned()
+}
+
+#[test]
+fn aggregate_lines_are_pinned() {
+    assert_eq!(
+        example_output(&["run", "--reps", "3"]),
+        include_str!("../../../tests/golden/cli-run-reps3.txt")
+    );
+    assert_eq!(
+        example_output(&["sweep", "--max", "0.4", "--steps", "4", "--reps", "2"]),
+        include_str!("../../../tests/golden/cli-sweep.txt")
     );
 }

@@ -55,17 +55,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match saturation_point(&sweep, DEFAULT_ACCEPTANCE_THRESHOLD) {
             Some(sat) => println!(
                 "{:>12}  {:>14.2}  {:>16.3}  {:>14.1}",
-                name, sat.rate, sat.throughput, sat.latency
+                name,
+                sat.injection_rate(),
+                sat.throughput_mean,
+                sat.latency_mean
             ),
             None => println!(
                 "{:>12}  {:>14}  {:>16.3}  {:>14}",
                 name,
                 "> 0.60",
-                sweep
-                    .points
-                    .last()
-                    .map(|p| p.throughput_mean)
-                    .unwrap_or(0.0),
+                sweep.last().map(|p| p.throughput_mean).unwrap_or(0.0),
                 "-"
             ),
         }

@@ -166,7 +166,7 @@ fn uniform_saturation_ordering() {
         )
         .unwrap();
         spidergon_noc::saturation_point(&sweep, 0.95)
-            .map(|s| s.rate)
+            .map(|s| s.injection_rate())
             .unwrap_or(f64::INFINITY)
     };
     let ring = sat_rate(TopologySpec::Ring { nodes: 16 });
